@@ -50,11 +50,12 @@ from .problems import (
     color_read_positions,
     coloring_from_tape,
     coh_spec,
+    index_bits,
+    index_string,
     level_members,
     measure_at_level,
     read_color,
     rt_spec,
-    string_index,
     tree_to_point,
     ts_spec,
     verify_homogeneous_at,
@@ -223,10 +224,15 @@ def coh_interleave(count) -> Witness:
 # WKL interleaving
 
 
-def _member_via(bit_of, sigma: Prefix) -> bool:
-    """Tree membership under the tape coding: all nonempty prefixes flagged."""
-    for i in range(1, len(sigma) + 1):
-        if bit_of(string_index(Prefix(sigma.bits[:i]))) != 1:
+def _member_via(bit_of, bits) -> bool:
+    """Tree membership under the tape coding: all nonempty prefixes flagged.
+
+    Reads the prefixes' indices shortest first, stopping at the first 0.
+    """
+    idx = 0
+    for b in bits:
+        idx = 2 * idx + 1 + b
+        if bit_of(idx) != 1:
             return False
     return True
 
@@ -241,25 +247,23 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     if count == 2:
         source = parallel_product(wkl_spec(path_depth=depth), wkl_spec(path_depth=depth))
 
-        def in_s(ctx, sigma: Prefix) -> bool:
-            evens = Prefix(sigma.bits[0::2])
-            odds = Prefix(sigma.bits[1::2])
-            return _member_via(lambda p: ctx.query(0, 2 * p), evens) and _member_via(
-                lambda p: ctx.query(0, 2 * p + 1), odds
+        def in_s(ctx, bits: tuple) -> bool:
+            return _member_via(lambda p: ctx.query(0, 2 * p), bits[0::2]) and _member_via(
+                lambda p: ctx.query(0, 2 * p + 1), bits[1::2]
             )
 
         label = "<WKL,WKL><=WKL"
     elif count == "omega":
         source = seq(wkl_spec(path_depth=3), columns=2)
 
-        def in_s(ctx, sigma: Prefix) -> bool:
+        def in_s(ctx, bits: tuple) -> bool:
             cols: dict[int, list[int]] = {}
-            for pos, b in enumerate(sigma.bits):
+            for pos, b in enumerate(bits):
                 i, _ = cantor_unpair(pos)
                 cols.setdefault(i, []).append(b)
             return all(
-                _member_via(lambda p, i=i: ctx.query(0, cantor_pair(i, p)), Prefix(bits))
-                for i, bits in cols.items()
+                _member_via(lambda p, i=i: ctx.query(0, cantor_pair(i, p)), col)
+                for i, col in cols.items()
             )
 
         label = "SeqWKL<=WKL"
@@ -267,9 +271,7 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
         raise InputError("count must be 2 or 'omega'")
 
     def fstep(ctx, x):
-        from .problems import index_string
-
-        return 1 if in_s(ctx, index_string(x)) else 0
+        return 1 if in_s(ctx, index_bits(x)) else 0
 
     forward = pointwise(1, fstep, "wkl-interleave")
     backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
@@ -398,17 +400,13 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
 
     def fstep(ctx, x):
         col, pos = cantor_unpair(x)
-        from .problems import index_string
-
         sigma = index_string(col)
         tau = index_string(pos)
         # Ext answers persist across the sweep; the underlying instance
         # bits are fixed, so cached booleans stay valid
         if "s" not in ctx.scratch:
             raw = ctx.tapes[0]
-            ctx.scratch["s"] = TreeByRule(
-                lambda p: _member_via(lambda q: raw.bit(q), p), "S"
-            )
+            ctx.scratch["s"] = TreeByRule.from_tape(raw, "S")
             ctx.scratch["ext"] = {}
 
         def ext(rho: Prefix, k: int) -> bool:
@@ -422,11 +420,11 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
     forward = pointwise(1, fstep, "seqwwkl-family")
 
     def bstep(ctx, x):
-        bits: list[int] = []
+        idx = 0
         for _ in range(x + 1):
-            idx = string_index(Prefix(tuple(bits)))
-            bits.append(ctx.query(0, cantor_pair(idx, 0)))
-        return bits[x]
+            b = ctx.query(0, cantor_pair(idx, 0))
+            idx = 2 * idx + 1 + b
+        return b
 
     backward = pointwise(1, bstep, "assemble-path")
     return Witness(wkl_spec(path_depth=depth), target, forward, backward, "strong",

@@ -190,19 +190,34 @@ def string_index(sigma: Prefix) -> int:
     return (1 << len(sigma)) - 1 + v
 
 
-def index_string(idx: int) -> Prefix:
+def index_bits(idx: int) -> tuple[int, ...]:
+    """The bits of the string with index idx (inverse of string_index)."""
     length = (idx + 1).bit_length() - 1
     v = idx - ((1 << length) - 1)
-    return Prefix(tuple((v >> (length - 1 - i)) & 1 for i in range(length)))
+    return tuple((v >> (length - 1 - i)) & 1 for i in range(length))
+
+
+def index_string(idx: int) -> Prefix:
+    return Prefix(index_bits(idx))
 
 
 @dataclass
 class TreeByRule:
-    """A subtree of 2^{<omega} given by a membership rule."""
+    """A subtree of 2^{<omega} given by a membership rule.
+
+    A tree decoded from a tape (`from_tape`) also carries `index_member`,
+    membership by `string_index`: such a tree is downward closed by
+    construction, since a node is in only if its parent is.  Trees given
+    by any other rule leave it None and get the orphan scan in
+    `level_members`.
+    """
 
     member: Callable[[Prefix], bool]
     label: str = "tree"
     declared_measure_bound: Optional[Fraction] = None
+    index_member: Optional[Callable[[int], bool]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __contains__(self, sigma: Prefix) -> bool:
         return bool(self.member(sigma))
@@ -216,16 +231,30 @@ class TreeByRule:
         """Decode a tape as a tree; downward closed by construction.
 
         The root is always in; a nonempty string is in iff the tape has a
-        1 at the index of every nonempty prefix of it.
+        1 at the index of every nonempty prefix of it.  Membership is
+        memoized by index: member(i) = member((i-1)//2) and bit(i) = 1,
+        with the parent decided before the node's own bit is read, so the
+        tape is read at the same positions, in the same order, as a walk
+        down the prefixes.  A Diverge from the tape propagates and leaves
+        that node undecided.
         """
+        known = {0: True}
 
-        def member(sigma: Prefix) -> bool:
-            for j in range(1, len(sigma) + 1):
-                if tape.bit(string_index(Prefix(sigma.bits[:j]))) != 1:
-                    return False
-            return True
+        def index_member(idx: int) -> bool:
+            path = []
+            while idx not in known:
+                path.append(idx)
+                idx = (idx - 1) >> 1
+            inside = known[idx]
+            for i in reversed(path):
+                if inside:
+                    inside = tape.bit(i) == 1
+                known[i] = inside
+            return inside
 
-        return TreeByRule(member, label)
+        t = TreeByRule(lambda sigma: index_member(string_index(sigma)), label)
+        t.index_member = index_member
+        return t
 
 
 def tree_to_point(t: TreeByRule) -> Point:
@@ -238,10 +267,21 @@ _ORPHAN_SCAN_MAX = 1 << 14
 def level_members(t: TreeByRule, d: int) -> list[Prefix]:
     """Members of t at level d, lexicographic, with contract checks.
 
-    Builds levels by extending live nodes; when 2^d is small enough it
-    additionally scans the full level for orphans (a member whose parent
-    is missing), which is the downward-closure contract check.
+    Builds levels by extending live nodes.  A tree with `index_member`
+    (decoded from a tape) grows its frontier on string indices, the
+    children of i being 2i+1 and 2i+2, and skips the orphan scan: it is
+    downward closed by construction, and the scan would only reread
+    positions the frontier already read.  Any other tree, when 2^d is
+    small enough, additionally has the full level scanned for orphans (a
+    member whose parent is missing), which is the downward-closure
+    contract check.
     """
+    if t.index_member is not None:
+        member = t.index_member
+        live = [0]
+        for _ in range(d):
+            live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if member(c)]
+        return [index_string(i) for i in live]
     if Prefix() not in t:
         raise ContractError(f"{t.label}: root missing")
     frontier = [Prefix()]

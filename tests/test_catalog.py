@@ -190,6 +190,15 @@ def test_wkl_interleave_paths_split():
         assert Prefix(sigma.bits[1::2]) in FIRST1
 
 
+def test_tree_forwards_metered_queries_pinned():
+    tape = Point.from_seed(7)
+    for count, steps, use in ((2, 1455, {0: 12}), ("omega", 1201, {0: 5})):
+        out = evaluate(wkl_interleave(count).forward, [tape], 600, 4096)
+        assert (out.status, out.value, out.steps, out.use) == ("converged", 0, steps, use)
+    out = evaluate(wkl_from_seqwwkl_witness().backward, [tape], 12, 4096)
+    assert (out.status, out.value, out.steps, out.use) == ("converged", 1, 104, {0: 22777875})
+
+
 # --- thin set collapse -----------------------------------------------------------
 
 

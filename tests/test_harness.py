@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -103,6 +104,14 @@ def test_report_deterministic_bytes():
     a = run_suite("rt_color_embed", SuiteConfig(samples=6, seed=3)).to_csv()
     b = run_suite("rt_color_embed", SuiteConfig(samples=6, seed=3)).to_csv()
     assert a == b
+
+
+def test_verify_all_csv_bytes_pinned():
+    csv = run_suite("all", SuiteConfig(samples=1, seed=0)).to_csv()
+    assert len(csv.splitlines()) == 114
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "760ee069e37f948eebd755dbbd4b8b2f4f5ac845f34b6480f7ba3839cc82e3c6"
+    )
 
 
 def test_report_exit_codes():

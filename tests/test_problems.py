@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wred.kernel import InputError, Point, Prefix
+from wred.kernel import Diverge, InputError, Point, Prefix
 from wred.problems import (
     Coloring,
     SetFamily,
@@ -15,6 +15,7 @@ from wred.problems import (
     coh_spec,
     index_string,
     known_problems,
+    level_members,
     leftmost_path_point,
     lookup,
     measure_at_level,
@@ -203,6 +204,66 @@ def test_tree_tape_roundtrip():
 def test_decoded_tree_always_downward_closed():
     t = TreeByRule.from_tape(Point.from_seed(99))
     measure_at_level(t, 8)  # must not raise
+
+
+class _Recording:
+    """A tape that logs every position it is asked for."""
+
+    def __init__(self, base):
+        self.base = base
+        self.reads = []
+
+    def bit(self, pos):
+        self.reads.append(pos)
+        return self.base.bit(pos)
+
+
+def _prefix_walk_tree(tape):
+    """The tape coding as a plain rule: every nonempty prefix flagged."""
+    return TreeByRule(
+        lambda s: all(tape.bit(string_index(Prefix(s.bits[:j]))) == 1 for j in range(1, len(s) + 1)),
+        "prefix-walk",
+    )
+
+
+def _first_reads(tape):
+    return list(dict.fromkeys(tape.reads))
+
+
+def test_index_tree_levels_match_prefix_walk():
+    for seed in range(20):
+        fast_tape, slow_tape = _Recording(Point.from_seed(seed)), _Recording(Point.from_seed(seed))
+        fast, slow = TreeByRule.from_tape(fast_tape), _prefix_walk_tree(slow_tape)
+        assert fast.index_member is not None and slow.index_member is None
+        for d in range(9):
+            assert level_members(fast, d) == level_members(slow, d)
+        # same positions, first read in the same order; the memo reads each once
+        assert _first_reads(fast_tape) == _first_reads(slow_tape)
+        assert len(fast_tape.reads) == len(set(fast_tape.reads))
+
+
+def test_index_tree_membership_matches_prefix_walk():
+    for seed in range(20):
+        fast_tape, slow_tape = _Recording(Point.from_seed(seed)), _Recording(Point.from_seed(seed))
+        fast, slow = TreeByRule.from_tape(fast_tape), _prefix_walk_tree(slow_tape)
+        # deepest strings first, so each query climbs to an undecided ancestor
+        for idx in reversed(range(2**7 - 1)):
+            assert (index_string(idx) in fast) == (index_string(idx) in slow)
+        assert _first_reads(fast_tape) == _first_reads(slow_tape)
+
+
+def test_index_tree_divergence_is_never_memoized():
+    tape = _Recording(Prefix((1, 1, 1)))  # nodes 0..2 answer; index 3 onward diverges
+    t = TreeByRule.from_tape(tape)
+    for _ in range(3):
+        with pytest.raises(Diverge):
+            Prefix((0, 0)) in t  # index 3, under the member (0,)
+        with pytest.raises(Diverge):
+            Prefix((1, 1, 0)) in t  # index 13, under the undecided index 6
+        with pytest.raises(Diverge):
+            level_members(t, 2)
+    assert tape.reads.count(3) == 6 and tape.reads.count(6) == 3
+    assert Prefix((1,)) in t and level_members(t, 1) == [Prefix((0,)), Prefix((1,))]
 
 
 def test_leftmost_path_stays_inside():
