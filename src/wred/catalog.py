@@ -27,6 +27,7 @@ from .combinators import (
     triv_spec,
 )
 from .kernel import (
+    ContractError,
     InputError,
     Point,
     Prefix,
@@ -907,8 +908,6 @@ def cube_solve(f: Coloring, members, avoided: frozenset, horizon: int, size: int
     h = sorted(x for x in members if x < horizon)
     sv = structural_check(f, h, prop)
     if not sv.holds:
-        from .kernel import ContractError
-
         raise ContractError(f"avoided {sorted(avoided)} promises {prop} but: {sv.detail}")
     restricted = _restrict_coloring(f, h)
     res = find_homogeneous(restricted, SearchBudget(horizon=len(h), size=min(size, len(h))))
@@ -1105,7 +1104,7 @@ def _squash_checks(cfg_name):
             try:
                 squash_forward(cfg, ms, fam, h, count=4)
                 rows.append((f"identity[{tag}]", True, f"B_i = (C|m_i)^Phi(A_i,B_i+1) on {h}"))
-            except Exception as e:  # ContractError or ResourceError
+            except (ContractError, ResourceError) as e:
                 rows.append((f"identity[{tag}]", False, str(e)))
         return _rows(f"squash[{cfg_name}]", rows)
 
@@ -1208,8 +1207,6 @@ def _ts33_checks(params, rng, horizon, size):
 
 
 def _cube_checks(params, rng, horizon, size):
-    from .kernel import ContractError
-
     rows = []
     rows.append(("classes-8", len(cube_classes("none")) == 8, "no merge: all 8 patterns"))
     rows.append(("classes-7", len(cube_classes("transitive-pair")) == 7, "dual pair merged"))

@@ -21,12 +21,13 @@ target solutions pull back to verified source solutions.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
     ContractError,
-    Continuation,
     Diverge,
     EvalContext,
     Functional,
@@ -845,14 +846,93 @@ class _SymbolicPrefix:
         raise _NeedBit(key)
 
 
+class _Unready(Exception):
+    def __init__(self, level: int, pos: int):
+        self.key = (level, pos)
+
+
+class _Display:
+    """The nested display V_j = (C|m_j)^Phi(sigma_j, V_{j+1}), cut at a stage.
+
+    At stage x the display ends at V_{x+1} = C|m_{x+1}, so V_i(x) read at
+    stage x is B_i(x) of the stagewise definition.  A bit converged at one
+    stage is the same at every later one (the later chain only extends the
+    earlier one's oracles), so one display serves every stage read in
+    increasing order, each level T_j = Phi(sigma_j, V_{j+1}) sweeping once.
+
+    No read recurses through more than a bounded number of levels: a read
+    from outside the display starts a loop over an explicit stack, a
+    level that needs an unmaterialized bit too many levels below the one
+    being forced raises _Unready, and the loop materializes that bit
+    first and retries.
+    """
+
+    def __init__(self, phi2: Functional, c, markers, sigma_tapes, fuel: int, stage: int = 0):
+        self.phi2, self.c, self.markers, self.fuel = phi2, c, markers, fuel
+        self.sigma_tapes = sigma_tapes  # level -> tape
+        self.stage = stage
+        self.levels: dict[int, FunctionalTape] = {}
+        self.pull_limit: Optional[int] = None  # inside the loop: the first level not pulled
+
+    def level(self, j: int) -> FunctionalTape:
+        if j not in self.levels:
+            self.levels[j] = FunctionalTape(self.phi2, [self.sigma_tapes(j), _Link(self, j + 1)],
+                                            self.fuel)
+        return self.levels[j]
+
+    def row(self, i: int, x: int) -> int:
+        """B_i(x) = V_i(x) at stage x; stages are read in increasing order."""
+        self.stage = x
+        return self.c.bit(x) if x < self.markers[i] else self.tail_bit(i, x)
+
+    def tail_bit(self, j: int, q: int) -> int:
+        """T_j(q) at the current stage; a divergence of the chain raises Diverge."""
+        if j > self.stage:
+            raise Diverge("gap", q)
+        t = self.levels.get(j) or self.level(j)
+        if not t.ready(q):
+            if self.pull_limit is None:
+                return self._force(j, q)
+            if j >= self.pull_limit:
+                raise _Unready(j, q)
+        return t.bit(q)
+
+    def _force(self, j: int, q: int) -> int:
+        # a pulled level costs about 8 interpreter frames: pulls may use a
+        # quarter of the recursion limit, the explicit stack does the rest
+        depth = max(1, sys.getrecursionlimit() // 32)
+        pending = [(j, q)]
+        try:
+            while pending:
+                level, p = pending[-1]
+                self.pull_limit = level + depth
+                try:
+                    bit = self.level(level).bit(p)
+                    pending.pop()
+                except _Unready as u:
+                    pending.append(u.key)
+        finally:
+            self.pull_limit = None
+        return bit  # the last one materialized is (j, q)
+
+
+class _Link:
+    """V_j of a display as an oracle tape."""
+
+    def __init__(self, display: _Display, j: int):
+        self.display, self.j, self.head = display, j, display.markers[j]
+
+    def bit(self, pos: int) -> int:
+        if pos < self.head:
+            return self.display.c.bit(pos)
+        return self.display.tail_bit(self.j, pos)
+
+
 def _nested_chain(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
                   sigma_tapes, fuel: int):
     """V_{i+1} of the compactness display: levels i+1..s wrap around C|n."""
-    v = c.prefix(n)
-    for j in range(s, i, -1):
-        inner = FunctionalTape(phi2, [sigma_tapes[j], v], fuel)
-        v = Continuation(c.prefix(markers[j]), inner)
-    return v
+    display = _Display(phi2, c, [*markers[:s + 1], n], sigma_tapes.__getitem__, fuel, stage=s)
+    return _Link(display, i + 1)
 
 
 def _dfs_check(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
@@ -894,51 +974,70 @@ def _dfs_check(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
     return attempt({})
 
 
-def _closure_check_stage(phi2: Functional, markers, s: int, n: int,
-                         node_budget: int = 1 << 20) -> bool:
+class _ReadProfile:
+    """Prefix maxima of a declared read map, grown on demand.
+
+    top[t][y] is the largest tape-t position read at any y' <= y (-1 if
+    none).  The map is pure and instance-independent, so one profile
+    serves every stage and candidate of a marker search.
+    """
+
+    def __init__(self, reads):
+        self.reads = reads
+        self.top: tuple[list[int], list[int]] = ([], [])
+
+    def extend(self, y: int) -> None:
+        top0, top1 = self.top
+        for x in range(len(top0), y + 1):
+            m0, m1 = (top0[-1], top1[-1]) if top0 else (-1, -1)
+            for tape, q in self.reads(x):
+                if tape == 0:
+                    m0 = max(m0, q)
+                else:
+                    m1 = max(m1, q)
+            top0.append(m0)
+            top1.append(m1)
+
+
+def _closure_check_stage(phi2: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
+                         profile: Optional[_ReadProfile] = None) -> bool:
     """Read-closure engine for functionals with a declared read map.
 
     Exact when the declared map covers every cell the step may touch:
     the nested expression converges for all sigma iff every transitively
-    required cell is available.  One memo serves every outer level i,
-    since availability depends only on (level, position).
+    required cell is available.  The sweep makes convergence downward
+    closed, so level j is available exactly below one limit: lim[s+1] = n
+    and lim[j] = max(m_j, first_bad[j]), where first_bad[j] is the least y
+    with a (0, q >= n) read or a (1, q >= lim[j+1]) read.  The stage holds
+    iff first_bad[i] > s for every i <= s.
+
+    Level 0 is demanded on 0..s, and level j+1 on 0..max(s, q) where q is
+    the furthest read of level j's demand if it reaches m_{j+1}; beyond
+    its demand a level's limit cannot matter.  The demands are computed
+    going up and the limits going down, each a lookup in the prefix maxima
+    of `profile`.  More than node_budget demanded (level, position) pairs
+    at or above the level's marker is a ResourceError.
     """
-    memo: dict[tuple[int, int], bool] = {}
-    nodes = 0
-
-    def avail(j: int, q: int) -> bool:
-        # availability of V_j(q) for 0 < j <= s+1
-        if j == s + 1:
-            return q < n
-        if q < markers[j]:
-            return True
-        return can(j, q)
-
-    def can(j: int, p: int) -> bool:
-        # convergence of Phi(sigma_j, V_{j+1}) at p, for all sigma
-        nonlocal nodes
-        key = (j, p)
-        if key in memo:
-            return memo[key]
-        nodes += 1
+    profile = profile or _ReadProfile(phi2.reads)
+    top0, top1 = profile.top
+    demand = [s]
+    nodes = s + 1
+    for j in range(1, s + 1):
+        profile.extend(demand[-1])
+        q = top1[demand[-1]]
+        demand.append(max(s, q) if q >= markers[j] else s)
+        nodes += max(0, demand[-1] - markers[j] + 1)
         if nodes > node_budget:
             raise ResourceError(f"marker closure exceeded {node_budget} nodes", stage=s, candidate=n)
-        ok = True
-        for y in range(p + 1):
-            for tape, q in phi2.reads(y):
-                if tape == 0:
-                    if q >= n:
-                        ok = False
-                        break
-                elif not avail(j + 1, q):
-                    ok = False
-                    break
-            if not ok:
-                break
-        memo[key] = ok
-        return ok
-
-    return all(can(i, s) for i in range(s, -1, -1))
+    profile.extend(demand[-1])
+    lim = n
+    for j in range(s, -1, -1):
+        end = demand[j] + 1
+        first_bad = min(bisect_left(top0, n, 0, end), bisect_left(top1, lim, 0, end))
+        if first_bad <= s:
+            return False
+        lim = max(markers[j], first_bad)
+    return True
 
 
 def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
@@ -950,13 +1049,14 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     successor, so the first hit is the marker.
     """
     phi2 = cfg.phi2
+    profile = _ReadProfile(phi2.reads) if phi2.reads is not None else None
     markers = [0]
     for s in range(stages):
         start = max(markers[-1], s) + 1
         found = None
         for n in range(start, start + cfg.candidate_budget):
-            if phi2.reads is not None:
-                ok = _closure_check_stage(phi2, markers, s, n)
+            if profile is not None:
+                ok = _closure_check_stage(phi2, markers, s, n, profile=profile)
             else:
                 ok = all(
                     _dfs_check(phi2, cfg.c, markers, i, s, n, cfg.fuel, cfg.width_budget)
@@ -981,73 +1081,77 @@ class SquashRun:
     horizon: int
 
 
-def _b_value(cfg: SquashConfig, markers, a_columns, i: int, x: int) -> int:
-    """B_i(x) per the stagewise definition (stage x nests down to C|m_{x+1})."""
-    if x < markers[i]:
-        return cfg.c.bit(x)
-    phi2 = cfg.phi2
-    v = cfg.c.prefix(markers[x + 1])
-    for j in range(x, i, -1):
-        inner = FunctionalTape(phi2, [a_columns(j), v], cfg.fuel)
-        v = Continuation(cfg.c.prefix(markers[j]), inner)
-    top = FunctionalTape(phi2, [a_columns(i), v], cfg.fuel)
-    return top.bit(x)
+def _squash_display(cfg: SquashConfig, markers, a_family_tape) -> _Display:
+    return _Display(cfg.phi2, cfg.c, markers, lambda j: family_column(a_family_tape, j), cfg.fuel)
 
 
 def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
                    horizon: int, count: int = 5, slack: int = 4) -> SquashRun:
     """Materialize B_0..B_count and check the structural identity exactly.
 
-    B_i(x) = C(x) for x < m_i and B_i(x) = Phi(A_i, B_{i+1})(x) for
-    m_i <= x < horizon; the identity is recomputed against the
+    B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
+    v_j = (C|m_j)^Phi(A_j, v_{j+1}) for j = x down to 0, and B_i(x) =
+    v_i(x).  One display serves every row and every stage, read stage by
+    stage in increasing order; rows i > x are C(x), since m_i >= i.  A
+    divergence of the chain is a ResourceError naming the row and stage.
+
+    The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(A_i,
+    B_{i+1})(x) for m_i <= x < horizon is then recomputed against the
     materialized next row, never assumed.
     """
     ext = horizon + slack
     if len(markers) < ext + 1:
         raise InputError(f"need markers through stage {ext}, have {len(markers) - 1}")
-    cols = lambda j: family_column(a_family_tape, j)
-    table = [[_b_value(cfg, markers, cols, i, x) for x in range(ext)] for i in range(count + 1)]
-    phi2 = cfg.phi2
+    display = _squash_display(cfg, markers, a_family_tape)
+    rows = [_LazyBRow(display, i) for i in range(count + 1)]
+    for x in range(ext):
+        for row in rows:
+            row.bit(x)
+    table = [row.bits for row in rows]
     for i in range(count):
-        next_prefix = Prefix(tuple(table[i + 1]))
+        check = FunctionalTape(cfg.phi2, [display.sigma_tapes(i), Prefix(tuple(table[i + 1]))],
+                               cfg.fuel)
         for x in range(horizon):
             if x < markers[i]:
                 want = cfg.c.bit(x)
             else:
-                out = None
                 try:
-                    out = FunctionalTape(phi2, [cols(i), next_prefix], cfg.fuel).bit(x)
+                    want = check.bit(x)
                 except Diverge as d:
                     raise ResourceError(
                         f"identity check needs B_{i + 1} beyond {ext}; raise slack",
                         row=i, position=x, reason=d.reason,
                     )
-                want = out
             if table[i][x] != want:
                 raise ContractError(
                     f"B_{i}({x}) = {table[i][x]} but the identity gives {want} (marker bug)"
                 )
-    return SquashRun(markers, table[: count + 1], horizon)
+    return SquashRun(markers, table, horizon)
 
 
 class _LazyBRow:
-    """B_i as a tape, computed on demand from the stagewise definition."""
+    """B_i as a tape, materialized in stage order from a display."""
 
-    def __init__(self, cfg, markers, a_columns, i):
-        self.cfg, self.markers, self.a_columns, self.i = cfg, markers, a_columns, i
-        self.cache: dict[int, int] = {}
+    def __init__(self, display: _Display, i: int):
+        self.display, self.i = display, i
+        self.bits: list[int] = []
 
     def bit(self, pos: int) -> int:
-        if pos not in self.cache:
-            if pos + 1 >= len(self.markers):
-                raise Diverge("gap", pos)
-            self.cache[pos] = _b_value(self.cfg, self.markers, self.a_columns, self.i, pos)
-        return self.cache[pos]
+        if pos + 1 >= len(self.display.markers):
+            raise Diverge("gap", pos)
+        while len(self.bits) <= pos:
+            x = len(self.bits)
+            try:
+                self.bits.append(self.display.row(self.i, x))
+            except Diverge as d:
+                raise ResourceError(f"B_{self.i}({x}) diverged at stage {x} ({d.reason})",
+                                    row=self.i, stage=x, reason=d.reason)
+        return self.bits[pos]
 
 
 def squash_row_tape(cfg: SquashConfig, markers: MarkerSequence, a_family_tape, i: int):
     """B_i as a lazy tape (defined while the marker supply lasts)."""
-    return _LazyBRow(cfg, markers, lambda j: family_column(a_family_tape, j), i)
+    return _LazyBRow(_squash_display(cfg, markers, a_family_tape), i)
 
 
 def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: int,
@@ -1062,7 +1166,6 @@ def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: 
     theta = cfg.p_spec.tolerance
     if cfg.kind == "plain" and a_family_tape is None:
         raise InputError("plain squash backward needs the instance family tape")
-    cols = (lambda j: family_column(a_family_tape, j)) if a_family_tape is not None else None
     out = []
     cur = t0_tape
     for i in range(count):
@@ -1070,7 +1173,8 @@ def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: 
         if cfg.kind == "strong":
             pair = apply_functional(cfg.witness.backward, [repaired], cfg.fuel)
         else:
-            inst = interleave_tapes(cols(i), _LazyBRow(cfg, markers, cols, i + 1))
+            inst = interleave_tapes(family_column(a_family_tape, i),
+                                    squash_row_tape(cfg, markers, a_family_tape, i + 1))
             pair = apply_functional(cfg.witness.backward, [inst, repaired], cfg.fuel)
         out.append(even_part(pair))
         cur = odd_part(pair)
@@ -1084,24 +1188,9 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
     def fstep(ctx, x):
         if x + 1 >= len(markers):
             raise Diverge("gap", x)
-        return _b_value(cfg, markers.markers, lambda j: family_column(ctx.tape(0), j), 0, x)
+        return _squash_display(cfg, markers, ctx.tape(0)).row(0, x)
 
     forward = pointwise(1, fstep, f"{cfg.label}-forward")
-
-    def solution_column(ctx, i, sol_idx):
-        cur = ctx.tapes[sol_idx]
-        theta = cfg.p_spec.tolerance
-        cols = (lambda j: family_column(ctx.tapes[0], j)) if cfg.kind == "plain" else None
-        for j in range(i + 1):
-            repaired = theta(cur, markers[j])
-            if cfg.kind == "strong":
-                pair = apply_functional(cfg.witness.backward, [repaired], cfg.fuel)
-            else:
-                inst = interleave_tapes(cols(j), _LazyBRow(cfg, markers.markers, cols, j + 1))
-                pair = apply_functional(cfg.witness.backward, [inst, repaired], cfg.fuel)
-            if j == i:
-                return even_part(pair)
-            cur = odd_part(pair)
 
     def bstep(ctx, x):
         i, t = cantor_unpair(x)
@@ -1110,10 +1199,11 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
             # source params); chains for deeper columns would read the
             # solution at positions ~2^i t, beyond any finite marker supply
             return 0
-        sol_idx = 0 if cfg.kind == "strong" else 1
         key = ("sol", i)
         if key not in ctx.scratch:
-            ctx.scratch[key] = solution_column(ctx, i, sol_idx)
+            plain = cfg.kind == "plain"
+            ctx.scratch[key] = squash_backward(cfg, markers, ctx.tapes[1 if plain else 0], i + 1,
+                                               ctx.tapes[0] if plain else None)[i]
         return ctx.scratch[key].bit(t)
 
     backward = pointwise(1 if cfg.kind == "strong" else 2, bstep, f"{cfg.label}-backward")

@@ -422,6 +422,10 @@ class FunctionalTape:
         self._stalled: Optional[Diverge] = None
         self._scratch: dict = {}
 
+    def ready(self, pos: int) -> bool:
+        """Whether bit pos is already materialized, so reading it does no work."""
+        return pos < len(self._bits)
+
     def bit(self, pos: int) -> int:
         while len(self._bits) <= pos:
             if self._stalled is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -384,6 +385,160 @@ def test_squash_witness_end_to_end_soundness():
     assert not soundness_failures(rows)
     assert sum(r.status == PASS for r in rows) == 8  # honest passes, both directions
     assert w.kind == "strong"
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def synthetic_squash_config(reads, step=lambda ctx, x: 0):
+    """TRIV squashing whose forward declares `reads` on the pair tape.
+
+    The default step reads nothing: the read-closure engine sees only the map.
+    """
+    t = triv_spec()
+    fwd = pointwise(1, step, "synthetic", reads=reads)
+    back = pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
+                     reads=lambda x: [(0, x // 2)])
+    w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="synthetic")
+    return SquashConfig(q_spec=t, p_spec=t, witness=w, label="synthetic")
+
+
+# pair-tape read maps: odd positions are the B_{i+1} half, even ones the A_i half
+SYNTHETIC_READS = {
+    "ahead-1": lambda x: [(0, 2 * (x + 1) + 1)],
+    "ahead-3": lambda x: [(0, 2 * (x + 3) + 1), (0, 2 * x)],
+    "instance-ahead-2": lambda x: [(0, 2 * (x + 2)), (0, 2 * x + 1)],
+    "doubling": lambda x: [(0, 4 * x + 1)],
+    "constant": lambda x: [(0, 0), (0, 5)],  # A_i(0) and B_{i+1}(2), which is below m_1 = 3
+}
+
+# sha256 of repr(markers) and of repr(table), confirmed on the recursive engines
+SQUASH_MARKER_SHA = "0cd80d5220feeaa6f85f0ee30ccf8a5c7a657e16ae325a1da3ba5ce2a3d6a82f"
+SQUASH_TABLE_SHA = {
+    "coh-interleave": "69034c296e434d6b9382036038a73b3f1df656a91025304adb3af48cdd9278c9",
+    "projection-toy": "bbbcc439d5291cae1847cd6f2f22f9c28120746e357627822db3d5fdae3d3155",
+    "trivial-q-rt12": "bbbcc439d5291cae1847cd6f2f22f9c28120746e357627822db3d5fdae3d3155",
+}
+
+
+def test_squash_config_markers_and_tables_pinned():
+    from wred.catalog import SQUASH_CONFIGS
+
+    for name in sorted(SQUASH_CONFIGS):
+        cfg = SQUASH_CONFIGS[name]()
+        ms = squash_markers(cfg, 64)
+        assert _sha256(ms.markers) == SQUASH_MARKER_SHA, name
+        run = squash_forward(cfg, ms, Point.from_seed(3), 44, count=4)
+        assert _sha256(run.table) == SQUASH_TABLE_SHA[name], name
+
+
+def test_synthetic_read_map_markers_pinned():
+    from wred.kernel import ResourceError
+
+    def markers(name):
+        return squash_markers(synthetic_squash_config(SYNTHETIC_READS[name]), 14).markers
+
+    assert markers("ahead-1") == list(range(0, 29, 2))
+    assert markers("ahead-3") == list(range(0, 57, 4))
+    assert markers("instance-ahead-2") == [0] + list(range(3, 17))
+    with pytest.raises(ResourceError) as exc:
+        markers("doubling")
+    assert exc.value.context == {"stage": 4, "first_candidate": 50}
+
+
+def reference_closure_check(phi2, markers, s, n):
+    """The memoized recursive closure engine, kept as the reference.
+
+    can(j, p): Phi(sigma_j, V_{j+1}) converges at p for all sigma, i.e.
+    every read of every y <= p is available; V_j(q) is available below m_j
+    or where can(j, q) holds, and V_{s+1} = C|n.
+    """
+    memo = {}
+
+    def avail(j, q):
+        if j == s + 1:
+            return q < n
+        return q < markers[j] or can(j, q)
+
+    def can(j, p):
+        if (j, p) not in memo:
+            memo[(j, p)] = all(q < n if tape == 0 else avail(j + 1, q)
+                               for y in range(p + 1) for tape, q in phi2.reads(y))
+        return memo[(j, p)]
+
+    return all(can(i, s) for i in range(s, -1, -1))
+
+
+def test_closure_engine_matches_recursive_reference():
+    from wred.catalog import squash_config_coh
+    from wred.combinators import _closure_check_stage, _ReadProfile
+    from wred.kernel import ResourceError
+
+    configs = [synthetic_squash_config(r) for r in SYNTHETIC_READS.values()]
+    configs.append(squash_config_coh())
+    for cfg in configs:
+        phi2 = cfg.phi2
+        profile = _ReadProfile(phi2.reads)  # shared across stages, as squash_markers does
+        markers = [0]
+        for s in range(11):
+            start = max(markers[-1], s) + 1
+            for n in range(start, start + 4):
+                want = reference_closure_check(phi2, markers, s, n)
+                assert _closure_check_stage(phi2, markers, s, n, profile=profile) == want
+                assert _closure_check_stage(phi2, markers, s, n) == want
+            found = next((n for n in range(start, start + cfg.candidate_budget)
+                          if reference_closure_check(phi2, markers, s, n)), None)
+            if found is None:
+                break
+            markers.append(found)
+    with pytest.raises(ResourceError) as exc:
+        _closure_check_stage(configs[0].phi2, [0, 2, 4], 2, 6, node_budget=5)
+    assert exc.value.context == {"stage": 2, "candidate": 6}
+
+
+def test_squash_forward_fuel_exhaustion_is_resource_error():
+    from wred.combinators import squash_row_tape
+    from wred.kernel import ResourceError
+
+    cfg = projection_squash_config()
+    ms = squash_markers(cfg, 12)
+    cfg.fuel = 1  # the entry charge and the one read of each chain step exceed it
+    with pytest.raises(ResourceError) as exc:
+        squash_forward(cfg, ms, Point.from_seed(7), 8, count=2)
+    assert exc.value.context == {"row": 0, "stage": 0, "reason": "fuel"}
+    with pytest.raises(ResourceError) as exc:
+        squash_row_tape(cfg, ms, Point.from_seed(7), 1).bit(3)
+    assert exc.value.context == {"row": 1, "stage": 1, "reason": "fuel"}
+
+
+def test_squash_forward_markers_too_small_diverge_at_the_stage():
+    # Phi(A, B)(x) = B(x+1) needs m_{s+1} >= s+2; with m_s = s the stagewise
+    # chain of stage 0 reads C|m_1 = C|1 at position 1
+    from wred.kernel import ResourceError
+
+    cfg = synthetic_squash_config(SYNTHETIC_READS["ahead-1"],
+                                  step=lambda ctx, x: ctx.query(0, 2 * (x + 1) + 1))
+    assert squash_markers(cfg, 3).markers == [0, 2, 4, 6]
+    with pytest.raises(ResourceError) as exc:
+        squash_forward(cfg, MarkerSequence(list(range(13))), Point.from_seed(5), 8, count=2)
+    assert exc.value.context == {"row": 0, "stage": 0, "reason": "gap"}
+
+
+def test_squash_forward_needs_no_deep_recursion():
+    import sys
+
+    from wred.catalog import SQUASH_CONFIGS
+
+    cfg = SQUASH_CONFIGS["projection-toy"]()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)  # a chain nested through 68 levels would need far more
+    try:
+        ms = squash_markers(cfg, 68)
+        run = squash_forward(cfg, ms, Point.from_seed(3), 64, count=4)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [len(row) for row in run.table] == [68] * 5
 
 
 # --- fan-out ---------------------------------------------------------------------------

@@ -214,8 +214,15 @@ def test_cli_oracle_paths(tmp_path, capsys):
 
 
 def test_console_script_entrypoint():
+    import os
+    from pathlib import Path
+
+    import wred
+
+    # the child imports the same package however pytest found it
+    env = dict(os.environ, PYTHONPATH=str(Path(wred.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "wred.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and "rt_product" in proc.stdout
 
 
