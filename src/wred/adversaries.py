@@ -25,12 +25,13 @@ from .kernel import (
     cantor_pair,
     evaluate,
     pointwise,
+    _run_step,
 )
 from .problems import (
     Coloring,
     color_block_width,
+    index_bits,
     index_string,
-    string_index,
 )
 
 DEFAULT_FUEL = 50_000
@@ -108,11 +109,14 @@ class CutTree:
     constraints: list = field(default_factory=list)  # (stage, xs, alpha)
 
     def member(self, sigma: Prefix) -> bool:
-        n = len(sigma)
+        return self.member_bits(sigma.bits)
+
+    def member_bits(self, bits: tuple) -> bool:
+        n = len(bits)
         if n > self.height:
             return False
         for t, xs, alpha in self.constraints:
-            if n > t and all(sigma.bits[x] == a for x, a in zip(xs, alpha)):
+            if n > t and all(bits[x] == a for x, a in zip(xs, alpha)):
                 return False
         return True
 
@@ -133,17 +137,27 @@ class CutTree:
         level = self.height if level is None else level
         return Fraction(self.level_count(level), 2**level)
 
-    def as_partial_point(self):
-        tree = self
+    def as_partial_point(self) -> "_CutTreeTape":
+        return _CutTreeTape(self)
 
-        class _T:
-            def bit(self, pos):
-                sigma = index_string(pos)
-                if len(sigma) > tree.height:
-                    raise Diverge("gap", pos)
-                return 1 if tree.member(sigma) else 0
 
-        return _T()
+class _CutTreeTape:
+    """A CutTree as a partial oracle: bit(string_index(sigma)) says whether
+    sigma is in the tree, defined on strings no longer than its height.
+
+    It reads the tree live, so it answers for the current stage.
+    """
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: CutTree):
+        self.tree = tree
+
+    def bit(self, pos: int) -> int:
+        bits = index_bits(pos)
+        if len(bits) > self.tree.height:
+            raise Diverge("gap", pos)
+        return 1 if self.tree.member_bits(bits) else 0
 
 
 def least_cut_width(p: Fraction, q: Fraction) -> int:
@@ -162,17 +176,20 @@ class _ImageSweep:
     Output bits are produced position by position against the growing
     tree oracle; a converged bit read a fixed region, so it never has to
     be revisited when the oracle extends.  The image height is the
-    deepest fully-converged level.
+    deepest fully-converged level.  For the same reason an image level,
+    once every bit of it has converged, never changes: each is grown once
+    from the one above on string indices (children 2i+1, 2i+2) and kept,
+    and turned into strings once, when it is first asked for.
     """
 
     def __init__(self, phi: Functional, fuel: int):
         self.phi = phi
         self.fuel = fuel
         self.bits: list[int] = []
+        self.levels: list[list[int]] = [[0]]  # members of each image level, by index
+        self.strings: dict[int, tuple[Prefix, ...]] = {}  # the levels asked for, as strings
 
     def advance(self, oracle, upto_index: int) -> None:
-        from .kernel import _run_step
-
         while len(self.bits) <= upto_index:
             try:
                 v, _, _ = _run_step(self.phi, [oracle], len(self.bits), self.fuel)
@@ -186,14 +203,15 @@ class _ImageSweep:
             n += 1
         return n
 
-    def level(self, ell: int) -> list[Prefix]:
-        members = [Prefix()]
-        for _ in range(ell):
-            members = [
-                c for m in members for c in (m.extend(0), m.extend(1))
-                if self.bits[string_index(c)] == 1
-            ]
-        return members
+    def level(self, ell: int) -> tuple[Prefix, ...]:
+        """The image's members of length ell, in index order; needs ell <= height."""
+        if ell not in self.strings:
+            bits, levels = self.bits, self.levels
+            while len(levels) <= ell:
+                levels.append([c for m in levels[-1] for c in (2 * m + 1, 2 * m + 2)
+                               if bits[c] == 1])
+            self.strings[ell] = tuple(index_string(i) for i in levels[ell])
+        return self.strings[ell]
 
 
 def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
@@ -445,7 +463,8 @@ def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Colo
 
     Column i at stage s: with the approximated set's colors C_{i,s}, pick
     the least missing color, or else the color whose first occurrence is
-    latest.
+    latest.  The guesser is a pure rule, so C_{i,s} is read only until all
+    k colors are seen.
     """
     if k < 2:
         raise InputError("need at least 2 colors")
@@ -453,18 +472,21 @@ def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Colo
     tables: list[list[int]] = []
     for i in range(stages):
         f_i: list[int] = []
+        first: dict[int, int] = {}  # color -> its first position in f_i
         for s in range(stages):
-            approx = [b for b in range(s) if b < len(f_i) and g.rule(i, i, b, s) == 1]
-            used = {f_i[b] for b in approx}
-            if used != set(range(k)):
+            used = set()
+            for b in range(s):
+                if g.rule(i, i, b, s) == 1:
+                    used.add(f_i[b])
+                    if len(used) == k:
+                        break
+            if len(used) < k:
                 choice = min(c for c in range(k) if c not in used)
                 case = "1"
             else:
-                first = {}
-                for c in range(k):
-                    first[c] = next(b for b in range(len(f_i)) if f_i[b] == c)
-                choice = max(first, key=lambda c: first[c])
+                choice = max(first, key=first.__getitem__)
                 case = "2"
+            first.setdefault(choice, s)
             f_i.append(choice)
             if i == s:
                 log.add(StageRecord(s, case, f"f_{i}({s}) = {choice}"))
@@ -679,7 +701,5 @@ def rrt_column_splitter(phi: Functional, columns: int, e: int = 0,
 
 
 def _inner_value(phi: Functional, ctx, x: int, col: int, fuel: int):
-    from .kernel import _run_step
-
     v, _, _ = _run_step(phi, [ctx.tapes[0]], cantor_pair(x, col), fuel)
     return v

@@ -40,6 +40,7 @@ from .kernel import (
     pointwise,
     rank_tuple,
     tuple_rank,
+    _run_step,
 )
 from .problems import (
     Coloring,
@@ -515,8 +516,6 @@ def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int,
         def compose(outer, inner, fuel=DEFAULT_FUEL):
             def cstep(ctx, x):
                 mid = apply_functional(outer, [ctx.tape(0)], fuel)
-                from .kernel import _run_step
-
                 return _run_step(inner, [mid], x, fuel)[0]
 
             return pointwise(1, cstep, "blowup-chain")

@@ -935,6 +935,14 @@ def _nested_chain(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
     return _Link(display, i + 1)
 
 
+def _symbolic_display(phi2: Functional, c: Point, markers, s: int, n: int, assignment: dict,
+                      fuel: int) -> _Display:
+    """The compactness display at stage s for candidate n, every level's
+    string a symbolic length-n prefix over one assignment."""
+    return _Display(phi2, c, [*markers[:s + 1], n],
+                    lambda j: _SymbolicPrefix(j, n, assignment), fuel, stage=s)
+
+
 def _dfs_check(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
                fuel: int, width_budget: int) -> bool:
     """Does the nested expression converge at s for ALL sigma_i..sigma_s in 2^n?
@@ -942,16 +950,30 @@ def _dfs_check(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
     Branches only on oracle bits the evaluation actually reads; unread
     bits cannot affect the outcome, so the leaf set exactly covers 2^n
     per level.  Exceeding the width budget is a resource error.
+
+    The root of the branching, the empty assignment, is the same display
+    for every level i of one stage and candidate: the expression checked
+    for i is its level i.  So `squash_markers` builds it once per candidate
+    and runs `_dfs_search` from it for each i.  Sharing it changes no
+    verdict: a _NeedBit appends nothing to the levels it interrupts and
+    leaves them retryable, and a Diverge is terminal for a level and keeps
+    its reason whichever i reaches it first.
     """
+    return _dfs_search(_symbolic_display(phi2, c, markers, s, n, {}, fuel), i, width_budget)
+
+
+def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
+    """`_dfs_check` for level i, from the empty-assignment display `root`;
+    each branch after a _NeedBit evaluates in a display of its own."""
+    s, n = root.stage, root.markers[-1]
     leaves = 0
 
     def attempt(assignment: dict) -> bool:
         nonlocal leaves
-        tapes = {j: _SymbolicPrefix(j, n, assignment) for j in range(i, s + 1)}
-        chain = _nested_chain(phi2, c, markers, i, s, n, tapes, fuel)
-        top = FunctionalTape(phi2, [tapes[i], chain], fuel)
+        display = root if not assignment else _symbolic_display(
+            root.phi2, root.c, root.markers, s, n, assignment, root.fuel)
         try:
-            top.bit(s)
+            display.level(i).bit(s)
         except _NeedBit as nb:
             for b in (0, 1):
                 if not attempt({**assignment, nb.key: b}):
@@ -1058,10 +1080,8 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
             if profile is not None:
                 ok = _closure_check_stage(phi2, markers, s, n, profile=profile)
             else:
-                ok = all(
-                    _dfs_check(phi2, cfg.c, markers, i, s, n, cfg.fuel, cfg.width_budget)
-                    for i in range(s, -1, -1)
-                )
+                root = _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel)
+                ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
             if ok:
                 found = n
                 break

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from wred.adversaries import (
     ts1_backward_sample,
     ts1_diagonalizer,
 )
-from wred.kernel import InputError, Point, Prefix, cantor_pair, evaluate, pointwise
+from wred.kernel import Diverge, InputError, Point, Prefix, cantor_pair, evaluate, pointwise
 from wred.oracle import SearchBudget, find_rainbow
-from wred.problems import Coloring, verify_rainbow_at
+from wred.problems import Coloring, index_string, string_index, verify_rainbow_at
 
 
 def identity_tree_map():
@@ -391,3 +392,111 @@ def test_check_defeats_needs_declared_limit():
     colorings, _ = delta2_diagonalizer(2, g, stages=8)
     with pytest.raises(InputError):
         check_defeats(colorings, g, 0, 8)
+
+
+# 160-stage cutter runs with the identity forward, one per toy backward
+QWWKL_LONG_DIGESTS = {
+    "zero": "3d56428d5caa5f747c23e7a2d71a2fc41943ee70d33b5addcb7b6ffef52334c0",
+    "echo": "3d56428d5caa5f747c23e7a2d71a2fc41943ee70d33b5addcb7b6ffef52334c0",
+    "echo-shift": "0b89126c7bfe58ad1c9029fba5a146778b1941983c55eccb9e2d722f4be5ccc9",
+}
+
+
+def test_cutter_long_run_digests_pinned():
+    from wred.cli import TOY_BACKWARD, TOY_FORWARD
+
+    for name, digest in QWWKL_LONG_DIGESTS.items():
+        _, log = qwwkl_cutter(TOY_FORWARD["identity"](), TOY_BACKWARD[name](),
+                              Fraction(1, 2), Fraction(3, 4), stages=160)
+        assert log.digest() == digest, name
+
+
+def test_image_sweep_levels_match_prefix_walk(monkeypatch):
+    # every level the cutter asks for, and every level above it, equals a
+    # walk from the root over Prefix children of the image bits
+    from wred import adversaries
+
+    def prefix_walk(bits, ell):
+        members = [Prefix()]
+        for _ in range(ell):
+            members = [c for m in members for c in (m.extend(0), m.extend(1))
+                       if bits[string_index(c)] == 1]
+        return members
+
+    asked, sweeps = [], []
+
+    class CheckedSweep(adversaries._ImageSweep):
+        def level(self, ell):
+            got = super().level(ell)
+            asked.append(ell)
+            sweeps.append(self)
+            for e in range(ell + 1):
+                assert list(super().level(e)) == prefix_walk(self.bits, e), (len(asked), e)
+            return got
+
+    monkeypatch.setattr(adversaries, "_ImageSweep", CheckedSweep)
+    _, log = qwwkl_cutter(identity_tree_map(), const_zero_backward(),
+                          Fraction(1, 2), Fraction(3, 4), stages=64)
+    assert len(asked) == 64 and max(asked) == 12
+    assert len(log.action_stages()) == 3  # the image levels were cut
+    # levels asked for deepest first, over the same converged bits
+    fresh = adversaries._ImageSweep(identity_tree_map(), 1)
+    fresh.bits = sweeps[-1].bits
+    for e in range(12, -1, -1):
+        assert list(fresh.level(e)) == prefix_walk(fresh.bits, e), e
+
+
+def test_cut_tree_tape_is_membership_by_index():
+    tree, _ = qwwkl_cutter(identity_tree_map(), const_zero_backward(),
+                           Fraction(1, 2), Fraction(3, 4), stages=12)
+    assert tree.constraints
+    tape = tree.as_partial_point()
+    top = 2 ** (tree.height + 1) - 1  # first index of a string longer than the tree
+    for pos in range(top):
+        assert tape.bit(pos) == (1 if index_string(pos) in tree else 0), pos
+    with pytest.raises(Diverge):
+        tape.bit(top)
+
+
+# sha256 of the log CSV followed by repr of the tables f_i(0..stages-1)
+DELTA2_TABLE_DIGESTS = {
+    (3, "evens", 128): "071c21a8c821aad525a1d4089b15eb59c0413f1df7581c2dd9faaf98d2b4d1d7",
+    (2, "empty", 20): "252b3779cf2e2498af3104bafcfe34bbd362545cdd1c9ea109c1d012a25c08a2",
+}
+
+
+def reference_delta2_tables(k, rule, stages):
+    """The diagonalizer's tables straight from its definition."""
+    tables = []
+    for i in range(stages):
+        f_i = []
+        for s in range(stages):
+            used = {f_i[b] for b in range(s) if rule(i, i, b, s) == 1}
+            if used != set(range(k)):
+                f_i.append(min(c for c in range(k) if c not in used))
+            else:
+                f_i.append(max(range(k), key=f_i.index))  # latest first occurrence
+        tables.append(f_i)
+    return tables
+
+
+def test_delta2_tables_match_the_definition():
+    for seed in range(6):
+        k = 2 + seed % 3
+
+        def rule(e, i, b, s, seed=seed):
+            return 1 if (b * 7 + s * 13 + e * 5 + seed) % (3 + seed % 4) == 0 else 0
+
+        colorings, _ = delta2_diagonalizer(k, Delta2Approx(rule=rule), stages=24)
+        tables = [[c.value((x,)) for x in range(24)] for c in colorings]
+        assert tables == reference_delta2_tables(k, rule, 24), seed
+
+
+def test_delta2_log_and_tables_pinned():
+    from wred.cli import TOY_GUESSERS
+
+    for (k, guesser, stages), digest in DELTA2_TABLE_DIGESTS.items():
+        colorings, log = delta2_diagonalizer(k, TOY_GUESSERS[guesser](), stages=stages)
+        tables = [[c.value((x,)) for x in range(stages)] for c in colorings]
+        got = hashlib.sha256((log.to_csv() + repr(tables)).encode()).hexdigest()
+        assert got == digest, (k, guesser, stages)

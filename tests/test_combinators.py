@@ -331,13 +331,31 @@ def test_markers_instance_independent_and_reproducible():
     assert a.markers == b.markers
 
 
+def _without_reads(make):
+    cfg = make()
+    cfg.witness.forward.reads = None  # no read map: squash_markers uses the DFS engine
+    return cfg
+
+
 def test_dfs_and_closure_marker_engines_agree():
-    cfg = echo_squash_config()
-    with_reads = squash_markers(cfg, 5)
-    stripped = echo_squash_config()
-    stripped.witness.forward.reads = None
-    without = squash_markers(stripped, 5)
-    assert with_reads.markers == without.markers
+    from wred.catalog import SQUASH_CONFIGS
+
+    def agree(make, stages):
+        return squash_markers(make(), stages).markers == squash_markers(
+            _without_reads(make), stages).markers
+
+    assert agree(echo_squash_config, 5)
+    for name in ("projection-toy", "trivial-q-rt12"):
+        assert agree(SQUASH_CONFIGS[name], 30), name
+    # forwards that do read what they declare; their markers lie above the
+    # first candidate, so a stage's search tries several
+    for name in ("ahead-1", "constant"):
+        reads = SYNTHETIC_READS[name]
+
+        def step(ctx, x, reads=reads):
+            return sum(ctx.query(0, q) for _, q in reads(x)) % 2
+
+        assert agree(lambda: synthetic_squash_config(reads, step), 8), name
 
 
 def test_squash_forward_identity_checked_exactly():
@@ -785,3 +803,38 @@ def test_law_lift_is_functorial():
                 assert a == b
 
     run()
+
+
+def test_dfs_engine_frontier_on_coh_interleave_is_resource_error():
+    # its forward reads instance bits, so the shared root display is
+    # interrupted by a _NeedBit and later levels resume it
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.kernel import ResourceError
+
+    with pytest.raises(ResourceError, match="frontier exceeded 4096 at stage 10") as err:
+        squash_markers(_without_reads(SQUASH_CONFIGS["coh-interleave"]), 30)
+    assert err.value.context == {"stage": 10, "candidate": 11, "frontier": 4097}
+
+
+def test_dfs_shared_root_matches_a_fresh_display_per_level():
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.combinators import _dfs_check, _dfs_search, _symbolic_display
+    from wred.kernel import ResourceError
+
+    def verdict(run):
+        try:
+            return run()
+        except ResourceError as e:
+            return str(e), e.context
+
+    for name, stages in (("coh-interleave", 5), ("projection-toy", 5)):
+        cfg = _without_reads(SQUASH_CONFIGS[name])
+        phi2, markers = cfg.phi2, [0]
+        for s in range(stages):
+            for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 3):
+                root = _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel)
+                for i in range(s, -1, -1):
+                    shared = verdict(lambda: _dfs_search(root, i, 64))
+                    fresh = verdict(lambda: _dfs_check(phi2, cfg.c, markers, i, s, n, cfg.fuel, 64))
+                    assert shared == fresh, (name, s, n, i)
+            markers.append(max(markers[-1], s) + 1)
