@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .kernel import (
+    DEFAULT_FUEL,
     Diverge,
     Functional,
     InputError,
@@ -33,8 +34,6 @@ from .problems import (
     index_bits,
     index_string,
 )
-
-DEFAULT_FUEL = 50_000
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ finite-scale checks.  Entry ids are addressable from the CLI.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -14,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .combinators import (
-    DEFAULT_FUEL,
     SoundnessRow,
     SquashConfig,
     Witness,
@@ -27,6 +27,7 @@ from .combinators import (
     triv_spec,
 )
 from .kernel import (
+    DEFAULT_FUEL,
     ContractError,
     InputError,
     Point,
@@ -45,6 +46,7 @@ from .kernel import (
 from .problems import (
     Coloring,
     FAIL,
+    HAND_TREES,
     PASS,
     ThinSolution,
     TreeByRule,
@@ -52,15 +54,16 @@ from .problems import (
     color_read_positions,
     coloring_from_tape,
     coh_spec,
-    index_bits,
-    index_string,
+    leftmost_path_point,
     level_members,
     measure_at_level,
     read_color,
     rt_spec,
+    string_index,
     tree_to_point,
     ts_spec,
     verify_homogeneous_at,
+    verify_path_at,
     verify_thin_at,
     wkl_spec,
     wwkl_spec,
@@ -226,21 +229,28 @@ def coh_interleave(count) -> Witness:
 # WKL interleaving
 
 
-def _member_via(bit_of, bits) -> bool:
-    """Tree membership under the tape coding: all nonempty prefixes flagged.
+@functools.lru_cache(maxsize=None)
+def _seq_columns(n: int) -> tuple:
+    """How SeqWKL<=WKL splits a string of length n into columns.
 
-    Reads the prefixes' indices shortest first, stopping at the first 0.
+    Position p of the string belongs to column cantor_unpair(p)[0].
+    Returns (column, shifts) in order of first appearance, where the
+    string's bit at p is bit n-1-p (its shift) of idx+1 for the string's
+    index idx.
     """
-    idx = 0
-    for b in bits:
-        idx = 2 * idx + 1 + b
-        if bit_of(idx) != 1:
-            return False
-    return True
+    cols: dict[int, list[int]] = {}
+    for p in range(n):
+        cols.setdefault(cantor_unpair(p)[0], []).append(n - 1 - p)
+    return tuple((i, tuple(shifts)) for i, shifts in cols.items())
 
 
 def wkl_interleave(count, depth: int = 4) -> Witness:
     """<WKL,WKL> <= WKL or SeqWKL <= WKL by interleaving the node bits.
+
+    The forward's node x is in when every column's part of x is in that
+    column's tree.  It steps each column's index straight from the bits
+    of x+1 and queries the column's nodes shortest first, stopping at the
+    first 0; columns are tried in order (the even one first for count 2).
 
     `depth` caps the path horizon of the wire-level problem specs; the
     exact measure identities are checked directly on tree rules, where
@@ -249,33 +259,36 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     if count == 2:
         source = parallel_product(wkl_spec(path_depth=depth), wkl_spec(path_depth=depth))
 
-        def in_s(ctx, bits: tuple) -> bool:
-            return _member_via(lambda p: ctx.query(0, 2 * p), bits[0::2]) and _member_via(
-                lambda p: ctx.query(0, 2 * p + 1), bits[1::2]
-            )
+        def in_s(ctx, x):
+            m = x + 1
+            n = m.bit_length() - 1
+            for parity in (0, 1):
+                idx = 0
+                for shift in range(n - 1 - parity, -1, -2):
+                    idx = 2 * idx + 1 + ((m >> shift) & 1)
+                    if ctx.query(0, 2 * idx + parity) != 1:
+                        return 0
+            return 1
 
         label = "<WKL,WKL><=WKL"
     elif count == "omega":
         source = seq(wkl_spec(path_depth=3), columns=2)
 
-        def in_s(ctx, bits: tuple) -> bool:
-            cols: dict[int, list[int]] = {}
-            for pos, b in enumerate(bits):
-                i, _ = cantor_unpair(pos)
-                cols.setdefault(i, []).append(b)
-            return all(
-                _member_via(lambda p, i=i: ctx.query(0, cantor_pair(i, p)), col)
-                for i, col in cols.items()
-            )
+        def in_s(ctx, x):
+            m = x + 1
+            for i, shifts in _seq_columns(m.bit_length() - 1):
+                idx = 0
+                for shift in shifts:
+                    idx = 2 * idx + 1 + ((m >> shift) & 1)
+                    if ctx.query(0, cantor_pair(i, idx)) != 1:
+                        return 0
+            return 1
 
         label = "SeqWKL<=WKL"
     else:
         raise InputError("count must be 2 or 'omega'")
 
-    def fstep(ctx, x):
-        return 1 if in_s(ctx, index_bits(x)) else 0
-
-    forward = pointwise(1, fstep, "wkl-interleave")
+    forward = pointwise(1, in_s, "wkl-interleave")
     backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
     target_depth = 2 * depth if count == 2 else 12
     return Witness(source, wkl_spec(path_depth=target_depth), forward, backward, "strong",
@@ -326,9 +339,16 @@ def ts_collapse(n: int, j: int, k) -> Witness:
 
 
 def ext_in_tree(s: TreeByRule, rho: Prefix, k: int) -> bool:
-    """Is rho extendible in s to length k (or already that long)?"""
+    """Is rho extendible in s to length k (or already that long)?
+
+    A depth-first search, the 1-child popped first.  A tree with
+    `index_member` is searched on string indices (`_ext_by_index`), with
+    the same membership tests in the same order.
+    """
     if k <= len(rho):
         return True
+    if s.index_member is not None:
+        return _ext_by_index(s.index_member, string_index(rho), len(rho), k)
     if rho not in s:
         return False
     stack = [rho]
@@ -343,21 +363,40 @@ def ext_in_tree(s: TreeByRule, rho: Prefix, k: int) -> bool:
     return False
 
 
-def _tracking_member(ext, sigma: Prefix, tau: Prefix) -> bool:
-    """Membership in the tracking tree, parameterized by the Ext predicate."""
-    if len(tau) == 0:
+def _ext_by_index(member: Callable[[int], bool], idx: int, length: int, k: int) -> bool:
+    """`ext_in_tree` for the string with index idx and the given length."""
+    if k <= length:
         return True
-    s0, s1 = sigma.extend(0), sigma.extend(1)
-    if tau.bits[0] == 0 and ext(s0, len(tau)):
-        return True
-    if tau.bits[0] == 1 and ext(s1, len(tau)):
-        return True
-    for k in range(len(tau)):
-        if tau.bits[0] == 0 and ext(s0, k) and not ext(s1, k):
+    if not member(idx):
+        return False
+    stack = [(idx, length)]
+    while stack:
+        i, n = stack.pop()
+        if n == k:
             return True
-        if tau.bits[0] == 1 and ext(s1, k) and not ext(s0, k):
+        for c in (2 * i + 1, 2 * i + 2):
+            if member(c):
+                stack.append((c, n + 1))
+    return False
+
+
+def _tracking_allows(ext: Callable[[int, int], bool], b: int, n: int) -> bool:
+    """Whether the tracking tree has the strings of length n >= 1 whose
+    first bit is b; ext(c, k) is Ext of sigma's child c to length k.
+
+    The tree's membership depends only on a string's first bit and its
+    length.  It is downward closed: Ext is monotone in k, so if
+    allows(b, n) holds by a clause at k <= n-2 that clause gives
+    allows(b, n-1), and any other clause (ext(b, n), or a clause at
+    k = n-1) implies ext(b, n-1), which is allows(b, n-1).  For n = 1
+    the parent is the root, which is always in.
+    """
+    if ext(b, n):
+        return True
+    for k in range(n):
+        if ext(b, k) and not ext(1 - b, k):
             return True
-        if ext(s0, k) and ext(s1, k) and not ext(s0, k + 1) and not ext(s1, k + 1):
+        if ext(0, k) and ext(1, k) and not ext(0, k + 1) and not ext(1, k + 1):
             return True
     return False
 
@@ -366,17 +405,37 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
     """The tracking tree for sigma: full while both children of sigma look
     extendible in s; once one side dies at some length, only the other
     side (or, on a tie, everything) keeps growing.  Level counts are
-    always 2^m or 2^(m-1)."""
-    cache: dict = {}
+    always 2^m or 2^(m-1).
 
-    def ext(rho: Prefix, k: int) -> bool:
-        key = (rho.bits, k)
-        if key not in cache:
-            cache[key] = ext_in_tree(s, rho, k)
-        return cache[key]
+    Membership is memoized per (first bit, length) and exposed by string
+    index as `index_member` (index 0, the root, is always in); the tree
+    is downward closed by construction (see `_tracking_allows`), so
+    `level_members` grows it on indices without the orphan scan.
+    """
+    children = (sigma.extend(0), sigma.extend(1))
+    ext_memo: dict = {}
+    allowed: dict = {}
 
-    return TreeByRule(lambda tau: _tracking_member(ext, sigma, tau),
-                      f"T[{sigma!r}]", Fraction(1, 2))
+    def ext(c: int, k: int) -> bool:
+        if (c, k) not in ext_memo:
+            ext_memo[(c, k)] = ext_in_tree(s, children[c], k)
+        return ext_memo[(c, k)]
+
+    def allows(b: int, n: int) -> bool:
+        if (b, n) not in allowed:
+            allowed[(b, n)] = _tracking_allows(ext, b, n)
+        return allowed[(b, n)]
+
+    def index_member(idx: int) -> bool:
+        if idx == 0:
+            return True
+        n = (idx + 1).bit_length() - 1
+        return allows(((idx + 1) >> (n - 1)) & 1, n)
+
+    t = TreeByRule(lambda tau: not tau.bits or allows(tau.bits[0], len(tau)),
+                   f"T[{sigma!r}]", Fraction(1, 2))
+    t.index_member = index_member
+    return t
 
 
 def assemble_path(paths: Callable[[Prefix], object], depth: int) -> Point:
@@ -402,22 +461,29 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
 
     def fstep(ctx, x):
         col, pos = cantor_unpair(x)
-        sigma = index_string(col)
-        tau = index_string(pos)
+        if pos == 0:
+            return 1
         # Ext answers persist across the sweep; the underlying instance
         # bits are fixed, so cached booleans stay valid
-        if "s" not in ctx.scratch:
-            raw = ctx.tapes[0]
-            ctx.scratch["s"] = TreeByRule.from_tape(raw, "S")
-            ctx.scratch["ext"] = {}
+        scratch = ctx.scratch
+        if "s" not in scratch:
+            scratch["s"] = TreeByRule.from_tape(ctx.tapes[0], "S").index_member
+            scratch["ext"] = {}
+            scratch["allows"] = {}
+        n = (pos + 1).bit_length() - 1
+        key = (col, ((pos + 1) >> (n - 1)) & 1, n)
+        allowed = scratch["allows"]
+        if key not in allowed:
+            member, memo = scratch["s"], scratch["ext"]
+            child_len = (col + 1).bit_length()  # |sigma| + 1
 
-        def ext(rho: Prefix, k: int) -> bool:
-            key = (rho.bits, k)
-            if key not in ctx.scratch["ext"]:
-                ctx.scratch["ext"][key] = ext_in_tree(ctx.scratch["s"], rho, k)
-            return ctx.scratch["ext"][key]
+            def ext(c: int, k: int) -> bool:
+                if (col, c, k) not in memo:
+                    memo[(col, c, k)] = _ext_by_index(member, 2 * col + 1 + c, child_len, k)
+                return memo[(col, c, k)]
 
-        return 1 if _tracking_member(ext, sigma, tau) else 0
+            allowed[key] = _tracking_allows(ext, key[1], n)
+        return 1 if allowed[key] else 0
 
     forward = pointwise(1, fstep, "seqwwkl-family")
 
@@ -1014,8 +1080,7 @@ def _coh_structural_checks(params, rng, horizon, size):
 
 
 def _wkl_measure_checks(params, rng, horizon, size):
-    no11 = TreeByRule(lambda s: all(s.bits[i:i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11")
-    first1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")
+    no11, first1 = HAND_TREES["no-11"](), HAND_TREES["first-bit"](1)
     w = wkl_interleave(2)
     tape = interleave_tapes(tree_to_point(no11), tree_to_point(first1))
     img = w.forward_image(tape, fuel=1 << 20)
@@ -1036,17 +1101,15 @@ def _wkl_measure_checks(params, rng, horizon, size):
 def _seqwwkl_checks(params, rng, horizon, size):
     rows = []
     for label, tree in (
-        ("full", TreeByRule.full()),
-        ("first-1", TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")),
-        ("no-11", TreeByRule(lambda s: all(s.bits[i:i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11")),
+        ("full", HAND_TREES["full"]()),
+        ("first-1", HAND_TREES["first-bit"](1)),
+        ("no-11", HAND_TREES["no-11"]()),
     ):
         for sigma in (Prefix(), Prefix((1,)), Prefix((0, 1))):
             t = half_measure_tree(tree, sigma)
             ok = all(len(level_members(t, d)) in (2**d, 2 ** (d - 1) if d else 1)
                      for d in range(9))
             rows.append((f"levels[{label}/{sigma!r}]", ok, "level counts are 2^m or 2^(m-1)"))
-        from .problems import leftmost_path_point, verify_path_at
-
         paths = {}
 
         def path_for(sigma, tree=tree):
@@ -1062,7 +1125,7 @@ def _seqwwkl_checks(params, rng, horizon, size):
 
 
 def _blowup_checks(params, rng, horizon, size):
-    first1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")
+    first1 = HAND_TREES["first-bit"](1)
     p, eps = Fraction(1, 2), Fraction(1, 10)
     blown = blowup_once(first1, p, eps, depth=8)
     rows = []
@@ -1163,8 +1226,6 @@ def _ts_aca_checks(params, rng, horizon, size):
 
 
 def _ts_pigeonhole_checks(params, rng, horizon, size):
-    from .kernel import InputError as IE
-
     rows = []
     const = Coloring(1, 4, lambda t: 2, "const2")
     g = ts_pigeonhole_coloring(const)
@@ -1180,7 +1241,7 @@ def _ts_pigeonhole_checks(params, rng, horizon, size):
     try:
         ts_pigeonhole_extract(par, range(8), omitted=0, horizon=8)
         rows.append(("reject-equal", False, "omitting 'equal' must be rejected"))
-    except IE as e:
+    except InputError as e:
         rows.append(("reject-equal", True, str(e)[:60]))
     return _rows("ts_pigeonhole", rows)
 

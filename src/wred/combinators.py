@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
+    DEFAULT_FUEL,
     ContractError,
     Diverge,
     EvalContext,
@@ -56,8 +57,6 @@ from .problems import (
     verdict_inconclusive,
     verdict_pass,
 )
-
-DEFAULT_FUEL = 50_000
 
 
 # ---------------------------------------------------------------------------

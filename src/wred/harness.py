@@ -14,7 +14,7 @@ from typing import Callable
 from .catalog import ENTRIES, run_entry
 from .combinators import SoundnessRow
 from .kernel import InputError, Point, Prefix, ResourceError
-from .problems import Coloring, TreeByRule
+from .problems import HAND_TREES, Coloring, TreeByRule
 
 EXIT_PASS, EXIT_FAIL, EXIT_RESOURCE, EXIT_INPUT = 0, 1, 2, 3
 
@@ -43,11 +43,9 @@ COLORING_RULES: dict[str, Callable] = {
 }
 
 TREE_RULES: dict[str, Callable] = {
-    "full": lambda params: TreeByRule.full(),
-    "no-11": lambda params: TreeByRule(
-        lambda s: all(s.bits[i:i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"),
-    "first-bit": lambda params: TreeByRule(
-        lambda s, b=int(params.get("value", 1)): len(s) == 0 or s.bits[0] == b, "first-bit"),
+    "full": lambda params: HAND_TREES["full"](),
+    "no-11": lambda params: HAND_TREES["no-11"](),
+    "first-bit": lambda params: HAND_TREES["first-bit"](int(params.get("value", 1)), "first-bit"),
 }
 
 

@@ -281,6 +281,9 @@ def family_column(t, i: int):
 # ---------------------------------------------------------------------------
 # functionals and evaluation
 
+# the per-position step budget used wherever a caller gives none
+DEFAULT_FUEL = 50_000
+
 
 class EvalContext:
     """Query interface handed to a step procedure; meters fuel and use.
@@ -307,7 +310,9 @@ class EvalContext:
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
-        self.tick()
+        self.steps += 1  # tick(), inlined on the hottest path
+        if self.steps > self.fuel:
+            raise Diverge("fuel")
         b = self.tapes[tape].bit(pos)
         prev = self.use.get(tape, -1)
         if pos > prev:

@@ -697,20 +697,31 @@ def rrt_spec(n: int, k: int) -> ProblemSpec:
     )
 
 
+# The hand-written tree rules, by name; each factory returns a fresh
+# rule-backed tree (no `index_member`, so `level_members` keeps the
+# orphan scan for them).  "first-bit" is labelled first-<b> by default.
+HAND_TREES: dict[str, Callable[..., TreeByRule]] = {
+    "full": TreeByRule.full,
+    "no-11": lambda: TreeByRule(
+        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"),
+    "first-bit": lambda b, label=None: TreeByRule(
+        lambda s: len(s) == 0 or s.bits[0] == b, label or f"first-{b}"),
+    "fix": lambda pos, val: TreeByRule(
+        lambda s: len(s) <= pos or s.bits[pos] == val, f"fix({pos}={val})"),
+}
+
+
 def _tree_sampler(rng) -> Point:
     choice = rng.randrange(4)
     if choice == 0:
-        t = TreeByRule.full()
+        t = HAND_TREES["full"]()
     elif choice == 1:
-        t = TreeByRule(lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11")
+        t = HAND_TREES["no-11"]()
     elif choice == 2:
-        b = rng.randrange(2)
-        t = TreeByRule(lambda s, b=b: len(s) == 0 or s.bits[0] == b, f"first-{b}")
+        t = HAND_TREES["first-bit"](rng.randrange(2))
     else:
         pos, val = rng.randrange(3), rng.randrange(2)
-        t = TreeByRule(
-            lambda s, pos=pos, val=val: len(s) <= pos or s.bits[pos] == val, f"fix({pos}={val})"
-        )
+        t = HAND_TREES["fix"](pos, val)
     return tree_to_point(t)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -44,7 +45,17 @@ from wred.combinators import (
     squash_forward,
     squash_markers,
 )
-from wred.kernel import InputError, Point, Prefix, evaluate, family_column, interleave_tapes
+from wred.kernel import (
+    EvalContext,
+    InputError,
+    Point,
+    Prefix,
+    cantor_pair,
+    cantor_unpair,
+    evaluate,
+    family_column,
+    interleave_tapes,
+)
 from wred.oracle import SearchBudget, find_homogeneous, find_thin
 from wred.problems import (
     Coloring,
@@ -52,8 +63,11 @@ from wred.problems import (
     TreeByRule,
     coloring_from_tape,
     coloring_to_point,
+    index_bits,
     leftmost_path_point,
+    level_members,
     measure_at_level,
+    string_index,
     thin_solution_from_tape,
     thin_solution_tape,
     tree_to_point,
@@ -282,6 +296,142 @@ def test_assemble_path_through_no11():
 def test_wkl_from_seqwwkl_witness_sound():
     rows = check_witness_soundness(wkl_from_seqwwkl_witness(), rng(), 5, 12, 3)
     assert not soundness_failures(rows)
+
+
+def _ref_ext_in_tree(s, rho, k):
+    # depth-first search on Prefix strings, the 1-child popped first
+    if k <= len(rho):
+        return True
+    if rho not in s:
+        return False
+    stack = [rho]
+    while stack:
+        cur = stack.pop()
+        if len(cur) == k:
+            return True
+        for b in (0, 1):
+            child = cur.extend(b)
+            if child in s:
+                stack.append(child)
+    return False
+
+
+def _ref_tracking_member(ext, sigma, tau):
+    # the tracking-tree rule written on Prefix strings
+    if len(tau) == 0:
+        return True
+    s0, s1 = sigma.extend(0), sigma.extend(1)
+    if tau.bits[0] == 0 and ext(s0, len(tau)):
+        return True
+    if tau.bits[0] == 1 and ext(s1, len(tau)):
+        return True
+    for k in range(len(tau)):
+        if tau.bits[0] == 0 and ext(s0, k) and not ext(s1, k):
+            return True
+        if tau.bits[0] == 1 and ext(s1, k) and not ext(s0, k):
+            return True
+        if ext(s0, k) and ext(s1, k) and not ext(s0, k + 1) and not ext(s1, k + 1):
+            return True
+    return False
+
+
+def _tracking_bases():
+    yield TreeByRule.full()
+    yield NO11
+    yield FIRST1
+    for k in range(20):
+        yield TreeByRule.from_tape(Point.from_seed(k), f"seed{k}")
+
+
+TRACKING_SIGMAS = (Prefix(), Prefix((1,)), Prefix((0, 1)))
+
+
+def test_tracking_tree_by_index_matches_prefix_rule():
+    for base in _tracking_bases():
+        for sigma in TRACKING_SIGMAS:
+            cache = {}
+
+            def ext(rho, k, base=base, cache=cache):
+                if (rho.bits, k) not in cache:
+                    cache[(rho.bits, k)] = _ref_ext_in_tree(base, rho, k)
+                return cache[(rho.bits, k)]
+
+            t = half_measure_tree(base, sigma)
+            assert t.index_member is not None
+            for n in range(10):
+                for bits in itertools.product((0, 1), repeat=n):
+                    tau = Prefix(bits)
+                    want = _ref_tracking_member(ext, sigma, tau)
+                    assert (tau in t) == want, (base.label, sigma, tau)
+                    assert t.index_member(string_index(tau)) == want, (base.label, sigma, tau)
+            for rho in (sigma.extend(0), sigma.extend(1), Prefix(), Prefix((1, 0))):
+                for k in range(10):
+                    assert ext_in_tree(base, rho, k) == ext(rho, k), (base.label, rho, k)
+
+
+def test_tracking_tree_levels_match_orphan_scan():
+    # the rule-backed copy has no index_member, so it runs the orphan scan
+    for base in _tracking_bases():
+        for sigma in TRACKING_SIGMAS:
+            t = half_measure_tree(base, sigma)
+            rule_copy = TreeByRule(t.member, t.label)
+            for d in range(10):
+                assert level_members(t, d) == level_members(rule_copy, d), (base.label, sigma, d)
+
+
+def test_wkl_from_seqwwkl_forward_image_pinned():
+    pins = {
+        0: "b02d7e838674f3b7b7f4d8c0f58407fcc18adac9a9400e65c81a984473d1274d",
+        6: "b13f2b8d407efe65b87dd3961a183a101060bdbef521eecef26504a38e73b8c9",
+        7: "236b232fb94678b33f7cfe5d9b11edf49949b02c5a5820277d2c7b6f65a12a55",
+    }
+    for seed, digest in pins.items():
+        img = wkl_from_seqwwkl_witness().forward_image(Point.from_seed(seed))
+        bits = bytes(img.bit(i) for i in range(2000))
+        assert hashlib.sha256(bits).hexdigest() == digest, seed
+
+
+def _ref_in_s(query, count, bits):
+    # the interleave's membership test on bit tuples, reading through query
+    def member_via(bit_of, col):
+        idx = 0
+        for b in col:
+            idx = 2 * idx + 1 + b
+            if bit_of(idx) != 1:
+                return False
+        return True
+
+    if count == 2:
+        return member_via(lambda p: query(2 * p), bits[0::2]) and member_via(
+            lambda p: query(2 * p + 1), bits[1::2])
+    cols = {}
+    for pos, b in enumerate(bits):
+        cols.setdefault(cantor_unpair(pos)[0], []).append(b)
+    return all(member_via(lambda p, i=i: query(cantor_pair(i, p)), col)
+               for i, col in cols.items())
+
+
+class _RecordingTape:
+    def __init__(self, base):
+        self.base, self.reads = base, []
+
+    def bit(self, pos):
+        self.reads.append(pos)
+        return self.base.bit(pos)
+
+
+def test_wkl_interleave_queries_match_tuple_reference():
+    bases = (Point.from_seed(7), Point.from_seed(12), Point(lambda p: 1, "ones"),
+             Point(lambda p: 0 if p % 11 == 10 else 1, "sparse-zeros"))
+    for count in (2, "omega"):
+        forward = wkl_interleave(count).forward
+        for base in bases:
+            for x in range(1 << 10):
+                got = _RecordingTape(base)
+                value = forward.step(EvalContext([got], 1 << 20), x)
+                want = _RecordingTape(base)
+                expect = 1 if _ref_in_s(want.bit, count, index_bits(x)) else 0
+                assert (value, got.reads) == (expect, want.reads), (count, base.label, x)
 
 
 # --- blow-up ---------------------------------------------------------------------

@@ -138,6 +138,17 @@ def test_fuel_zero_always_diverges():
     assert not out.converged and out.reason == "fuel"
 
 
+def test_each_query_costs_one_step_of_fuel():
+    # the entry charge plus k queries needs exactly k + 1 steps
+    for k in range(4):
+        reads = pointwise(1, lambda ctx, x, k=k: sum(ctx.query(0, i) for i in range(k)) % 2,
+                          f"read{k}")
+        out = evaluate(reads, [Point.zeros()], 0, k + 1)
+        assert out.converged and out.steps == k + 1
+        out = evaluate(reads, [Point.zeros()], 0, k)
+        assert not out.converged and out.reason == "fuel"
+
+
 def test_arity_mismatch_is_input_error():
     with pytest.raises(InputError):
         evaluate(identity_functional(), [], 0, 10)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wred.kernel import Diverge, InputError, Point, Prefix
 from wred.problems import (
+    HAND_TREES,
     Coloring,
     SetFamily,
     ThinSolution,
@@ -184,6 +186,31 @@ def test_non_downward_closed_tree_is_contract_error():
     bad = TreeByRule(lambda s: len(s) != 1, "gap-at-1")
     with pytest.raises(ContractError):
         measure_at_level(bad, 3)
+
+
+def test_hand_trees_are_rule_backed_with_stable_labels():
+    trees = {
+        "full": HAND_TREES["full"](),
+        "no-11": HAND_TREES["no-11"](),
+        "first-1": HAND_TREES["first-bit"](1),
+        "first-0": HAND_TREES["first-bit"](0),
+        "first-bit": HAND_TREES["first-bit"](1, "first-bit"),
+        "fix(2=1)": HAND_TREES["fix"](2, 1),
+    }
+    rules = {
+        "full": lambda b: True,
+        "no-11": lambda b: all(b[i:i + 2] != (1, 1) for i in range(len(b) - 1)),
+        "first-1": lambda b: len(b) == 0 or b[0] == 1,
+        "first-0": lambda b: len(b) == 0 or b[0] == 0,
+        "first-bit": lambda b: len(b) == 0 or b[0] == 1,
+        "fix(2=1)": lambda b: len(b) <= 2 or b[2] == 1,
+    }
+    for label, t in trees.items():
+        # no index_member: level_members keeps the orphan scan for them
+        assert t.label == label and t.index_member is None
+        for n in range(7):
+            for bits in itertools.product((0, 1), repeat=n):
+                assert (Prefix(bits) in t) == rules[label](bits), (label, bits)
 
 
 def test_string_index_roundtrip():
