@@ -526,14 +526,15 @@ class CMResult:
         return self.trigger
 
 
-def _first_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int):
-    """Least x < y with converged output 1 at both, on the string oracle."""
+def _fresh_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int,
+                      used=frozenset()):
+    """Least x < y outside `used` with converged output 1 at both, on the string oracle."""
     ones = []
     for pos in range(out_bound):
         out = evaluate(phi, [sigma], pos, fuel)
         if not out.converged:
             break
-        if out.value == 1:
+        if out.value == 1 and pos not in used:
             ones.append(pos)
             if len(ones) == 2:
                 return ones[0], ones[1]
@@ -552,7 +553,7 @@ def cm_coloring(phi: Functional, len_cap: int = 6, out_bound: int = 16,
     for length in range(len_cap + 1):
         for bits in itertools.product((0, 1), repeat=length):
             sigma = Prefix(bits)
-            got = _first_double_one(phi, sigma, out_bound, fuel)
+            got = _fresh_double_one(phi, sigma, out_bound, fuel)
             if got is not None:
                 found = (got[0], got[1], sigma)
                 break
@@ -661,20 +662,6 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction, len_cap: int = 6,
     bound = max((len({v for pair in cyl.used for v in pair}) for cyl in cylinders), default=1)
     return ArbBoundsResult(Coloring(2, None, rule, f"arb-bounds(q={q})"),
                            cylinders, bound, triggers)
-
-
-def _fresh_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int,
-                      used: set):
-    ones = []
-    for pos in range(out_bound):
-        out = evaluate(phi, [sigma], pos, fuel)
-        if not out.converged:
-            break
-        if out.value == 1 and pos not in used:
-            ones.append(pos)
-            if len(ones) == 2:
-                return ones[0], ones[1]
-    return None
 
 
 def rrt_column_splitter(phi: Functional, columns: int, e: int = 0,

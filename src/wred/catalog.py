@@ -244,13 +244,29 @@ def _seq_columns(n: int) -> tuple:
     return tuple((i, tuple(shifts)) for i, shifts in cols.items())
 
 
+def _column_node(m: int, shifts) -> int:
+    """Index of the column string whose bits are the bits of m at `shifts`."""
+    idx = 0
+    for shift in shifts:
+        idx = 2 * idx + 1 + ((m >> shift) & 1)
+    return idx
+
+
 def wkl_interleave(count, depth: int = 4) -> Witness:
     """<WKL,WKL> <= WKL or SeqWKL <= WKL by interleaving the node bits.
 
     The forward's node x is in when every column's part of x is in that
-    column's tree.  It steps each column's index straight from the bits
-    of x+1 and queries the column's nodes shortest first, stopping at the
-    first 0; columns are tried in order (the even one first for count 2).
+    column's tree.  The sweep decides x's parent, string (x-1)//2, before
+    x, and the step keeps each position's answer in `ctx.scratch`.  With
+    the parent's answer there, x is out if its parent is, and otherwise
+    in iff the one column node that x's last bit extends is in: a single
+    query, since every other column node of x is a column node of the
+    parent.  Without it (a fresh scratch, as in a nested or a direct
+    step, and x = 0) the step walks: it steps each column's index
+    straight from the bits of x+1 and queries the column's nodes shortest
+    first, stopping at the first 0; columns are tried in order (the even
+    one first for count 2).  Both give the same answer, and the cells the
+    memo reads are a subset of the walk's.
 
     `depth` caps the path horizon of the wire-level problem specs; the
     exact measure identities are checked directly on tree rules, where
@@ -259,9 +275,7 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     if count == 2:
         source = parallel_product(wkl_spec(path_depth=depth), wkl_spec(path_depth=depth))
 
-        def in_s(ctx, x):
-            m = x + 1
-            n = m.bit_length() - 1
+        def walk(ctx, m, n):
             for parity in (0, 1):
                 idx = 0
                 for shift in range(n - 1 - parity, -1, -2):
@@ -270,13 +284,16 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
                         return 0
             return 1
 
+        def last_node(m, n):
+            parity = (n - 1) & 1
+            return 2 * _column_node(m, range(n - 1 - parity, -1, -2)) + parity
+
         label = "<WKL,WKL><=WKL"
     elif count == "omega":
         source = seq(wkl_spec(path_depth=3), columns=2)
 
-        def in_s(ctx, x):
-            m = x + 1
-            for i, shifts in _seq_columns(m.bit_length() - 1):
+        def walk(ctx, m, n):
+            for i, shifts in _seq_columns(n):
                 idx = 0
                 for shift in shifts:
                     idx = 2 * idx + 1 + ((m >> shift) & 1)
@@ -284,9 +301,29 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
                         return 0
             return 1
 
+        def last_node(m, n):
+            # column i first appears at position i(i+1)/2, so the columns
+            # of _seq_columns come in order and entry i is column i
+            i, shifts = _seq_columns(n)[cantor_unpair(n - 1)[0]]
+            return cantor_pair(i, _column_node(m, shifts))
+
         label = "SeqWKL<=WKL"
     else:
         raise InputError("count must be 2 or 'omega'")
+
+    def in_s(ctx, x):
+        memo = ctx.scratch
+        m = x + 1
+        n = m.bit_length() - 1
+        parent = memo.get((x - 1) >> 1)  # x = 0 looks up -1, never present
+        if parent is None:
+            v = walk(ctx, m, n)
+        elif parent:
+            v = ctx.query(0, last_node(m, n))
+        else:
+            v = 0
+        memo[x] = v
+        return v
 
     forward = pointwise(1, in_s, "wkl-interleave")
     backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])

@@ -194,12 +194,22 @@ def cmd_adversary(args) -> int:
     raise InputError(f"unknown adversary {name!r}")
 
 
+# the document kind each oracle task searches
+ORACLE_TASK_KINDS = {"homogeneous": "coloring", "thin": "coloring", "rainbow": "coloring",
+                     "min-homogeneous": "coloring", "paths": "tree"}
+
+
 def cmd_oracle(args) -> int:
+    kind = ORACLE_TASK_KINDS.get(args.task)
+    if kind is None:
+        raise InputError(f"unknown oracle task {args.task!r}; known: {sorted(ORACLE_TASK_KINDS)}")
     with open(args.input) as fh:
         doc = parse_document(fh.read())
+    if doc.kind != kind:
+        raise InputError(f"oracle {args.task} needs a {kind} document, got a {doc.kind} document")
     loaded = load_instance(doc)
     budget = SearchBudget(horizon=args.horizon, size=args.size)
-    if args.task in ("homogeneous", "thin", "rainbow", "min-homogeneous"):
+    if kind == "coloring":
         f = loaded[0] if isinstance(loaded, tuple) else loaded
         if args.task == "homogeneous":
             res = find_homogeneous(f, budget)
@@ -216,13 +226,9 @@ def cmd_oracle(args) -> int:
         print("inconclusive: node budget exhausted" if res.inconclusive
               else "none: absence certified")
         return EXIT_RESOURCE if res.inconclusive else EXIT_PASS
-    if args.task == "paths":
-        tree = loaded
-        members = enumerate_paths(tree, args.depth)
-        for m in members:
-            print("".join(str(b) for b in m.bits))
-        return EXIT_PASS
-    raise InputError(f"unknown oracle task {args.task!r}")
+    for m in enumerate_paths(loaded, args.depth):
+        print("".join(str(b) for b in m.bits))
+    return EXIT_PASS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,30 +22,40 @@ EXIT_PASS, EXIT_FAIL, EXIT_RESOURCE, EXIT_INPUT = 0, 1, 2, 3
 # ---------------------------------------------------------------------------
 # instance documents
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """A document parameter as an integer; anything else is an InputError."""
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"param {key}: expected an integer, got {value!r}") from None
+
+
 POINT_RULES: dict[str, Callable] = {
     "zeros": lambda params: Point.zeros(),
     "ones": lambda params: Point.ones(),
     "alternating": lambda params: Point.alternating(),
-    "seeded": lambda params: Point.from_seed(int(params.get("seed", 0))),
+    "seeded": lambda params: Point.from_seed(_int_param(params, "seed", 0)),
 }
 
 COLORING_RULES: dict[str, Callable] = {
     "parity-sum": lambda params: Coloring(
-        int(params.get("arity", 2)), int(params.get("colors", 2)),
-        lambda t, k=int(params.get("colors", 2)): sum(t) % k, "parity-sum"),
+        _int_param(params, "arity", 2), _int_param(params, "colors", 2),
+        lambda t, k=_int_param(params, "colors", 2): sum(t) % k, "parity-sum"),
     "constant": lambda params: Coloring(
-        int(params.get("arity", 1)), int(params.get("colors", 2)),
-        lambda t, c=int(params.get("value", 0)): c, "constant"),
+        _int_param(params, "arity", 1), _int_param(params, "colors", 2),
+        lambda t, c=_int_param(params, "value", 0): c, "constant"),
     "mod-min": lambda params: Coloring(
-        int(params.get("arity", 2)), int(params.get("colors", 3)),
-        lambda t, k=int(params.get("colors", 3)): t[0] % k, "mod-min"),
+        _int_param(params, "arity", 2), _int_param(params, "colors", 3),
+        lambda t, k=_int_param(params, "colors", 3): t[0] % k, "mod-min"),
     "identity": lambda params: Coloring(1, None, lambda t: t[0], "identity"),
 }
 
 TREE_RULES: dict[str, Callable] = {
     "full": lambda params: HAND_TREES["full"](),
     "no-11": lambda params: HAND_TREES["no-11"](),
-    "first-bit": lambda params: HAND_TREES["first-bit"](int(params.get("value", 1)), "first-bit"),
+    "first-bit": lambda params: HAND_TREES["first-bit"](_int_param(params, "value", 1),
+                                                        "first-bit"),
 }
 
 
@@ -104,9 +114,9 @@ def load_instance(doc: InstanceDocument):
             if name not in COLORING_RULES:
                 raise InputError(f"unknown coloring rule {name!r}; known: {sorted(COLORING_RULES)}")
             return COLORING_RULES[name](doc.params)
-        arity = int(doc.params.get("arity", 1))
+        arity = _int_param(doc.params, "arity", 1)
         colors = doc.params.get("colors")
-        colors = None if colors in (None, "omega", "w") else int(colors)
+        colors = None if colors in (None, "omega", "w") else _int_param(doc.params, "colors", 0)
         table = {}
         for e in doc.entries:
             if len(e) != arity + 1:
@@ -139,7 +149,7 @@ def load_instance(doc: InstanceDocument):
             raise InputError(f"unknown point rule {name!r}; known: {sorted(POINT_RULES)}")
         return POINT_RULES[name](doc.params)
     bits = [b for e in doc.entries for b in e]
-    tail = int(doc.params.get("tail", 0))
+    tail = _int_param(doc.params, "tail", 0)
     return Point.from_bits(bits, tail=tail)
 
 

@@ -291,6 +291,13 @@ class EvalContext:
     `scratch` persists across the positions of one evaluation sweep; steps
     that assemble expensive derived tapes (nested applications) park them
     there so later positions reuse the same lazily-extended objects.
+
+    A step may also keep per-position results in `scratch`, keyed by
+    position and computed through `query`, and answer a later position
+    from them.  It must give the same answer when they are absent: a
+    fresh scratch (a nested or a direct step) has none, and the sweep
+    records each position's use when it queries, so the cumulative use
+    covers every cell a memoized answer rests on.
     """
 
     __slots__ = ("tapes", "fuel", "steps", "use", "scratch")

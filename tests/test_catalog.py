@@ -206,7 +206,7 @@ def test_wkl_interleave_paths_split():
 
 def test_tree_forwards_metered_queries_pinned():
     tape = Point.from_seed(7)
-    for count, steps, use in ((2, 1455, {0: 12}), ("omega", 1201, {0: 5})):
+    for count, steps, use in ((2, 605, {0: 5}), ("omega", 603, {0: 5})):
         out = evaluate(wkl_interleave(count).forward, [tape], 600, 4096)
         assert (out.status, out.value, out.steps, out.use) == ("converged", 0, steps, use)
     out = evaluate(wkl_from_seqwwkl_witness().backward, [tape], 12, 4096)
@@ -432,6 +432,29 @@ def test_wkl_interleave_queries_match_tuple_reference():
                 want = _RecordingTape(base)
                 expect = 1 if _ref_in_s(want.bit, count, index_bits(x)) else 0
                 assert (value, got.reads) == (expect, want.reads), (count, base.label, x)
+
+
+def test_wkl_interleave_memo_agrees_with_walk():
+    # a sweep answers each node from its parent's memoized answer; a step on a
+    # fresh scratch walks every column.  Same bits, and the sweep reads at
+    # most the one cell of x's walk that x's last bit adds.
+    from wred.kernel import FunctionalTape, check_use_soundness
+
+    bases = (Point.from_seed(7), Point.from_seed(12), Point(lambda p: 1, "ones"),
+             Point(lambda p: 0 if p % 11 == 10 else 1, "sparse-zeros"))
+    for count in (2, "omega"):
+        forward = wkl_interleave(count).forward
+        for base in bases:
+            seen = _RecordingTape(base)
+            image = FunctionalTape(forward, [seen], 4096)
+            for x in range(1 << 10):
+                seen.reads.clear()
+                bit = image.bit(x)
+                walked = _RecordingTape(base)
+                assert bit == forward.step(EvalContext([walked], 4096), x), (count, base.label, x)
+                assert len(seen.reads) <= min(x, 1), (count, base.label, x)
+                assert set(seen.reads) <= set(walked.reads), (count, base.label, x)
+            assert check_use_soundness(forward, [base], 600, 4096), (count, base.label)
 
 
 # --- blow-up ---------------------------------------------------------------------
@@ -662,6 +685,7 @@ def test_catalog_functionals_honor_kernel_contracts():
         rt_product(1, 2, 3),
         coh_interleave(2),
         wkl_interleave(2),
+        wkl_interleave("omega"),
         ts_collapse(1, 2, 4),
     ]
 

@@ -165,6 +165,37 @@ def test_cli_unknown_entry_is_input_error(capsys):
     assert main(["verify", "nope"]) == 3
 
 
+@pytest.mark.parametrize("rep, param", [
+    ("rule\nparam rule: seeded", "seed"),
+    ("table\nentry: 1 0", "tail"),
+], ids=["seed", "tail"])
+def test_non_integer_point_params_are_input_errors(rep, param):
+    text = f"wred-instance v1\nkind: point\nrepresentation: {rep}\nparam {param}: x\n"
+    with pytest.raises(InputError, match=f"param {param}: expected an integer"):
+        load_instance(parse_document(text))
+
+
+@pytest.mark.parametrize("task, body", [
+    ("homogeneous", "kind: coloring\nrepresentation: rule\nparam rule: parity-sum\n"
+                    "param arity: two\n"),
+    ("homogeneous", "kind: coloring\nrepresentation: table\nparam colors: three\n"),
+    ("homogeneous", "kind: point\nrepresentation: rule\nparam rule: seeded\nparam seed: x\n"),
+    ("homogeneous", "kind: point\nrepresentation: rule\nparam rule: zeros\n"),
+    ("paths", "kind: point\nrepresentation: rule\nparam rule: zeros\n"),
+    ("homogeneous", "kind: tree\nrepresentation: rule\nparam rule: no-11\n"),
+    ("paths", "kind: tree\nrepresentation: rule\nparam rule: first-bit\nparam value: one\n"),
+    ("sort", "kind: coloring\nrepresentation: rule\nparam rule: identity\n"),
+], ids=["arity-two", "colors-three", "seed-x", "point-homogeneous", "point-paths",
+        "tree-homogeneous", "value-one", "unknown-task"])
+def test_cli_oracle_bad_documents_are_input_errors(tmp_path, capsys, task, body):
+    doc = tmp_path / "bad.doc"
+    doc.write_text("wred-instance v1\n" + body)
+    assert main(["oracle", task, "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_squash(tmp_path):
     out = tmp_path / "squash.txt"
     code = main(["squash", "--config", "projection-toy", "--horizon", "12",

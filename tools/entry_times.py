@@ -1,0 +1,78 @@
+"""Per-entry CPU seconds and oracle query counts over the verify-all configs.
+
+    python3 tools/entry_times.py --seed 1 [--entry wkl_interleave ...]
+
+Runs each catalog entry's verify suite (all entries unless --entry names
+some) under the eight seeds 8*seed .. 8*seed+7 at 1 sample, horizon 16,
+size 4 and fuel 4096, the configurations of the benchmark's verify-all
+workload, and prints one line per entry, costliest first: the process
+CPU seconds of its suites and how many times `EvalContext.query` ran in
+them.  The time comes from a plain run and the count from a second run
+with `query` wrapped, so the counting does not inflate the time.  Run
+from the root of a checkout; the package is imported from its src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from wred import kernel  # noqa: E402
+from wred.catalog import ENTRIES  # noqa: E402
+from wred.harness import SuiteConfig, run_suite  # noqa: E402
+
+SEEDS_PER_RUN = 8
+
+
+def configs(seed: int) -> list[SuiteConfig]:
+    return [SuiteConfig(samples=1, horizon=16, size=4, fuel=4096, seed=s)
+            for s in range(seed * SEEDS_PER_RUN, (seed + 1) * SEEDS_PER_RUN)]
+
+
+def cpu_seconds(entry: str, seed: int) -> float:
+    start = time.process_time()
+    for config in configs(seed):
+        run_suite(entry, config)
+    return time.process_time() - start
+
+
+def query_count(entry: str, seed: int) -> int:
+    plain = kernel.EvalContext.query
+    calls = 0
+
+    def counted(ctx, tape, pos):
+        nonlocal calls
+        calls += 1
+        return plain(ctx, tape, pos)
+
+    kernel.EvalContext.query = counted
+    try:
+        for config in configs(seed):
+            run_suite(entry, config)
+    finally:
+        kernel.EvalContext.query = plain
+    return calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--entry", action="append", choices=sorted(ENTRIES),
+                        help="an entry to measure (repeatable; default: every entry)")
+    args = parser.parse_args(argv)
+    rows = [(cpu_seconds(e, args.seed), query_count(e, args.seed), e)
+            for e in args.entry or sorted(ENTRIES)]
+    rows.sort(key=lambda r: (-r[0], r[2]))
+    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s}")
+    for cpu, calls, entry in rows:
+        print(f"{entry:24s} {cpu:8.3f} {calls:10d}")
+    print(f"{'total':24s} {sum(r[0] for r in rows):8.3f} {sum(r[1] for r in rows):10d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
