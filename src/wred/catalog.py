@@ -36,12 +36,16 @@ from .kernel import (
     apply_functional,
     cantor_pair,
     cantor_unpair,
+    compose_functionals,
+    even_part,
     family_column,
+    family_tape,
+    identity_functional,
     interleave_tapes,
+    odd_part,
     pointwise,
     rank_tuple,
     tuple_rank,
-    _run_step,
 )
 from .problems import (
     Coloring,
@@ -90,8 +94,7 @@ def rt_color_embed(n: int, j: int, k: int) -> Witness:
         1, fstep, f"embed{j}->{k}",
         reads=lambda x: [(0, p) for p in color_read_positions(n, j, x // w_k)] if w_k else [],
     )
-    backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
-    return Witness(rt_spec(n, j), rt_spec(n, k), forward, backward, "strong",
+    return Witness(rt_spec(n, j), rt_spec(n, k), forward, identity_functional(), "strong",
                    label=f"RT^{n}_{j}<=RT^{n}_{k}")
 
 
@@ -132,11 +135,7 @@ def rt_arity_lift(m: int, n: int, k: int) -> Witness:
             found += ctx.query(0, y)
         return 1
 
-    backward = (
-        pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
-        if need == 0
-        else pointwise(1, bstep, f"drop-top-{need}")
-    )
+    backward = identity_functional() if need == 0 else pointwise(1, bstep, f"drop-top-{need}")
     return Witness(rt_spec(m, k), rt_spec(n, k), forward, backward, "strong",
                    label=f"RT^{m}_{k}<=RT^{n}_{k}", solve_slack=need)
 
@@ -147,20 +146,12 @@ def rt_product(n: int, j: int, k: int) -> Witness:
     target = rt_spec(n, j * k)
     w_jk = color_block_width(j * k)
 
-    class _Part:
-        # component view of the pair tape through the context
-        def __init__(self, ctx, which):
-            self.ctx, self.which = ctx, which
-
-        def bit(self, pos):
-            return self.ctx.query(0, 2 * pos + self.which)
-
     def fstep(ctx, x):
         if w_jk == 0:
             return 0
         r, off = divmod(x, w_jk)
-        f_col = coloring_from_tape(_Part(ctx, 0), n, j).value(rank_tuple(r, n))
-        g_col = coloring_from_tape(_Part(ctx, 1), n, k).value(rank_tuple(r, n))
+        f_col = coloring_from_tape(even_part(ctx.tape(0)), n, j).value(rank_tuple(r, n))
+        g_col = coloring_from_tape(odd_part(ctx.tape(0)), n, k).value(rank_tuple(r, n))
         return ((f_col + j * g_col) >> off) & 1
 
     def freads(x):
@@ -326,9 +317,9 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
         return v
 
     forward = pointwise(1, in_s, "wkl-interleave")
-    backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
     target_depth = 2 * depth if count == 2 else 12
-    return Witness(source, wkl_spec(path_depth=target_depth), forward, backward, "strong",
+    return Witness(source, wkl_spec(path_depth=target_depth), forward, identity_functional(),
+                   "strong",
                    label=label)
 
 
@@ -365,9 +356,8 @@ def ts_collapse(n: int, j: int, k) -> Witness:
             return [(0, p) for p in color_read_positions(n, k, x // w_j)]
 
     forward = pointwise(1, fstep, f"collapse{k}->{j}", reads=freads)
-    backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
     kname = "w" if k is None else k
-    return Witness(source, target, forward, backward, "strong",
+    return Witness(source, target, forward, identity_functional(), "strong",
                    label=f"TS^{n}_{kname}<=TS^{n}_{j}")
 
 
@@ -548,8 +538,7 @@ class Blowup:
 
 
 def _identity_blowup(t: TreeByRule) -> Blowup:
-    return Blowup(t, pointwise(1, lambda ctx, x: ctx.query(0, x), "id",
-                               reads=lambda x: [(0, x)]), [])
+    return Blowup(t, identity_functional(), [])
 
 
 def blowup_once(t: TreeByRule, p: Fraction, eps: Fraction, depth: int) -> Blowup:
@@ -615,15 +604,8 @@ def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int,
         if mu >= q:
             return cur
         step = blowup_once(cur.tree, mu, eps, depth)
-
-        def compose(outer, inner, fuel=DEFAULT_FUEL):
-            def cstep(ctx, x):
-                mid = apply_functional(outer, [ctx.tape(0)], fuel)
-                return _run_step(inner, [mid], x, fuel)[0]
-
-            return pointwise(1, cstep, "blowup-chain")
-
-        cur = Blowup(step.tree, compose(step.path_map, cur.path_map),
+        cur = Blowup(step.tree,
+                     compose_functionals(cur.path_map, step.path_map, DEFAULT_FUEL, "blowup-chain"),
                      cur.shifts + step.shifts)
     mu = measure_at_level(cur.tree, depth)
     if mu >= q:
@@ -653,21 +635,6 @@ def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
     return Coloring(m * n + 1, k**n, rule, f"step({f.label})")
 
 
-def _chain_exists(f: Coloring, m: int, avoided, i: int, x: int, pool: list[int]) -> bool:
-    """Is there y_0 < ... < y_i in the pool above x with f(x, y_j) = a_j?"""
-
-    def rec(level: int, lo: int) -> bool:
-        if level > i:
-            return True
-        for combo in itertools.combinations([y for y in pool if y > lo], m):
-            if f.value((x,) + combo) == avoided[level]:
-                if rec(level + 1, combo[-1]):
-                    return True
-        return False
-
-    return rec(0, x)
-
-
 def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple,
                     horizon: int, threshold: int = 3):
     """Recover an f-thin set from a g-thin set, per the staged argument.
@@ -687,12 +654,12 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
         return list(h), avoided[0], "trivial at n=1"
     best_i = None
     for i in range(n - 1, -1, -1):
-        witnesses = [x for x in h if _chain_exists(f, m, avoided, i, x, h)]
+        witnesses = [x for x in h if _least_chain_top(f, m, avoided, i, x, h) is not None]
         if len(witnesses) >= threshold:
             best_i = i
             break
     if best_i is None:
-        blocked = [x for x in h if _chain_exists(f, m, avoided, 0, x, h)]
+        blocked = [x for x in h if _least_chain_top(f, m, avoided, 0, x, h) is not None]
         rest = [x for x in h if x not in blocked]
         if len(rest) < threshold:
             return None
@@ -702,10 +669,10 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
     # drop pivots whose chain can continue into the next digit
     good = []
     for x in h:
-        if not _chain_exists(f, m, avoided, best_i, x, h):
+        if _least_chain_top(f, m, avoided, best_i, x, h) is None:
             good.append(x)
             continue
-        if not _chain_exists(f, m, avoided, best_i + 1, x, h):
+        if _least_chain_top(f, m, avoided, best_i + 1, x, h) is None:
             good.append(x)
     sequence = []
     lo = -1
@@ -713,7 +680,7 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
     while True:
         nxt = None
         for x in pool:
-            if x > lo and _chain_exists(f, m, avoided, best_i, x, pool):
+            if x > lo and _least_chain_top(f, m, avoided, best_i, x, pool) is not None:
                 nxt = x
                 break
         if nxt is None:
@@ -728,6 +695,9 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
 
 
 def _least_chain_top(f: Coloring, m: int, avoided, i: int, x: int, pool):
+    """The top y_i of the first chain y_0 < ... < y_i in the pool above x
+    with f(x, y_j) = a_j, in search order; None when there is no chain."""
+
     def rec(level: int, lo: int):
         if level > i:
             return lo
@@ -1100,13 +1070,8 @@ def _coh_structural_checks(params, rng, horizon, size):
             out.extend(_rows(w.label, [(f"columns#{trial}", ok, "interleaved columns equal inputs")]))
         else:
             fams = [Point.from_seed(rng.getrandbits(32)) for _ in range(3)]
-
-            class _F:
-                def bit(self, pos):
-                    i, x = cantor_unpair(pos)
-                    return fams[i].bit(x) if i < 3 else 0
-
-            img = w.forward_image(_F())
+            pad = Point.zeros()
+            img = w.forward_image(family_tape(lambda i: fams[i] if i < 3 else pad))
             ok = all(
                 family_column(img, cantor_pair(a, b)).bit(t)
                 == family_column(fams[a], b).bit(t)

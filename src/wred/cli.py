@@ -27,7 +27,7 @@ from .harness import (
     parse_document,
     run_suite,
 )
-from .kernel import InputError, Point, ResourceError, pointwise
+from .kernel import InputError, Point, ResourceError, identity_functional, pointwise
 from .oracle import (
     SearchBudget,
     enumerate_paths,
@@ -39,8 +39,7 @@ from .oracle import (
 
 # toy functionals addressable from the adversary subcommand
 TOY_FORWARD = {
-    "identity": lambda: pointwise(1, lambda ctx, x: ctx.query(0, x), "identity",
-                                  reads=lambda x: [(0, x)]),
+    "identity": identity_functional,
     "ones": lambda: pointwise(1, lambda ctx, x: 1, "ones"),
     "single": lambda: pointwise(1, lambda ctx, x: 1 if x == 0 else 0, "single"),
     "embed23": lambda: pointwise(
@@ -95,6 +94,22 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+def _param(params: dict, key: str, default, read):
+    """--param key (default when absent) through int, Fraction or a toy table.
+
+    A value that does not parse, or a name not in the table, is an InputError.
+    """
+    raw = params.get(key, default)
+    if isinstance(read, dict):
+        if raw not in read:
+            raise InputError(f"unknown --param {key}={raw}; known: {sorted(read)}")
+        return read[raw]()
+    try:
+        return read(raw)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad --param {key}={raw}") from None
+
+
 def cmd_list(args) -> int:
     for eid in sorted(ENTRIES):
         print(f"{eid:24s} {ENTRIES[eid].description}")
@@ -145,39 +160,39 @@ def cmd_adversary(args) -> int:
     params = _parse_params(args.param)
     name = args.name
     if name == "qwwkl-cutter":
-        p = Fraction(params.get("p", "1/2"))
-        q = Fraction(params.get("q", "3/4"))
-        psi = TOY_BACKWARD[params.get("psi", "zero")]()
-        phi = TOY_FORWARD[params.get("phi", "identity")]()
-        fuel = int(params.get("fuel", 50_000))
+        p = _param(params, "p", "1/2", Fraction)
+        q = _param(params, "q", "3/4", Fraction)
+        psi = _param(params, "psi", "zero", TOY_BACKWARD)
+        phi = _param(params, "phi", "identity", TOY_FORWARD)
+        fuel = _param(params, "fuel", 50_000, int)
         tree, log = qwwkl_cutter(phi, psi, p, q, stages=args.stages, fuel=fuel)
         _write(args.out, log.to_csv())
         print(f"# mu(T) = {tree.measure()}; digest {log.digest()}", file=sys.stderr)
         return EXIT_PASS
     if name == "ts1":
-        j, k = int(params.get("j", 2)), int(params.get("k", 3))
-        phi = TOY_FORWARD[params.get("phi", "embed23")]()
-        psi = TOY_BACKWARD[params.get("psi", "echo")]()
+        j, k = _param(params, "j", 2, int), _param(params, "k", 3, int)
+        phi = _param(params, "phi", "embed23", TOY_FORWARD)
+        psi = _param(params, "psi", "echo", TOY_BACKWARD)
         res = ts1_diagonalizer(phi, psi, j, k, stages=args.stages)
         _write(args.out, res.log.to_csv())
         print(f"# actions={len(res.log.action_stages())} colors[:16]={res.colors[:16]}",
               file=sys.stderr)
         return EXIT_PASS
     if name == "delta2":
-        k = int(params.get("k", 3))
-        guesser = TOY_GUESSERS[params.get("guesser", "evens")]()
+        k = _param(params, "k", 3, int)
+        guesser = _param(params, "guesser", "evens", TOY_GUESSERS)
         _, log = delta2_diagonalizer(k, guesser, stages=args.stages)
         _write(args.out, log.to_csv())
         return EXIT_PASS
     if name == "cm":
-        phi = TOY_FORWARD[params.get("phi", "ones")]()
+        phi = _param(params, "phi", "ones", TOY_FORWARD)
         res = cm_coloring(phi)
         lines = ["trigger: " + (str(res.trigger) if res.trigger else "none")]
         _write(args.out, "\n".join(lines) + "\n")
         return EXIT_PASS
     if name == "arb-bounds":
-        phi = TOY_FORWARD[params.get("phi", "ones")]()
-        q = Fraction(params.get("q", "1/2"))
+        phi = _param(params, "phi", "ones", TOY_FORWARD)
+        q = _param(params, "q", "1/2", Fraction)
         res = rainbow_measure_coloring(phi, q)
         lines = [f"cylinders: {len(res.cylinders)}", f"bound: {res.bound}"]
         for cyl in res.cylinders:
@@ -185,8 +200,8 @@ def cmd_adversary(args) -> int:
         _write(args.out, "\n".join(lines) + "\n")
         return EXIT_PASS
     if name == "column-splitter":
-        phi = TOY_FORWARD[params.get("phi", "ones")]()
-        results = rrt_column_splitter(phi, columns=int(params.get("columns", 2)))
+        phi = _param(params, "phi", "ones", TOY_FORWARD)
+        results = rrt_column_splitter(phi, columns=_param(params, "columns", 2, int))
         lines = [f"column {j}: cylinders={len(r.cylinders)} bound={r.bound}"
                  for j, r in enumerate(results)]
         _write(args.out, "\n".join(lines) + "\n")
@@ -203,8 +218,12 @@ def cmd_oracle(args) -> int:
     kind = ORACLE_TASK_KINDS.get(args.task)
     if kind is None:
         raise InputError(f"unknown oracle task {args.task!r}; known: {sorted(ORACLE_TASK_KINDS)}")
-    with open(args.input) as fh:
-        doc = parse_document(fh.read())
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read the --input file: {e}") from None
+    doc = parse_document(text)
     if doc.kind != kind:
         raise InputError(f"oracle {args.task} needs a {kind} document, got a {doc.kind} document")
     loaded = load_instance(doc)

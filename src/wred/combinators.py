@@ -21,6 +21,8 @@ target solutions pull back to verified source solutions.
 
 from __future__ import annotations
 
+import functools
+import random
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from typing import Optional
 
 from .kernel import (
     DEFAULT_FUEL,
+    Continuation,
     ContractError,
     Diverge,
     EvalContext,
@@ -42,6 +45,8 @@ from .kernel import (
     cantor_unpair,
     even_part,
     family_column,
+    family_tape,
+    identity_functional,
     interleave_tapes,
     odd_part,
     pointwise,
@@ -96,10 +101,13 @@ class Witness:
     def forward_image(self, instance_tape, fuel: int = DEFAULT_FUEL):
         return apply_functional(self.forward, [instance_tape], fuel)
 
+    def backward_oracles(self, instance, solution) -> list:
+        """The backward's oracles: the solution, after the instance when plain."""
+        return [solution] if self.kind == "strong" else [instance, solution]
+
     def pull_back(self, instance_tape, solution_tape, fuel: int = DEFAULT_FUEL):
-        if self.kind == "strong":
-            return apply_functional(self.backward, [solution_tape], fuel)
-        return apply_functional(self.backward, [instance_tape, solution_tape], fuel)
+        return apply_functional(self.backward, self.backward_oracles(instance_tape, solution_tape),
+                                fuel)
 
 
 @dataclass
@@ -204,14 +212,8 @@ def echo_spec() -> ProblemSpec:
 
     def tolerance(sol_tape, m):
         # unary of max(d, m): ones below m, then the original unary
-        class _Tol:
-            def bit(self, pos):
-                q, r = divmod(pos, 2)
-                if r == 0:
-                    return even_part(sol_tape).bit(q)
-                return 1 if q < m else odd_part(sol_tape).bit(q)
-
-        return _Tol()
+        return interleave_tapes(even_part(sol_tape),
+                                Continuation(Prefix((1,) * m), odd_part(sol_tape)))
 
     return ProblemSpec(
         name="ECHO",
@@ -234,8 +236,6 @@ def echo_pair_witness() -> Witness:
     solutions with the same exception bound d.
     """
     e = echo_spec()
-    forward = pointwise(1, lambda ctx, x: ctx.query(0, x), "echo-pair-merge",
-                        reads=lambda x: [(0, x)])
 
     def bstep(ctx, x):
         q, r = divmod(x, 2)  # r = component
@@ -250,7 +250,7 @@ def echo_pair_witness() -> Witness:
         return [(0, 4 * u + 2 * r if v == 0 else 2 * u + 1)]
 
     backward = pointwise(1, bstep, "echo-pair-split", reads=breads)
-    return Witness(parallel_product(e, e), e, forward, backward, "strong",
+    return Witness(parallel_product(e, e), e, identity_functional(), backward, "strong",
                    label="<ECHO,ECHO><=ECHO")
 
 
@@ -332,21 +332,16 @@ def witness_parallel(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witn
 
     forward = pointwise(1, fstep, f"par({w1.forward.label},{w2.forward.label})", reads=freads)
 
-    def pull_component(ctx, w, r, q):
-        sol_idx = 0 if kind == "strong" else 1
-        sol = (even_part if r == 0 else odd_part)(ctx.tape(sol_idx))
-        if w.kind == "strong":
-            v, _, _ = _run_step(w.backward, [sol], q, fuel)
-        else:
-            inst = (even_part if r == 0 else odd_part)(ctx.tape(0))
-            v, _, _ = _run_step(w.backward, [inst, sol], q, fuel)
-        return v
+    arity = max(w1.backward.arity, w2.backward.arity)
 
     def bstep(ctx: EvalContext, x: int) -> int:
         q, r = divmod(x, 2)
-        return pull_component(ctx, w1 if r == 0 else w2, r, q)
+        w, part = (w1, even_part) if r == 0 else (w2, odd_part)
+        # tape 0 is the pair instance when plain; strong components never read it
+        oracles = w.backward_oracles(part(ctx.tape(0)), part(ctx.tape(arity - 1)))
+        return _run_step(w.backward, oracles, q, fuel)[0]
 
-    backward = pointwise(1 if kind == "strong" else 2, bstep, "par-backward")
+    backward = pointwise(arity, bstep, "par-backward")
     return Witness(
         source=parallel_product(w1.source, w2.source),
         target=parallel_product(w1.target, w2.target),
@@ -427,8 +422,7 @@ def alternative_embed(specs: list[ProblemSpec], i: int, fuel: int = DEFAULT_FUEL
     forward = pointwise(
         1, fstep, f"tag{i}", reads=lambda x: [] if x % 2 == 0 else [(0, x // 2)]
     )
-    backward = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
-    return Witness(specs[i], alternative_product(specs), forward, backward, "strong",
+    return Witness(specs[i], alternative_product(specs), forward, identity_functional(), "strong",
                    label=f"{specs[i].name}<=[alt]")
 
 
@@ -450,30 +444,16 @@ def compose_witness(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witne
 
     forward = pointwise(1, fstep, f"{w2.forward.label}.{w1.forward.label}")
 
-    if kind == "strong":
-        def bstep(ctx, x):
-            mid = apply_functional(w2.backward, [ctx.tape(0)], fuel)
-            v, _, _ = _run_step(w1.backward, [mid], x, fuel)
-            return v
+    arity = max(w1.backward.arity, w2.backward.arity)
 
-        backward = pointwise(1, bstep, "compose-backward")
-    else:
-        def bstep(ctx, x):
-            a = ctx.tape(0)
-            u = ctx.tape(1)
-            b = apply_functional(w1.forward, [a], fuel)
-            if w2.kind == "strong":
-                t = apply_functional(w2.backward, [u], fuel)
-            else:
-                t = apply_functional(w2.backward, [b, u], fuel)
-            if w1.kind == "strong":
-                v, _, _ = _run_step(w1.backward, [t], x, fuel)
-            else:
-                v, _, _ = _run_step(w1.backward, [a, t], x, fuel)
-            return v
+    def bstep(ctx, x):
+        # tape 0 is the instance when plain; a strong chain never reads a or b
+        a, u = ctx.tape(0), ctx.tape(arity - 1)
+        b = apply_functional(w1.forward, [a], fuel)
+        t = apply_functional(w2.backward, w2.backward_oracles(b, u), fuel)
+        return _run_step(w1.backward, w1.backward_oracles(a, t), x, fuel)[0]
 
-        backward = pointwise(2, bstep, "compose-backward")
-
+    backward = pointwise(arity, bstep, "compose-backward")
     return Witness(w1.source, w2.target, forward, backward, kind,
                    label=f"{w1.label} ; {w2.label}")
 
@@ -556,18 +536,12 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
         # every column carries a valid instance: constructions that read
         # beyond the verified columns (tree interleaves) stay honest
         base = rng.getrandbits(32)
-        members: dict[int, object] = {}
 
-        class _Fam:
-            def bit(self, pos):
-                i, x = cantor_unpair(pos)
-                if i not in members:
-                    import random as _random
+        @functools.cache
+        def member(i):
+            return p.sample_instance(random.Random(base * 1_000_003 + i))
 
-                    members[i] = p.sample_instance(_random.Random(base * 1_000_003 + i))
-                return members[i].bit(x)
-
-        return _Fam()
+        return family_tape(member)
 
     def brute(inst, budget):
         _, tape = inst
@@ -577,13 +551,8 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
             if not got:
                 return []
             sols.append(got[0])
-
-        class _FamSol:
-            def bit(self, pos):
-                i, x = cantor_unpair(pos)
-                return sols[i].bit(x) if i < columns else 0
-
-        return [_FamSol()]
+        pad = Point.zeros()
+        return [family_tape(lambda i: sols[i] if i < columns else pad)]
 
     return ProblemSpec(
         name=f"Seq{p.name}",
@@ -615,22 +584,12 @@ def lift_seq(w: Witness, fuel: int = DEFAULT_FUEL, columns: int = 4) -> Witness:
 
     forward = pointwise(1, fstep, f"seq({w.forward.label})", reads=freads)
 
-    if w.kind == "strong":
-        def bstep(ctx, x):
-            i, t = cantor_unpair(x)
-            v, _, _ = _run_step(w.backward, [family_column(ctx.tape(0), i)], t, fuel)
-            return v
+    def bstep(ctx, x):
+        i, t = cantor_unpair(x)
+        cols = [family_column(ctx.tape(k), i) for k in range(w.backward.arity)]
+        return _run_step(w.backward, cols, t, fuel)[0]
 
-        backward = pointwise(1, bstep, "seq-backward")
-    else:
-        def bstep(ctx, x):
-            i, t = cantor_unpair(x)
-            cols = [family_column(ctx.tape(0), i), family_column(ctx.tape(1), i)]
-            v, _, _ = _run_step(w.backward, cols, t, fuel)
-            return v
-
-        backward = pointwise(2, bstep, "seq-backward")
-
+    backward = pointwise(w.backward.arity, bstep, "seq-backward")
     return Witness(seq(w.source, columns), seq(w.target, columns), forward, backward,
                    w.kind, label=f"Seq[{w.label}]")
 
@@ -656,41 +615,32 @@ def iterate_finite(w: Witness, n: int, fuel: int = DEFAULT_FUEL) -> Witness:
         raise InputError("iteration count must be >= 1")
     p = w.target
 
-    def nested_instance(a_tape):
-        cols = [family_column(a_tape, i) for i in range(n)]
+    def nested_from(a_tape, t):
+        """Phi(A_t, Phi(A_{t+1}, ... A_{n-1})...): the instance of level t."""
+        cols = [family_column(a_tape, u) for u in range(n)]
         inner = cols[-1]
-        for i in range(n - 2, -1, -1):
-            inner = FunctionalTape(w.forward, [interleave_tapes(cols[i], inner)], fuel)
+        for u in range(n - 2, t - 1, -1):
+            inner = FunctionalTape(w.forward, [interleave_tapes(cols[u], inner)], fuel)
         return inner
 
     def fstep(ctx, x):
         # the nested chain persists across the sweep: rebuilding it per
         # position would re-run every inner application from scratch
         if "nested" not in ctx.scratch:
-            ctx.scratch["nested"] = nested_instance(ctx.tapes[0])
+            ctx.scratch["nested"] = nested_from(ctx.tapes[0], 0)
         return ctx.scratch["nested"].bit(x)
 
     forward = pointwise(1, fstep, f"iter{n}({w.forward.label})")
 
     def column_solution(ctx, i):
-        # read the raw oracles: the derived chain outlives this step's meter
-        a_tape = ctx.tapes[0] if w.kind == "plain" else None
-        sol_idx = 0 if w.kind == "strong" else 1
-        cur = ctx.tapes[sol_idx]
-
-        def nested_from(t):
-            cols = [family_column(a_tape, u) for u in range(n)]
-            inner = cols[-1]
-            for u in range(n - 2, t - 1, -1):
-                inner = FunctionalTape(w.forward, [interleave_tapes(cols[u], inner)], fuel)
-            return inner
+        # read the raw oracles: the derived chain outlives this step's meter;
+        # tape 0 is the instance when plain, and a strong backward never reads it
+        a_tape, cur = ctx.tapes[0], ctx.tapes[-1]
 
         def pull(cur, j):
-            if w.kind == "strong":
-                return FunctionalTape(w.backward, [cur], fuel)
             # the level-j pair instance is <A_j, nested tail>
-            pair_inst = interleave_tapes(family_column(a_tape, j), nested_from(j + 1))
-            return FunctionalTape(w.backward, [pair_inst, cur], fuel)
+            pair_inst = interleave_tapes(family_column(a_tape, j), nested_from(a_tape, j + 1))
+            return FunctionalTape(w.backward, w.backward_oracles(pair_inst, cur), fuel)
 
         for j in range(min(i, n - 1)):
             cur = odd_part(pull(cur, j))
@@ -707,7 +657,7 @@ def iterate_finite(w: Witness, n: int, fuel: int = DEFAULT_FUEL) -> Witness:
             ctx.scratch[key] = column_solution(ctx, i)
         return ctx.scratch[key].bit(t)
 
-    backward = pointwise(1 if w.kind == "strong" else 2, bstep, f"iter{n}-backward")
+    backward = pointwise(w.backward.arity, bstep, f"iter{n}-backward")
     return Witness(finite_power(w.target, n), p, forward, backward, w.kind,
                    label=f"{p.name}^{n}<={p.name}")
 
@@ -927,13 +877,6 @@ class _Link:
         return self.display.tail_bit(self.j, pos)
 
 
-def _nested_chain(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
-                  sigma_tapes, fuel: int):
-    """V_{i+1} of the compactness display: levels i+1..s wrap around C|n."""
-    display = _Display(phi2, c, [*markers[:s + 1], n], sigma_tapes.__getitem__, fuel, stage=s)
-    return _Link(display, i + 1)
-
-
 def _symbolic_display(phi2: Functional, c: Point, markers, s: int, n: int, assignment: dict,
                       fuel: int) -> _Display:
     """The compactness display at stage s for candidate n, every level's
@@ -942,28 +885,23 @@ def _symbolic_display(phi2: Functional, c: Point, markers, s: int, n: int, assig
                     lambda j: _SymbolicPrefix(j, n, assignment), fuel, stage=s)
 
 
-def _dfs_check(phi2: Functional, c: Point, markers, i: int, s: int, n: int,
-               fuel: int, width_budget: int) -> bool:
+def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
     """Does the nested expression converge at s for ALL sigma_i..sigma_s in 2^n?
 
-    Branches only on oracle bits the evaluation actually reads; unread
-    bits cannot affect the outcome, so the leaf set exactly covers 2^n
-    per level.  Exceeding the width budget is a resource error.
+    `root` is the symbolic display of stage s and candidate n on the empty
+    assignment.  Branches only on oracle bits the evaluation actually
+    reads; unread bits cannot affect the outcome, so the leaf set exactly
+    covers 2^n per level.  Exceeding the width budget is a resource error.
 
-    The root of the branching, the empty assignment, is the same display
-    for every level i of one stage and candidate: the expression checked
-    for i is its level i.  So `squash_markers` builds it once per candidate
-    and runs `_dfs_search` from it for each i.  Sharing it changes no
-    verdict: a _NeedBit appends nothing to the levels it interrupts and
-    leaves them retryable, and a Diverge is terminal for a level and keeps
-    its reason whichever i reaches it first.
+    The root is the same display for every level i of one stage and
+    candidate: the expression checked for i is its level i.  So
+    `squash_markers` builds it once per candidate and runs `_dfs_search`
+    from it for each i.  Sharing it changes no verdict: a _NeedBit appends
+    nothing to the levels it interrupts and leaves them retryable, and a
+    Diverge is terminal for a level and keeps its reason whichever i
+    reaches it first.  Each branch after a _NeedBit evaluates in a display
+    of its own.
     """
-    return _dfs_search(_symbolic_display(phi2, c, markers, s, n, {}, fuel), i, width_budget)
-
-
-def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
-    """`_dfs_check` for level i, from the empty-assignment display `root`;
-    each branch after a _NeedBit evaluates in a display of its own."""
     s, n = root.stage, root.markers[-1]
     leaves = 0
 
@@ -1188,13 +1126,9 @@ def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: 
     out = []
     cur = t0_tape
     for i in range(count):
-        repaired = theta(cur, markers[i])
-        if cfg.kind == "strong":
-            pair = apply_functional(cfg.witness.backward, [repaired], cfg.fuel)
-        else:
-            inst = interleave_tapes(family_column(a_family_tape, i),
-                                    squash_row_tape(cfg, markers, a_family_tape, i + 1))
-            pair = apply_functional(cfg.witness.backward, [inst, repaired], cfg.fuel)
+        inst = None if a_family_tape is None else interleave_tapes(
+            family_column(a_family_tape, i), squash_row_tape(cfg, markers, a_family_tape, i + 1))
+        pair = cfg.witness.pull_back(inst, theta(cur, markers[i]), cfg.fuel)
         out.append(even_part(pair))
         cur = odd_part(pair)
     return out
@@ -1220,12 +1154,11 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
             return 0
         key = ("sol", i)
         if key not in ctx.scratch:
-            plain = cfg.kind == "plain"
-            ctx.scratch[key] = squash_backward(cfg, markers, ctx.tapes[1 if plain else 0], i + 1,
-                                               ctx.tapes[0] if plain else None)[i]
+            *family, sol = ctx.tapes  # the instance family comes first when plain
+            ctx.scratch[key] = squash_backward(cfg, markers, sol, i + 1, *family)[i]
         return ctx.scratch[key].bit(t)
 
-    backward = pointwise(1 if cfg.kind == "strong" else 2, bstep, f"{cfg.label}-backward")
+    backward = pointwise(cfg.witness.backward.arity, bstep, f"{cfg.label}-backward")
     return Witness(seq(cfg.q_spec, columns), cfg.p_spec, forward, backward, cfg.kind,
                    label=f"Seq{cfg.q_spec.name}<={cfg.p_spec.name} ({cfg.label})")
 

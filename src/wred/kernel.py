@@ -498,11 +498,7 @@ def compose_functionals(outer: Functional, inner: Functional, fuel: int,
         raise InputError("compose_functionals needs arity-1 functionals")
 
     def step(ctx: EvalContext, x: int) -> int:
-        class _Via:
-            def bit(self, pos):
-                return ctx.query(0, pos)
-
-        mid = apply_functional(inner, [_Via()], fuel)
+        mid = apply_functional(inner, [ctx.tape(0)], fuel)
         v, _, _ = _run_step(outer, [mid], x, fuel)
         return v
 

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
+    Continuation,
     ContractError,
     Diverge,
     InputError,
-    MapTape,
     Point,
     Prefix,
     cantor_pair,
@@ -454,31 +454,12 @@ def tolerance_rt(members, m: int, n: int):
 
 
 def tolerance_rt_tape(tape, m: int, n: int):
-    ell = max_entry_below_rank(m, n)
-    return MapTape(tape, lambda p: p) if ell < 0 else _AboveTape(tape, ell)
-
-
-class _AboveTape:
-    def __init__(self, base, ell: int):
-        self.base = base
-        self.ell = ell
-
-    def bit(self, pos: int) -> int:
-        if pos <= self.ell:
-            return 0
-        return self.base.bit(pos)
+    return Continuation(Prefix((0,) * (max_entry_below_rank(m, n) + 1)), tape)
 
 
 def tolerance_thin_tape(tape, m: int, n: int):
     """Thin solutions keep their omitted color; only the set is trimmed."""
-    trimmed = tolerance_rt_tape(even_part(tape), m, n)
-
-    class _T:
-        def bit(self, pos: int) -> int:
-            q, r = divmod(pos, 2)
-            return trimmed.bit(q) if r == 0 else odd_part(tape).bit(q)
-
-    return _T()
+    return interleave_tapes(tolerance_rt_tape(even_part(tape), m, n), odd_part(tape))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from wred.harness import SuiteConfig, run_suite
 from wred.kernel import Point, Prefix, interleave_tapes, pointwise
 from wred.oracle import SearchBudget, enumerate_thin
 from wred.problems import (
+    HAND_TREES,
     Coloring,
     TreeByRule,
     measure_at_level,
@@ -100,9 +101,8 @@ def test_criterion_2_squash_identity():
 
 
 def test_criterion_3_exact_measures():
-    no11 = TreeByRule(lambda s: all(s.bits[i:i + 2] != (1, 1) for i in range(len(s) - 1)),
-                      "no-11")
-    first1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")
+    no11 = HAND_TREES["no-11"]()
+    first1 = HAND_TREES["first-bit"](1)
     w = wkl_interleave(2)
     img = TreeByRule.from_tape(
         w.forward_image(interleave_tapes(tree_to_point(no11), tree_to_point(first1)),

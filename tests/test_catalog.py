@@ -58,6 +58,7 @@ from wred.kernel import (
 )
 from wred.oracle import SearchBudget, find_homogeneous, find_thin
 from wred.problems import (
+    HAND_TREES,
     Coloring,
     ThinSolution,
     TreeByRule,
@@ -81,8 +82,8 @@ def rng():
     return random.Random(999)
 
 
-NO11 = TreeByRule(lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11")
-FIRST1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")
+NO11 = HAND_TREES["no-11"]()
+FIRST1 = HAND_TREES["first-bit"](1)
 
 
 # --- Ramsey witnesses --------------------------------------------------------

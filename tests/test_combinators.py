@@ -98,6 +98,30 @@ def test_parallel_kind_mismatch_downgrades():
     assert witness_parallel(strong, strong).kind == "strong"
 
 
+def test_mixed_kind_backwards_read_the_right_oracles():
+    # a strong witness (flip forward, shift backward) and a plain one whose
+    # backward is instance XOR solution: each pulled-back bit below is
+    # worked out by hand from the definitions of the combinators
+    spec = triv_spec()
+    flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip")
+    shift = pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "shift")
+    xor = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "xor")
+    strong = Witness(spec, spec, flip, shift, "strong")
+    plain = Witness(spec, spec, identity_functional(), xor, "plain")
+    a, u = Point.from_seed(11), Point.from_seed(12)
+    cases = [
+        (compose_witness(strong, plain), lambda x: 1 ^ a.bit(x + 1) ^ u.bit(x + 1)),
+        (compose_witness(plain, strong), lambda x: a.bit(x) ^ u.bit(x + 1)),
+        (witness_parallel(strong, plain),
+         lambda x: u.bit(x + 2) if x % 2 == 0 else a.bit(x) ^ u.bit(x)),
+        (lift_seq(plain), lambda x: a.bit(x) ^ u.bit(x)),
+    ]
+    for w, want in cases:
+        assert w.kind == "plain"
+        pulled = w.pull_back(a, u)
+        assert [pulled.bit(x) for x in range(24)] == [want(x) for x in range(24)], w.label
+
+
 # --- alternative product ---------------------------------------------------------
 
 
@@ -679,8 +703,8 @@ def test_marker_engines_agree_with_literal_enumeration():
     # the nested expression converges at the stage
     import itertools
 
-    from wred.combinators import _closure_check_stage, _dfs_check, _nested_chain
-    from wred.kernel import FunctionalTape, Prefix
+    from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_display
+    from wred.kernel import Prefix
 
     def brute(phi2, c, markers, s, n):
         for i in range(s + 1):
@@ -689,11 +713,13 @@ def test_marker_engines_agree_with_literal_enumeration():
                 [Prefix(b) for b in itertools.product((0, 1), repeat=n)],
                 repeat=len(levels),
             ):
+                # level i of the display is Phi(sigma_i, V_{i+1}), where
+                # levels i+1..s wrap around C|n
                 tapes = dict(zip(levels, combo))
-                chain = _nested_chain(phi2, c, markers, i, s, n, tapes, 10_000)
-                top = FunctionalTape(phi2, [tapes[i], chain], 10_000)
+                display = _Display(phi2, c, [*markers[:s + 1], n], tapes.__getitem__, 10_000,
+                                   stage=s)
                 try:
-                    top.bit(s)
+                    display.level(i).bit(s)
                 except Exception:
                     return False
         return True
@@ -707,7 +733,7 @@ def test_marker_engines_agree_with_literal_enumeration():
                 want = brute(phi2, cfg.c, markers, s, n)
                 got_closure = _closure_check_stage(phi2, markers, s, n)
                 got_dfs = all(
-                    _dfs_check(phi2, cfg.c, markers, i, s, n, 10_000, 4096)
+                    _dfs_search(_symbolic_display(phi2, cfg.c, markers, s, n, {}, 10_000), i, 4096)
                     for i in range(s + 1)
                 )
                 assert want == got_closure == got_dfs, (cfg.label, s, n)
@@ -818,7 +844,7 @@ def test_dfs_engine_frontier_on_coh_interleave_is_resource_error():
 
 def test_dfs_shared_root_matches_a_fresh_display_per_level():
     from wred.catalog import SQUASH_CONFIGS
-    from wred.combinators import _dfs_check, _dfs_search, _symbolic_display
+    from wred.combinators import _dfs_search, _symbolic_display
     from wred.kernel import ResourceError
 
     def verdict(run):
@@ -835,6 +861,7 @@ def test_dfs_shared_root_matches_a_fresh_display_per_level():
                 root = _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel)
                 for i in range(s, -1, -1):
                     shared = verdict(lambda: _dfs_search(root, i, 64))
-                    fresh = verdict(lambda: _dfs_check(phi2, cfg.c, markers, i, s, n, cfg.fuel, 64))
+                    fresh = verdict(lambda: _dfs_search(
+                        _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel), i, 64))
                     assert shared == fresh, (name, s, n, i)
             markers.append(max(markers[-1], s) + 1)

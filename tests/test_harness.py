@@ -196,6 +196,32 @@ def test_cli_oracle_bad_documents_are_input_errors(tmp_path, capsys, task, body)
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "not-utf8"])
+def test_cli_oracle_unreadable_input_is_input_error(tmp_path, capsys, content):
+    doc = tmp_path / "input.doc"
+    if content is not None:
+        doc.write_bytes(content)
+    assert main(["oracle", "paths", "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, param", [
+    ("ts1", "k=x"),
+    ("delta2", "k=x"),
+    ("qwwkl-cutter", "psi=nope"),
+    ("qwwkl-cutter", "p=1/0"),
+    ("delta2", "guesser=nope"),
+    ("cm", "phi=nope"),
+], ids=["ts1-k", "delta2-k", "psi", "p-zero-denominator", "guesser", "phi"])
+def test_cli_adversary_bad_params_are_input_errors(capsys, name, param):
+    assert main(["adversary", name, "--param", param, "--stages", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_squash(tmp_path):
     out = tmp_path / "squash.txt"
     code = main(["squash", "--config", "projection-toy", "--horizon", "12",

@@ -11,7 +11,7 @@ from wred.oracle import (
     find_thin,
     structural_check,
 )
-from wred.problems import Coloring, TreeByRule
+from wred.problems import HAND_TREES, Coloring, TreeByRule
 
 PARITY = Coloring(2, 2, lambda t: (t[0] + t[1]) % 2, "parity")
 CONST = Coloring(2, 3, lambda t: 1, "const1")
@@ -80,9 +80,7 @@ def test_rainbow_constant_none():
 
 def test_paths_full_and_fibonacci_and_dead():
     assert len(enumerate_paths(TreeByRule.full(), 3)) == 8
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     assert len(enumerate_paths(no11, 4)) == 8  # Fibonacci count F(6)
     dead = TreeByRule(lambda s: len(s) == 0, "dead")
     assert enumerate_paths(dead, 2) == []
@@ -142,9 +140,7 @@ def test_path_count_equals_measure_identity():
 
     from wred.problems import measure_at_level
 
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     for t in (TreeByRule.full(), no11):
         for d in range(8):
             count = len(enumerate_paths(t, d))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wred.kernel import Diverge, InputError, Point, Prefix
+from wred.kernel import Diverge, InputError, Point, Prefix, interleave_tapes
 from wred.problems import (
     HAND_TREES,
     Coloring,
@@ -28,6 +28,7 @@ from wred.problems import (
     thin_solution_tape,
     tolerance_rt,
     tolerance_rt_tape,
+    tolerance_thin_tape,
     tree_to_point,
     ts_spec,
     verify_homogeneous_at,
@@ -108,11 +109,9 @@ def test_verify_rainbow_examples():
 
 def test_verify_path_examples():
     assert verify_path_at(TreeByRule.full(), Point.zeros(), 12).ok
-    starts1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "starts-1")
+    starts1 = HAND_TREES["first-bit"](1)
     assert verify_path_at(starts1, Point.zeros(), 1).failed
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     assert verify_path_at(no11, Point.alternating(), 16).ok
 
 
@@ -136,6 +135,25 @@ def test_tolerance_tape_matches_set_version():
     tape = Point.from_set({1, 3, 5, 7})
     out = tolerance_rt_tape(tape, 4, 2)
     assert set_members_at(out, 10) == [5, 7]
+    # m = 0 trims nothing: no tuple has rank below 0
+    base = Point.from_seed(21)
+    assert [tolerance_rt_tape(base, 0, 2).bit(p) for p in range(16)] == [
+        base.bit(p) for p in range(16)]
+    # thin solutions: the set (even bits) is trimmed below 4, the omitted
+    # color (odd bits) is untouched
+    thin = tolerance_thin_tape(base, 4, 2)
+    assert [thin.bit(p) for p in range(24)] == [
+        0 if p % 2 == 0 and p // 2 <= 3 else base.bit(p) for p in range(24)]
+    # echo: the unary bound d (odd bits) rises to max(d, m), the tail stays
+    from wred.combinators import echo_spec
+
+    tail = Point.from_seed(22)
+    for d, m in ((2, 5), (7, 3), (0, 0)):
+        sol = interleave_tapes(tail, Point(lambda q, d=d: 1 if q < d else 0, "unary"))
+        out = echo_spec().tolerance(sol, m)
+        assert [out.bit(2 * q) for q in range(12)] == [tail.bit(q) for q in range(12)]
+        assert [out.bit(2 * q + 1) for q in range(12)] == [
+            1 if q < max(d, m) else 0 for q in range(12)]
 
 
 def test_tolerance_transfer_property():
@@ -168,14 +186,12 @@ def test_tolerance_transfer_property():
 
 def test_measure_examples():
     assert measure_at_level(TreeByRule.full(), 5) == 1
-    first1 = TreeByRule(lambda s: len(s) == 0 or s.bits[0] == 1, "first-1")
+    first1 = HAND_TREES["first-bit"](1)
     assert measure_at_level(first1, 3) == Fraction(1, 2)
 
 
 def test_measure_monotone_nonincreasing():
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     vals = [measure_at_level(no11, d) for d in range(10)]
     assert all(vals[i + 1] <= vals[i] for i in range(9))
 
@@ -220,9 +236,7 @@ def test_string_index_roundtrip():
 
 
 def test_tree_tape_roundtrip():
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     back = TreeByRule.from_tape(tree_to_point(no11))
     for d in range(6):
         assert measure_at_level(back, d) == measure_at_level(no11, d)
@@ -294,9 +308,7 @@ def test_index_tree_divergence_is_never_memoized():
 
 
 def test_leftmost_path_stays_inside():
-    no11 = TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"
-    )
+    no11 = HAND_TREES["no-11"]()
     p = leftmost_path_point(no11, 8)
     assert verify_path_at(no11, p, 12).ok
 
