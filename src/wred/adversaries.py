@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from .kernel import (
     DEFAULT_FUEL,
     Diverge,
+    EvalContext,
     Functional,
     InputError,
     Prefix,
@@ -191,7 +192,7 @@ class _ImageSweep:
     def advance(self, oracle, upto_index: int) -> None:
         while len(self.bits) <= upto_index:
             try:
-                v, _, _ = _run_step(self.phi, [oracle], len(self.bits), self.fuel)
+                v = _run_step(self.phi, EvalContext([oracle], self.fuel), len(self.bits))
             except Diverge:
                 return
             self.bits.append(v)
@@ -679,13 +680,12 @@ def rrt_column_splitter(phi: Functional, columns: int, e: int = 0,
     out = []
     for jcol in range(columns):
         col = cantor_pair(e, jcol)
-        restricted = pointwise(1, lambda ctx, x, col=col: _inner_value(phi, ctx, x, col, fuel),
+        restricted = pointwise(1, lambda ctx, x, col=col: _inner_value(phi, ctx, x, col),
                                f"column[{col}]")
         out.append(rainbow_measure_coloring(restricted, Fraction(1, 2 ** (jcol + 1)),
                                             len_cap, out_bound, fuel))
     return out
 
 
-def _inner_value(phi: Functional, ctx, x: int, col: int, fuel: int):
-    v, _, _ = _run_step(phi, [ctx.tapes[0]], cantor_pair(x, col), fuel)
-    return v
+def _inner_value(phi: Functional, ctx, x: int, col: int):
+    return ctx.run(phi, [ctx.tape(0)], cantor_pair(x, col))

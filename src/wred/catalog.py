@@ -161,9 +161,7 @@ def rt_product(n: int, j: int, k: int) -> Witness:
         ]
 
     forward = pointwise(1, fstep, f"pair{j}x{k}", reads=freads if w_jk else (lambda x: []))
-    backward = pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
-                         reads=lambda x: [(0, x // 2)])
-    return Witness(source, target, forward, backward, "strong",
+    return Witness(source, target, forward, _dup_backward(), "strong",
                    label=f"<RT^{n}_{j},RT^{n}_{k}><=RT^{n}_{j * k}")
 
 
@@ -205,8 +203,7 @@ def coh_interleave(count) -> Witness:
 
     forward = pointwise(1, fstep, "coh-interleave", reads=freads)
     if count == 2:
-        backward = pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
-                             reads=lambda x: [(0, x // 2)])
+        backward = _dup_backward()
     else:
         def bstep(ctx, x):
             _, t = cantor_unpair(x)
@@ -494,7 +491,7 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
         # bits are fixed, so cached booleans stay valid
         scratch = ctx.scratch
         if "s" not in scratch:
-            scratch["s"] = TreeByRule.from_tape(ctx.tapes[0], "S").index_member
+            scratch["s"] = TreeByRule.from_tape(ctx.tape(0), "S").index_member
             scratch["ext"] = {}
             scratch["allows"] = {}
         n = (pos + 1).bit_length() - 1
@@ -605,7 +602,7 @@ def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int,
             return cur
         step = blowup_once(cur.tree, mu, eps, depth)
         cur = Blowup(step.tree,
-                     compose_functionals(cur.path_map, step.path_map, DEFAULT_FUEL, "blowup-chain"),
+                     compose_functionals(cur.path_map, step.path_map, "blowup-chain"),
                      cur.shifts + step.shifts)
     mu = measure_at_level(cur.tree, depth)
     if mu >= q:

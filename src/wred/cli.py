@@ -133,14 +133,17 @@ def cmd_squash(args) -> int:
     name = args.config
     if os.path.exists(name):
         # a config document names a registered configuration
-        with open(name) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if ln.startswith("config:"):
-                    name = ln.split(":", 1)[1].strip()
-                    break
-            else:
-                raise InputError(f"{args.config}: no 'config:' line")
+        try:
+            with open(name) as fh:
+                for ln in fh:
+                    ln = ln.strip()
+                    if ln.startswith("config:"):
+                        name = ln.split(":", 1)[1].strip()
+                        break
+                else:
+                    raise InputError(f"{args.config}: no 'config:' line")
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read the --config file: {e}") from None
     if name not in SQUASH_CONFIGS:
         raise InputError(f"unknown squash config {name!r}; known: {sorted(SQUASH_CONFIGS)}")
     cfg = SQUASH_CONFIGS[name]()

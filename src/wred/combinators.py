@@ -50,7 +50,6 @@ from .kernel import (
     interleave_tapes,
     odd_part,
     pointwise,
-    _run_step,
 )
 from .problems import (
     FAIL,
@@ -312,16 +311,14 @@ def combine_verdicts(*vs: Verdict) -> Verdict:
     return verdict_pass("; ".join(v.detail for v in vs if v.detail))
 
 
-def witness_parallel(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witness:
+def witness_parallel(w1: Witness, w2: Witness) -> Witness:
     """<P,P'> <= <Q,Q'> from P <= Q and P' <= Q'."""
     kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
     def fstep(ctx: EvalContext, x: int) -> int:
         q, r = divmod(x, 2)
         part = even_part(ctx.tape(0)) if r == 0 else odd_part(ctx.tape(0))
-        w = w1 if r == 0 else w2
-        v, _, _ = _run_step(w.forward, [part], q, fuel)
-        return v
+        return ctx.run((w1 if r == 0 else w2).forward, [part], q)
 
     freads = None
     if w1.forward.reads is not None and w2.forward.reads is not None:
@@ -339,7 +336,7 @@ def witness_parallel(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witn
         w, part = (w1, even_part) if r == 0 else (w2, odd_part)
         # tape 0 is the pair instance when plain; strong components never read it
         oracles = w.backward_oracles(part(ctx.tape(0)), part(ctx.tape(arity - 1)))
-        return _run_step(w.backward, oracles, q, fuel)[0]
+        return ctx.run(w.backward, oracles, q)
 
     backward = pointwise(arity, bstep, "par-backward")
     return Witness(
@@ -408,7 +405,7 @@ def tag_tape(tag: int, payload):
     return interleave_tapes(unary, payload)
 
 
-def alternative_embed(specs: list[ProblemSpec], i: int, fuel: int = DEFAULT_FUEL) -> Witness:
+def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
     """P_i <= [P_0,...]: tag the instance, pass the solution through."""
     if not 0 <= i < len(specs):
         raise InputError(f"tag {i} out of range")
@@ -430,17 +427,14 @@ def alternative_embed(specs: list[ProblemSpec], i: int, fuel: int = DEFAULT_FUEL
 # composition
 
 
-def compose_witness(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witness:
+def compose_witness(w1: Witness, w2: Witness) -> Witness:
     """Transitivity: from P <= Q and Q <= R build P <= R."""
     if w1.target.name != w2.source.name:
         raise InputError(f"cannot compose {w1.label} with {w2.label}: middle problems differ")
     kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
     def fstep(ctx, x):
-        if "mid" not in ctx.scratch:
-            ctx.scratch["mid"] = apply_functional(w1.forward, [ctx.tapes[0]], fuel)
-        v, _, _ = _run_step(w2.forward, [ctx.scratch["mid"]], x, fuel)
-        return v
+        return ctx.run(w2.forward, [ctx.apply(w1.forward, [ctx.tape(0)], "mid")], x)
 
     forward = pointwise(1, fstep, f"{w2.forward.label}.{w1.forward.label}")
 
@@ -449,9 +443,9 @@ def compose_witness(w1: Witness, w2: Witness, fuel: int = DEFAULT_FUEL) -> Witne
     def bstep(ctx, x):
         # tape 0 is the instance when plain; a strong chain never reads a or b
         a, u = ctx.tape(0), ctx.tape(arity - 1)
-        b = apply_functional(w1.forward, [a], fuel)
-        t = apply_functional(w2.backward, w2.backward_oracles(b, u), fuel)
-        return _run_step(w1.backward, w1.backward_oracles(a, t), x, fuel)[0]
+        b = ctx.apply(w1.forward, [a], "b")
+        t = ctx.apply(w2.backward, w2.backward_oracles(b, u), "t")
+        return ctx.run(w1.backward, w1.backward_oracles(a, t), x)
 
     backward = pointwise(arity, bstep, "compose-backward")
     return Witness(w1.source, w2.target, forward, backward, kind,
@@ -568,13 +562,12 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
     )
 
 
-def lift_seq(w: Witness, fuel: int = DEFAULT_FUEL, columns: int = 4) -> Witness:
+def lift_seq(w: Witness, columns: int = 4) -> Witness:
     """SeqP <= SeqQ from P <= Q, columnwise."""
 
     def fstep(ctx, x):
         i, t = cantor_unpair(x)
-        v, _, _ = _run_step(w.forward, [family_column(ctx.tape(0), i)], t, fuel)
-        return v
+        return ctx.run(w.forward, [family_column(ctx.tape(0), i)], t)
 
     freads = None
     if w.forward.reads is not None:
@@ -587,7 +580,7 @@ def lift_seq(w: Witness, fuel: int = DEFAULT_FUEL, columns: int = 4) -> Witness:
     def bstep(ctx, x):
         i, t = cantor_unpair(x)
         cols = [family_column(ctx.tape(k), i) for k in range(w.backward.arity)]
-        return _run_step(w.backward, cols, t, fuel)[0]
+        return ctx.run(w.backward, cols, t)
 
     backward = pointwise(w.backward.arity, bstep, "seq-backward")
     return Witness(seq(w.source, columns), seq(w.target, columns), forward, backward,
@@ -605,7 +598,7 @@ def finite_power(p: ProblemSpec, n: int) -> ProblemSpec:
     return spec
 
 
-def iterate_finite(w: Witness, n: int, fuel: int = DEFAULT_FUEL) -> Witness:
+def iterate_finite(w: Witness, n: int) -> Witness:
     """From <P,P> <= P, nest forward n-1 times: P^n <= P.
 
     The forward image is Phi(A_0, Phi(A_1, ... Phi(A_{n-2}, A_{n-1})...))
@@ -615,47 +608,30 @@ def iterate_finite(w: Witness, n: int, fuel: int = DEFAULT_FUEL) -> Witness:
         raise InputError("iteration count must be >= 1")
     p = w.target
 
-    def nested_from(a_tape, t):
-        """Phi(A_t, Phi(A_{t+1}, ... A_{n-1})...): the instance of level t."""
-        cols = [family_column(a_tape, u) for u in range(n)]
-        inner = cols[-1]
-        for u in range(n - 2, t - 1, -1):
-            inner = FunctionalTape(w.forward, [interleave_tapes(cols[u], inner)], fuel)
-        return inner
+    def nested(ctx, t):
+        """Phi(A_t, ... A_{n-1}): level t's instance, parked per level for the sweep."""
+        a_t = family_column(ctx.tape(0), t)
+        if t == n - 1:
+            return a_t
+        return ctx.apply(w.forward, [interleave_tapes(a_t, nested(ctx, t + 1))], ("nested", t))
 
-    def fstep(ctx, x):
-        # the nested chain persists across the sweep: rebuilding it per
-        # position would re-run every inner application from scratch
-        if "nested" not in ctx.scratch:
-            ctx.scratch["nested"] = nested_from(ctx.tapes[0], 0)
-        return ctx.scratch["nested"].bit(x)
+    forward = pointwise(1, lambda ctx, x: nested(ctx, 0).bit(x), f"iter{n}({w.forward.label})")
 
-    forward = pointwise(1, fstep, f"iter{n}({w.forward.label})")
-
-    def column_solution(ctx, i):
-        # read the raw oracles: the derived chain outlives this step's meter;
+    def pulled(ctx, j):
+        """The level-j pair solution: the backward on <A_j, level j+1> and
+        the odd half of level j-1's (the whole solution at j = 0)."""
+        cur = ctx.tape(w.backward.arity - 1) if j == 0 else odd_part(pulled(ctx, j - 1))
         # tape 0 is the instance when plain, and a strong backward never reads it
-        a_tape, cur = ctx.tapes[0], ctx.tapes[-1]
-
-        def pull(cur, j):
-            # the level-j pair instance is <A_j, nested tail>
-            pair_inst = interleave_tapes(family_column(a_tape, j), nested_from(a_tape, j + 1))
-            return FunctionalTape(w.backward, w.backward_oracles(pair_inst, cur), fuel)
-
-        for j in range(min(i, n - 1)):
-            cur = odd_part(pull(cur, j))
-        if i < n - 1:
-            return even_part(pull(cur, i))
-        return cur
+        pair_inst = interleave_tapes(family_column(ctx.tape(0), j), nested(ctx, j + 1))
+        return ctx.apply(w.backward, w.backward_oracles(pair_inst, cur), ("pulled", j))
 
     def bstep(ctx, x):
         i, t = cantor_unpair(x)
         if i >= n:
             return 0
-        key = ("col", i)
-        if key not in ctx.scratch:
-            ctx.scratch[key] = column_solution(ctx, i)
-        return ctx.scratch[key].bit(t)
+        if i < n - 1:
+            return pulled(ctx, i).bit(2 * t)
+        return pulled(ctx, n - 2).bit(2 * t + 1) if n > 1 else ctx.query(w.backward.arity - 1, t)
 
     backward = pointwise(w.backward.arity, bstep, f"iter{n}-backward")
     return Witness(finite_power(w.target, n), p, forward, backward, w.kind,
@@ -665,7 +641,7 @@ def iterate_finite(w: Witness, n: int, fuel: int = DEFAULT_FUEL) -> Witness:
 def iterate_pull_back_columns(w: Witness, n: int, a_tape, t_tape, horizon: int,
                               fuel: int = DEFAULT_FUEL):
     """Materialized per-column solutions; fuel exhaustion names the level."""
-    it = iterate_finite(w, n, fuel)
+    it = iterate_finite(w, n)
     out = []
     for i in range(n):
         sol = it.pull_back(a_tape, t_tape, fuel)
@@ -755,10 +731,11 @@ def pair_split_functional(f: Functional, label: str = "") -> Functional:
         def tape(self, idx):
             return interleave_tapes(self.inner.tape(0), self.inner.tape(1))
 
-        @property
-        def tapes(self):
-            # raw pair view, for steps that park derived tapes in scratch
-            return [interleave_tapes(self.inner.tapes[0], self.inner.tapes[1])]
+        def run(self, func, tapes, x):
+            return self.inner.run(func, tapes, x)
+
+        def apply(self, func, tapes, key):
+            return self.inner.apply(func, tapes, key)
 
         @property
         def scratch(self):
@@ -1141,7 +1118,10 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
     def fstep(ctx, x):
         if x + 1 >= len(markers):
             raise Diverge("gap", x)
-        return _squash_display(cfg, markers, ctx.tape(0)).row(0, x)
+        # one display per sweep: the sweep reads its stages in increasing order
+        if "display" not in ctx.scratch:
+            ctx.scratch["display"] = _squash_display(cfg, markers, ctx.tape(0))
+        return ctx.scratch["display"].row(0, x)
 
     forward = pointwise(1, fstep, f"{cfg.label}-forward")
 
@@ -1154,7 +1134,8 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
             return 0
         key = ("sol", i)
         if key not in ctx.scratch:
-            *family, sol = ctx.tapes  # the instance family comes first when plain
+            # the instance family comes first when plain
+            *family, sol = (ctx.tape(k) for k in range(cfg.witness.backward.arity))
             ctx.scratch[key] = squash_backward(cfg, markers, sol, i + 1, *family)[i]
         return ctx.scratch[key].bit(t)
 
@@ -1176,7 +1157,7 @@ def merge_base(digits, base: int) -> int:
     return sum(d * base**i for i, d in enumerate(digits))
 
 
-def fanout_rt(w: Witness, s: int, fuel: int = DEFAULT_FUEL) -> Witness:
+def fanout_rt(w: Witness, s: int) -> Witness:
     """From a strong RT^n_k <= RT^n_j witness, build RT^n_{k^s} <= RT^n_{j^s}.
 
     The instance is split into s digit colorings (base k), each pushed
@@ -1202,21 +1183,21 @@ def fanout_rt(w: Witness, s: int, fuel: int = DEFAULT_FUEL) -> Witness:
     w_ks, w_js = color_block_width(k**s), color_block_width(j**s)
     w_k, w_j = color_block_width(k), color_block_width(j)
 
-    def digit_tape(ctx, i):
-        """The i-th base-k digit coloring of the instance, as a tape."""
+    class _Digit:
+        """The i-th base-k digit coloring of the instance tape a."""
 
-        class _Digit:
-            def bit(self, pos):
-                if w_k == 0:
-                    return 0
-                r, off = divmod(pos, w_k)
-                v = 0
-                for b in range(w_ks):
-                    v |= ctx.query(0, r * w_ks + b) << b
-                v %= k**s
-                return (((v // k**i) % k) >> off) & 1
+        def __init__(self, a, i):
+            self.a, self.i = a, i
 
-        return _Digit()
+        def bit(self, pos):
+            if w_k == 0:
+                return 0
+            r, off = divmod(pos, w_k)
+            v = 0
+            for b in range(w_ks):
+                v |= self.a.bit(r * w_ks + b) << b
+            v %= k**s
+            return (((v // k**self.i) % k) >> off) & 1
 
     def fstep(ctx, x):
         if w_js == 0:
@@ -1224,7 +1205,7 @@ def fanout_rt(w: Witness, s: int, fuel: int = DEFAULT_FUEL) -> Witness:
         r, off = divmod(x, w_js)
         digits = []
         for i in range(s):
-            g_i = FunctionalTape(w.forward, [digit_tape(ctx, i)], fuel)
+            g_i = ctx.apply(w.forward, [_Digit(ctx.tape(0), i)], ("digit", i))
             v = 0
             for b in range(w_j):
                 v |= g_i.bit(r * w_j + b) << b
@@ -1232,7 +1213,7 @@ def fanout_rt(w: Witness, s: int, fuel: int = DEFAULT_FUEL) -> Witness:
         return (merge_base(digits, j) >> off) & 1
 
     forward = pointwise(1, fstep, f"fanout{s}({w.forward.label})")
-    backward = pointwise(1, lambda ctx, x: _run_step(w.backward, [ctx.tape(0)], x, fuel)[0],
+    backward = pointwise(1, lambda ctx, x: ctx.run(w.backward, [ctx.tape(0)], x),
                          f"fanout{s}-backward")
     return Witness(source, target, forward, backward, "strong",
                    label=f"RT^{n}_{k**s}<=RT^{n}_{j**s} (fanout {w.label})")

@@ -12,6 +12,10 @@ has converged at every smaller position with the same per-position fuel.
 This bakes in the usual normalization for oracle machines (output
 positions are produced in order) instead of monitoring it after the
 fact; a violation cannot occur by construction.
+
+Fuel is per output position and covers nested applications: a nested
+context (`EvalContext.run`, `EvalContext.apply`) has no fuel of its own,
+and each of its ticks is also charged up its ledger chain.
 """
 
 from __future__ import annotations
@@ -288,9 +292,10 @@ DEFAULT_FUEL = 50_000
 class EvalContext:
     """Query interface handed to a step procedure; meters fuel and use.
 
-    `scratch` persists across the positions of one evaluation sweep; steps
-    that assemble expensive derived tapes (nested applications) park them
-    there so later positions reuse the same lazily-extended objects.
+    One context serves a whole sweep: `steps` and `use` restart at each
+    position, while `scratch` and the `tape(i)` views persist, so steps
+    park nested applications there (`apply`) and later positions reuse the
+    same lazily-extended tapes.
 
     A step may also keep per-position results in `scratch`, keyed by
     position and computed through `query`, and answer a later position
@@ -298,27 +303,36 @@ class EvalContext:
     fresh scratch (a nested or a direct step) has none, and the sweep
     records each position's use when it queries, so the cumulative use
     covers every cell a memoized answer rests on.
+
+    `run` and `apply` charge every tick to the caller's current position.
+    A nested application reads only the tapes it is given, so through
+    `tape(i)` views its reads become the caller's use of the real oracles.
     """
 
-    __slots__ = ("tapes", "fuel", "steps", "use", "scratch")
+    __slots__ = ("tapes", "fuel", "steps", "use", "scratch", "ledger")
 
-    def __init__(self, tapes, fuel: int, scratch: Optional[dict] = None):
+    def __init__(self, tapes, fuel: Optional[int]):
         self.tapes = tapes
         self.fuel = fuel
         self.steps = 0
         self.use: dict[int, int] = {}
-        self.scratch = scratch if scratch is not None else {}
+        self.scratch: dict = {}
+        self.ledger: Optional[EvalContext] = None  # the caller, in a nested context
 
     def tick(self, n: int = 1) -> None:
         self.steps += n
-        if self.steps > self.fuel:
+        if self.ledger is not None:
+            self.ledger.tick(n)
+        elif self.steps > self.fuel:
             raise Diverge("fuel")
 
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
         self.steps += 1  # tick(), inlined on the hottest path
-        if self.steps > self.fuel:
+        if self.ledger is not None:
+            self.ledger.tick()
+        elif self.steps > self.fuel:
             raise Diverge("fuel")
         b = self.tapes[tape].bit(pos)
         prev = self.use.get(tape, -1)
@@ -329,6 +343,21 @@ class EvalContext:
     def tape(self, idx: int) -> "CtxTape":
         """View one oracle as a tape; reads are metered against this context."""
         return CtxTape(self, idx)
+
+    def run(self, func: "Functional", tapes, x: int) -> int:
+        """func's bit at x on tapes, computed on this context's ledger."""
+        nested = EvalContext(tapes, None)
+        nested.ledger = self
+        return _run_step(func, nested, x)
+
+    def apply(self, func: "Functional", tapes, key) -> "FunctionalTape":
+        """func applied to tapes as a lazy tape on this context's ledger,
+        parked in scratch under key; a parked tape ignores `tapes`."""
+        t = self.scratch.get(key)
+        if t is None:
+            t = self.scratch[key] = FunctionalTape(func, tapes, None)
+            t.ctx.ledger = self
+        return t
 
 
 class CtxTape:
@@ -379,38 +408,38 @@ class EvalOutcome:
         return self.status == "converged"
 
 
-def _run_step(func: Functional, tapes, x: int, fuel: int,
-              scratch: Optional[dict] = None) -> tuple[int, dict, int]:
-    """Single-position step with a fresh budget; raises Diverge."""
-    ctx = EvalContext(tapes, fuel, scratch)
+def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
+    """One position of a sweep in ctx: steps and use restart; raises Diverge."""
+    ctx.steps = 0
+    ctx.use = {}
     ctx.tick()  # entry charge: fuel 0 always diverges
     v = func.step(ctx, x)
     if v not in (0, 1):
         raise ContractError(f"{func.label}: step returned non-bit {v!r} at {x}")
-    return v, ctx.use, ctx.steps
+    return v
 
 
 def evaluate(func: Functional, oracles, x: int, fuel: int) -> EvalOutcome:
     """Evaluate func against the oracle tapes at position x.
 
-    Sweeps positions 0..x with a fresh per-position budget of `fuel`
-    abstract steps; reports the value at x, the cumulative per-tape use,
-    and the total steps spent.  A diverged outcome means a budget or an
-    oracle region ran out, never that the functional provably diverges.
+    Sweeps positions 0..x in one context with a per-position budget of
+    `fuel` abstract steps; reports the value at x, the cumulative per-tape
+    use, and the total steps spent.  A diverged outcome means a budget or
+    an oracle region ran out, never that the functional provably diverges.
     """
     if len(oracles) != func.arity:
         raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(oracles)}")
+    ctx = EvalContext(oracles, fuel)
     use: dict[int, int] = {}
     total = 0
     value = None
-    scratch: dict = {}
     for y in range(x + 1):
         try:
-            value, u, n = _run_step(func, oracles, y, fuel, scratch)
+            value = _run_step(func, ctx, y)
         except Diverge as d:
             return EvalOutcome("diverged", use=dict(use), steps=total, reason=d.reason, position=y)
-        total += n
-        for t, p in u.items():
+        total += ctx.steps
+        for t, p in ctx.use.items():
             if p > use.get(t, -1):
                 use[t] = p
     return EvalOutcome("converged", value=value, use=dict(use), steps=total)
@@ -419,20 +448,18 @@ def evaluate(func: Functional, oracles, x: int, fuel: int) -> EvalOutcome:
 class FunctionalTape:
     """Lazy application of a functional as an oracle tape.
 
-    Bits are produced by an incremental sweep with per-position fuel, so
-    reading position p costs each position at most once across the life
-    of the tape.  A divergence is terminal: the tape can never answer at
-    or beyond the stalled position.
+    Bits are produced by an incremental sweep in one context with
+    per-position fuel, so reading position p costs each position at most
+    once across the life of the tape.  A divergence is terminal: the tape
+    can never answer at or beyond the stalled position.
     """
 
-    def __init__(self, func: Functional, tapes, fuel: int, label: str = ""):
+    def __init__(self, func: Functional, tapes, fuel: Optional[int], label: str = ""):
         self.func = func
-        self.tapes = tapes
-        self.fuel = fuel
+        self.ctx = EvalContext(tapes, fuel)
         self.label = label or f"{func.label}(...)"
         self._bits: list[int] = []
         self._stalled: Optional[Diverge] = None
-        self._scratch: dict = {}
 
     def ready(self, pos: int) -> bool:
         """Whether bit pos is already materialized, so reading it does no work."""
@@ -443,8 +470,7 @@ class FunctionalTape:
             if self._stalled is not None:
                 raise Diverge(self._stalled.reason, len(self._bits))
             try:
-                v, _, _ = _run_step(self.func, self.tapes, len(self._bits), self.fuel,
-                                    self._scratch)
+                v = _run_step(self.func, self.ctx, len(self._bits))
             except Diverge as d:
                 self._stalled = d
                 raise Diverge(d.reason, len(self._bits))
@@ -486,21 +512,18 @@ def apply_functional(func: Functional, oracles, fuel: int, label: str = "") -> F
     return FunctionalTape(func, list(oracles), fuel, label)
 
 
-def compose_functionals(outer: Functional, inner: Functional, fuel: int,
-                        label: str = "") -> Functional:
+def compose_functionals(outer: Functional, inner: Functional, label: str = "") -> Functional:
     """outer o inner for arity-1 functionals, as a single functional.
 
-    The inner application becomes a lazy oracle for the outer one; inner
-    use is charged against the inner budget, and the composite's recorded
-    use is the use of `inner` on the real oracle.
+    The inner application is a lazy tape parked for the sweep; both are
+    charged to the composite's ledger, and the composite's recorded use is
+    the use of `inner` on the real oracle.
     """
     if outer.arity != 1 or inner.arity != 1:
         raise InputError("compose_functionals needs arity-1 functionals")
 
     def step(ctx: EvalContext, x: int) -> int:
-        mid = apply_functional(inner, [ctx.tape(0)], fuel)
-        v, _, _ = _run_step(outer, [mid], x, fuel)
-        return v
+        return ctx.run(outer, [ctx.apply(inner, [ctx.tape(0)], "inner")], x)
 
     return pointwise(1, step, label or f"{outer.label}.{inner.label}")
 
@@ -509,15 +532,25 @@ def compose_functionals(outer: Functional, inner: Functional, fuel: int,
 # contract checks (used by property tests and the verify suite)
 
 
+class _Truncated:
+    """A view of a tape cut after position last: beyond it, a gap as in a Prefix."""
+
+    def __init__(self, base, last: int):
+        self.base = base
+        self.last = last
+
+    def bit(self, pos: int) -> int:
+        if pos > self.last:
+            raise Diverge("gap", pos)
+        return self.base.bit(pos)
+
+
 def check_use_soundness(func: Functional, oracles, x: int, fuel: int) -> bool:
-    """Re-run against use-truncated oracles; converged value must agree."""
+    """Re-run against oracles cut after their use; converged value must agree."""
     out = evaluate(func, oracles, x, fuel)
     if not out.converged:
         return True
-    truncated = []
-    for t in range(func.arity):
-        u = out.use.get(t, -1)
-        truncated.append(Prefix(tuple(oracles[t].bit(i) for i in range(u + 1))))
+    truncated = [_Truncated(oracles[t], out.use.get(t, -1)) for t in range(func.arity)]
     again = evaluate(func, truncated, x, fuel)
     return again.converged and again.value == out.value and again.use == out.use
 

@@ -353,8 +353,8 @@ def test_column_restriction_positional_algebra():
     from wred.kernel import EvalContext
 
     ctx = EvalContext([Point.zeros()], 1000)
-    assert _inner_value(phi, ctx, 5, cantor_pair(0, 1), 1000) == 1
-    assert _inner_value(phi, ctx, 4, cantor_pair(0, 1), 1000) == 0
+    assert _inner_value(phi, ctx, 5, cantor_pair(0, 1)) == 1
+    assert _inner_value(phi, ctx, 4, cantor_pair(0, 1)) == 0
 
 
 def test_cutter_backward_may_read_the_tree_approximation():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from wred.catalog import (
+    ENTRIES,
+    SQUASH_CONFIGS,
     assemble_path,
     blowup_once,
     blowup_tree,
@@ -39,11 +41,15 @@ from wred.catalog import (
 from wred.combinators import (
     check_witness_soundness,
     compose_witness,
+    echo_pair_witness,
+    fanout_rt,
     iterate_finite,
+    lift_seq,
     soundness_failures,
     squash,
     squash_forward,
     squash_markers,
+    witness_parallel,
 )
 from wred.kernel import (
     EvalContext,
@@ -212,6 +218,20 @@ def test_tree_forwards_metered_queries_pinned():
         assert (out.status, out.value, out.steps, out.use) == ("converged", 0, steps, use)
     out = evaluate(wkl_from_seqwwkl_witness().backward, [tape], 12, 4096)
     assert (out.status, out.value, out.steps, out.use) == ("converged", 1, 104, {0: 22777875})
+
+
+def test_use_soundness_check_costs_reads_not_use():
+    # the backward's use is astronomically sparse: a check that materialized
+    # the truncated oracle could not finish
+    import time
+
+    from wred.kernel import check_use_soundness
+
+    backward, tape = wkl_from_seqwwkl_witness().backward, Point.from_seed(7)
+    assert evaluate(backward, [tape], 40, 4096).use[0] > 10**15
+    start = time.perf_counter()
+    assert check_use_soundness(backward, [tape], 40, 4096)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- thin set collapse -----------------------------------------------------------
@@ -702,6 +722,27 @@ def test_catalog_functionals_honor_kernel_contracts():
             assert check_downward_closure(f, [tape], x, fuel)
 
     run()
+
+    # the forward and the backward of every catalog witness and of the
+    # composites the combinators build, deep enough for nested tapes
+    composites = [w for e in ENTRIES.values() for _, w in e.witnesses()] + [
+        compose_witness(rt_color_embed(1, 2, 3), rt_color_embed(1, 3, 4)),
+        iterate_finite(echo_pair_witness(), 2),
+        iterate_finite(echo_pair_witness(), 3),
+        witness_parallel(rt_color_embed(1, 2, 3), coh_interleave(2)),
+        lift_seq(rt_product(1, 2, 3)),
+        fanout_rt(rt_color_embed(1, 2, 2), 2),
+        wkl_from_seqwwkl_witness(),
+        *(squash(make(), 70, 2) for make in SQUASH_CONFIGS.values()),
+    ]
+    functionals = [f for w in composites for f in (w.forward, w.backward)]
+    functionals.append(blowup_tree(FIRST1, Fraction(1, 2), Fraction(3, 4), depth=8).path_map)
+    tapes = [Point.from_seed(7), Point.from_seed(12)]
+    for f in functionals:
+        for x in (0, 5, 17, 40, 64):
+            out = evaluate(f, tapes[: f.arity], x, 4096)
+            assert out.converged and out == evaluate(f, tapes[: f.arity], x, 4096), (f, x)
+            assert check_use_soundness(f, tapes[: f.arity], x, 4096), (f, x)
 
 
 def test_blowup_search_exhaustion_is_resource_error():

@@ -190,6 +190,31 @@ def test_compose_plain_backward_sound():
     assert not soundness_failures(rows)
 
 
+def test_nested_work_is_charged_to_the_callers_fuel():
+    # a step that spends 300 ticks cannot hide inside a composite run at fuel 200
+    def heavy(ctx, x):
+        ctx.tick(300)
+        return ctx.query(0, x)
+
+    def heavy_witness(source, target):
+        return Witness(source, target, pointwise(1, heavy, "heavy"), pointwise(1, heavy, "heavy"),
+                       "strong")
+
+    e, rt = echo_spec(), rt_spec(1, 2)
+    composites = [
+        compose_witness(heavy_witness(e, e), heavy_witness(e, e)),
+        witness_parallel(heavy_witness(e, e), heavy_witness(e, e)),
+        lift_seq(heavy_witness(e, e)),
+        iterate_finite(heavy_witness(parallel_product(e, e), e), 2),
+        fanout_rt(heavy_witness(rt, rt), 2),
+    ]
+    for w in composites:
+        for f in (w.forward, w.backward):
+            out = evaluate(f, [Point.zeros()] * f.arity, 3, 200)
+            assert (out.status, out.reason) == ("diverged", "fuel"), (w.label, f.label)
+            assert evaluate(f, [Point.zeros()] * f.arity, 3, 2000).converged, (w.label, f.label)
+
+
 # --- compositional product ---------------------------------------------------------
 
 
@@ -690,7 +715,7 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
 def test_pair_split_passes_scratch_and_raw_tapes_through():
     def step(ctx, x):
         if "seen" not in ctx.scratch:
-            ctx.scratch["seen"] = ctx.tapes[0]  # raw pair view
+            ctx.scratch["seen"] = ctx.tape(0)  # metered pair view, valid for the sweep
         return ctx.scratch["seen"].bit(x)
 
     split = pair_split_functional(pointwise(1, step, "scratchy"))

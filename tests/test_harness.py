@@ -232,6 +232,16 @@ def test_cli_squash(tmp_path):
     assert "B_0: 000000000000" in text
 
 
+def test_cli_squash_unreadable_config_is_input_error(tmp_path, capsys):
+    # a --config path that exists but is not a readable text file
+    binary = tmp_path / "config.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        assert main(["squash", "--config", str(path), "--horizon", "12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_adversary_qwwkl(tmp_path):
     out = tmp_path / "log.csv"
     code = main(["adversary", "qwwkl-cutter", "--param", "p=1/2", "--param", "q=3/4",

@@ -199,7 +199,7 @@ def test_functional_tape_lazy_and_terminal_divergence():
 
 def test_compose_functionals_is_plain_composition():
     flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip")
-    comp = compose_functionals(flip, flip, fuel=100)
+    comp = compose_functionals(flip, flip)
     out = evaluate(comp, [Point.alternating()], 7, 1000)
     assert out.converged and out.value == 1  # flip(flip(x)) = x
 
