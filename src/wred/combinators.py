@@ -638,21 +638,6 @@ def iterate_finite(w: Witness, n: int) -> Witness:
                    label=f"{p.name}^{n}<={p.name}")
 
 
-def iterate_pull_back_columns(w: Witness, n: int, a_tape, t_tape, horizon: int,
-                              fuel: int = DEFAULT_FUEL):
-    """Materialized per-column solutions; fuel exhaustion names the level."""
-    it = iterate_finite(w, n)
-    out = []
-    for i in range(n):
-        sol = it.pull_back(a_tape, t_tape, fuel)
-        col = family_column(sol, i)
-        try:
-            out.append([col.bit(x) for x in range(horizon)])
-        except Diverge as d:
-            raise ResourceError(f"iterate backward ran out at level {i}", level=i, reason=d.reason)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the squashing engine
 
@@ -705,50 +690,6 @@ class SquashConfig:
     def kind(self) -> str:
         return self.witness.kind
 
-    @property
-    def phi2(self) -> Functional:
-        return pair_split_functional(self.witness.forward)
-
-
-def pair_split_functional(f: Functional, label: str = "") -> Functional:
-    """View an arity-1 functional over a pair tape as arity 2 (even, odd)."""
-    if f.arity != 1:
-        raise InputError("pair split expects an arity-1 functional")
-
-    class _SplitCtx:
-        __slots__ = ("inner",)
-
-        def __init__(self, inner):
-            self.inner = inner
-
-        def tick(self, n=1):
-            self.inner.tick(n)
-
-        def query(self, tape, pos):
-            q, r = divmod(pos, 2)
-            return self.inner.query(r, q)
-
-        def tape(self, idx):
-            return interleave_tapes(self.inner.tape(0), self.inner.tape(1))
-
-        def run(self, func, tapes, x):
-            return self.inner.run(func, tapes, x)
-
-        def apply(self, func, tapes, key):
-            return self.inner.apply(func, tapes, key)
-
-        @property
-        def scratch(self):
-            return self.inner.scratch
-
-    reads = None
-    if f.reads is not None:
-        def reads(x):
-            return [(p % 2, p // 2) for (_, p) in f.reads(x)]
-
-    return pointwise(2, lambda ctx, x: f.step(_SplitCtx(ctx), x),
-                     label or f"split({f.label})", reads=reads)
-
 
 class _NeedBit(Exception):
     def __init__(self, key):
@@ -778,13 +719,15 @@ class _Unready(Exception):
 
 
 class _Display:
-    """The nested display V_j = (C|m_j)^Phi(sigma_j, V_{j+1}), cut at a stage.
+    """The nested display V_j = (C|m_j)^Phi(<sigma_j, V_{j+1}>), cut at a stage.
 
-    At stage x the display ends at V_{x+1} = C|m_{x+1}, so V_i(x) read at
-    stage x is B_i(x) of the stagewise definition.  A bit converged at one
-    stage is the same at every later one (the later chain only extends the
-    earlier one's oracles), so one display serves every stage read in
-    increasing order, each level T_j = Phi(sigma_j, V_{j+1}) sweeping once.
+    Each level T_j runs the witness's arity-1 forward Phi on the pair tape
+    <sigma_j, V_{j+1}> (sigma_j on the even bits, V_{j+1} on the odd
+    ones).  At stage x the display ends at V_{x+1} = C|m_{x+1}, so V_i(x)
+    read at stage x is B_i(x) of the stagewise definition.  A bit converged
+    at one stage is the same at every later one (the later chain only
+    extends the earlier one's oracles), so one display serves every stage
+    read in increasing order, each level T_j sweeping once.
 
     No read recurses through more than a bounded number of levels: a read
     from outside the display starts a loop over an explicit stack, a
@@ -793,8 +736,8 @@ class _Display:
     first and retries.
     """
 
-    def __init__(self, phi2: Functional, c, markers, sigma_tapes, fuel: int, stage: int = 0):
-        self.phi2, self.c, self.markers, self.fuel = phi2, c, markers, fuel
+    def __init__(self, forward: Functional, c, markers, sigma_tapes, fuel: int, stage: int = 0):
+        self.forward, self.c, self.markers, self.fuel = forward, c, markers, fuel
         self.sigma_tapes = sigma_tapes  # level -> tape
         self.stage = stage
         self.levels: dict[int, FunctionalTape] = {}
@@ -802,8 +745,8 @@ class _Display:
 
     def level(self, j: int) -> FunctionalTape:
         if j not in self.levels:
-            self.levels[j] = FunctionalTape(self.phi2, [self.sigma_tapes(j), _Link(self, j + 1)],
-                                            self.fuel)
+            pair = interleave_tapes(self.sigma_tapes(j), _Link(self, j + 1))
+            self.levels[j] = FunctionalTape(self.forward, [pair], self.fuel)
         return self.levels[j]
 
     def row(self, i: int, x: int) -> int:
@@ -824,8 +767,8 @@ class _Display:
         return t.bit(q)
 
     def _force(self, j: int, q: int) -> int:
-        # a pulled level costs about 8 interpreter frames: pulls may use a
-        # quarter of the recursion limit, the explicit stack does the rest
+        # a pulled level costs 7 interpreter frames for a plain step: pulls
+        # use under a quarter of the recursion limit, the explicit stack the rest
         depth = max(1, sys.getrecursionlimit() // 32)
         pending = [(j, q)]
         try:
@@ -854,11 +797,11 @@ class _Link:
         return self.display.tail_bit(self.j, pos)
 
 
-def _symbolic_display(phi2: Functional, c: Point, markers, s: int, n: int, assignment: dict,
+def _symbolic_display(forward: Functional, c: Point, markers, s: int, n: int, assignment: dict,
                       fuel: int) -> _Display:
     """The compactness display at stage s for candidate n, every level's
     string a symbolic length-n prefix over one assignment."""
-    return _Display(phi2, c, [*markers[:s + 1], n],
+    return _Display(forward, c, [*markers[:s + 1], n],
                     lambda j: _SymbolicPrefix(j, n, assignment), fuel, stage=s)
 
 
@@ -885,7 +828,7 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
     def attempt(assignment: dict) -> bool:
         nonlocal leaves
         display = root if not assignment else _symbolic_display(
-            root.phi2, root.c, root.markers, s, n, assignment, root.fuel)
+            root.forward, root.c, root.markers, s, n, assignment, root.fuel)
         try:
             display.level(i).bit(s)
         except _NeedBit as nb:
@@ -911,9 +854,11 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
 
 
 class _ReadProfile:
-    """Prefix maxima of a declared read map, grown on demand.
+    """Prefix maxima of a forward's declared read map, by side, grown on demand.
 
-    top[t][y] is the largest tape-t position read at any y' <= y (-1 if
+    The forward reads the pair tape <sigma, V>: pair position p is sigma's
+    p//2 when p is even (side 0) and V's p//2 when p is odd (side 1).
+    top[t][y] is the largest side-t position read at any y' <= y (-1 if
     none).  The map is pure and instance-independent, so one profile
     serves every stage and candidate of a marker search.
     """
@@ -925,26 +870,25 @@ class _ReadProfile:
     def extend(self, y: int) -> None:
         top0, top1 = self.top
         for x in range(len(top0), y + 1):
-            m0, m1 = (top0[-1], top1[-1]) if top0 else (-1, -1)
-            for tape, q in self.reads(x):
-                if tape == 0:
-                    m0 = max(m0, q)
-                else:
-                    m1 = max(m1, q)
-            top0.append(m0)
-            top1.append(m1)
+            m = [top0[-1], top1[-1]] if top0 else [-1, -1]
+            for _, p in self.reads(x):
+                m[p % 2] = max(m[p % 2], p // 2)
+            top0.append(m[0])
+            top1.append(m[1])
 
 
-def _closure_check_stage(phi2: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
+def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
                          profile: Optional[_ReadProfile] = None) -> bool:
-    """Read-closure engine for functionals with a declared read map.
+    """Read-closure engine for forwards with a declared read map.
 
-    Exact when the declared map covers every cell the step may touch:
-    the nested expression converges for all sigma iff every transitively
-    required cell is available.  The sweep makes convergence downward
-    closed, so level j is available exactly below one limit: lim[s+1] = n
-    and lim[j] = max(m_j, first_bad[j]), where first_bad[j] is the least y
-    with a (0, q >= n) read or a (1, q >= lim[j+1]) read.  The stage holds
+    Level j runs the arity-1 forward on the pair tape <sigma_j, V_{j+1}>,
+    so its reads split by side (see _ReadProfile).  Exact when the
+    declared map covers every cell the step may touch: the nested
+    expression converges for all sigma iff every transitively required
+    cell is available.  The sweep makes convergence downward closed, so
+    level j is available exactly below one limit: lim[s+1] = n and lim[j]
+    = max(m_j, first_bad[j]), where first_bad[j] is the least y with a
+    sigma read at q >= n or a V read at q >= lim[j+1].  The stage holds
     iff first_bad[i] > s for every i <= s.
 
     Level 0 is demanded on 0..s, and level j+1 on 0..max(s, q) where q is
@@ -954,7 +898,7 @@ def _closure_check_stage(phi2: Functional, markers, s: int, n: int, node_budget:
     of `profile`.  More than node_budget demanded (level, position) pairs
     at or above the level's marker is a ResourceError.
     """
-    profile = profile or _ReadProfile(phi2.reads)
+    profile = profile or _ReadProfile(forward.reads)
     top0, top1 = profile.top
     demand = [s]
     nodes = s + 1
@@ -982,19 +926,21 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     At stage s the candidate n ascends from max(previous markers, s)+1
     until the nested convergence display holds for every i <= s and all
     length-n strings on every level; the set of good n is closed under
-    successor, so the first hit is the marker.
+    successor, so the first hit is the marker.  Level j is the witness's
+    forward on the pair tape <sigma_j, V_{j+1}>, decided from its read map
+    when it declares one and by the branching DFS engine otherwise.
     """
-    phi2 = cfg.phi2
-    profile = _ReadProfile(phi2.reads) if phi2.reads is not None else None
+    forward = cfg.witness.forward
+    profile = _ReadProfile(forward.reads) if forward.reads is not None else None
     markers = [0]
     for s in range(stages):
         start = max(markers[-1], s) + 1
         found = None
         for n in range(start, start + cfg.candidate_budget):
             if profile is not None:
-                ok = _closure_check_stage(phi2, markers, s, n, profile=profile)
+                ok = _closure_check_stage(forward, markers, s, n, profile=profile)
             else:
-                root = _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel)
+                root = _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel)
                 ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
             if ok:
                 found = n
@@ -1015,8 +961,9 @@ class SquashRun:
     horizon: int
 
 
-def _squash_display(cfg: SquashConfig, markers, a_family_tape) -> _Display:
-    return _Display(cfg.phi2, cfg.c, markers, lambda j: family_column(a_family_tape, j), cfg.fuel)
+def _squash_display(cfg: SquashConfig, markers, family) -> _Display:
+    return _Display(cfg.witness.forward, cfg.c, markers, lambda j: family_column(family, j),
+                    cfg.fuel)
 
 
 def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
@@ -1024,13 +971,13 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
     """Materialize B_0..B_count and check the structural identity exactly.
 
     B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
-    v_j = (C|m_j)^Phi(A_j, v_{j+1}) for j = x down to 0, and B_i(x) =
+    v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0, and B_i(x) =
     v_i(x).  One display serves every row and every stage, read stage by
     stage in increasing order; rows i > x are C(x), since m_i >= i.  A
     divergence of the chain is a ResourceError naming the row and stage.
 
-    The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(A_i,
-    B_{i+1})(x) for m_i <= x < horizon is then recomputed against the
+    The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(<A_i,
+    B_{i+1}>)(x) for m_i <= x < horizon is then recomputed against the
     materialized next row, never assumed.
     """
     ext = horizon + slack
@@ -1043,8 +990,8 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
             row.bit(x)
     table = [row.bits for row in rows]
     for i in range(count):
-        check = FunctionalTape(cfg.phi2, [display.sigma_tapes(i), Prefix(tuple(table[i + 1]))],
-                               cfg.fuel)
+        pair = interleave_tapes(display.sigma_tapes(i), Prefix(tuple(table[i + 1])))
+        check = FunctionalTape(cfg.witness.forward, [pair], cfg.fuel)
         for x in range(horizon):
             if x < markers[i]:
                 want = cfg.c.bit(x)
@@ -1132,12 +1079,12 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
             # source params); chains for deeper columns would read the
             # solution at positions ~2^i t, beyond any finite marker supply
             return 0
-        key = ("sol", i)
-        if key not in ctx.scratch:
+        # one unravel per sweep serves every column
+        if "unravel" not in ctx.scratch:
             # the instance family comes first when plain
             *family, sol = (ctx.tape(k) for k in range(cfg.witness.backward.arity))
-            ctx.scratch[key] = squash_backward(cfg, markers, sol, i + 1, *family)[i]
-        return ctx.scratch[key].bit(t)
+            ctx.scratch["unravel"] = squash_backward(cfg, markers, sol, columns, *family)
+        return ctx.scratch["unravel"][i].bit(t)
 
     backward = pointwise(cfg.witness.backward.arity, bstep, f"{cfg.label}-backward")
     return Witness(seq(cfg.q_spec, columns), cfg.p_spec, forward, backward, cfg.kind,

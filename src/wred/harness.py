@@ -150,6 +150,9 @@ def load_instance(doc: InstanceDocument):
         return POINT_RULES[name](doc.params)
     bits = [b for e in doc.entries for b in e]
     tail = _int_param(doc.params, "tail", 0)
+    for b in [*bits, tail]:
+        if b not in (0, 1):
+            raise InputError(f"point bit {b} is not 0/1 (entries and tail are bits)")
     return Point.from_bits(bits, tail=tail)
 
 

@@ -247,15 +247,20 @@ class MapTape:
         return self.base.bit(self.index_map(pos))
 
 
+class _Interleave:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def bit(self, pos: int) -> int:
+        q, r = divmod(pos, 2)
+        return self.a.bit(q) if r == 0 else self.b.bit(q)
+
+
 def interleave_tapes(a, b):
     """Even bits from a, odd bits from b."""
-
-    class _Interleave:
-        def bit(self, pos: int) -> int:
-            q, r = divmod(pos, 2)
-            return a.bit(q) if r == 0 else b.bit(q)
-
-    return _Interleave()
+    return _Interleave(a, b)
 
 
 def even_part(t):
@@ -266,15 +271,20 @@ def odd_part(t):
     return MapTape(t, lambda p: 2 * p + 1)
 
 
+class _Family:
+    __slots__ = ("members",)
+
+    def __init__(self, members: Callable[[int], object]):
+        self.members = members
+
+    def bit(self, pos: int) -> int:
+        i, x = cantor_unpair(pos)
+        return self.members(i).bit(x)
+
+
 def family_tape(members: Callable[[int], object]):
     """Merge an omega-family into one tape: bit(cantor_pair(i,x)) = member i at x."""
-
-    class _Family:
-        def bit(self, pos: int) -> int:
-            i, x = cantor_unpair(pos)
-            return members(i).bit(x)
-
-    return _Family()
+    return _Family(members)
 
 
 def family_column(t, i: int):

@@ -19,7 +19,6 @@ from wred.combinators import (
     iterate_finite,
     lift_seq,
     merge_base,
-    pair_split_functional,
     parallel_product,
     seq,
     soundness_failures,
@@ -514,12 +513,13 @@ def test_synthetic_read_map_markers_pinned():
     assert exc.value.context == {"stage": 4, "first_candidate": 50}
 
 
-def reference_closure_check(phi2, markers, s, n):
+def reference_closure_check(forward, markers, s, n):
     """The memoized recursive closure engine, kept as the reference.
 
-    can(j, p): Phi(sigma_j, V_{j+1}) converges at p for all sigma, i.e.
-    every read of every y <= p is available; V_j(q) is available below m_j
-    or where can(j, q) holds, and V_{s+1} = C|n.
+    can(j, p): Phi(<sigma_j, V_{j+1}>) converges at p for all sigma, i.e.
+    every read of every y <= p is available; pair position r reads
+    sigma_j(r // 2) when r is even and V_{j+1}(r // 2) when r is odd.
+    V_j(q) is available below m_j or where can(j, q) holds, and V_{s+1} = C|n.
     """
     memo = {}
 
@@ -530,8 +530,8 @@ def reference_closure_check(phi2, markers, s, n):
 
     def can(j, p):
         if (j, p) not in memo:
-            memo[(j, p)] = all(q < n if tape == 0 else avail(j + 1, q)
-                               for y in range(p + 1) for tape, q in phi2.reads(y))
+            memo[(j, p)] = all(r // 2 < n if r % 2 == 0 else avail(j + 1, r // 2)
+                               for y in range(p + 1) for _, r in forward.reads(y))
         return memo[(j, p)]
 
     return all(can(i, s) for i in range(s, -1, -1))
@@ -545,23 +545,42 @@ def test_closure_engine_matches_recursive_reference():
     configs = [synthetic_squash_config(r) for r in SYNTHETIC_READS.values()]
     configs.append(squash_config_coh())
     for cfg in configs:
-        phi2 = cfg.phi2
-        profile = _ReadProfile(phi2.reads)  # shared across stages, as squash_markers does
+        forward = cfg.witness.forward
+        profile = _ReadProfile(forward.reads)  # shared across stages, as squash_markers does
         markers = [0]
         for s in range(11):
             start = max(markers[-1], s) + 1
             for n in range(start, start + 4):
-                want = reference_closure_check(phi2, markers, s, n)
-                assert _closure_check_stage(phi2, markers, s, n, profile=profile) == want
-                assert _closure_check_stage(phi2, markers, s, n) == want
+                want = reference_closure_check(forward, markers, s, n)
+                assert _closure_check_stage(forward, markers, s, n, profile=profile) == want
+                assert _closure_check_stage(forward, markers, s, n) == want
             found = next((n for n in range(start, start + cfg.candidate_budget)
-                          if reference_closure_check(phi2, markers, s, n)), None)
+                          if reference_closure_check(forward, markers, s, n)), None)
             if found is None:
                 break
             markers.append(found)
     with pytest.raises(ResourceError) as exc:
-        _closure_check_stage(configs[0].phi2, [0, 2, 4], 2, 6, node_budget=5)
+        _closure_check_stage(configs[0].witness.forward, [0, 2, 4], 2, 6, node_budget=5)
     assert exc.value.context == {"stage": 2, "candidate": 6}
+
+
+def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
+    # one unravel serves every column of the sweep: column i reuses the
+    # pull-backs of the columns before it instead of rebuilding them
+    from wred.catalog import SQUASH_CONFIGS
+
+    w = squash(SQUASH_CONFIGS["projection-toy"](), 70, 4)
+    built = []
+    pull_back = Witness.pull_back
+
+    def counted(self, *args, **kwargs):
+        built.append(self.label)
+        return pull_back(self, *args, **kwargs)
+
+    monkeypatch.setattr(Witness, "pull_back", counted)
+    out = evaluate(w.backward, [Point.from_seed(5)], 64, 4096)
+    assert out.converged
+    assert len(built) == 4
 
 
 def test_squash_forward_fuel_exhaustion_is_resource_error():
@@ -655,27 +674,6 @@ def test_combine_verdicts_order():
     assert combine_verdicts(Verdict(PASS), Verdict(PASS)).ok
 
 
-def test_pair_split_functional_maps_reads():
-    f = identity_functional()
-    split = pair_split_functional(f)
-    assert split.arity == 2
-    assert split.reads(5) == [(1, 2)]
-    out = evaluate(split, [Point.zeros(), Point.ones()], 5, 100)
-    assert out.converged and out.value == 1  # position 5 is odd: right tape
-
-
-def test_iterate_fuel_exhaustion_names_the_level():
-    from wred.combinators import iterate_pull_back_columns
-    from wred.kernel import Prefix, ResourceError
-
-    w = echo_pair_witness()
-    fam = Point.from_seed(3)
-    short = Prefix((0, 1, 0, 1))  # far too short to unravel three columns
-    with pytest.raises(ResourceError) as exc:
-        iterate_pull_back_columns(w, 3, fam, short, horizon=8)
-    assert "level" in str(exc.value) and exc.value.context["level"] >= 0
-
-
 def test_squash_markers_never_converging_forward_is_resource_error():
     from wred.kernel import ResourceError
 
@@ -712,15 +710,23 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
         squash_markers(cfg, 6)
 
 
-def test_pair_split_passes_scratch_and_raw_tapes_through():
+def test_squash_forward_runs_on_the_real_context_of_the_pair_tape():
+    # a forward that parks the metered pair tape in scratch computes the
+    # projection: the display hands it the real context, one per level
     def step(ctx, x):
-        if "seen" not in ctx.scratch:
-            ctx.scratch["seen"] = ctx.tape(0)  # metered pair view, valid for the sweep
-        return ctx.scratch["seen"].bit(x)
+        if "pair" not in ctx.scratch:
+            ctx.scratch["pair"] = ctx.tape(0)  # metered pair view, valid for the sweep
+        return ctx.scratch["pair"].bit(2 * x + 1)
 
-    split = pair_split_functional(pointwise(1, step, "scratchy"))
-    out = evaluate(split, [Point.zeros(), Point.ones()], 5, 200)
-    assert out.converged and out.value == 1  # odd positions read the right tape
+    stateless = projection_squash_config()
+    stateful = projection_squash_config()
+    stateful.witness.forward = pointwise(1, step, "scratchy-snd")  # no read map: DFS engine
+    stateless.witness.forward.reads = None
+    ms = squash_markers(stateful, 21)
+    assert ms.markers == squash_markers(stateless, 21).markers
+    fam = Point.from_seed(11)
+    assert (squash_forward(stateful, ms, fam, 16, count=4).table
+            == squash_forward(stateless, ms, fam, 16, count=4).table)
 
 
 def test_marker_engines_agree_with_literal_enumeration():
@@ -731,17 +737,17 @@ def test_marker_engines_agree_with_literal_enumeration():
     from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_display
     from wred.kernel import Prefix
 
-    def brute(phi2, c, markers, s, n):
+    def brute(forward, c, markers, s, n):
         for i in range(s + 1):
             levels = list(range(i, s + 1))
             for combo in itertools.product(
                 [Prefix(b) for b in itertools.product((0, 1), repeat=n)],
                 repeat=len(levels),
             ):
-                # level i of the display is Phi(sigma_i, V_{i+1}), where
+                # level i of the display is Phi(<sigma_i, V_{i+1}>), where
                 # levels i+1..s wrap around C|n
                 tapes = dict(zip(levels, combo))
-                display = _Display(phi2, c, [*markers[:s + 1], n], tapes.__getitem__, 10_000,
+                display = _Display(forward, c, [*markers[:s + 1], n], tapes.__getitem__, 10_000,
                                    stage=s)
                 try:
                     display.level(i).bit(s)
@@ -751,14 +757,15 @@ def test_marker_engines_agree_with_literal_enumeration():
 
     for make in (projection_squash_config, echo_squash_config):
         cfg = make()
-        phi2 = cfg.phi2
+        forward = cfg.witness.forward
         markers = [0]
         for s in (0, 1, 2):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 4):
-                want = brute(phi2, cfg.c, markers, s, n)
-                got_closure = _closure_check_stage(phi2, markers, s, n)
+                want = brute(forward, cfg.c, markers, s, n)
+                got_closure = _closure_check_stage(forward, markers, s, n)
                 got_dfs = all(
-                    _dfs_search(_symbolic_display(phi2, cfg.c, markers, s, n, {}, 10_000), i, 4096)
+                    _dfs_search(_symbolic_display(forward, cfg.c, markers, s, n, {}, 10_000), i,
+                                4096)
                     for i in range(s + 1)
                 )
                 assert want == got_closure == got_dfs, (cfg.label, s, n)
@@ -880,13 +887,13 @@ def test_dfs_shared_root_matches_a_fresh_display_per_level():
 
     for name, stages in (("coh-interleave", 5), ("projection-toy", 5)):
         cfg = _without_reads(SQUASH_CONFIGS[name])
-        phi2, markers = cfg.phi2, [0]
+        forward, markers = cfg.witness.forward, [0]
         for s in range(stages):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 3):
-                root = _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel)
+                root = _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel)
                 for i in range(s, -1, -1):
                     shared = verdict(lambda: _dfs_search(root, i, 64))
                     fresh = verdict(lambda: _dfs_search(
-                        _symbolic_display(phi2, cfg.c, markers, s, n, {}, cfg.fuel), i, 64))
+                        _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel), i, 64))
                     assert shared == fresh, (name, s, n, i)
             markers.append(max(markers[-1], s) + 1)

@@ -175,6 +175,17 @@ def test_non_integer_point_params_are_input_errors(rep, param):
         load_instance(parse_document(text))
 
 
+@pytest.mark.parametrize("body, match", [
+    ("entry: 0 1 2\n", "point bit 2 is not 0/1"),
+    ("entry: 1 -1\n", "point bit -1 is not 0/1"),
+    ("entry: 0 1\nparam tail: 3\n", "point bit 3 is not 0/1"),
+], ids=["entry-two", "entry-negative", "tail-three"])
+def test_point_table_bits_out_of_range_are_input_errors(body, match):
+    text = "wred-instance v1\nkind: point\nrepresentation: table\n" + body
+    with pytest.raises(InputError, match=match):
+        load_instance(parse_document(text))
+
+
 @pytest.mark.parametrize("task, body", [
     ("homogeneous", "kind: coloring\nrepresentation: rule\nparam rule: parity-sum\n"
                     "param arity: two\n"),
