@@ -40,6 +40,7 @@ from .kernel import (
     Point,
     Prefix,
     ResourceError,
+    _run_step,
     apply_functional,
     cantor_pair,
     cantor_unpair,
@@ -452,8 +453,7 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
                    label=f"{w1.label} ; {w2.label}")
 
 
-def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional,
-                          fuel: int = DEFAULT_FUEL) -> ProblemSpec:
+def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional) -> ProblemSpec:
     """Q after P: solve P, glue (instance, solution) into a Q-instance, solve Q."""
     if theta_glue.arity != 2:
         raise InputError("glue functional must read (instance, P-solution)")
@@ -469,7 +469,7 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         if vb.status == FAIL:
             return verdict_fail(f"first half: {vb.detail}")
         try:
-            glued = apply_functional(theta_glue, [inst_tape, b], fuel)
+            glued = apply_functional(theta_glue, [inst_tape, b], DEFAULT_FUEL)
             q_inst = q.decode(glued)
             vc = q.verify_at(q_inst, c, horizon, size)
         except Diverge as d:
@@ -486,7 +486,7 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         bs = p.brute_solution_tapes(p_inst, budget)
         if not bs:
             return []
-        glued = apply_functional(theta_glue, [inst_tape, bs[0]], fuel)
+        glued = apply_functional(theta_glue, [inst_tape, bs[0]], DEFAULT_FUEL)
         cs = q.brute_solution_tapes(q.decode(glued), budget)
         return [interleave_tapes(bs[0], cs[0])] if cs else []
 
@@ -671,7 +671,6 @@ class SquashConfig:
     p_spec: ProblemSpec
     witness: Witness  # <Q,P> <= P
     c: Optional[Point] = None
-    fuel: int = DEFAULT_FUEL
     width_budget: int = 4096
     candidate_budget: int = 64
     label: str = "squash"
@@ -727,7 +726,9 @@ class _Display:
     read at stage x is B_i(x) of the stagewise definition.  A bit converged
     at one stage is the same at every later one (the later chain only
     extends the earlier one's oracles), so one display serves every stage
-    read in increasing order, each level T_j sweeping once.
+    read in increasing order, each level T_j sweeping once.  It lives in
+    one context's scratch and parks T_j there (key j), so each level pull
+    is charged to the position of the context's sweep that forced it.
 
     No read recurses through more than a bounded number of levels: a read
     from outside the display starts a loop over an explicit stack, a
@@ -736,29 +737,22 @@ class _Display:
     first and retries.
     """
 
-    def __init__(self, forward: Functional, c, markers, sigma_tapes, fuel: int, stage: int = 0):
-        self.forward, self.c, self.markers, self.fuel = forward, c, markers, fuel
+    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0):
+        self.ctx, self.forward, self.c, self.markers = ctx, forward, c, markers
         self.sigma_tapes = sigma_tapes  # level -> tape
         self.stage = stage
-        self.levels: dict[int, FunctionalTape] = {}
         self.pull_limit: Optional[int] = None  # inside the loop: the first level not pulled
+        ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
-        if j not in self.levels:
-            pair = interleave_tapes(self.sigma_tapes(j), _Link(self, j + 1))
-            self.levels[j] = FunctionalTape(self.forward, [pair], self.fuel)
-        return self.levels[j]
-
-    def row(self, i: int, x: int) -> int:
-        """B_i(x) = V_i(x) at stage x; stages are read in increasing order."""
-        self.stage = x
-        return self.c.bit(x) if x < self.markers[i] else self.tail_bit(i, x)
+        return self.ctx.scratch.get(j) or self.ctx.apply(
+            self.forward, [interleave_tapes(self.sigma_tapes(j), _Link(self, j + 1))], j)
 
     def tail_bit(self, j: int, q: int) -> int:
         """T_j(q) at the current stage; a divergence of the chain raises Diverge."""
         if j > self.stage:
             raise Diverge("gap", q)
-        t = self.levels.get(j) or self.level(j)
+        t = self.ctx.scratch.get(j) or self.level(j)
         if not t.ready(q):
             if self.pull_limit is None:
                 return self._force(j, q)
@@ -797,12 +791,12 @@ class _Link:
         return self.display.tail_bit(self.j, pos)
 
 
-def _symbolic_display(forward: Functional, c: Point, markers, s: int, n: int, assignment: dict,
-                      fuel: int) -> _Display:
+def _symbolic_display(forward: Functional, c: Point, markers, s: int, n: int,
+                      assignment: dict) -> _Display:
     """The compactness display at stage s for candidate n, every level's
-    string a symbolic length-n prefix over one assignment."""
-    return _Display(forward, c, [*markers[:s + 1], n],
-                    lambda j: _SymbolicPrefix(j, n, assignment), fuel, stage=s)
+    string a symbolic length-n prefix over one assignment, on a new context."""
+    return _Display(EvalContext([], DEFAULT_FUEL), forward, c, [*markers[:s + 1], n],
+                    lambda j: _SymbolicPrefix(j, n, assignment), stage=s)
 
 
 def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
@@ -819,18 +813,20 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
     from it for each i.  Sharing it changes no verdict: a _NeedBit appends
     nothing to the levels it interrupts and leaves them retryable, and a
     Diverge is terminal for a level and keeps its reason whichever i
-    reaches it first.  Each branch after a _NeedBit evaluates in a display
-    of its own.
+    reaches it first (an attempt is one position of the root's context, so
+    it pays only for what earlier ones left unmaterialized).  Each branch
+    after a _NeedBit evaluates in a display of its own.
     """
     s, n = root.stage, root.markers[-1]
     leaves = 0
+    probe = pointwise(0, lambda ctx, x: ctx.scratch["display"].level(i).bit(x), f"level{i}")
 
     def attempt(assignment: dict) -> bool:
         nonlocal leaves
         display = root if not assignment else _symbolic_display(
-            root.forward, root.c, root.markers, s, n, assignment, root.fuel)
+            root.forward, root.c, root.markers, s, n, assignment)
         try:
-            display.level(i).bit(s)
+            _run_step(probe, display.ctx, s)
         except _NeedBit as nb:
             for b in (0, 1):
                 if not attempt({**assignment, nb.key: b}):
@@ -940,7 +936,7 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
             if profile is not None:
                 ok = _closure_check_stage(forward, markers, s, n, profile=profile)
             else:
-                root = _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel)
+                root = _symbolic_display(forward, cfg.c, markers, s, n, {})
                 ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
             if ok:
                 found = n
@@ -961,9 +957,24 @@ class SquashRun:
     horizon: int
 
 
-def _squash_display(cfg: SquashConfig, markers, family) -> _Display:
-    return _Display(cfg.witness.forward, cfg.c, markers, lambda j: family_column(family, j),
-                    cfg.fuel)
+def _squash_row(cfg: SquashConfig, markers, i: int) -> Functional:
+    """B_i as a functional of the instance family; row 0 is the squash forward."""
+
+    def step(ctx, x):
+        if x + 1 >= len(markers):
+            raise Diverge("gap", x)
+        # one display per context serves every row swept on it, stage by stage
+        display = ctx.scratch.get("display") or _Display(
+            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j))
+        display.stage = x  # B_i(x) is V_i(x) at stage x
+        return cfg.c.bit(x) if x < markers[i] else display.tail_bit(i, x)
+
+    return pointwise(1, step, f"{cfg.label}-B{i}")
+
+
+def _check_row(markers, i: int) -> None:
+    if not 0 <= i < len(markers):
+        raise InputError(f"row {i} is outside the marker supply 0..{len(markers) - 1}")
 
 
 def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
@@ -972,7 +983,7 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
 
     B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
     v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0, and B_i(x) =
-    v_i(x).  One display serves every row and every stage, read stage by
+    v_i(x).  The rows share one context and so one display, read stage by
     stage in increasing order; rows i > x are C(x), since m_i >= i.  A
     divergence of the chain is a ResourceError naming the row and stage.
 
@@ -980,18 +991,21 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
     B_{i+1}>)(x) for m_i <= x < horizon is then recomputed against the
     materialized next row, never assumed.
     """
+    if horizon < 0 or count < 0:
+        raise InputError(f"horizon and count must be >= 0, got {horizon} and {count}")
+    _check_row(markers, count)
     ext = horizon + slack
     if len(markers) < ext + 1:
         raise InputError(f"need markers through stage {ext}, have {len(markers) - 1}")
-    display = _squash_display(cfg, markers, a_family_tape)
-    rows = [_LazyBRow(display, i) for i in range(count + 1)]
+    ctx = EvalContext([a_family_tape], DEFAULT_FUEL)
+    rows = [_LazyBRow(cfg, markers, ctx, i) for i in range(count + 1)]
     for x in range(ext):
         for row in rows:
             row.bit(x)
     table = [row.bits for row in rows]
     for i in range(count):
-        pair = interleave_tapes(display.sigma_tapes(i), Prefix(tuple(table[i + 1])))
-        check = FunctionalTape(cfg.witness.forward, [pair], cfg.fuel)
+        pair = interleave_tapes(family_column(a_family_tape, i), Prefix(tuple(table[i + 1])))
+        check = cfg.witness.forward_image(pair)
         for x in range(horizon):
             if x < markers[i]:
                 want = cfg.c.bit(x)
@@ -1011,19 +1025,20 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
 
 
 class _LazyBRow:
-    """B_i as a tape, materialized in stage order from a display."""
+    """B_i as a tape: each B_i(x), in stage order, is one position of ctx's sweep."""
 
-    def __init__(self, display: _Display, i: int):
-        self.display, self.i = display, i
+    def __init__(self, cfg: SquashConfig, markers, ctx: EvalContext, i: int):
+        self.func, self.ctx, self.i = _squash_row(cfg, markers, i), ctx, i
+        self.supply = len(markers)
         self.bits: list[int] = []
 
     def bit(self, pos: int) -> int:
-        if pos + 1 >= len(self.display.markers):
+        if pos + 1 >= self.supply:
             raise Diverge("gap", pos)
         while len(self.bits) <= pos:
             x = len(self.bits)
             try:
-                self.bits.append(self.display.row(self.i, x))
+                self.bits.append(_run_step(self.func, self.ctx, x))
             except Diverge as d:
                 raise ResourceError(f"B_{self.i}({x}) diverged at stage {x} ({d.reason})",
                                     row=self.i, stage=x, reason=d.reason)
@@ -1032,62 +1047,58 @@ class _LazyBRow:
 
 def squash_row_tape(cfg: SquashConfig, markers: MarkerSequence, a_family_tape, i: int):
     """B_i as a lazy tape (defined while the marker supply lasts)."""
-    return _LazyBRow(_squash_display(cfg, markers, a_family_tape), i)
+    _check_row(markers, i)
+    return _LazyBRow(cfg, markers, EvalContext([a_family_tape], DEFAULT_FUEL), i)
 
 
-def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: int,
-                    a_family_tape=None) -> list:
-    """Unravel a solution of B_0 into solutions S_0..S_{count-1}.
+def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
+    w, theta = cfg.witness, cfg.p_spec.tolerance
 
-    Alternates the tolerance operator (to absorb the finite error below
-    each marker) with the backward functional (to split off one solution
-    per level).  Plain witnesses additionally read the pair instance
-    interleave(A_i, B_{i+1}), which requires the instance family.
-    """
-    theta = cfg.p_spec.tolerance
-    if cfg.kind == "plain" and a_family_tape is None:
-        raise InputError("plain squash backward needs the instance family tape")
-    out = []
-    cur = t0_tape
-    for i in range(count):
-        inst = None if a_family_tape is None else interleave_tapes(
-            family_column(a_family_tape, i), squash_row_tape(cfg, markers, a_family_tape, i + 1))
-        pair = cfg.witness.pull_back(inst, theta(cur, markers[i]), cfg.fuel)
-        out.append(even_part(pair))
-        cur = odd_part(pair)
-    return out
-
-
-def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
-    """Assemble the three sub-operations into a witness SeqQ <= P."""
-    markers = squash_markers(cfg, stages)
-
-    def fstep(ctx, x):
-        if x + 1 >= len(markers):
-            raise Diverge("gap", x)
-        # one display per sweep: the sweep reads its stages in increasing order
-        if "display" not in ctx.scratch:
-            ctx.scratch["display"] = _squash_display(cfg, markers, ctx.tape(0))
-        return ctx.scratch["display"].row(0, x)
-
-    forward = pointwise(1, fstep, f"{cfg.label}-forward")
-
-    def bstep(ctx, x):
+    def step(ctx, x):
         i, t = cantor_unpair(x)
         if i >= columns:
             # the desk-scale SeqQ tracks `columns` columns (reported in the
             # source params); chains for deeper columns would read the
             # solution at positions ~2^i t, beyond any finite marker supply
             return 0
-        # one unravel per sweep serves every column
-        if "unravel" not in ctx.scratch:
-            # the instance family comes first when plain
-            *family, sol = (ctx.tape(k) for k in range(cfg.witness.backward.arity))
-            ctx.scratch["unravel"] = squash_backward(cfg, markers, sol, columns, *family)
-        return ctx.scratch["unravel"][i].bit(t)
+        if ("pulled", 0) not in ctx.scratch:  # one unravel per sweep serves every column
+            *family, cur = (ctx.tape(k) for k in range(w.backward.arity))  # family when plain
+            for j in range(columns):
+                inst = None if not family else interleave_tapes(
+                    family_column(family[0], j),
+                    ctx.apply(_squash_row(cfg, markers, j + 1), family, ("row", j + 1)))
+                oracles = w.backward_oracles(inst, theta(cur, markers[j]))
+                cur = odd_part(ctx.apply(w.backward, oracles, ("pulled", j)))
+        return ctx.scratch[("pulled", i)].bit(2 * t)
 
-    backward = pointwise(cfg.witness.backward.arity, bstep, f"{cfg.label}-backward")
-    return Witness(seq(cfg.q_spec, columns), cfg.p_spec, forward, backward, cfg.kind,
+    return pointwise(w.backward.arity, step, f"{cfg.label}-backward")
+
+
+def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: int,
+                    a_family_tape=None) -> list:
+    """Unravel a solution of B_0 into solutions S_0..S_{count-1}.
+
+    The columns of one sweep of the squash backward, which alternates the
+    tolerance operator (to absorb the finite error below each marker) with
+    the witness's backward (to split off one solution per level).  Plain
+    witnesses also read the pair instance <A_i, B_{i+1}>: they need the family.
+    """
+    if cfg.kind == "plain" and a_family_tape is None:
+        raise InputError("plain squash backward needs the instance family tape")
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
+    _check_row(markers, count)
+    merged = FunctionalTape(_squash_unravel(cfg, markers, count),
+                            cfg.witness.backward_oracles(a_family_tape, t0_tape), DEFAULT_FUEL)
+    return [family_column(merged, i) for i in range(count)]
+
+
+def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
+    """Assemble the three sub-operations into a witness SeqQ <= P."""
+    markers = squash_markers(cfg, stages)
+    _check_row(markers, columns)
+    return Witness(seq(cfg.q_spec, columns), cfg.p_spec, _squash_row(cfg, markers, 0),
+                   _squash_unravel(cfg, markers, columns), cfg.kind,
                    label=f"Seq{cfg.q_spec.name}<={cfg.p_spec.name} ({cfg.label})")
 
 

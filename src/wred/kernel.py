@@ -15,7 +15,7 @@ fact; a violation cannot occur by construction.
 
 Fuel is per output position and covers nested applications: a nested
 context (`EvalContext.run`, `EvalContext.apply`) has no fuel of its own,
-and each of its ticks is also charged up its ledger chain.
+and each of its ticks is charged to the root of its ledger chain.
 """
 
 from __future__ import annotations
@@ -327,22 +327,20 @@ class EvalContext:
         self.steps = 0
         self.use: dict[int, int] = {}
         self.scratch: dict = {}
-        self.ledger: Optional[EvalContext] = None  # the caller, in a nested context
+        self.ledger: Optional[EvalContext] = None  # nested: the root of the caller chain
 
     def tick(self, n: int = 1) -> None:
-        self.steps += n
-        if self.ledger is not None:
-            self.ledger.tick(n)
-        elif self.steps > self.fuel:
+        led = self.ledger or self
+        led.steps += n
+        if led.steps > led.fuel:
             raise Diverge("fuel")
 
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
-        self.steps += 1  # tick(), inlined on the hottest path
-        if self.ledger is not None:
-            self.ledger.tick()
-        elif self.steps > self.fuel:
+        led = self.ledger or self  # tick(), inlined on the hottest path
+        led.steps += 1
+        if led.steps > led.fuel:
             raise Diverge("fuel")
         b = self.tapes[tape].bit(pos)
         prev = self.use.get(tape, -1)
@@ -357,7 +355,7 @@ class EvalContext:
     def run(self, func: "Functional", tapes, x: int) -> int:
         """func's bit at x on tapes, computed on this context's ledger."""
         nested = EvalContext(tapes, None)
-        nested.ledger = self
+        nested.ledger = self.ledger or self
         return _run_step(func, nested, x)
 
     def apply(self, func: "Functional", tapes, key) -> "FunctionalTape":
@@ -366,7 +364,7 @@ class EvalContext:
         t = self.scratch.get(key)
         if t is None:
             t = self.scratch[key] = FunctionalTape(func, tapes, None)
-            t.ctx.ledger = self
+            t.ctx.ledger = self.ledger or self
         return t
 
 

@@ -39,16 +39,20 @@ from wred.catalog import (
     entry_ids,
 )
 from wred.combinators import (
+    SquashConfig,
+    Witness,
     check_witness_soundness,
     compose_witness,
     echo_pair_witness,
     fanout_rt,
     iterate_finite,
     lift_seq,
+    parallel_product,
     soundness_failures,
     squash,
     squash_forward,
     squash_markers,
+    triv_spec,
     witness_parallel,
 )
 from wred.kernel import (
@@ -61,6 +65,7 @@ from wred.kernel import (
     evaluate,
     family_column,
     interleave_tapes,
+    pointwise,
 )
 from wred.oracle import SearchBudget, find_homogeneous, find_thin
 from wred.problems import (
@@ -652,6 +657,62 @@ def test_squash_backward_coh_reproduces_columns():
         assert [s.bit(x) for x in range(12)] == expect
 
 
+def _xor_plain_squash_config():
+    """A plain <TRIV,TRIV> <= TRIV: Phi(<A, B>) = A xor B, backward = instance xor solution."""
+    t = triv_spec()
+    fwd = pointwise(1, lambda ctx, x: ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1), "xor",
+                    reads=lambda x: [(0, 2 * x), (0, 2 * x + 1)])
+    back = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "inst-xor-sol")
+    w = Witness(parallel_product(t, t), t, fwd, back, "plain", label="xor-plain")
+    return SquashConfig(q_spec=t, p_spec=t, witness=w, label="xor-plain")
+
+
+def test_plain_squash_backward_reads_the_pair_instance():
+    # TRIV's tolerance is the identity, so the unravel is P_i = <A_i, B_{i+1}>
+    # xor R_i with R_0 = T and R_{i+1} the odd half of P_i; S_i is the even half
+    from wred.combinators import squash_backward, squash_row_tape
+
+    cfg = _xor_plain_squash_config()
+    ms = squash_markers(cfg, 40)
+    assert ms.markers == list(range(41))
+    fam, sol = Point.from_seed(21), Point.from_seed(22)
+
+    def a(i, x):
+        return family_column(fam, i).bit(x)
+
+    def b(i, x):  # B_i(x) = A_i(x) xor B_{i+1}(x) from m_i = i on, and C(x) = 0 below
+        return sum(a(k, x) for k in range(i, x + 1)) % 2
+
+    t = sol.bit
+    want = [
+        lambda u: a(0, u) ^ t(2 * u),
+        lambda u: a(1, u) ^ b(1, 2 * u) ^ t(4 * u + 1),
+        lambda u: a(2, u) ^ b(2, 2 * u) ^ b(1, 4 * u + 1) ^ t(8 * u + 3),
+    ]
+    row = squash_row_tape(cfg, ms, fam, 1)
+    assert [row.bit(x) for x in range(30)] == [b(1, x) for x in range(30)]
+    cols = squash_backward(cfg, ms, sol, 3, a_family_tape=fam)
+    pulled = squash(cfg, 40, 3).pull_back(fam, sol)
+    for i in range(3):
+        expect = [want[i](u) for u in range(8)]
+        assert [cols[i].bit(u) for u in range(8)] == expect, i
+        assert [family_column(pulled, i).bit(u) for u in range(8)] == expect, i
+
+    # the row tapes the backward reads are charged to its caller: with a
+    # forward that spends 300 ticks, position 3 (column 2 at 0) reads
+    # B_1(1), one forward step
+    def heavy(ctx, x):
+        ctx.tick(300)
+        return ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1)
+
+    cheap = squash(_xor_plain_squash_config(), 6).backward
+    cfg.witness.forward = pointwise(1, heavy, "heavy-xor", reads=cfg.witness.forward.reads)
+    heavy = squash(cfg, 6).backward
+    assert evaluate(cheap, [fam, sol], 3, 200).converged
+    out = evaluate(heavy, [fam, sol], 3, 200)
+    assert (out.status, out.reason, out.position) == ("diverged", "fuel", 3)
+
+
 def test_iterate_wkl_interleave():
     w = wkl_interleave(2)
     it = iterate_finite(w, 3)
@@ -734,6 +795,7 @@ def test_catalog_functionals_honor_kernel_contracts():
         fanout_rt(rt_color_embed(1, 2, 2), 2),
         wkl_from_seqwwkl_witness(),
         *(squash(make(), 70, 2) for make in SQUASH_CONFIGS.values()),
+        squash(_xor_plain_squash_config(), 70, 2),
     ]
     functionals = [f for w in composites for f in (w.forward, w.backward)]
     functionals.append(blowup_tree(FIRST1, Fraction(1, 2), Fraction(3, 4), depth=8).path_map)

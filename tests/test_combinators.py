@@ -190,14 +190,24 @@ def test_compose_plain_backward_sound():
 
 
 def test_nested_work_is_charged_to_the_callers_fuel():
-    # a step that spends 300 ticks cannot hide inside a composite run at fuel 200
+    # a step that spends 300 ticks cannot hide inside a composite run at
+    # fuel 200; every composite converges at fuel ENOUGH
+    from wred.catalog import SQUASH_CONFIGS
+
+    ENOUGH = 2000
+
     def heavy(ctx, x):
         ctx.tick(300)
         return ctx.query(0, x)
 
-    def heavy_witness(source, target):
-        return Witness(source, target, pointwise(1, heavy, "heavy"), pointwise(1, heavy, "heavy"),
-                       "strong")
+    def heavy_witness(source, target, kind="strong"):
+        arity = 1 if kind == "strong" else 2  # a plain backward reads the instance
+        return Witness(source, target, pointwise(1, heavy, "heavy"),
+                       pointwise(arity, heavy, "heavy"), kind)
+
+    def heavy_squash(kind):
+        w = heavy_witness(parallel_product(e, e), e, kind)
+        return squash(SquashConfig(q_spec=e, p_spec=e, witness=w, label=f"heavy-{kind}"), 6)
 
     e, rt = echo_spec(), rt_spec(1, 2)
     composites = [
@@ -206,12 +216,25 @@ def test_nested_work_is_charged_to_the_callers_fuel():
         lift_seq(heavy_witness(e, e)),
         iterate_finite(heavy_witness(parallel_product(e, e), e), 2),
         fanout_rt(heavy_witness(rt, rt), 2),
+        heavy_squash("strong"),
+        heavy_squash("plain"),
     ]
     for w in composites:
         for f in (w.forward, w.backward):
             out = evaluate(f, [Point.zeros()] * f.arity, 3, 200)
             assert (out.status, out.reason) == ("diverged", "fuel"), (w.label, f.label)
-            assert evaluate(f, [Point.zeros()] * f.arity, 3, 2000).converged, (w.label, f.label)
+            assert evaluate(f, [Point.zeros()] * f.arity, 3, ENOUGH).converged, (w.label, f.label)
+
+    # the squash display's levels: position 10 sweeps level 10 from scratch
+    # (11 positions) and one new position of each level below it, 21
+    # forward steps of 302 (entry, ticks, read) after the entry charge
+    cfg = SQUASH_CONFIGS["projection-toy"]()
+    cfg.witness.forward = pointwise(1, lambda ctx, x: heavy(ctx, 2 * x + 1), "heavy-snd",
+                                    reads=cfg.witness.forward.reads)
+    forward = squash(cfg, 40, 2).forward
+    out = evaluate(forward, [Point.from_seed(5)], 10, 200)
+    assert (out.status, out.reason) == ("diverged", "fuel")
+    assert evaluate(forward, [Point.from_seed(5)], 10, 1 + 21 * 302).converged
 
 
 # --- compositional product ---------------------------------------------------------
@@ -566,36 +589,66 @@ def test_closure_engine_matches_recursive_reference():
 
 def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
     # one unravel serves every column of the sweep: column i reuses the
-    # pull-backs of the columns before it instead of rebuilding them
+    # pulled levels of the columns before it instead of rebuilding them
     from wred.catalog import SQUASH_CONFIGS
+    from wred.kernel import EvalContext
 
     w = squash(SQUASH_CONFIGS["projection-toy"](), 70, 4)
-    built = []
-    pull_back = Witness.pull_back
+    parked = []
+    apply = EvalContext.apply
 
-    def counted(self, *args, **kwargs):
-        built.append(self.label)
-        return pull_back(self, *args, **kwargs)
+    def counted(self, func, tapes, key):
+        if key not in self.scratch and key[0] == "pulled":
+            parked.append(key)
+        return apply(self, func, tapes, key)
 
-    monkeypatch.setattr(Witness, "pull_back", counted)
+    monkeypatch.setattr(EvalContext, "apply", counted)
     out = evaluate(w.backward, [Point.from_seed(5)], 64, 4096)
     assert out.converged
-    assert len(built) == 4
+    assert parked == [("pulled", i) for i in range(4)]
 
 
 def test_squash_forward_fuel_exhaustion_is_resource_error():
     from wred.combinators import squash_row_tape
-    from wred.kernel import ResourceError
+    from wred.kernel import DEFAULT_FUEL, ResourceError
 
     cfg = projection_squash_config()
     ms = squash_markers(cfg, 12)
-    cfg.fuel = 1  # the entry charge and the one read of each chain step exceed it
+
+    def heavy(ctx, x):  # each chain step spends more than a whole read's budget
+        ctx.tick(DEFAULT_FUEL + 1)
+        return ctx.query(0, 2 * x + 1)
+
+    cfg.witness.forward = pointwise(1, heavy, "heavy-snd")
     with pytest.raises(ResourceError) as exc:
         squash_forward(cfg, ms, Point.from_seed(7), 8, count=2)
     assert exc.value.context == {"row": 0, "stage": 0, "reason": "fuel"}
     with pytest.raises(ResourceError) as exc:
         squash_row_tape(cfg, ms, Point.from_seed(7), 1).bit(3)
     assert exc.value.context == {"row": 1, "stage": 1, "reason": "fuel"}
+
+
+def test_squash_readers_reject_bad_rows_and_counts():
+    from wred.combinators import squash_row_tape
+
+    cfg, fam = projection_squash_config(), Point.from_seed(7)
+    ms = squash_markers(cfg, 12)  # markers m_0..m_12
+    bad = [
+        lambda: squash_forward(cfg, ms, fam, -1, count=2),
+        lambda: squash_forward(cfg, ms, fam, 4, count=-1),
+        lambda: squash_forward(cfg, ms, fam, 4, count=13),  # B_13 needs m_13
+        lambda: squash_row_tape(cfg, ms, fam, -1),
+        lambda: squash_row_tape(cfg, ms, fam, 13),
+        lambda: squash_backward(cfg, ms, fam, -1),
+        lambda: squash_backward(cfg, ms, fam, 13),
+        lambda: squash(cfg, 12, 13),
+    ]
+    for call in bad:
+        with pytest.raises(InputError):
+            call()
+    assert len(squash_forward(cfg, ms, fam, 4, count=12).table) == 13
+    assert squash_row_tape(cfg, ms, fam, 12).bit(11) == 0
+    assert len(squash_backward(cfg, ms, fam, 12)) == 12
 
 
 def test_squash_forward_markers_too_small_diverge_at_the_stage():
@@ -685,7 +738,7 @@ def test_squash_markers_never_converging_forward_is_resource_error():
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, spin, "spin"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                       "dup"), "strong")
-    cfg = SquashConfig(q_spec=t, p_spec=t, witness=w, fuel=300, candidate_budget=4)
+    cfg = SquashConfig(q_spec=t, p_spec=t, witness=w, candidate_budget=4)
     with pytest.raises(ResourceError):
         squash_markers(cfg, 2)
 
@@ -735,7 +788,7 @@ def test_marker_engines_agree_with_literal_enumeration():
     import itertools
 
     from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_display
-    from wred.kernel import Prefix
+    from wred.kernel import EvalContext, Prefix
 
     def brute(forward, c, markers, s, n):
         for i in range(s + 1):
@@ -747,8 +800,8 @@ def test_marker_engines_agree_with_literal_enumeration():
                 # level i of the display is Phi(<sigma_i, V_{i+1}>), where
                 # levels i+1..s wrap around C|n
                 tapes = dict(zip(levels, combo))
-                display = _Display(forward, c, [*markers[:s + 1], n], tapes.__getitem__, 10_000,
-                                   stage=s)
+                display = _Display(EvalContext([], 10_000), forward, c, [*markers[:s + 1], n],
+                                   tapes.__getitem__, stage=s)
                 try:
                     display.level(i).bit(s)
                 except Exception:
@@ -764,8 +817,7 @@ def test_marker_engines_agree_with_literal_enumeration():
                 want = brute(forward, cfg.c, markers, s, n)
                 got_closure = _closure_check_stage(forward, markers, s, n)
                 got_dfs = all(
-                    _dfs_search(_symbolic_display(forward, cfg.c, markers, s, n, {}, 10_000), i,
-                                4096)
+                    _dfs_search(_symbolic_display(forward, cfg.c, markers, s, n, {}), i, 4096)
                     for i in range(s + 1)
                 )
                 assert want == got_closure == got_dfs, (cfg.label, s, n)
@@ -890,10 +942,10 @@ def test_dfs_shared_root_matches_a_fresh_display_per_level():
         forward, markers = cfg.witness.forward, [0]
         for s in range(stages):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 3):
-                root = _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel)
+                root = _symbolic_display(forward, cfg.c, markers, s, n, {})
                 for i in range(s, -1, -1):
                     shared = verdict(lambda: _dfs_search(root, i, 64))
                     fresh = verdict(lambda: _dfs_search(
-                        _symbolic_display(forward, cfg.c, markers, s, n, {}, cfg.fuel), i, 64))
+                        _symbolic_display(forward, cfg.c, markers, s, n, {}), i, 64))
                     assert shared == fresh, (name, s, n, i)
             markers.append(max(markers[-1], s) + 1)

@@ -253,6 +253,31 @@ def test_cli_squash_unreadable_config_is_input_error(tmp_path, capsys):
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_squash_bad_horizon_or_count_is_input_error(capsys):
+    # --count 10 needs m_10, past the 8 stages of horizon 2; before, an IndexError
+    for argv in (["--horizon", "2", "--count", "10"], ["--count", "-1"], ["--horizon", "-3"]):
+        assert main(["squash", "--config", "projection-toy", *argv]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+# sha256 of `wred squash --config C --horizon 300` stdout: the deepest squash
+# pin, where one B_i(x) read pulls the most display levels
+SQUASH_H300_SHA = {
+    "coh-interleave": "1548cd93aecdfaa333870a3c33f48081d38d7f1275910fba4b24b20191091a11",
+    "projection-toy": "a1bbaaed25a0206de245582d9761af31add27aa934b4b9c4ee4ae05ab88c4173",
+    "trivial-q-rt12": "a1bbaaed25a0206de245582d9761af31add27aa934b4b9c4ee4ae05ab88c4173",
+}
+
+
+def test_cli_squash_horizon_300_pinned(capsys):
+    for name, want in SQUASH_H300_SHA.items():
+        assert main(["squash", "--config", name, "--horizon", "300"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, name
+
+
 def test_cli_adversary_qwwkl(tmp_path):
     out = tmp_path / "log.csv"
     code = main(["adversary", "qwwkl-cutter", "--param", "p=1/2", "--param", "q=3/4",
