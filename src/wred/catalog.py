@@ -29,11 +29,11 @@ from .combinators import (
 from .kernel import (
     DEFAULT_FUEL,
     ContractError,
+    FunctionalTape,
     InputError,
     Point,
     Prefix,
     ResourceError,
-    apply_functional,
     cantor_pair,
     cantor_unpair,
     compose_functionals,
@@ -42,6 +42,7 @@ from .kernel import (
     family_tape,
     identity_functional,
     interleave_tapes,
+    oblivious,
     odd_part,
     pointwise,
     rank_tuple,
@@ -55,7 +56,6 @@ from .problems import (
     ThinSolution,
     TreeByRule,
     color_block_width,
-    color_read_positions,
     coloring_from_tape,
     coh_spec,
     leftmost_path_point,
@@ -90,10 +90,7 @@ def rt_color_embed(n: int, j: int, k: int) -> Witness:
         r, off = divmod(x, w_k)
         return (read_color(ctx, 0, j, r) >> off) & 1
 
-    forward = pointwise(
-        1, fstep, f"embed{j}->{k}",
-        reads=lambda x: [(0, p) for p in color_read_positions(n, j, x // w_k)] if w_k else [],
-    )
+    forward = oblivious(pointwise(1, fstep, f"embed{j}->{k}"))
     return Witness(rt_spec(n, j), rt_spec(n, k), forward, identity_functional(), "strong",
                    label=f"RT^{n}_{j}<=RT^{n}_{k}")
 
@@ -117,13 +114,7 @@ def rt_arity_lift(m: int, n: int, k: int) -> Witness:
         t = rank_tuple(r, n)
         return (read_color(ctx, 0, k, tuple_rank(t[:m])) >> off) & 1
 
-    def freads(x):
-        if w == 0:
-            return []
-        r = x // w
-        return [(0, p) for p in color_read_positions(m, k, tuple_rank(rank_tuple(r, n)[:m]))]
-
-    forward = pointwise(1, fstep, f"arity{m}->{n}", reads=freads)
+    forward = oblivious(pointwise(1, fstep, f"arity{m}->{n}"))
     need = n - m
 
     def bstep(ctx, x):
@@ -154,13 +145,7 @@ def rt_product(n: int, j: int, k: int) -> Witness:
         g_col = coloring_from_tape(odd_part(ctx.tape(0)), n, k).value(rank_tuple(r, n))
         return ((f_col + j * g_col) >> off) & 1
 
-    def freads(x):
-        r = x // w_jk
-        return [(0, 2 * p) for p in color_read_positions(n, j, r)] + [
-            (0, 2 * p + 1) for p in color_read_positions(n, k, r)
-        ]
-
-    forward = pointwise(1, fstep, f"pair{j}x{k}", reads=freads if w_jk else (lambda x: []))
+    forward = oblivious(pointwise(1, fstep, f"pair{j}x{k}"))
     return Witness(source, target, forward, _dup_backward(), "strong",
                    label=f"<RT^{n}_{j},RT^{n}_{k}><=RT^{n}_{j * k}")
 
@@ -179,10 +164,6 @@ def coh_interleave(count) -> Witness:
             i, t = cantor_unpair(x)
             return ctx.query(0, 2 * cantor_pair(i // 2, t) + (i % 2))
 
-        def freads(x):
-            i, t = cantor_unpair(x)
-            return [(0, 2 * cantor_pair(i // 2, t) + (i % 2))]
-
         label = "<COH,COH><=COH"
     elif count == "omega":
         source = seq(coh_spec())
@@ -192,16 +173,11 @@ def coh_interleave(count) -> Witness:
             a, b = cantor_unpair(i)
             return ctx.query(0, cantor_pair(a, cantor_pair(b, t)))
 
-        def freads(x):
-            i, t = cantor_unpair(x)
-            a, b = cantor_unpair(i)
-            return [(0, cantor_pair(a, cantor_pair(b, t)))]
-
         label = "SeqCOH<=COH"
     else:
         raise InputError("count must be 2 or 'omega'")
 
-    forward = pointwise(1, fstep, "coh-interleave", reads=freads)
+    forward = oblivious(pointwise(1, fstep, "coh-interleave"))
     if count == 2:
         backward = _dup_backward()
     else:
@@ -209,7 +185,7 @@ def coh_interleave(count) -> Witness:
             _, t = cantor_unpair(x)
             return ctx.query(0, t)
 
-        backward = pointwise(1, bstep, "spread", reads=lambda x: [(0, cantor_unpair(x)[1])])
+        backward = oblivious(pointwise(1, bstep, "spread"))
     return Witness(source, c, forward, backward, "strong", label=label)
 
 
@@ -347,12 +323,9 @@ def ts_collapse(n: int, j: int, k) -> Witness:
                 v += 1
         return (min(v, j - 1) >> off) & 1
 
-    freads = None
-    if k is not None:
-        def freads(x):
-            return [(0, p) for p in color_read_positions(n, k, x // w_j)]
-
-    forward = pointwise(1, fstep, f"collapse{k}->{j}", reads=freads)
+    forward = pointwise(1, fstep, f"collapse{k}->{j}")
+    if k is not None:  # omega reads unary as far as the first 0: value-dependent
+        oblivious(forward)
     kname = "w" if k is None else k
     return Witness(source, target, forward, identity_functional(), "strong",
                    label=f"TS^{n}_{kname}<=TS^{n}_{j}")
@@ -989,13 +962,11 @@ def cube_solve(f: Coloring, members, avoided: frozenset, horizon: int, size: int
 
 
 def _dup_backward():
-    return pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
-                     reads=lambda x: [(0, x // 2)])
+    return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
 
 
 def _snd_forward():
-    return pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd",
-                     reads=lambda x: [(0, 2 * x + 1)])
+    return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd"))
 
 
 def squash_config_trivial_q() -> SquashConfig:
@@ -1133,7 +1104,7 @@ def _blowup_checks(params, rng, horizon, size):
     rows.append(("complement", complement <= bound, f"{complement} <= {bound}"))
     for sigma in level_members(blown.tree, 8):
         src = Point.from_bits(sigma.bits, tail=1)
-        img = apply_functional(blown.path_map, [src], DEFAULT_FUEL)
+        img = FunctionalTape(blown.path_map, [src], DEFAULT_FUEL)
         shift = next((len(sh) for sh in blown.shifts if sigma.bits[: len(sh)] == sh.bits), 0)
         mapped = Prefix(tuple(img.bit(i) for i in range(8 - shift)))
         if mapped not in first1:

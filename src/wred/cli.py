@@ -253,10 +253,17 @@ def cmd_oracle(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 3); subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     fuel_default = _env_int("WRED_FUEL_DEFAULT", 4096)
     horizon_default = _env_int("WRED_HORIZON_DEFAULT", 16)
-    top = argparse.ArgumentParser(prog="wred", description=__doc__)
+    top = _Parser(prog="wred", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="catalog entries and squash configs").set_defaults(fn=cmd_list)

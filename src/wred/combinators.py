@@ -41,14 +41,13 @@ from .kernel import (
     Prefix,
     ResourceError,
     _run_step,
-    apply_functional,
-    cantor_pair,
     cantor_unpair,
     even_part,
     family_column,
     family_tape,
     identity_functional,
     interleave_tapes,
+    oblivious,
     odd_part,
     pointwise,
 )
@@ -99,15 +98,15 @@ class Witness:
             self.label = f"{self.source.name}<={self.target.name}"
 
     def forward_image(self, instance_tape, fuel: int = DEFAULT_FUEL):
-        return apply_functional(self.forward, [instance_tape], fuel)
+        return FunctionalTape(self.forward, [instance_tape], fuel)
 
     def backward_oracles(self, instance, solution) -> list:
         """The backward's oracles: the solution, after the instance when plain."""
         return [solution] if self.kind == "strong" else [instance, solution]
 
     def pull_back(self, instance_tape, solution_tape, fuel: int = DEFAULT_FUEL):
-        return apply_functional(self.backward, self.backward_oracles(instance_tape, solution_tape),
-                                fuel)
+        return FunctionalTape(self.backward, self.backward_oracles(instance_tape, solution_tape),
+                              fuel)
 
 
 @dataclass
@@ -244,12 +243,7 @@ def echo_pair_witness() -> Witness:
             return ctx.query(0, 4 * u + 2 * r)
         return ctx.query(0, 2 * u + 1)
 
-    def breads(x):
-        q, r = divmod(x, 2)
-        u, v = divmod(q, 2)
-        return [(0, 4 * u + 2 * r if v == 0 else 2 * u + 1)]
-
-    backward = pointwise(1, bstep, "echo-pair-split", reads=breads)
+    backward = oblivious(pointwise(1, bstep, "echo-pair-split"))
     return Witness(parallel_product(e, e), e, identity_functional(), backward, "strong",
                    label="<ECHO,ECHO><=ECHO")
 
@@ -321,14 +315,9 @@ def witness_parallel(w1: Witness, w2: Witness) -> Witness:
         part = even_part(ctx.tape(0)) if r == 0 else odd_part(ctx.tape(0))
         return ctx.run((w1 if r == 0 else w2).forward, [part], q)
 
-    freads = None
+    forward = pointwise(1, fstep, f"par({w1.forward.label},{w2.forward.label})")
     if w1.forward.reads is not None and w2.forward.reads is not None:
-        def freads(x):
-            q, r = divmod(x, 2)
-            base = (w1 if r == 0 else w2).forward.reads(q)
-            return [(0, 2 * p + r) for (_, p) in base]
-
-    forward = pointwise(1, fstep, f"par({w1.forward.label},{w2.forward.label})", reads=freads)
+        oblivious(forward)  # a composite is oblivious when its children are
 
     arity = max(w1.backward.arity, w2.backward.arity)
 
@@ -417,9 +406,7 @@ def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
             return 1 if q < i else 0
         return ctx.query(0, q)
 
-    forward = pointwise(
-        1, fstep, f"tag{i}", reads=lambda x: [] if x % 2 == 0 else [(0, x // 2)]
-    )
+    forward = oblivious(pointwise(1, fstep, f"tag{i}"))
     return Witness(specs[i], alternative_product(specs), forward, identity_functional(), "strong",
                    label=f"{specs[i].name}<=[alt]")
 
@@ -469,7 +456,7 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         if vb.status == FAIL:
             return verdict_fail(f"first half: {vb.detail}")
         try:
-            glued = apply_functional(theta_glue, [inst_tape, b], DEFAULT_FUEL)
+            glued = FunctionalTape(theta_glue, [inst_tape, b], DEFAULT_FUEL)
             q_inst = q.decode(glued)
             vc = q.verify_at(q_inst, c, horizon, size)
         except Diverge as d:
@@ -486,7 +473,7 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         bs = p.brute_solution_tapes(p_inst, budget)
         if not bs:
             return []
-        glued = apply_functional(theta_glue, [inst_tape, bs[0]], DEFAULT_FUEL)
+        glued = FunctionalTape(theta_glue, [inst_tape, bs[0]], DEFAULT_FUEL)
         cs = q.brute_solution_tapes(q.decode(glued), budget)
         return [interleave_tapes(bs[0], cs[0])] if cs else []
 
@@ -569,13 +556,9 @@ def lift_seq(w: Witness, columns: int = 4) -> Witness:
         i, t = cantor_unpair(x)
         return ctx.run(w.forward, [family_column(ctx.tape(0), i)], t)
 
-    freads = None
+    forward = pointwise(1, fstep, f"seq({w.forward.label})")
     if w.forward.reads is not None:
-        def freads(x):
-            i, t = cantor_unpair(x)
-            return [(0, cantor_pair(i, p)) for (_, p) in w.forward.reads(t)]
-
-    forward = pointwise(1, fstep, f"seq({w.forward.label})", reads=freads)
+        oblivious(forward)  # a composite is oblivious when its children are
 
     def bstep(ctx, x):
         i, t = cantor_unpair(x)
@@ -850,7 +833,7 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
 
 
 class _ReadProfile:
-    """Prefix maxima of a forward's declared read map, by side, grown on demand.
+    """Prefix maxima of a forward's read map, by side, grown on demand.
 
     The forward reads the pair tape <sigma, V>: pair position p is sigma's
     p//2 when p is even (side 0) and V's p//2 when p is odd (side 1).
@@ -875,11 +858,11 @@ class _ReadProfile:
 
 def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
                          profile: Optional[_ReadProfile] = None) -> bool:
-    """Read-closure engine for forwards with a declared read map.
+    """Read-closure engine for forwards with a read map.
 
     Level j runs the arity-1 forward on the pair tape <sigma_j, V_{j+1}>,
-    so its reads split by side (see _ReadProfile).  Exact when the
-    declared map covers every cell the step may touch: the nested
+    so its reads split by side (see _ReadProfile).  Exact when the step
+    is value-oblivious, so its map gives every cell it touches: the nested
     expression converges for all sigma iff every transitively required
     cell is available.  The sweep makes convergence downward closed, so
     level j is available exactly below one limit: lim[s+1] = n and lim[j]
@@ -924,7 +907,7 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     length-n strings on every level; the set of good n is closed under
     successor, so the first hit is the marker.  Level j is the witness's
     forward on the pair tape <sigma_j, V_{j+1}>, decided from its read map
-    when it declares one and by the branching DFS engine otherwise.
+    when it has one and by the branching DFS engine otherwise.
     """
     forward = cfg.witness.forward
     profile = _ReadProfile(forward.reads) if forward.reads is not None else None

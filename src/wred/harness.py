@@ -115,6 +115,8 @@ def load_instance(doc: InstanceDocument):
                 raise InputError(f"unknown coloring rule {name!r}; known: {sorted(COLORING_RULES)}")
             return COLORING_RULES[name](doc.params)
         arity = _int_param(doc.params, "arity", 1)
+        if arity < 1:
+            raise InputError(f"param arity: must be >= 1, got {arity}")
         colors = doc.params.get("colors")
         colors = None if colors in (None, "omega", "w") else _int_param(doc.params, "colors", 0)
         table = {}

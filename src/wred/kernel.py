@@ -302,17 +302,16 @@ DEFAULT_FUEL = 50_000
 class EvalContext:
     """Query interface handed to a step procedure; meters fuel and use.
 
-    One context serves a whole sweep: `steps` and `use` restart at each
-    position, while `scratch` and the `tape(i)` views persist, so steps
-    park nested applications there (`apply`) and later positions reuse the
-    same lazily-extended tapes.
+    One context serves a whole sweep: `steps` restarts at each position,
+    while `use` accumulates over the sweep and `scratch` and the `tape(i)`
+    views persist, so steps park nested applications there (`apply`) and
+    later positions reuse the same lazily-extended tapes.
 
     A step may also keep per-position results in `scratch`, keyed by
     position and computed through `query`, and answer a later position
     from them.  It must give the same answer when they are absent: a
-    fresh scratch (a nested or a direct step) has none, and the sweep
-    records each position's use when it queries, so the cumulative use
-    covers every cell a memoized answer rests on.
+    fresh scratch (a nested or a direct step) has none, and the sweep's
+    use covers every cell a memoized answer rests on.
 
     `run` and `apply` charge every tick to the caller's current position.
     A nested application reads only the tapes it is given, so through
@@ -383,12 +382,13 @@ class CtxTape:
 class Functional:
     """A monotone oracle machine: (query interface, position) -> bit.
 
-    `step` computes the output bit at one position; `evaluate` sweeps all
-    positions up to the requested one, so convergence is downward closed.
-    `reads`, when supplied, declares the exact oracle cells step(x) may
-    touch; functionals with a declared read map are value-oblivious, which
-    lets the squashing compactness search reason about all oracles at once
-    without enumerating them.
+    `step` computes the output bit at one position; a `FunctionalTape`
+    sweeps all positions up to the requested one, so convergence is
+    downward closed.  `reads`, when set, gives the exact oracle cells
+    step(x) queries whatever the oracles hold; `oblivious` derives it from
+    the step.  It lets the squashing compactness search reason about all
+    oracles at once without enumerating them; without it (`reads` None)
+    the search branches on the bits it reads.
     """
 
     arity: int
@@ -402,7 +402,11 @@ class Functional:
 
 @dataclass(frozen=True)
 class EvalOutcome:
-    """Result of one evaluation: converged with value+use, or diverged."""
+    """Result of one evaluation: converged with value+use, or diverged.
+
+    `steps` totals the converged positions.  `use` is the sweep's: when
+    diverged it may include reads made at the stalled position.
+    """
 
     status: str  # 'converged' | 'diverged'
     value: Optional[int] = None
@@ -417,9 +421,8 @@ class EvalOutcome:
 
 
 def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
-    """One position of a sweep in ctx: steps and use restart; raises Diverge."""
+    """One position of a sweep in ctx: steps restart; raises Diverge."""
     ctx.steps = 0
-    ctx.use = {}
     ctx.tick()  # entry charge: fuel 0 always diverges
     v = func.step(ctx, x)
     if v not in (0, 1):
@@ -430,27 +433,19 @@ def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
 def evaluate(func: Functional, oracles, x: int, fuel: int) -> EvalOutcome:
     """Evaluate func against the oracle tapes at position x.
 
-    Sweeps positions 0..x in one context with a per-position budget of
-    `fuel` abstract steps; reports the value at x, the cumulative per-tape
-    use, and the total steps spent.  A diverged outcome means a budget or
-    an oracle region ran out, never that the functional provably diverges.
+    One `FunctionalTape` read: sweeps positions 0..x with a per-position
+    budget of `fuel` abstract steps; reports the value at x, the sweep's
+    per-tape use, and the steps spent.  A diverged outcome means a budget
+    or an oracle region ran out, never that the functional provably
+    diverges.
     """
-    if len(oracles) != func.arity:
-        raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(oracles)}")
-    ctx = EvalContext(oracles, fuel)
-    use: dict[int, int] = {}
-    total = 0
-    value = None
-    for y in range(x + 1):
-        try:
-            value = _run_step(func, ctx, y)
-        except Diverge as d:
-            return EvalOutcome("diverged", use=dict(use), steps=total, reason=d.reason, position=y)
-        total += ctx.steps
-        for t, p in ctx.use.items():
-            if p > use.get(t, -1):
-                use[t] = p
-    return EvalOutcome("converged", value=value, use=dict(use), steps=total)
+    tape = FunctionalTape(func, oracles, fuel)
+    try:
+        value = tape.bit(x)
+    except Diverge as d:
+        return EvalOutcome("diverged", use=dict(tape.ctx.use), steps=tape.steps,
+                           reason=d.reason, position=d.position)
+    return EvalOutcome("converged", value=value, use=dict(tape.ctx.use), steps=tape.steps)
 
 
 class FunctionalTape:
@@ -458,14 +453,17 @@ class FunctionalTape:
 
     Bits are produced by an incremental sweep in one context with
     per-position fuel, so reading position p costs each position at most
-    once across the life of the tape.  A divergence is terminal: the tape
-    can never answer at or beyond the stalled position.
+    once across the life of the tape; `steps` totals the converged
+    positions.  A divergence is terminal: the tape can never answer at or
+    beyond the stalled position.
     """
 
-    def __init__(self, func: Functional, tapes, fuel: Optional[int], label: str = ""):
+    def __init__(self, func: Functional, tapes, fuel: Optional[int]):
+        if len(tapes) != func.arity:
+            raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(tapes)}")
         self.func = func
         self.ctx = EvalContext(tapes, fuel)
-        self.label = label or f"{func.label}(...)"
+        self.steps = 0
         self._bits: list[int] = []
         self._stalled: Optional[Diverge] = None
 
@@ -474,6 +472,8 @@ class FunctionalTape:
         return pos < len(self._bits)
 
     def bit(self, pos: int) -> int:
+        if pos < 0:
+            raise InputError(f"negative tape position {pos}")
         while len(self._bits) <= pos:
             if self._stalled is not None:
                 raise Diverge(self._stalled.reason, len(self._bits))
@@ -482,26 +482,46 @@ class FunctionalTape:
             except Diverge as d:
                 self._stalled = d
                 raise Diverge(d.reason, len(self._bits))
+            self.steps += self.ctx.steps
             self._bits.append(v)
         return self._bits[pos]
 
 
-def pointwise(arity: int, fn: Callable[[EvalContext, int], int], label: str,
-              reads: Optional[Callable[[int], list[tuple[int, int]]]] = None) -> Functional:
-    return Functional(arity=arity, step=fn, label=label, reads=reads)
+def pointwise(arity: int, fn: Callable[[EvalContext, int], int], label: str) -> Functional:
+    return Functional(arity=arity, step=fn, label=label)
+
+
+def oblivious(func: Functional) -> Functional:
+    """Declare func's step value-oblivious and set `reads` from the step.
+
+    reads(x) runs step(x) once, in a fresh context with DEFAULT_FUEL,
+    against all-zero oracles that record each cell they are asked for.
+    Value-oblivious means the cells queried do not depend on the bits the
+    oracles hold, so the zero oracles stand for every oracle.  A composite
+    whose children are oblivious is oblivious.
+    """
+
+    def reads(x: int) -> list[tuple[int, int]]:
+        cells: list[tuple[int, int]] = []
+        zeros = [Point(lambda p, t=t: cells.append((t, p)) or 0, "recorder")
+                 for t in range(func.arity)]
+        _run_step(func, EvalContext(zeros, DEFAULT_FUEL), x)
+        return cells
+
+    func.reads = reads
+    return func
 
 
 def identity_functional() -> Functional:
-    return pointwise(1, lambda ctx, x: ctx.query(0, x), "identity", reads=lambda x: [(0, x)])
+    return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x), "identity"))
 
 
 def constant_functional(bit: int, arity: int = 1) -> Functional:
-    return pointwise(arity, lambda ctx, x: bit, f"const{bit}", reads=lambda x: [])
+    return oblivious(pointwise(arity, lambda ctx, x: bit, f"const{bit}"))
 
 
 def projection_functional(tape: int, arity: int = 2) -> Functional:
-    return pointwise(arity, lambda ctx, x: ctx.query(tape, x), f"proj{tape}",
-                     reads=lambda x, t=tape: [(t, x)])
+    return oblivious(pointwise(arity, lambda ctx, x: ctx.query(tape, x), f"proj{tape}"))
 
 
 def interleave_functional() -> Functional:
@@ -511,13 +531,7 @@ def interleave_functional() -> Functional:
         q, r = divmod(x, 2)
         return ctx.query(r, q)
 
-    return pointwise(2, step, "interleave", reads=lambda x: [(x % 2, x // 2)])
-
-
-def apply_functional(func: Functional, oracles, fuel: int, label: str = "") -> FunctionalTape:
-    if len(oracles) != func.arity:
-        raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(oracles)}")
-    return FunctionalTape(func, list(oracles), fuel, label)
+    return oblivious(pointwise(2, step, "interleave"))
 
 
 def compose_functionals(outer: Functional, inner: Functional, label: str = "") -> Functional:

@@ -161,12 +161,6 @@ def totalize_coloring(tape, n: int, k: Optional[int]) -> Coloring:
     return coloring_from_tape(tape, n, k)
 
 
-def color_read_positions(n: int, k: int, r: int) -> list[int]:
-    """Tape positions a finite-k decoder reads for the tuple of rank r."""
-    w = color_block_width(k)
-    return [r * w + i for i in range(w)]
-
-
 def read_color(ctx, tape_idx: int, k: int, r: int) -> int:
     """Decode the color of tuple rank r through an EvalContext (finite k)."""
     w = color_block_width(k)

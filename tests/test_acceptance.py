@@ -41,7 +41,7 @@ from wred.combinators import (
     squash_markers,
 )
 from wred.harness import SuiteConfig, run_suite
-from wred.kernel import Point, Prefix, interleave_tapes, pointwise
+from wred.kernel import Point, Prefix, interleave_tapes, oblivious, pointwise
 from wred.oracle import SearchBudget, enumerate_thin
 from wred.problems import (
     HAND_TREES,
@@ -133,7 +133,7 @@ def test_criterion_3_exact_measures():
 
 
 def test_criterion_4_qwwkl_bookkeeping():
-    phi = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
+    phi = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x), "id"))
     psi = pointwise(1, lambda ctx, x: 0, "zero")
     t0 = time.time()
     tree, log = qwwkl_cutter(phi, psi, Fraction(1, 2), Fraction(3, 4), stages=64)
@@ -355,7 +355,7 @@ def test_criterion_9_determinism():
     b = run_suite("rt_product", cfg).to_csv()
     assert a == b, "suite reports differ between identical runs"
 
-    phi = pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
+    phi = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x), "id"))
     psi = pointwise(1, lambda ctx, x: 0, "zero")
     log1 = qwwkl_cutter(phi, psi, Fraction(1, 2), Fraction(3, 4), stages=32)[1].to_csv()
     log2 = qwwkl_cutter(phi, psi, Fraction(1, 2), Fraction(3, 4), stages=32)[1].to_csv()

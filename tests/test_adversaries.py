@@ -18,13 +18,14 @@ from wred.adversaries import (
     ts1_backward_sample,
     ts1_diagonalizer,
 )
-from wred.kernel import Diverge, InputError, Point, Prefix, cantor_pair, evaluate, pointwise
+from wred.kernel import (Diverge, InputError, Point, Prefix, cantor_pair, evaluate, oblivious,
+                         pointwise)
 from wred.oracle import SearchBudget, find_rainbow
 from wred.problems import Coloring, index_string, string_index, verify_rainbow_at
 
 
 def identity_tree_map():
-    return pointwise(1, lambda ctx, x: ctx.query(0, x), "id", reads=lambda x: [(0, x)])
+    return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x), "id"))
 
 
 def const_zero_backward():

@@ -56,6 +56,7 @@ from wred.combinators import (
     witness_parallel,
 )
 from wred.kernel import (
+    DEFAULT_FUEL,
     EvalContext,
     InputError,
     Point,
@@ -65,6 +66,7 @@ from wred.kernel import (
     evaluate,
     family_column,
     interleave_tapes,
+    oblivious,
     pointwise,
 )
 from wred.oracle import SearchBudget, find_homogeneous, find_thin
@@ -498,13 +500,13 @@ def test_blowup_once_bound_exact():
 
 
 def test_blowup_paths_map_into_base():
-    from wred.kernel import apply_functional
+    from wred.kernel import FunctionalTape
     from wred.problems import level_members
 
     b = blowup_once(FIRST1, Fraction(1, 2), Fraction(1, 10), depth=8)
     for sigma in level_members(b.tree, 8):
         src = Point.from_bits(sigma.bits, tail=1)
-        img = apply_functional(b.path_map, [src], 100000)
+        img = FunctionalTape(b.path_map, [src], 100000)
         shift = next((len(sh) for sh in b.shifts if sigma.bits[: len(sh)] == sh.bits), 0)
         assert Prefix(tuple(img.bit(i) for i in range(8 - shift))) in FIRST1
 
@@ -660,8 +662,8 @@ def test_squash_backward_coh_reproduces_columns():
 def _xor_plain_squash_config():
     """A plain <TRIV,TRIV> <= TRIV: Phi(<A, B>) = A xor B, backward = instance xor solution."""
     t = triv_spec()
-    fwd = pointwise(1, lambda ctx, x: ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1), "xor",
-                    reads=lambda x: [(0, 2 * x), (0, 2 * x + 1)])
+    fwd = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1),
+                              "xor"))
     back = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "inst-xor-sol")
     w = Witness(parallel_product(t, t), t, fwd, back, "plain", label="xor-plain")
     return SquashConfig(q_spec=t, p_spec=t, witness=w, label="xor-plain")
@@ -706,7 +708,7 @@ def test_plain_squash_backward_reads_the_pair_instance():
         return ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1)
 
     cheap = squash(_xor_plain_squash_config(), 6).backward
-    cfg.witness.forward = pointwise(1, heavy, "heavy-xor", reads=cfg.witness.forward.reads)
+    cfg.witness.forward = oblivious(pointwise(1, heavy, "heavy-xor"))
     heavy = squash(cfg, 6).backward
     assert evaluate(cheap, [fam, sol], 3, 200).converged
     out = evaluate(heavy, [fam, sol], 3, 200)
@@ -805,6 +807,32 @@ def test_catalog_functionals_honor_kernel_contracts():
             out = evaluate(f, tapes[: f.arity], x, 4096)
             assert out.converged and out == evaluate(f, tapes[: f.arity], x, 4096), (f, x)
             assert check_use_soundness(f, tapes[: f.arity], x, 4096), (f, x)
+
+    # every read map is exact: the step is value-oblivious
+    mapped = [f for f in [w.forward for w in witnesses] + functionals if f.reads is not None]
+    mapped += [make().witness.forward for make in SQUASH_CONFIGS.values()]
+    assert len(mapped) >= 30  # not vacuous
+    for f in mapped:
+        assert _read_map_is_exact(f), f
+
+    # a value-dependent step wrapped in `oblivious` is caught: on zeros it
+    # reads x and x + 1, where bit x is 1 only x
+    either = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x) or ctx.query(0, x + 1),
+                                 "either"))
+    assert set(either.reads(3)) == {(0, 3), (0, 4)}
+    assert not _read_map_is_exact(either)
+
+
+def _read_map_is_exact(f, seeds=(3, 17, 29), below=64) -> bool:
+    """At each x < below, on seeded oracles, the cells step(x) queries in a
+    fresh context are set(f.reads(x))."""
+    for seed in seeds:
+        for x in range(below):
+            tapes = [_RecordingTape(Point.from_seed(seed + t)) for t in range(f.arity)]
+            f.step(EvalContext(tapes, DEFAULT_FUEL), x)
+            if {(t, p) for t, tape in enumerate(tapes) for p in tape.reads} != set(f.reads(x)):
+                return False
+    return True
 
 
 def test_blowup_search_exhaustion_is_resource_error():

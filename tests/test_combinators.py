@@ -31,12 +31,14 @@ from wred.combinators import (
     witness_parallel,
 )
 from wred.kernel import (
+    Functional,
     InputError,
     Point,
     evaluate,
     family_column,
     identity_functional,
     interleave_tapes,
+    oblivious,
     pointwise,
     projection_functional,
 )
@@ -229,8 +231,8 @@ def test_nested_work_is_charged_to_the_callers_fuel():
     # (11 positions) and one new position of each level below it, 21
     # forward steps of 302 (entry, ticks, read) after the entry charge
     cfg = SQUASH_CONFIGS["projection-toy"]()
-    cfg.witness.forward = pointwise(1, lambda ctx, x: heavy(ctx, 2 * x + 1), "heavy-snd",
-                                    reads=cfg.witness.forward.reads)
+    cfg.witness.forward = oblivious(
+        pointwise(1, lambda ctx, x: heavy(ctx, 2 * x + 1), "heavy-snd"))
     forward = squash(cfg, 40, 2).forward
     out = evaluate(forward, [Point.from_seed(5)], 10, 200)
     assert (out.status, out.reason) == ("diverged", "fuel")
@@ -277,7 +279,7 @@ def test_lift_identity_is_columnwise_identity():
 
 
 def test_lift_forward_is_phi_per_column():
-    flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip", reads=lambda x: [(0, x)])
+    flip = oblivious(pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip"))
     spec = triv_spec()
     w = lift_seq(Witness(spec, spec, flip, identity_functional(), "strong"))
     fam = Point.from_seed(5)
@@ -320,7 +322,7 @@ def test_iterate_n1_is_first_column():
 def test_iterate_nesting_puts_first_instance_outermost():
     # forward that projects the LEFT component: the n-fold nesting collapses to A_0
     spec = triv_spec()
-    left = pointwise(1, lambda ctx, x: ctx.query(0, 2 * x), "left", reads=lambda x: [(0, 2 * x)])
+    left = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x), "left"))
     w = Witness(parallel_product(spec, spec), spec, left, identity_functional(), "strong")
     it = iterate_finite(w, 4)
     fam = Point.from_seed(31)
@@ -359,10 +361,8 @@ def echo_squash_config():
 
 def projection_squash_config():
     t = triv_spec()
-    fwd = pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd",
-                    reads=lambda x: [(0, 2 * x + 1)])
-    back = pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
-                     reads=lambda x: [(0, x // 2)])
+    fwd = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd"))
+    back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
     w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="<TRIV,TRIV><=TRIV")
     return SquashConfig(q_spec=t, p_spec=t, witness=w, label="projection")
 
@@ -486,9 +486,8 @@ def synthetic_squash_config(reads, step=lambda ctx, x: 0):
     The default step reads nothing: the read-closure engine sees only the map.
     """
     t = triv_spec()
-    fwd = pointwise(1, step, "synthetic", reads=reads)
-    back = pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup",
-                     reads=lambda x: [(0, x // 2)])
+    fwd = Functional(1, step, "synthetic", reads)
+    back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
     w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="synthetic")
     return SquashConfig(q_spec=t, p_spec=t, witness=w, label="synthetic")
 
@@ -831,14 +830,13 @@ def test_marker_engines_agree_with_literal_enumeration():
 
 def _flip_witness():
     spec = triv_spec()
-    flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip", reads=lambda x: [(0, x)])
+    flip = oblivious(pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip"))
     return Witness(spec, spec, flip, identity_functional(), "strong", label="flip")
 
 
 def _shift_witness():
     spec = triv_spec()
-    shift = pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "shift",
-                      reads=lambda x: [(0, x + 1)])
+    shift = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "shift"))
     return Witness(spec, spec, shift, identity_functional(), "strong", label="shift")
 
 

@@ -218,6 +218,41 @@ def test_cli_oracle_unreadable_input_is_input_error(tmp_path, capsys, content):
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("task, body", [
+    ("homogeneous", "param arity: -1\nentry:\n"),
+    ("homogeneous", "param arity: -1\n"),
+    ("thin", "param arity: -1\n"),
+    ("rainbow", "param arity: -1\n"),
+    ("homogeneous", "param arity: 0\nentry: 1\n"),
+], ids=["negative-empty-entry", "negative-homogeneous", "negative-thin", "negative-rainbow",
+        "zero"])
+def test_cli_oracle_table_arity_below_one_is_input_error(tmp_path, capsys, task, body):
+    doc = tmp_path / "table.doc"
+    doc.write_text("wred-instance v1\nkind: coloring\nrepresentation: table\n" + body)
+    assert main(["oracle", task, "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: param arity") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["nosuch"], ["verify", "rt_product", "--bogus"],
+                                  ["squash", "--horizon", "x", "--config", "projection-toy"]],
+                         ids=["missing-entry", "unknown-command", "unknown-option", "bad-int"])
+def test_cli_usage_errors_are_input_errors(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: wred" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name, param", [
     ("ts1", "k=x"),
     ("delta2", "k=x"),

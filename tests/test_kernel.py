@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from wred.kernel import (
     Continuation,
     Diverge,
+    FunctionalTape,
     InputError,
+    MapTape,
     Point,
     Prefix,
-    apply_functional,
     cantor_pair,
     cantor_unpair,
     check_downward_closure,
@@ -189,7 +190,7 @@ def test_determinism_and_contracts_on_samples(seed, x, fuel):
 
 
 def test_functional_tape_lazy_and_terminal_divergence():
-    tape = apply_functional(identity_functional(), [Prefix((1, 1, 0))], 50)
+    tape = FunctionalTape(identity_functional(), [Prefix((1, 1, 0))], 50)
     assert [tape.bit(i) for i in range(3)] == [1, 1, 0]
     with pytest.raises(Diverge):
         tape.bit(3)
@@ -205,13 +206,28 @@ def test_compose_functionals_is_plain_composition():
 
 
 def test_declared_reads_match_actual_use():
-    for f in (identity_functional(), interleave_functional(), projection_functional(0)):
+    # at each position of a sweep, the cells queried are exactly the read map's
+    for f in (identity_functional(), interleave_functional(), projection_functional(0),
+              constant_functional(1, 2)):
         assert f.reads is not None
-        tapes = [Point.from_seed(1), Point.from_seed(2)][: f.arity]
+        cells = set()  # each (tape, pos) the sweep asks for
+        tapes = [MapTape(Point.from_seed(1 + t), lambda p, t=t: cells.add((t, p)) or p)
+                 for t in range(f.arity)]
+        sweep = FunctionalTape(f, tapes, 100)
         for x in range(12):
-            _, use, _ = (evaluate(f, tapes, x, 100).value, evaluate(f, tapes, x, 100).use, 0)
-            declared = set()
-            for y in range(x + 1):
-                declared |= set(f.reads(y))
-            for t, p in use.items():
-                assert any(t == dt and p <= dp for dt, dp in declared) or (t, p) in declared
+            cells.clear()
+            sweep.bit(x)
+            assert cells == set(f.reads(x)), (f, x)
+
+
+def test_negative_positions_are_input_errors():
+    tape = FunctionalTape(identity_functional(), [Point.ones()], 50)
+    with pytest.raises(InputError):
+        tape.bit(-1)  # a fresh tape
+    assert tape.bit(3) == 1
+    with pytest.raises(InputError):
+        tape.bit(-1)  # not the last materialized bit
+    with pytest.raises(InputError):
+        evaluate(identity_functional(), [Point.ones()], -3, 50)
+    with pytest.raises(InputError):
+        evaluate(pointwise(1, lambda ctx, x: ctx.query(0, x - 1), "back1"), [Point.ones()], 0, 50)
