@@ -21,11 +21,11 @@ from .kernel import (
     Diverge,
     EvalContext,
     Functional,
+    FunctionalTape,
     InputError,
     Prefix,
     ResourceError,
     cantor_pair,
-    evaluate,
     pointwise,
     _run_step,
 )
@@ -160,6 +160,14 @@ class _CutTreeTape:
         return 1 if self.tree.member_bits(bits) else 0
 
 
+def _converged(tape: FunctionalTape, x: int) -> Optional[int]:
+    """The tape's bit at x, or None when its sweep stalls at or below x."""
+    try:
+        return tape.bit(x)
+    except Diverge:
+        return None
+
+
 def least_cut_width(p: Fraction, q: Fraction) -> int:
     """Least a with 2^-a < q - p."""
     if not 0 < p < q < 1:
@@ -180,6 +188,10 @@ class _ImageSweep:
     once every bit of it has converged, never changes: each is grown once
     from the one above on string indices (children 2i+1, 2i+2) and kept,
     and turned into strings once, when it is first asked for.
+
+    Not a `FunctionalTape`: the tree oracle grows, so a gap is retried at
+    the next stage on a fresh context, while a tape's stall is terminal,
+    and so is that of any tape a composite parks in its context.
     """
 
     def __init__(self, phi: Functional, fuel: int):
@@ -255,16 +267,12 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             # the stage is simply retried once more of the tree is fixed
             tapes_extra = [] if psi.arity == 1 else [tree.as_partial_point()]
             for tau in image:
-                vals = []
-                for x in xs:
-                    out = evaluate(psi, [tau] + tapes_extra, x, fuel)
-                    if not out.converged:
-                        reason = f"backward diverged on a level-{n_s} string at {x}"
-                        break
-                    vals.append(out.value)
-                if reason:
+                backward = FunctionalTape(psi, [tau] + tapes_extra, fuel)
+                vals = tuple(_converged(backward, x) for x in xs)
+                if None in vals:
+                    reason = f"backward diverged on a level-{n_s} string at {xs[vals.index(None)]}"
                     break
-                votes[tuple(vals)] = votes.get(tuple(vals), 0) + 1
+                votes[vals] = votes.get(vals, 0) + 1
 
         if reason is not None:
             tree.height = s + 1
@@ -306,6 +314,11 @@ def _canonical_set(index: int) -> tuple:
     return tuple(i for i in range(index.bit_length()) if (index >> i) & 1)
 
 
+def _set_prefix(members) -> Prefix:
+    """A finite set's characteristic string, through its largest member."""
+    return Prefix(tuple(1 if i in members else 0 for i in range(max(members, default=-1) + 1)))
+
+
 def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: int,
                      set_budget: int = 1 << 12, fuel: int = DEFAULT_FUEL,
                      horizon: int = 32, tail_size: int = 4) -> TS1Result:
@@ -332,21 +345,10 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
             bits.extend((c >> b) & 1 for b in range(w_j))
         return Prefix(tuple(bits))
 
-    def image_color(tape, x) -> Optional[int]:
+    def image_color(image: FunctionalTape, x) -> Optional[int]:
         w_k = color_block_width(k)
-        vals = []
-        for b in range(w_k):
-            out = evaluate(phi, [tape], x * w_k + b, fuel)
-            if not out.converged:
-                return None
-            vals.append(out.value)
-        return sum(v << b for b, v in enumerate(vals)) % k
-
-    def set_prefix(members) -> Prefix:
-        if not members:
-            return Prefix()
-        top = max(members)
-        return Prefix(tuple(1 if i in members else 0 for i in range(top + 1)))
+        vals = [_converged(image, x * w_k + b) for b in range(w_k)]
+        return None if None in vals else sum(v << b for b, v in enumerate(vals)) % k
 
     psi_eval_budget = 512  # per stage; truncation is reported, never silent
     for s in range(1, stages + 1):
@@ -357,17 +359,18 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
             for fs in f_sets:
                 base.update(fs)
             base_top = max(base) if base else -1
-            ftape = f_prefix_tape()
+            image = FunctionalTape(phi, [f_prefix_tape()], fuel)
             img = {}
             evals = 0
             # a number is eligible only where the backward still diverges
             # on the anchors built so far; this is per-stage, not per-F
             eligible = []
+            backward = FunctionalTape(psi, [_set_prefix(base)], fuel)
             for x in range(len(colors)):
                 if x > s or colors[x] not in valid:
                     continue
                 evals += 1
-                if not evaluate(psi, [set_prefix(base)], x, fuel).converged:
+                if _converged(backward, x) is None:
                     eligible.append(x)
             for idx in range(1, set_budget):
                 if acted or evals >= psi_eval_budget:
@@ -380,17 +383,17 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
                 bad = False
                 for m in cand:
                     if m not in img:
-                        img[m] = image_color(ftape, m)
+                        img[m] = image_color(image, m)
                     if img[m] is None:
                         bad = True
                         break
                     vals.add(img[m])
                 if bad or len(vals) != 1:
                     continue
+                backward = FunctionalTape(psi, [_set_prefix(base | set(cand))], fuel)
                 for x in eligible:
                     evals += 1
-                    out1 = evaluate(psi, [set_prefix(base | set(cand))], x, fuel)
-                    if out1.converged and out1.value == 1:
+                    if _converged(backward, x) == 1:
                         f_sets.append(cand)
                         anchors.append(x)
                         dead = colors[x]
@@ -411,11 +414,11 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
 
     # assemble T = union of anchors plus a homogeneous tail for the image
     result = TS1Result(colors, f_sets, anchors, invalidated, log)
-    full_tape = f_prefix_tape()
+    image = FunctionalTape(phi, [f_prefix_tape()], fuel)
     image_vals = {}
     for x in range(horizon):
         if x < len(colors):
-            image_vals[x] = image_color(full_tape, x)
+            image_vals[x] = image_color(image, x)
     start = (max(max(fs) for fs in f_sets) + 1) if f_sets else 0
     by_color: dict[int, list[int]] = {}
     for x in range(start, min(horizon, len(colors))):
@@ -435,14 +438,8 @@ def ts1_backward_sample(psi: Functional, members, horizon: int,
     """Members the backward functional asserts on a finite set oracle."""
     if not members:
         return []
-    top = max(members)
-    tape = Prefix(tuple(1 if i in members else 0 for i in range(top + 1)))
-    out = []
-    for x in range(horizon):
-        o = evaluate(psi, [tape], x, fuel)
-        if o.converged and o.value == 1:
-            out.append(x)
-    return out
+    backward = FunctionalTape(psi, [_set_prefix(members)], fuel)
+    return [x for x in range(horizon) if _converged(backward, x) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +527,13 @@ class CMResult:
 def _fresh_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int,
                       used=frozenset()):
     """Least x < y outside `used` with converged output 1 at both, on the string oracle."""
+    image = FunctionalTape(phi, [sigma], fuel)
     ones = []
     for pos in range(out_bound):
-        out = evaluate(phi, [sigma], pos, fuel)
-        if not out.converged:
+        v = _converged(image, pos)
+        if v is None:
             break
-        if out.value == 1 and pos not in used:
+        if v == 1 and pos not in used:
             ones.append(pos)
             if len(ones) == 2:
                 return ones[0], ones[1]

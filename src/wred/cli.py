@@ -19,6 +19,7 @@ from .adversaries import (
 from .catalog import ENTRIES, SQUASH_CONFIGS
 from .combinators import squash_forward, squash_markers
 from .harness import (
+    EXIT_CONTRACT,
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_RESOURCE,
@@ -27,7 +28,7 @@ from .harness import (
     parse_document,
     run_suite,
 )
-from .kernel import InputError, Point, ResourceError, identity_functional, pointwise
+from .kernel import ContractError, InputError, Point, ResourceError, identity_functional, pointwise
 from .oracle import (
     SearchBudget,
     enumerate_paths,
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except ResourceError as e:
         print(f"resource error: {e} {e.context}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ContractError as e:
+        print(f"contract error: {e}", file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .kernel import (
     Functional,
     FunctionalTape,
     InputError,
+    MapTape,
     Point,
     Prefix,
     ResourceError,
@@ -940,19 +941,27 @@ class SquashRun:
     horizon: int
 
 
-def _squash_row(cfg: SquashConfig, markers, i: int) -> Functional:
-    """B_i as a functional of the instance family; row 0 is the squash forward."""
+def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
+    """B_{rows[k]}(x) at position x * len(rows) + k; the table of row 0 alone
+    is the squash forward.
 
-    def step(ctx, x):
+    The table is stage-major, so one sweep reads every row stage by stage,
+    in increasing order, and the one display parked on its context serves
+    them all: each level T_j is built once.
+    """
+    width = len(rows)
+
+    def step(ctx, p):
+        x, k = divmod(p, width)
         if x + 1 >= len(markers):
-            raise Diverge("gap", x)
-        # one display per context serves every row swept on it, stage by stage
+            raise Diverge("gap", p)
         display = ctx.scratch.get("display") or _Display(
             ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j))
         display.stage = x  # B_i(x) is V_i(x) at stage x
+        i = rows[k]
         return cfg.c.bit(x) if x < markers[i] else display.tail_bit(i, x)
 
-    return pointwise(1, step, f"{cfg.label}-B{i}")
+    return pointwise(1, step, f"{cfg.label}-B{rows.start}..{rows.stop - 1}")
 
 
 def _check_row(markers, i: int) -> None:
@@ -966,9 +975,10 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
 
     B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
     v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0, and B_i(x) =
-    v_i(x).  The rows share one context and so one display, read stage by
-    stage in increasing order; rows i > x are C(x), since m_i >= i.  A
-    divergence of the chain is a ResourceError naming the row and stage.
+    v_i(x).  The rows are one `FunctionalTape` of the stage-major table of
+    B_0..B_count, so one display serves them all; rows i > x are C(x),
+    since m_i >= i.  The sweep's first divergence is a ResourceError
+    naming its row and stage.
 
     The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(<A_i,
     B_{i+1}>)(x) for m_i <= x < horizon is then recomputed against the
@@ -980,12 +990,14 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
     ext = horizon + slack
     if len(markers) < ext + 1:
         raise InputError(f"need markers through stage {ext}, have {len(markers) - 1}")
-    ctx = EvalContext([a_family_tape], DEFAULT_FUEL)
-    rows = [_LazyBRow(cfg, markers, ctx, i) for i in range(count + 1)]
-    for x in range(ext):
-        for row in rows:
-            row.bit(x)
-    table = [row.bits for row in rows]
+    width = count + 1
+    rows = FunctionalTape(_squash_table(cfg, markers, range(width)), [a_family_tape], DEFAULT_FUEL)
+    try:
+        table = [[rows.bit(x * width + i) for x in range(ext)] for i in range(width)]
+    except Diverge as d:
+        x, i = divmod(d.position, width)
+        raise ResourceError(f"B_{i}({x}) diverged at stage {x} ({d.reason})",
+                            row=i, stage=x, reason=d.reason)
     for i in range(count):
         pair = interleave_tapes(family_column(a_family_tape, i), Prefix(tuple(table[i + 1])))
         check = cfg.witness.forward_image(pair)
@@ -1007,31 +1019,12 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
     return SquashRun(markers, table, horizon)
 
 
-class _LazyBRow:
-    """B_i as a tape: each B_i(x), in stage order, is one position of ctx's sweep."""
-
-    def __init__(self, cfg: SquashConfig, markers, ctx: EvalContext, i: int):
-        self.func, self.ctx, self.i = _squash_row(cfg, markers, i), ctx, i
-        self.supply = len(markers)
-        self.bits: list[int] = []
-
-    def bit(self, pos: int) -> int:
-        if pos + 1 >= self.supply:
-            raise Diverge("gap", pos)
-        while len(self.bits) <= pos:
-            x = len(self.bits)
-            try:
-                self.bits.append(_run_step(self.func, self.ctx, x))
-            except Diverge as d:
-                raise ResourceError(f"B_{self.i}({x}) diverged at stage {x} ({d.reason})",
-                                    row=self.i, stage=x, reason=d.reason)
-        return self.bits[pos]
-
-
 def squash_row_tape(cfg: SquashConfig, markers: MarkerSequence, a_family_tape, i: int):
-    """B_i as a lazy tape (defined while the marker supply lasts)."""
+    """B_i as a lazy tape, defined while the marker supply lasts; like every
+    lazy tape, a divergence raises Diverge."""
     _check_row(markers, i)
-    return _LazyBRow(cfg, markers, EvalContext([a_family_tape], DEFAULT_FUEL), i)
+    return FunctionalTape(_squash_table(cfg, markers, range(i, i + 1)), [a_family_tape],
+                          DEFAULT_FUEL)
 
 
 def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
@@ -1046,10 +1039,12 @@ def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
             return 0
         if ("pulled", 0) not in ctx.scratch:  # one unravel per sweep serves every column
             *family, cur = (ctx.tape(k) for k in range(w.backward.arity))  # family when plain
+            # B_1..B_columns, one table on one display; row j + 1 is every columns-th bit
+            rows = ctx.apply(_squash_table(cfg, markers, range(1, columns + 1)), family,
+                             "rows") if family else None
             for j in range(columns):
                 inst = None if not family else interleave_tapes(
-                    family_column(family[0], j),
-                    ctx.apply(_squash_row(cfg, markers, j + 1), family, ("row", j + 1)))
+                    family_column(family[0], j), MapTape(rows, lambda x, j=j: x * columns + j))
                 oracles = w.backward_oracles(inst, theta(cur, markers[j]))
                 cur = odd_part(ctx.apply(w.backward, oracles, ("pulled", j)))
         return ctx.scratch[("pulled", i)].bit(2 * t)
@@ -1080,7 +1075,7 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
     """Assemble the three sub-operations into a witness SeqQ <= P."""
     markers = squash_markers(cfg, stages)
     _check_row(markers, columns)
-    return Witness(seq(cfg.q_spec, columns), cfg.p_spec, _squash_row(cfg, markers, 0),
+    return Witness(seq(cfg.q_spec, columns), cfg.p_spec, _squash_table(cfg, markers, range(1)),
                    _squash_unravel(cfg, markers, columns), cfg.kind,
                    label=f"Seq{cfg.q_spec.name}<={cfg.p_spec.name} ({cfg.label})")
 

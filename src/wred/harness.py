@@ -13,10 +13,10 @@ from typing import Callable
 
 from .catalog import ENTRIES, run_entry
 from .combinators import SoundnessRow
-from .kernel import InputError, Point, Prefix, ResourceError
+from .kernel import ContractError, InputError, Point, Prefix, ResourceError
 from .problems import HAND_TREES, Coloring, TreeByRule
 
-EXIT_PASS, EXIT_FAIL, EXIT_RESOURCE, EXIT_INPUT = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_RESOURCE, EXIT_INPUT, EXIT_CONTRACT = 0, 1, 2, 3, 4
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,13 @@ def _split_case(row: SoundnessRow, entry: str):
 
 
 def run_suite(selector: str, config: SuiteConfig) -> Report:
-    """Generic soundness plus entry-specific invariants for the selection."""
+    """Generic soundness plus entry-specific invariants for the selection.
+
+    An entry that ends in a resource or a contract error becomes one
+    `error` row, and the run goes on with the next entry.
+    """
+    if min(config.samples, config.fuel) < 0 or min(config.size, config.horizon) < 1:
+        raise InputError(f"need samples and fuel >= 0 and size and horizon >= 1, got {config}")
     if selector == "all":
         ids = sorted(ENTRIES)
     elif selector in ENTRIES:
@@ -253,10 +259,11 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
         try:
             rows = run_entry(entry_id, rng, config.samples, config.horizon, config.size,
                              config.fuel)
-        except ResourceError as e:
-            report.add(ReportRow(entry_id, entry_id, "run", "error",
-                                 f"resource: {e} {e.context}", config.seed, config.horizon,
-                                 config.fuel))
+        except (ResourceError, ContractError) as e:
+            detail = (f"resource: {e} {e.context}" if isinstance(e, ResourceError)
+                      else f"contract: {e}")
+            report.add(ReportRow(entry_id, entry_id, "run", "error", detail, config.seed,
+                                 config.horizon, config.fuel))
             continue
         for row in rows:
             case, check = _split_case(row, entry_id)

@@ -49,7 +49,9 @@ class Diverge(Exception):
     """Flow control: the current evaluation does not converge.
 
     reason is 'fuel' (budget exhausted) or 'gap' (a partial oracle was
-    queried outside its defined region).  Never escapes `evaluate`.
+    queried outside its defined region).  `evaluate` turns it into a
+    diverged outcome; a lazy tape (`FunctionalTape.bit`) raises it to its
+    reader, with the stalled position.
     """
 
     def __init__(self, reason: str, position: int | None = None):

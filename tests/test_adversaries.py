@@ -17,9 +17,10 @@ from wred.adversaries import (
     rrt_column_splitter,
     ts1_backward_sample,
     ts1_diagonalizer,
+    _fresh_double_one,
 )
-from wred.kernel import (Diverge, InputError, Point, Prefix, cantor_pair, evaluate, oblivious,
-                         pointwise)
+from wred.kernel import (DEFAULT_FUEL, Diverge, InputError, Point, Prefix, cantor_pair, evaluate,
+                         oblivious, pointwise)
 from wred.oracle import SearchBudget, find_rainbow
 from wred.problems import Coloring, index_string, string_index, verify_rainbow_at
 
@@ -158,6 +159,27 @@ def test_ts1_action_bound_respected():
         assert len(res.log.action_stages()) <= 1  # j - 1
 
 
+def test_ts1_evaluation_budget_truncates_at_pinned_stages():
+    # the per-stage budget of 512 backward reads counts one read per
+    # eligibility probe and one per (candidate, eligible x) pair
+    res = ts1_diagonalizer(embed_2_to_3(), never_converging(), 2, 3, stages=40, fuel=50)
+    truncated = [r.stage for r in res.log.records if "truncated" in r.detail]
+    assert truncated == list(range(7, 41))
+
+
+def counted_echo(swept: list):
+    """The echo backward, recording each position its step runs at."""
+    return pointwise(1, lambda ctx, x: swept.append(x) or ctx.query(0, x), "counted-echo")
+
+
+def test_ts1_backward_sample_sweeps_each_position_once():
+    # one tape per set oracle: horizon 32 runs 32 steps, not 1 + 2 + ... + 32
+    swept = []
+    members = {2, 3, 5, 31}
+    assert ts1_backward_sample(counted_echo(swept), members, 32) == sorted(members)
+    assert swept == list(range(32))
+
+
 def test_ts1_rejects_bad_colors():
     with pytest.raises(InputError):
         ts1_diagonalizer(embed_2_to_3(), prefix_echo(), 3, 3, stages=4)
@@ -249,6 +271,17 @@ def test_cm_glued_pair_blocks_rainbows():
     found = find_rainbow(res.coloring, budget)
     assert found.found
     assert not {x, y} <= set(found.members)  # any rainbow avoids the glued pair
+
+
+def test_fresh_double_one_sweeps_each_position_once():
+    swept = []
+    echo = counted_echo(swept)
+    assert _fresh_double_one(echo, Prefix((0, 1, 0, 1, 1, 1)), 16, DEFAULT_FUEL,
+                             used=frozenset({1})) == (3, 4)
+    assert swept == [0, 1, 2, 3, 4]
+    swept.clear()  # a stall at the end of the string ends the search
+    assert _fresh_double_one(echo, Prefix((0, 1)), 16, DEFAULT_FUEL) is None
+    assert swept == [0, 1, 2]
 
 
 # --- arb-bounds cylinder search ----------------------------------------------------

@@ -715,6 +715,25 @@ def test_plain_squash_backward_reads_the_pair_instance():
     assert (out.status, out.reason, out.position) == ("diverged", "fuel", 3)
 
 
+def test_plain_squash_backward_builds_each_level_once(monkeypatch):
+    # the unravel reads B_1..B_4 as one stage-major table, on one display
+    from wred.combinators import _Display
+
+    built = {}  # (display, j) -> the level tape T_j
+    level = _Display.level
+
+    def counted(self, j):
+        return built.setdefault((self, j), level(self, j))
+
+    monkeypatch.setattr(_Display, "level", counted)
+    backward = squash(_xor_plain_squash_config(), 70, 4).backward
+    assert evaluate(backward, [Point.from_seed(21), Point.from_seed(22)], 40,
+                    DEFAULT_FUEL).converged
+    levels = {j for _, j in built}
+    assert len({id(t) for t in built.values()}) == len(levels) == 35
+    assert len({d for d, _ in built}) == 1
+
+
 def test_iterate_wkl_interleave():
     w = wkl_interleave(2)
     it = iterate_finite(w, 3)

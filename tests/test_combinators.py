@@ -609,7 +609,7 @@ def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
 
 def test_squash_forward_fuel_exhaustion_is_resource_error():
     from wred.combinators import squash_row_tape
-    from wred.kernel import DEFAULT_FUEL, ResourceError
+    from wred.kernel import DEFAULT_FUEL, Diverge, ResourceError
 
     cfg = projection_squash_config()
     ms = squash_markers(cfg, 12)
@@ -622,9 +622,10 @@ def test_squash_forward_fuel_exhaustion_is_resource_error():
     with pytest.raises(ResourceError) as exc:
         squash_forward(cfg, ms, Point.from_seed(7), 8, count=2)
     assert exc.value.context == {"row": 0, "stage": 0, "reason": "fuel"}
-    with pytest.raises(ResourceError) as exc:
+    # a row tape is a lazy tape: it stalls where B_1 first leaves C, at m_1 = 1
+    with pytest.raises(Diverge) as stall:
         squash_row_tape(cfg, ms, Point.from_seed(7), 1).bit(3)
-    assert exc.value.context == {"row": 1, "stage": 1, "reason": "fuel"}
+    assert (stall.value.reason, stall.value.position) == ("fuel", 1)
 
 
 def test_squash_readers_reject_bad_rows_and_counts():

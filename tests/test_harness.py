@@ -14,7 +14,7 @@ from wred.harness import (
     run_suite,
     save_coloring_table,
 )
-from wred.kernel import InputError, Prefix
+from wred.kernel import ContractError, InputError, Prefix
 from wred.problems import Coloring, TreeByRule, measure_at_level
 
 
@@ -98,6 +98,32 @@ def test_run_suite_single_entry_all_pass():
 def test_run_suite_unknown_selector():
     with pytest.raises(InputError):
         run_suite("nonsense", SuiteConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", -1), ("fuel", -1), ("size", 0), ("size", -3), ("horizon", 0),
+])
+def test_run_suite_rejects_bad_config(field, value):
+    with pytest.raises(InputError, match="samples and fuel >= 0"):
+        run_suite("rt_product", SuiteConfig(**{field: value}))
+
+
+def test_run_suite_contract_error_is_an_error_row(monkeypatch):
+    from wred import harness
+
+    ran = []
+
+    def run_entry(entry_id, *args):
+        ran.append(entry_id)
+        if entry_id == "rt_product":
+            raise ContractError("witness broke an invariant")
+        return []
+
+    monkeypatch.setattr(harness, "run_entry", run_entry)
+    report = run_suite("all", SuiteConfig(samples=1))
+    assert ran == sorted(harness.ENTRIES)  # the run goes on past the broken entry
+    assert [(r.entry, r.check, r.status, r.detail) for r in report.rows] == [
+        ("rt_product", "run", "error", "contract: witness broke an invariant")]
 
 
 def test_report_deterministic_bytes():
@@ -243,6 +269,29 @@ def test_cli_usage_errors_are_input_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_contract_error_is_one_line_and_its_own_exit_code(monkeypatch, capsys):
+    from wred import cli
+    from wred.harness import EXIT_CONTRACT
+
+    def broken(selector, config):
+        raise ContractError("witness broke an invariant")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert main(["verify", "rt_product"]) == EXIT_CONTRACT == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contract error: witness broke an invariant\n"
+
+
+@pytest.mark.parametrize("argv", [["--samples", "-1"], ["--fuel", "-1"], ["--size", "-3"],
+                                  ["--size", "0"], ["--horizon", "0"]])
+def test_cli_verify_bad_numbers_are_input_errors(tmp_path, capsys, argv):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "rt_product", *argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_cli_help_exits_zero(capsys):
