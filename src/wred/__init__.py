@@ -33,7 +33,6 @@ from .problems import (
     known_problems,
     lookup,
     measure_at_level,
-    totalize_coloring,
     verify_homogeneous_at,
     verify_path_at,
     verify_rainbow_at,

@@ -25,15 +25,18 @@ from .kernel import (
     InputError,
     Prefix,
     ResourceError,
+    RuleTape,
     cantor_pair,
     pointwise,
     _run_step,
 )
 from .problems import (
     Coloring,
+    color_bit,
     color_block_width,
     index_bits,
     index_string,
+    read_color,
 )
 
 
@@ -137,27 +140,20 @@ class CutTree:
         level = self.height if level is None else level
         return Fraction(self.level_count(level), 2**level)
 
-    def as_partial_point(self) -> "_CutTreeTape":
-        return _CutTreeTape(self)
+    def as_partial_point(self) -> RuleTape:
+        """The tree as a partial oracle: bit(string_index(sigma)) says whether
+        sigma is in the tree, defined on strings no longer than its height.
 
+        It reads the tree live, so it answers for the current stage.
+        """
 
-class _CutTreeTape:
-    """A CutTree as a partial oracle: bit(string_index(sigma)) says whether
-    sigma is in the tree, defined on strings no longer than its height.
+        def rule(pos: int) -> int:
+            bits = index_bits(pos)
+            if len(bits) > self.height:
+                raise Diverge("gap", pos)
+            return 1 if self.member_bits(bits) else 0
 
-    It reads the tree live, so it answers for the current stage.
-    """
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: CutTree):
-        self.tree = tree
-
-    def bit(self, pos: int) -> int:
-        bits = index_bits(pos)
-        if len(bits) > self.tree.height:
-            raise Diverge("gap", pos)
-        return 1 if self.tree.member_bits(bits) else 0
+        return RuleTape(rule)
 
 
 def _converged(tape: FunctionalTape, x: int) -> Optional[int]:
@@ -340,15 +336,14 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
     log = StageLog()
 
     def f_prefix_tape():
-        bits = []
-        for c in colors:
-            bits.extend((c >> b) & 1 for b in range(w_j))
-        return Prefix(tuple(bits))
+        return Prefix(tuple(color_bit(p, w_j, colors.__getitem__)
+                            for p in range(len(colors) * w_j)))
 
     def image_color(image: FunctionalTape, x) -> Optional[int]:
-        w_k = color_block_width(k)
-        vals = [_converged(image, x * w_k + b) for b in range(w_k)]
-        return None if None in vals else sum(v << b for b, v in enumerate(vals)) % k
+        try:
+            return read_color(image, k, x)
+        except Diverge:
+            return None
 
     psi_eval_budget = 512  # per stage; truncation is reported, never silent
     for s in range(1, stages + 1):

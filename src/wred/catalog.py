@@ -52,16 +52,18 @@ from .problems import (
     Coloring,
     FAIL,
     HAND_TREES,
+    OMEGA_UNARY_CAP,
     PASS,
     ThinSolution,
     TreeByRule,
+    color_bit,
     color_block_width,
-    coloring_from_tape,
     coh_spec,
     leftmost_path_point,
     level_members,
     measure_at_level,
     read_color,
+    read_unary,
     rt_spec,
     string_index,
     tree_to_point,
@@ -85,10 +87,7 @@ def rt_color_embed(n: int, j: int, k: int) -> Witness:
     w_k = color_block_width(k)
 
     def fstep(ctx, x):
-        if w_k == 0:
-            return 0
-        r, off = divmod(x, w_k)
-        return (read_color(ctx, 0, j, r) >> off) & 1
+        return color_bit(x, w_k, lambda r: read_color(ctx.tape(0), j, r))
 
     forward = oblivious(pointwise(1, fstep, f"embed{j}->{k}"))
     return Witness(rt_spec(n, j), rt_spec(n, k), forward, identity_functional(), "strong",
@@ -108,11 +107,8 @@ def rt_arity_lift(m: int, n: int, k: int) -> Witness:
     w = color_block_width(k)
 
     def fstep(ctx, x):
-        if w == 0:
-            return 0
-        r, off = divmod(x, w)
-        t = rank_tuple(r, n)
-        return (read_color(ctx, 0, k, tuple_rank(t[:m])) >> off) & 1
+        a = ctx.tape(0)
+        return color_bit(x, w, lambda r: read_color(a, k, tuple_rank(rank_tuple(r, n)[:m])))
 
     forward = oblivious(pointwise(1, fstep, f"arity{m}->{n}"))
     need = n - m
@@ -138,12 +134,9 @@ def rt_product(n: int, j: int, k: int) -> Witness:
     w_jk = color_block_width(j * k)
 
     def fstep(ctx, x):
-        if w_jk == 0:
-            return 0
-        r, off = divmod(x, w_jk)
-        f_col = coloring_from_tape(even_part(ctx.tape(0)), n, j).value(rank_tuple(r, n))
-        g_col = coloring_from_tape(odd_part(ctx.tape(0)), n, k).value(rank_tuple(r, n))
-        return ((f_col + j * g_col) >> off) & 1
+        a = ctx.tape(0)
+        return color_bit(x, w_jk, lambda r: read_color(even_part(a), j, r)
+                         + j * read_color(odd_part(a), k, r))
 
     forward = oblivious(pointwise(1, fstep, f"pair{j}x{k}"))
     return Witness(source, target, forward, _dup_backward(), "strong",
@@ -313,15 +306,13 @@ def ts_collapse(n: int, j: int, k) -> Witness:
     target = ts_spec(n, j)
     w_j = color_block_width(j)
 
-    def fstep(ctx, x):
-        r, off = divmod(x, w_j)
+    def color(a, r):
         if k is not None:
-            v = read_color(ctx, 0, k, r)
-        else:
-            v = 0
-            while v < 64 and ctx.query(0, cantor_pair(r, v)) == 1:
-                v += 1
-        return (min(v, j - 1) >> off) & 1
+            return read_color(a, k, r)
+        return read_unary(family_column(a, r), OMEGA_UNARY_CAP)
+
+    def fstep(ctx, x):
+        return color_bit(x, w_j, lambda r: min(color(ctx.tape(0), r), j - 1))
 
     forward = pointwise(1, fstep, f"collapse{k}->{j}")
     if k is not None:  # omega reads unary as far as the first 0: value-dependent
@@ -429,8 +420,7 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
         n = (idx + 1).bit_length() - 1
         return allows(((idx + 1) >> (n - 1)) & 1, n)
 
-    t = TreeByRule(lambda tau: not tau.bits or allows(tau.bits[0], len(tau)),
-                   f"T[{sigma!r}]", Fraction(1, 2))
+    t = TreeByRule(lambda tau: not tau.bits or allows(tau.bits[0], len(tau)), f"T[{sigma!r}]")
     t.index_member = index_member
     return t
 

@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except ResourceError as e:
         print(f"resource error: {e} {e.context}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ContractError as e:
+    except (ContractError, RecursionError) as e:
         print(f"contract error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
 

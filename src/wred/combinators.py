@@ -9,7 +9,10 @@ Wire conventions, fixed once for the whole package:
 * alternative-product instances put a unary tag on the even bits and the
   payload on the odd bits;
 * compositional-product solutions interleave the first solution with the
-  second.
+  second;
+* k-color blocks and unary counts (tags, echo bounds, omitted colors) are
+  read and written only through the wire codec in `wred.problems`
+  (`read_color`, `color_bit`, `read_unary`, `unary_point`).
 
 A Witness packages a claimed reduction: a forward functional on
 instances and a backward functional on solutions (which also reads the
@@ -41,6 +44,7 @@ from .kernel import (
     Point,
     Prefix,
     ResourceError,
+    RuleTape,
     _run_step,
     cantor_unpair,
     even_part,
@@ -58,6 +62,12 @@ from .problems import (
     PASS,
     ProblemSpec,
     Verdict,
+    color_bit,
+    color_block_width,
+    read_color,
+    read_unary,
+    rt_spec,
+    unary_point,
     verdict_fail,
     verdict_inconclusive,
     verdict_pass,
@@ -171,7 +181,6 @@ def triv_spec() -> ProblemSpec:
         name="TRIV",
         is_total=True,
         decode=lambda tape: tape,
-        encode=lambda tape: tape,
         verify_at=lambda inst, sol, horizon, size: verdict_pass("every candidate solves"),
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
@@ -190,15 +199,9 @@ def echo_spec() -> ProblemSpec:
     the tail T, odd bits d in unary.
     """
 
-    def read_bound(sol_tape, cap):
-        d = 0
-        while d < cap and odd_part(sol_tape).bit(d) == 1:
-            d += 1
-        return d
-
     def verify(inst_tape, sol_tape, horizon, size):
         try:
-            d = read_bound(sol_tape, horizon)
+            d = read_unary(odd_part(sol_tape), horizon)
             if d >= horizon:
                 return verdict_inconclusive("exception bound reaches the horizon")
             for x in range(d, horizon):
@@ -219,7 +222,6 @@ def echo_spec() -> ProblemSpec:
         name="ECHO",
         is_total=True,
         decode=lambda tape: tape,
-        encode=lambda tape: tape,
         verify_at=verify,
         tolerance=tolerance,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
@@ -292,7 +294,6 @@ def parallel_product(p: ProblemSpec, q: ProblemSpec) -> ProblemSpec:
         brute_solution_tapes=brute,
         default_c=Point.zeros(),
         params={"left": p.name, "right": q.name},
-        finitely_checkable=p.finitely_checkable and q.finitely_checkable,
         validate_instance=validate,
     )
 
@@ -350,9 +351,7 @@ def alternative_product(specs: list[ProblemSpec]) -> ProblemSpec:
         raise InputError("alternative product needs at least one problem")
 
     def read_tag(tape):
-        t = 0
-        while t < len(specs) and even_part(tape).bit(t) == 1:
-            t += 1
+        t = read_unary(even_part(tape), len(specs))
         if t >= len(specs):
             raise InputError(f"tag {t} out of range for {len(specs)} components")
         return t
@@ -386,14 +385,12 @@ def alternative_product(specs: list[ProblemSpec]) -> ProblemSpec:
         sample_instance=sample if all(s.sample_instance for s in specs) else None,
         brute_solution_tapes=brute,
         params={"components": [s.name for s in specs]},
-        finitely_checkable=all(s.finitely_checkable for s in specs),
         validate_instance=validate,
     )
 
 
 def tag_tape(tag: int, payload):
-    unary = Point(lambda p, t=tag: 1 if p < t else 0, f"tag({tag})")
-    return interleave_tapes(unary, payload)
+    return interleave_tapes(unary_point(tag), payload)
 
 
 def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
@@ -401,11 +398,11 @@ def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
     if not 0 <= i < len(specs):
         raise InputError(f"tag {i} out of range")
 
+    tag = unary_point(i)
+
     def fstep(ctx, x):
         q, r = divmod(x, 2)
-        if r == 0:
-            return 1 if q < i else 0
-        return ctx.query(0, q)
+        return tag.bit(q) if r == 0 else ctx.query(0, q)
 
     forward = oblivious(pointwise(1, fstep, f"tag{i}"))
     return Witness(specs[i], alternative_product(specs), forward, identity_functional(), "strong",
@@ -486,7 +483,6 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         sample_instance=sample if p.sample_instance else None,
         brute_solution_tapes=brute,
         params={"outer": q.name, "inner": p.name},
-        finitely_checkable=p.finitely_checkable and q.finitely_checkable,
     )
 
 
@@ -545,7 +541,6 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
         brute_solution_tapes=brute if p.brute_solution_tapes else None,
         default_c=Point.zeros(),
         params={"component": p.name, "columns": columns},
-        finitely_checkable=p.finitely_checkable,
         validate_instance=validate,
     )
 
@@ -1107,8 +1102,6 @@ def fanout_rt(w: Witness, s: int) -> Witness:
                          "depend on which digit coloring it is answering for")
     if s < 1:
         raise InputError("power must be >= 1")
-    from .problems import color_block_width, rt_spec
-
     n = w.source.params["n"]
     k = w.source.params["k"]
     j = w.target.params["k"]
@@ -1116,37 +1109,19 @@ def fanout_rt(w: Witness, s: int) -> Witness:
         raise InputError("fan-out needs matching arities")
     source = rt_spec(n, k**s)
     target = rt_spec(n, j**s)
-    w_ks, w_js = color_block_width(k**s), color_block_width(j**s)
-    w_k, w_j = color_block_width(k), color_block_width(j)
+    w_k, w_js = color_block_width(k), color_block_width(j**s)
 
-    class _Digit:
+    def digit(a, i):
         """The i-th base-k digit coloring of the instance tape a."""
-
-        def __init__(self, a, i):
-            self.a, self.i = a, i
-
-        def bit(self, pos):
-            if w_k == 0:
-                return 0
-            r, off = divmod(pos, w_k)
-            v = 0
-            for b in range(w_ks):
-                v |= self.a.bit(r * w_ks + b) << b
-            v %= k**s
-            return (((v // k**self.i) % k) >> off) & 1
+        return RuleTape(lambda pos: color_bit(pos, w_k,
+                                              lambda r: read_color(a, k**s, r) // k**i % k))
 
     def fstep(ctx, x):
-        if w_js == 0:
-            return 0
-        r, off = divmod(x, w_js)
-        digits = []
-        for i in range(s):
-            g_i = ctx.apply(w.forward, [_Digit(ctx.tape(0), i)], ("digit", i))
-            v = 0
-            for b in range(w_j):
-                v |= g_i.bit(r * w_j + b) << b
-            digits.append(v % j)
-        return (merge_base(digits, j) >> off) & 1
+        def color(r):
+            images = (ctx.apply(w.forward, [digit(ctx.tape(0), i)], ("digit", i)) for i in range(s))
+            return merge_base([read_color(g, j, r) for g in images], j)
+
+        return color_bit(x, w_js, color)
 
     forward = pointwise(1, fstep, f"fanout{s}({w.forward.label})")
     backward = pointwise(1, lambda ctx, x: ctx.run(w.backward, [ctx.tape(0)], x),

@@ -89,7 +89,9 @@ def parse_document(text: str) -> InstanceDocument:
         elif ln.startswith("representation:"):
             doc.representation = ln.split(":", 1)[1].strip()
         elif ln.startswith("param "):
-            head, val = ln.split(":", 1)
+            head, colon, val = ln.partition(":")
+            if not colon:
+                raise InputError(f"line {no}: expected 'param <key>: <value>', got {ln!r}")
             doc.params[head[6:].strip()] = val.strip()
         elif ln.startswith("entry:"):
             parts = ln.split(":", 1)[1].split()
@@ -221,7 +223,8 @@ class Report:
             if r.status == "fail":
                 worst = max(worst, EXIT_FAIL)
             elif r.status == "error":
-                worst = max(worst, EXIT_RESOURCE)
+                worst = max(worst, EXIT_CONTRACT if r.detail.startswith("contract:")
+                            else EXIT_RESOURCE)
         return worst
 
 
@@ -243,7 +246,8 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
     """Generic soundness plus entry-specific invariants for the selection.
 
     An entry that ends in a resource or a contract error becomes one
-    `error` row, and the run goes on with the next entry.
+    `error` row, and the run goes on with the next entry.  A RecursionError
+    counts as a contract error: no entry is meant to nest that deep.
     """
     if min(config.samples, config.fuel) < 0 or min(config.size, config.horizon) < 1:
         raise InputError(f"need samples and fuel >= 0 and size and horizon >= 1, got {config}")
@@ -259,7 +263,7 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
         try:
             rows = run_entry(entry_id, rng, config.samples, config.horizon, config.size,
                              config.fuel)
-        except (ResourceError, ContractError) as e:
+        except (ResourceError, ContractError, RecursionError) as e:
             detail = (f"resource: {e} {e.context}" if isinstance(e, ResourceError)
                       else f"contract: {e}")
             report.add(ReportRow(entry_id, entry_id, "run", "error", detail, config.seed,

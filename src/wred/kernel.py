@@ -238,6 +238,24 @@ class Continuation:
         return self.tail.bit(pos)
 
 
+class RuleTape:
+    """A rule position -> bit as a tape, with no memo: every read runs the rule.
+
+    For rules that read metered tapes: a re-read must repeat the reads so
+    the ledger charges them again, or steps and fuel would depend on what
+    was read before.  The rule may raise Diverge for a position it cannot
+    answer.
+    """
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable[[int], int]):
+        self.rule = rule
+
+    def bit(self, pos: int) -> int:
+        return self.rule(pos)
+
+
 class MapTape:
     """Reindexing view of a tape: bit(p) = base.bit(f(p))."""
 

@@ -21,7 +21,6 @@ class SearchBudget:
     horizon: int = 16
     size: int = 4
     node_limit: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon <= 0 or self.size <= 0 or self.node_limit <= 0:

@@ -26,6 +26,7 @@ from .kernel import (
     cantor_pair,
     cantor_unpair,
     even_part,
+    family_column,
     interleave_tapes,
     max_entry_below_rank,
     odd_part,
@@ -91,9 +92,16 @@ class Coloring:
     def tuples(self, members: Iterable[int]):
         return itertools.combinations(sorted(set(members)), self.arity)
 
-    @staticmethod
-    def from_function(n: int, k: Optional[int], fn, label: str = "coloring") -> "Coloring":
-        return Coloring(n, k, lambda t: fn(*t), label)
+
+# ---------------------------------------------------------------------------
+# the wire codec: color blocks and unary counts
+#
+# A k-coloring is coded block by block: the color of the tuple of rank r
+# is the w = ceil(log2 k) bits at [r*w, (r+1)*w), little-endian, mod k.
+# A unary count c is c ones, then zeros; it codes omega-colors (one cantor
+# column per tuple rank), alternative-product tags, omitted thin-set
+# colors and echo bounds.  Every module reads and writes the format
+# through these helpers.
 
 
 def color_block_width(k: int) -> int:
@@ -103,36 +111,48 @@ def color_block_width(k: int) -> int:
     return (k - 1).bit_length()
 
 
+def read_color(tape, k: int, r: int) -> int:
+    """The color in block r of a k-coloring's code on any tape."""
+    w = (k - 1).bit_length()
+    v = 0
+    for i in range(w):
+        v |= tape.bit(r * w + i) << i
+    return v % k
+
+
+def color_bit(x: int, w: int, color: Callable[[int], int]) -> int:
+    """Bit x of the code of block width w whose block r holds color(r)."""
+    if w == 0:
+        return 0
+    r, off = divmod(x, w)
+    return (color(r) >> off) & 1
+
+
+def read_unary(tape, cap: int) -> int:
+    """The unary count on a tape: its ones before the first 0, at most cap."""
+    c = 0
+    while c < cap and tape.bit(c) == 1:
+        c += 1
+    return c
+
+
+def unary_point(c: int) -> Point:
+    """The unary code of c."""
+    return Point(lambda p: 1 if p < c else 0, f"unary({c})")
+
+
 def coloring_from_tape(tape, n: int, k: Optional[int], label: str = "decoded") -> Coloring:
     """View any tape as a total coloring (the totality coding).
 
-    Finite k: the block of tuple rank r is the bit window
-    [r*w, (r+1)*w) with w = ceil(log2 k), read little-endian mod k.
-    k = omega: the block is the cantor column of rank r, read as a
-    unary count of ones before the first zero, capped at
+    Finite k: the block of tuple rank r, read by `read_color`.
+    k = omega: the unary count on the cantor column of rank r, capped at
     OMEGA_UNARY_CAP so decoding stays total at desk scale.
     """
     if k is not None:
-        w = color_block_width(k)
-
-        def rule(t, w=w, k=k):
-            r = tuple_rank(t)
-            if w == 0:
-                return 0
-            v = 0
-            for i in range(w):
-                v |= tape.bit(r * w + i) << i
-            return v % k
-
+        color_block_width(k)  # rejects k < 1
+        rule = lambda t: read_color(tape, k, tuple_rank(t))
     else:
-
-        def rule(t):
-            r = tuple_rank(t)
-            c = 0
-            while c < OMEGA_UNARY_CAP and tape.bit(cantor_pair(r, c)) == 1:
-                c += 1
-            return c
-
+        rule = lambda t: read_unary(family_column(tape, tuple_rank(t)), OMEGA_UNARY_CAP)
     return Coloring(n, k, rule, label)
 
 
@@ -141,13 +161,8 @@ def coloring_to_point(f: Coloring) -> Point:
     n = f.arity
     if f.colors is not None:
         w = color_block_width(f.colors)
-
-        def rule(pos, w=w):
-            if w == 0:
-                return 0
-            r, off = divmod(pos, w)
-            return (f.value(rank_tuple(r, n)) >> off) & 1
-
+        color = lambda r: f.value(rank_tuple(r, n))
+        rule = lambda pos: color_bit(pos, w, color)
     else:
 
         def rule(pos):
@@ -155,21 +170,6 @@ def coloring_to_point(f: Coloring) -> Point:
             return 1 if c < f.value(rank_tuple(r, n)) else 0
 
     return Point(rule, f"enc({f.label})")
-
-
-def totalize_coloring(tape, n: int, k: Optional[int]) -> Coloring:
-    return coloring_from_tape(tape, n, k)
-
-
-def read_color(ctx, tape_idx: int, k: int, r: int) -> int:
-    """Decode the color of tuple rank r through an EvalContext (finite k)."""
-    w = color_block_width(k)
-    if w == 0:
-        return 0
-    v = 0
-    for i in range(w):
-        v |= ctx.query(tape_idx, r * w + i) << i
-    return v % k
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,6 @@ class TreeByRule:
 
     member: Callable[[Prefix], bool]
     label: str = "tree"
-    declared_measure_bound: Optional[Fraction] = None
     index_member: Optional[Callable[[int], bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -218,7 +217,7 @@ class TreeByRule:
 
     @staticmethod
     def full() -> "TreeByRule":
-        return TreeByRule(lambda s: True, "full", Fraction(1))
+        return TreeByRule(lambda s: True, "full")
 
     @staticmethod
     def from_tape(tape, label: str = "decoded-tree") -> "TreeByRule":
@@ -371,15 +370,11 @@ def set_members_at(tape, horizon: int) -> list[int]:
 def thin_solution_tape(set_tape, omitted: int):
     """Wire form of a thin solution: even bits the set, odd bits the
     omitted color in unary (c ones then zeros)."""
-    unary = Point(lambda p, c=omitted: 1 if p < c else 0, f"unary({omitted})")
-    return interleave_tapes(set_tape, unary)
+    return interleave_tapes(set_tape, unary_point(omitted))
 
 
 def thin_solution_from_tape(tape, k: Optional[int], horizon: int) -> ThinSolution:
-    cap = k if k is not None else OMEGA_UNARY_CAP
-    c = 0
-    while c < cap and odd_part(tape).bit(c) == 1:
-        c += 1
+    c = read_unary(odd_part(tape), k if k is not None else OMEGA_UNARY_CAP)
     if k is not None and c >= k:
         raise InputError(f"omitted color {c} out of range for {k} colors")
     return ThinSolution(frozenset(set_members_at(even_part(tape), horizon)), c)
@@ -468,13 +463,11 @@ class ProblemSpec:
     is_total: bool
     decode: Callable
     verify_at: Callable  # (instance, solution tape, horizon, size) -> Verdict
-    encode: Optional[Callable] = None
     tolerance: Optional[Callable] = None  # (solution tape, m) -> tape
     sample_instance: Optional[Callable] = None  # rng -> tape
     brute_solution_tapes: Optional[Callable] = None  # (instance, budget) -> [tape]
     default_c: Optional[Point] = None
     params: dict = field(default_factory=dict)
-    finitely_checkable: bool = True
     validate_instance: Optional[Callable] = None  # (instance, horizon) -> Verdict
 
     def __repr__(self):
@@ -533,11 +526,7 @@ def _planted_coloring(rng, n: int, k: int, horizon: int, size: int, thin: bool) 
     color = rng.randrange(k)
 
     def rule(t, pset=pset, color=color, k=k, noise=noise):
-        v = 0
-        r = tuple_rank(t)
-        for i in range(color_block_width(k)):
-            v |= noise.bit(r * color_block_width(k) + i) << i
-        v %= k
+        v = read_color(noise, k, tuple_rank(t))
         if set(t) <= pset:
             if thin:
                 return v if v != color else (v + 1) % k
@@ -573,7 +562,6 @@ def rt_spec(n: int, k: int, plant_horizon: int = 16) -> ProblemSpec:
         name=f"RT^{n}_{k}",
         is_total=True,
         decode=decode,
-        encode=coloring_to_point,
         verify_at=verify,
         tolerance=lambda tape, m: tolerance_rt_tape(tape, m, n),
         sample_instance=sample,
@@ -619,7 +607,6 @@ def ts_spec(n: int, k: Optional[int], plant_horizon: int = 16) -> ProblemSpec:
         name=f"TS^{n}_{kname}",
         is_total=True,
         decode=decode,
-        encode=coloring_to_point,
         verify_at=verify,
         tolerance=lambda tape, m: tolerance_thin_tape(tape, m, n),
         sample_instance=sample,
@@ -655,7 +642,6 @@ def rrt_spec(n: int, k: int) -> ProblemSpec:
         name=f"RRT^{n}_{k}",
         is_total=False,
         decode=decode,
-        encode=coloring_to_point,
         verify_at=verify,
         sample_instance=sample,
         brute_solution_tapes=brute,
@@ -711,7 +697,6 @@ def wkl_spec(path_depth: int = 12) -> ProblemSpec:
         name="WKL",
         is_total=False,
         decode=decode,
-        encode=tree_to_point,
         verify_at=verify,
         sample_instance=_tree_sampler,
         brute_solution_tapes=brute,
@@ -748,7 +733,6 @@ def wwkl_spec(q: Optional[Fraction] = None, path_depth: int = 10,
         name=name,
         is_total=False,
         decode=base.decode,
-        encode=base.encode,
         verify_at=verify,
         sample_instance=base.sample_instance,
         brute_solution_tapes=brute,
@@ -773,14 +757,12 @@ def coh_spec() -> ProblemSpec:
         name="COH",
         is_total=True,
         decode=decode,
-        encode=None,
         verify_at=verify,
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=brute,
         default_c=Point.zeros(),
         params={},
-        finitely_checkable=False,
     )
 
 

@@ -126,6 +126,36 @@ def test_run_suite_contract_error_is_an_error_row(monkeypatch):
         ("rt_product", "run", "error", "contract: witness broke an invariant")]
 
 
+@pytest.mark.parametrize("error", [ContractError("witness broke an invariant"),
+                                   RecursionError("maximum recursion depth exceeded")],
+                         ids=["contract", "recursion"])
+def test_verify_entry_contract_error_exits_4(monkeypatch, tmp_path, capsys, error):
+    from wred import harness
+
+    def run_entry(entry_id, *args):
+        raise error
+
+    monkeypatch.setattr(harness, "run_entry", run_entry)
+    out = tmp_path / "report.csv"
+    assert main(["verify", "rt_product", "--out", str(out)]) == 4
+    rows = out.read_text().splitlines()
+    assert rows[1:] == [f"rt_product,rt_product,run,error,contract: {error},0,16,4096"]
+    assert "traceback" not in capsys.readouterr().err.lower()
+
+
+def test_cli_recursion_error_is_one_contract_line(monkeypatch, capsys):
+    from wred import cli
+
+    def deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "squash_markers", deep)
+    assert main(["squash", "--config", "projection-toy"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contract error: maximum recursion depth exceeded\n"
+
+
 def test_report_deterministic_bytes():
     a = run_suite("rt_color_embed", SuiteConfig(samples=6, seed=3)).to_csv()
     b = run_suite("rt_color_embed", SuiteConfig(samples=6, seed=3)).to_csv()
@@ -148,6 +178,10 @@ def test_report_exit_codes():
     assert r.exit_code() == 1
     r.add(ReportRow("c3", "e", "k", "error", "resource", 0, 16, 100))
     assert r.exit_code() == 2
+    r.add(ReportRow("c4", "e", "k", "error", "contract: witness broke an invariant", 0, 16, 100))
+    assert r.exit_code() == 4
+    r.add(ReportRow("c5", "e", "k", "error", "resource", 0, 16, 100))
+    assert r.exit_code() == 4
 
 
 def test_report_rows_sorted_by_case():
