@@ -12,6 +12,7 @@ threshold, never silently.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -81,8 +82,8 @@ class Coloring:
     label: str = "coloring"
 
     def value(self, xs) -> int:
-        t = tuple(xs)
-        if len(t) != self.arity or any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+        t = xs if type(xs) is tuple else tuple(xs)
+        if len(t) != self.arity or not all(map(operator.lt, t, t[1:])):
             raise InputError(f"{self.label}: {t} is not an increasing {self.arity}-tuple")
         v = self.rule(t)
         if v < 0 or (self.colors is not None and v >= self.colors):
@@ -257,66 +258,114 @@ def tree_to_point(t: TreeByRule) -> Point:
 _ORPHAN_SCAN_MAX = 1 << 14
 
 
-def level_members(t: TreeByRule, d: int) -> list[Prefix]:
-    """Members of t at level d, lexicographic, with contract checks.
+def _level_indices(t: TreeByRule, d: int) -> list[int]:
+    """String indices of t's members at level d, in lexicographic order.
 
-    Builds levels by extending live nodes.  A tree with `index_member`
-    (decoded from a tape) grows its frontier on string indices, the
-    children of i being 2i+1 and 2i+2, and skips the orphan scan: it is
-    downward closed by construction, and the scan would only reread
-    positions the frontier already read.  Any other tree, when 2^d is
-    small enough, additionally has the full level scanned for orphans (a
-    member whose parent is missing), which is the downward-closure
-    contract check.
+    The frontier grows on indices, the children of i being 2i+1 and
+    2i+2.  A tree with `index_member` is downward closed by construction
+    and is read only at the children of live nodes.  Any other tree is
+    tested through its rule, and while 2^lvl <= _ORPHAN_SCAN_MAX each
+    level is scanned once, in lexicographic order: a member whose parent
+    is live joins the next frontier, and the first member whose parent
+    is missing (an orphan) breaks the downward-closure contract.  Above
+    the cap only the children of live nodes are tested.
     """
     if t.index_member is not None:
         member = t.index_member
         live = [0]
         for _ in range(d):
             live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if member(c)]
-        return [index_string(i) for i in live]
+        return live
     if Prefix() not in t:
         raise ContractError(f"{t.label}: root missing")
-    frontier = [Prefix()]
+    live = [0]
     for lvl in range(1, d + 1):
-        nxt = [c for s in frontier for c in (s.extend(0), s.extend(1)) if c in t]
-        if (1 << lvl) <= _ORPHAN_SCAN_MAX:
-            live = set(frontier)
-            for bits in itertools.product((0, 1), repeat=lvl):
-                s = Prefix(bits)
-                if s in t and Prefix(bits[:-1]) not in live:
+        if (1 << lvl) > _ORPHAN_SCAN_MAX:
+            live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if index_string(c) in t]
+            continue
+        parents, live = set(live), []
+        for c, bits in enumerate(itertools.product((0, 1), repeat=lvl), (1 << lvl) - 1):
+            s = Prefix(bits)
+            if s in t:
+                if (c - 1) >> 1 not in parents:
                     raise ContractError(f"{t.label}: {s!r} present but parent missing")
-        frontier = nxt
-    return frontier
+                live.append(c)
+    return live
+
+
+def level_members(t: TreeByRule, d: int) -> list[Prefix]:
+    """Members of t at level d, lexicographic, with contract checks.
+
+    The level is read on string indices (`_level_indices`): a tree with
+    `index_member` (decoded from a tape, or a tracking tree) grows its
+    frontier on integers and needs no orphan scan; a rule-backed tree
+    tests each string of a level at most once, in one pass that both
+    grows the frontier and checks downward closure while 2^d is small
+    enough.  Only here do the indices become `Prefix` strings, for
+    callers that read them.
+    """
+    return [index_string(i) for i in _level_indices(t, d)]
 
 
 def measure_at_level(t: TreeByRule, d: int) -> Fraction:
     """|{sigma in 2^d : sigma in t}| / 2^d as an exact rational."""
     if d < 0:
         raise InputError("level must be >= 0")
-    return Fraction(len(level_members(t, d)), 1 << d)
+    return Fraction(len(_level_indices(t, d)), 1 << d)
+
+
+def _leftmost_index(member: Callable[[int], bool], depth: int) -> Optional[int]:
+    """Index of the lexicographically least member at level depth, by a
+    depth-first search that tests the 0-child first and stops at the
+    first member it reaches at that level; None if there is none."""
+    first_at_depth = (1 << max(depth, 0)) - 1
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i and not member(i):
+            continue
+        if i >= first_at_depth:
+            return i
+        stack += (2 * i + 2, 2 * i + 1)
+    return None
 
 
 def leftmost_path_point(t: TreeByRule, depth: int) -> Point:
     """The lexicographically least depth-`depth` member, greedily extended.
 
-    Beyond `depth` the path prefers the 0-child when it stays in the
-    tree; a dead end raises Diverge when queried past it.
+    A tree with `index_member` is searched depth first on string
+    indices, 0-child first, stopping at the first member at `depth`.
+    The search tests a subset of the nodes the level walk
+    (`level_members`) tests and returns the same string whenever that
+    walk converges; a node that diverges to the right of the leftmost
+    path is never read, so it no longer stops the solver.  Any other
+    tree takes the first string of its checked level walk.  Beyond
+    `depth` the path steps the index, preferring the 0-child when it
+    stays in the tree; a dead end raises Diverge when queried past it.
     """
-    level = level_members(t, depth)
-    if not level:
+    member = t.index_member
+    if member is not None:
+        idx = _leftmost_index(member, depth)
+    else:
+        member = lambda i: index_string(i) in t
+        level = _level_indices(t, depth)
+        idx = level[0] if level else None
+    if idx is None:
         raise InputError(f"{t.label}: dead at depth {depth}")
-    grown = list(level[0].bits)
+    grown = list(index_bits(idx))
 
     def rule(pos: int) -> int:
+        nonlocal idx
         while pos >= len(grown):
-            cur = Prefix(tuple(grown))
-            if cur.extend(0) in t:
+            child = 2 * idx + 1
+            if member(child):
                 grown.append(0)
-            elif cur.extend(1) in t:
+            elif member(child + 1):
                 grown.append(1)
+                child += 1
             else:
                 raise Diverge("gap", len(grown))
+            idx = child
         return grown[pos]
 
     return Point(rule, f"path({t.label})")

@@ -170,6 +170,15 @@ def test_verify_all_csv_bytes_pinned():
     )
 
 
+def test_verify_all_csv_bytes_pinned_at_seed_3():
+    # a second seed: the tree path solvers read other cells on other trees
+    csv = run_suite("all", SuiteConfig(samples=1, seed=3)).to_csv()
+    assert len(csv.splitlines()) == 114
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "1684ba1784bfc8c378e9b269b21efcab2bb3558e0c840949941a3b6569b74f4a"
+    )
+
+
 def test_report_exit_codes():
     r = Report()
     r.add(ReportRow("c", "e", "k", "pass", "", 0, 16, 100))

@@ -76,6 +76,26 @@ def test_every_point_decodes(seed, n, k):
         assert 0 <= f.value(t) < k
 
 
+def test_coloring_value_input_and_range_errors():
+    from wred.kernel import ContractError
+
+    f = Coloring(2, 3, lambda t: t[1] - t[0], "gap")
+    assert f.value([0, 2]) == 2 and f.value((4, 5)) == 1 and f.value(x for x in (1, 3)) == 2
+    for xs, shown in (((1, 1), "(1, 1)"), ([2, 1], "(2, 1)"), ((0, 1, 2), "(0, 1, 2)"),
+                      ((0,), "(0,)"), ([], "()")):
+        with pytest.raises(InputError) as e:
+            f.value(xs)
+        assert str(e.value) == f"gap: {shown} is not an increasing 2-tuple"
+    with pytest.raises(ContractError) as e:
+        f.value([0, 3])
+    assert str(e.value) == "gap: color 3 out of range at (0, 3)"
+    g = Coloring(3, None, lambda t: t[0], "omega")
+    assert g.value((0, 1, 5)) == 0
+    for xs in ((0, 2, 2), (0, 3, 2), (3, 1, 2)):
+        with pytest.raises(InputError):
+            g.value(xs)
+
+
 # --- verifiers ----------------------------------------------------------------
 
 
@@ -311,6 +331,145 @@ def test_leftmost_path_stays_inside():
     no11 = HAND_TREES["no-11"]()
     p = leftmost_path_point(no11, 8)
     assert verify_path_at(no11, p, 12).ok
+
+
+def _greedy_reference(t, bits, n):
+    """The path grown past bits by Prefix tests, 0-child first: the first
+    n bits, or the length at which it dies."""
+    grown = list(bits)
+    while len(grown) < n:
+        cur = Prefix(tuple(grown))
+        if cur.extend(0) in t:
+            grown.append(0)
+        elif cur.extend(1) in t:
+            grown.append(1)
+        else:
+            return len(grown)
+    return grown
+
+
+def _path_bits(p, n):
+    try:
+        return [p.bit(i) for i in range(n)]
+    except Diverge as e:
+        assert e.reason == "gap"
+        return e.position
+
+
+def _check_leftmost_search(make, depths):
+    """make() -> (tree, reads): a fresh tree and the log of what it reads.
+    The leftmost search names level_members' first string, reads a subset
+    of what the level walk reads, and grows on as the Prefix greedy does.
+    Returns how often it read strictly less."""
+    fewer = 0
+    for d in depths:
+        (dfs, dfs_reads), (walk, walk_reads) = make(), make()
+        level = level_members(walk, d)
+        if not level:
+            with pytest.raises(InputError, match=f"dead at depth {d}"):
+                leftmost_path_point(dfs, d)
+        else:
+            p = leftmost_path_point(dfs, d)
+            assert _path_bits(p, d) == list(level[0].bits), d
+        assert set(dfs_reads) <= set(walk_reads), d
+        fewer += set(dfs_reads) < set(walk_reads)
+        if level:
+            assert _path_bits(p, d + 4) == _greedy_reference(walk, level[0].bits, d + 4), d
+    return fewer
+
+
+def test_leftmost_search_matches_level_walk_on_decoded_trees():
+    fewer = 0
+    for seed in range(20):
+
+        def make(seed=seed):
+            tape = _Recording(Point.from_seed(seed))
+            return TreeByRule.from_tape(tape), tape.reads
+
+        fewer += _check_leftmost_search(make, range(9))
+    assert fewer > 0
+
+
+def test_leftmost_search_matches_level_walk_on_tracking_trees():
+    from wred.catalog import half_measure_tree
+
+    fewer = 0
+    for base in (HAND_TREES["full"], lambda: HAND_TREES["first-bit"](1), HAND_TREES["no-11"]):
+        for sigma in (Prefix(), Prefix((1,)), Prefix((0, 1))):
+
+            def make(base=base, sigma=sigma):
+                t, asked = half_measure_tree(base(), sigma), []
+                member = t.index_member
+                t.index_member = lambda i: asked.append(i) or member(i)
+                return t, asked
+
+            fewer += _check_leftmost_search(make, range(9))
+    assert fewer > 0
+
+
+def test_leftmost_search_ignores_divergence_right_of_the_path():
+    # strings 0, 1 and 00 are in; the tape diverges from index 4 (01) on
+    t = TreeByRule.from_tape(Prefix((1, 1, 1, 1)))
+    with pytest.raises(Diverge):
+        level_members(t, 2)
+    path = leftmost_path_point(t, 2)
+    assert _path_bits(path, 2) == [0, 0]
+    with pytest.raises(Diverge):  # past depth 2 the greedy step reads index 7
+        path.bit(2)
+
+
+def test_dead_tree_is_input_error_on_both_paths():
+    dead = TreeByRule.from_tape(Point.zeros(), "zeros")
+    stub = TreeByRule(lambda s: len(s) < 2, "stub")
+    assert stub.index_member is None
+    with pytest.raises(InputError, match="zeros: dead at depth 1"):
+        leftmost_path_point(dead, 1)
+    with pytest.raises(InputError, match="stub: dead at depth 2"):
+        leftmost_path_point(stub, 2)
+    # the root is a member, so depth 0 has a path; it dies past the root
+    assert _path_bits(leftmost_path_point(dead, 0), 3) == 0
+    assert _path_bits(leftmost_path_point(stub, 1), 3) == 1
+
+
+def test_rule_tree_levels_test_each_string_once():
+    tested: dict = {}
+
+    def rule(s):
+        tested[s.bits] = tested.get(s.bits, 0) + 1
+        return all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1))
+
+    t = TreeByRule(rule, "counted-no-11")
+    assert level_members(t, 8) == level_members(HAND_TREES["no-11"](), 8)
+    assert len(tested) == 2**9 - 1 and set(tested.values()) == {1}
+
+
+def test_orphan_named_is_the_first_one_scanned():
+    from wred.kernel import ContractError
+
+    same_level = TreeByRule(lambda s: len(s) <= 1 or s.bits in {(0, 1, 1), (1, 1, 0)}, "two")
+    for check in (level_members, measure_at_level, leftmost_path_point):
+        with pytest.raises(ContractError) as e:
+            check(same_level, 3)
+        assert str(e.value) == "two: Prefix(011) present but parent missing"
+    # a lower level is scanned before a lexicographically smaller orphan above it
+    two_levels = TreeByRule(lambda s: s.bits in {(), (0,), (1, 0), (0, 0, 1)}, "levels")
+    with pytest.raises(ContractError) as e:
+        level_members(two_levels, 3)
+    assert str(e.value) == "levels: Prefix(10) present but parent missing"
+
+
+def test_index_tree_measure_builds_no_strings(monkeypatch):
+    import wred.problems as problems
+
+    built = []
+    real = problems.index_string
+    monkeypatch.setattr(problems, "index_string", lambda i: built.append(i) or real(i))
+    t = TreeByRule.from_tape(Point.from_seed(5))
+    mu = measure_at_level(t, 8)
+    path = leftmost_path_point(TreeByRule.from_tape(Point.from_bits((), tail=1)), 8)
+    assert [path.bit(i) for i in range(12)] == [0] * 12
+    assert built == []
+    assert Fraction(len(level_members(t, 8)), 256) == mu and len(built) == mu * 256
 
 
 # --- thin solution wire form -----------------------------------------------------
