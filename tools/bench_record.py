@@ -73,10 +73,9 @@ def record(runs: list[tuple[dict, dict]], traced: tuple[dict, dict]) -> dict:
                    "counters": info.get("counters", {}), "metrics": values(result),
                    "errors": info["errors"]},
     }
-    for name in ("pass_s", "throughput"):
-        got = [r["metrics"][name] for r in out["runs"] if name in r["metrics"]]
-        if got:
-            out[name] = spread(got)
+    got = [r["metrics"]["pass_s"] for r in out["runs"] if r["metrics"]]  # empty on a failed run
+    if got:
+        out["pass_s"] = spread(got)
     return out
 
 
