@@ -1,18 +1,18 @@
 """Record the benchmark of one or more checkouts as BENCH_<short-commit>.json.
 
-    python3 tools/bench_record.py --seeds 1001-1010 --seconds 40 [CHECKOUT[=COMMIT] ...]
+    python3 tools/bench_record.py --seeds 1001-1010 --seconds 40 [CHECKOUT ...]
 
 For every workload that BENCHMARK.json names, runs the checkout's own
 `bench/run.py` untraced once per seed (`--trace 0`), then once traced
-(`--trace 1`) at --trace-seed, and writes one JSON file per checkout into
+(`--trace 1`) at seed 3, and writes one JSON file per checkout into
 --out: the environment, the per-seed end-to-end metrics and output
 digests, the median and quartiles of `pass_s`, and the traced run's work
 counters and per-layer metrics.  With several checkouts the runs
 interleave: for each seed and workload every checkout runs once, and the
 order alternates from seed to seed, so a pair of checkouts gives one
-alternating pair per seed.  A checkout is a directory holding a copy of
-the repository (default: this one); its commit is read by `bench/run.py`
-from its `.git`, or given as DIR=COMMIT for an export without one.
+alternating pair per seed.  A checkout is a clone of the repository at the
+commit to measure (default: this one); `bench/run.py` reads its commit
+from its `.git`.
 Exits 1 if any run fails its checks; the files are written either way.
 """
 
@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "wred-bench-record/1"
+TRACE_SEED = 3
 
 
 def seed_list(text: str) -> list[int]:
@@ -82,45 +83,40 @@ def record(runs: list[tuple[dict, dict]], traced: tuple[dict, dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="*", default=[str(ROOT)],
-                        help="repository copies to measure, as DIR or DIR=COMMIT")
+                        help="clones of the repository to measure")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1001-1005"))
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--trace-seed", type=int, default=3)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: every one)")
     parser.add_argument("--out", type=Path, default=ROOT / "records")
     args = parser.parse_args(argv)
 
-    checkouts = []
-    for arg in args.checkouts:
-        path, _, commit = arg.partition("=")
-        checkouts.append((Path(path).resolve(), commit))
-    spec = json.loads((checkouts[0][0] / "BENCHMARK.json").read_text())
+    checkouts = [Path(path).resolve() for path in args.checkouts]
+    spec = json.loads((checkouts[0] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    untraced: dict = {(c, w): [] for c, _ in checkouts for w in workloads}
+    untraced: dict = {(c, w): [] for c in checkouts for w in workloads}
     for k, seed in enumerate(args.seeds):
         for workload in workloads:
-            for path, _ in checkouts[::-1] if k % 2 else checkouts:
+            for path in checkouts[::-1] if k % 2 else checkouts:
                 untraced[path, workload].append(
                     bench_run(path, workload, seed, args.seconds, 0, args.size))
 
     args.out.mkdir(parents=True, exist_ok=True)
     failed = False
-    for path, commit in checkouts:
-        doc = {"schema": SCHEMA, "commit": commit, "env": {},
-               "settings": {"seeds": args.seeds, "seconds": args.seconds, "size": args.size,
-                            "trace_seed": args.trace_seed},
-               "workloads": {}}
+    for path in checkouts:
+        recs = {}
         for workload in workloads:
-            traced = bench_run(path, workload, args.trace_seed, args.seconds, 1, args.size)
-            rec = record(untraced[path, workload], traced)
-            doc["workloads"][workload] = rec
+            traced = bench_run(path, workload, TRACE_SEED, args.seconds, 1, args.size)
+            recs[workload] = rec = record(untraced[path, workload], traced)
             failed |= not traced[1]["correct"] or not all(r["correct"] for r in rec["runs"])
         info = traced[0]
-        doc["commit"] = commit or info["commit"]
-        doc["env"] = {key: info[key] for key in ("python", "nproc", "platform")}
+        doc = {"schema": SCHEMA, "commit": info["commit"],
+               "env": {key: info[key] for key in ("python", "nproc", "platform")},
+               "settings": {"seeds": args.seeds, "seconds": args.seconds, "size": args.size,
+                            "trace_seed": TRACE_SEED},
+               "workloads": recs}
         target = args.out / f"BENCH_{doc['commit'][:7]}.json"
         target.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(target)
