@@ -59,6 +59,7 @@ from .problems import (
     color_bit,
     color_block_width,
     coh_spec,
+    index_string,
     leftmost_path_point,
     level_members,
     measure_at_level,
@@ -186,19 +187,26 @@ def coh_interleave(count) -> Witness:
 # WKL interleaving
 
 
-@functools.lru_cache(maxsize=None)
-def _seq_columns(n: int) -> tuple:
-    """How SeqWKL<=WKL splits a string of length n into columns.
+# each interleaving's column map and placement (see wkl_interleave)
+_LAYOUTS = {
+    2: (lambda p: p & 1, lambda i, idx: 2 * idx + i),
+    "omega": (lambda p: cantor_unpair(p)[0], cantor_pair),
+}
 
-    Position p of the string belongs to column cantor_unpair(p)[0].
-    Returns (column, shifts) in order of first appearance, where the
-    string's bit at p is bit n-1-p (its shift) of idx+1 for the string's
-    index idx.
+
+@functools.lru_cache(maxsize=None)
+def _columns(n: int, column_of: Callable[[int], int]) -> tuple:
+    """How a string of length n splits into columns under a column map.
+
+    Position p belongs to column column_of(p).  Entry i holds column i's
+    shifts, in order: the string's bit at p is bit n-1-p (its shift) of
+    idx+1 for the string's index idx.  Both maps of `_LAYOUTS` first show
+    column i before column i+1, so the entries come in column order.
     """
     cols: dict[int, list[int]] = {}
     for p in range(n):
-        cols.setdefault(cantor_unpair(p)[0], []).append(n - 1 - p)
-    return tuple((i, tuple(shifts)) for i, shifts in cols.items())
+        cols.setdefault(column_of(p), []).append(n - 1 - p)
+    return tuple(tuple(shifts) for shifts in cols.values())
 
 
 def _column_node(m: int, shifts) -> int:
@@ -212,6 +220,11 @@ def _column_node(m: int, shifts) -> int:
 def wkl_interleave(count, depth: int = 4) -> Witness:
     """<WKL,WKL> <= WKL or SeqWKL <= WKL by interleaving the node bits.
 
+    The two differ only in their `_LAYOUTS` data.  The column map says
+    which column owns string position p: p % 2 for count 2, and
+    cantor_unpair(p)[0] for 'omega'.  The placement says where column i's
+    node idx sits on the instance tape: 2*idx + i, or cantor_pair(i, idx).
+
     The forward's node x is in when every column's part of x is in that
     column's tree.  The sweep decides x's parent, string (x-1)//2, before
     x, and the step keeps each position's answer in `ctx.scratch`.  With
@@ -221,9 +234,9 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     parent.  Without it (a fresh scratch, as in a nested or a direct
     step, and x = 0) the step walks: it steps each column's index
     straight from the bits of x+1 and queries the column's nodes shortest
-    first, stopping at the first 0; columns are tried in order (the even
-    one first for count 2).  Both give the same answer, and the cells the
-    memo reads are a subset of the walk's.
+    first, stopping at the first 0; columns are tried in order 0, 1, ...
+    Both give the same answer, and the cells the memo reads are a subset
+    of the walk's.
 
     `depth` caps the path horizon of the wire-level problem specs; the
     exact measure identities are checked directly on tree rules, where
@@ -231,42 +244,26 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     """
     if count == 2:
         source = parallel_product(wkl_spec(path_depth=depth), wkl_spec(path_depth=depth))
-
-        def walk(ctx, m, n):
-            for parity in (0, 1):
-                idx = 0
-                for shift in range(n - 1 - parity, -1, -2):
-                    idx = 2 * idx + 1 + ((m >> shift) & 1)
-                    if ctx.query(0, 2 * idx + parity) != 1:
-                        return 0
-            return 1
-
-        def last_node(m, n):
-            parity = (n - 1) & 1
-            return 2 * _column_node(m, range(n - 1 - parity, -1, -2)) + parity
-
         label = "<WKL,WKL><=WKL"
     elif count == "omega":
         source = seq(wkl_spec(path_depth=3), columns=2)
-
-        def walk(ctx, m, n):
-            for i, shifts in _seq_columns(n):
-                idx = 0
-                for shift in shifts:
-                    idx = 2 * idx + 1 + ((m >> shift) & 1)
-                    if ctx.query(0, cantor_pair(i, idx)) != 1:
-                        return 0
-            return 1
-
-        def last_node(m, n):
-            # column i first appears at position i(i+1)/2, so the columns
-            # of _seq_columns come in order and entry i is column i
-            i, shifts = _seq_columns(n)[cantor_unpair(n - 1)[0]]
-            return cantor_pair(i, _column_node(m, shifts))
-
         label = "SeqWKL<=WKL"
     else:
         raise InputError("count must be 2 or 'omega'")
+    column_of, place = _LAYOUTS[count]
+
+    def walk(ctx, m, n):
+        for i, shifts in enumerate(_columns(n, column_of)):
+            idx = 0
+            for shift in shifts:
+                idx = 2 * idx + 1 + ((m >> shift) & 1)
+                if ctx.query(0, place(i, idx)) != 1:
+                    return 0
+        return 1
+
+    def last_node(m, n):
+        i = column_of(n - 1)
+        return place(i, _column_node(m, _columns(n, column_of)[i]))
 
     def in_s(ctx, x):
         memo = ctx.scratch
@@ -283,10 +280,8 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
         return v
 
     forward = pointwise(1, in_s, "wkl-interleave")
-    target_depth = 2 * depth if count == 2 else 12
-    return Witness(source, wkl_spec(path_depth=target_depth), forward, identity_functional(),
-                   "strong",
-                   label=label)
+    target = wkl_spec(path_depth=2 * depth if count == 2 else 12)
+    return Witness(source, target, forward, identity_functional(), "strong", label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +324,18 @@ def ts_collapse(n: int, j: int, k) -> Witness:
 def ext_in_tree(s: TreeByRule, rho: Prefix, k: int) -> bool:
     """Is rho extendible in s to length k (or already that long)?
 
-    A depth-first search, the 1-child popped first.  A tree with
-    `index_member` is searched on string indices (`_ext_by_index`), with
-    the same membership tests in the same order.
+    A depth-first search on string indices (children 2i+1, 2i+2), the
+    1-child popped first.  Membership is s's `index_member` when it has
+    one and `index_string(i) in s` otherwise; either way the strings are
+    tested in the order of the same search on `Prefix` strings.
     """
     if k <= len(rho):
         return True
-    if s.index_member is not None:
-        return _ext_by_index(s.index_member, string_index(rho), len(rho), k)
-    if rho not in s:
-        return False
-    stack = [rho]
-    while stack:
-        cur = stack.pop()
-        if len(cur) == k:
-            return True
-        for b in (0, 1):
-            child = cur.extend(b)
-            if child in s:
-                stack.append(child)
-    return False
-
-
-def _ext_by_index(member: Callable[[int], bool], idx: int, length: int, k: int) -> bool:
-    """`ext_in_tree` for the string with index idx and the given length."""
-    if k <= length:
-        return True
+    member = s.index_member or (lambda i: index_string(i) in s)
+    idx = string_index(rho)
     if not member(idx):
         return False
-    stack = [(idx, length)]
+    stack = [(idx, len(rho))]
     while stack:
         i, n = stack.pop()
         if n == k:
@@ -398,21 +376,19 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
     Membership is memoized per (first bit, length) and exposed by string
     index as `index_member` (index 0, the root, is always in); the tree
     is downward closed by construction (see `_tracking_allows`), so
-    `level_members` grows it on indices without the orphan scan.
+    `level_members` grows it on indices without the orphan scan.  The
+    forward of `wkl_from_seqwwkl_witness` reads its columns through
+    `index_member`, one tracking tree per column.
     """
     children = (sigma.extend(0), sigma.extend(1))
-    ext_memo: dict = {}
-    allowed: dict = {}
 
+    @functools.cache
     def ext(c: int, k: int) -> bool:
-        if (c, k) not in ext_memo:
-            ext_memo[(c, k)] = ext_in_tree(s, children[c], k)
-        return ext_memo[(c, k)]
+        return ext_in_tree(s, children[c], k)
 
+    @functools.cache
     def allows(b: int, n: int) -> bool:
-        if (b, n) not in allowed:
-            allowed[(b, n)] = _tracking_allows(ext, b, n)
-        return allowed[(b, n)]
+        return _tracking_allows(ext, b, n)
 
     def index_member(idx: int) -> bool:
         if idx == 0:
@@ -447,30 +423,18 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
     target = seq(wwkl_spec(Fraction(1, 2), path_depth=depth, solve_depth=2 * depth))
 
     def fstep(ctx, x):
+        # column col is the tracking tree of the string with index col, over
+        # the sweep's one decoded S; the instance bits are fixed, so the
+        # trees and their memoized answers persist across the sweep
         col, pos = cantor_unpair(x)
-        if pos == 0:
-            return 1
-        # Ext answers persist across the sweep; the underlying instance
-        # bits are fixed, so cached booleans stay valid
         scratch = ctx.scratch
-        if "s" not in scratch:
-            scratch["s"] = TreeByRule.from_tape(ctx.tape(0), "S").index_member
-            scratch["ext"] = {}
-            scratch["allows"] = {}
-        n = (pos + 1).bit_length() - 1
-        key = (col, ((pos + 1) >> (n - 1)) & 1, n)
-        allowed = scratch["allows"]
-        if key not in allowed:
-            member, memo = scratch["s"], scratch["ext"]
-            child_len = (col + 1).bit_length()  # |sigma| + 1
-
-            def ext(c: int, k: int) -> bool:
-                if (col, c, k) not in memo:
-                    memo[(col, c, k)] = _ext_by_index(member, 2 * col + 1 + c, child_len, k)
-                return memo[(col, c, k)]
-
-            allowed[key] = _tracking_allows(ext, key[1], n)
-        return 1 if allowed[key] else 0
+        member = scratch.get(("tracking", col))
+        if member is None:
+            if "s" not in scratch:
+                scratch["s"] = TreeByRule.from_tape(ctx.tape(0), "S")
+            member = half_measure_tree(scratch["s"], index_string(col)).index_member
+            scratch[("tracking", col)] = member
+        return 1 if member(pos) else 0
 
     forward = pointwise(1, fstep, "seqwwkl-family")
 
@@ -1067,8 +1031,7 @@ def _seqwwkl_checks(params, rng, horizon, size):
     ):
         for sigma in (Prefix(), Prefix((1,)), Prefix((0, 1))):
             t = half_measure_tree(tree, sigma)
-            ok = all(len(level_members(t, d)) in (2**d, 2 ** (d - 1) if d else 1)
-                     for d in range(9))
+            ok = all(measure_at_level(t, d) in (1, Fraction(1, 2)) for d in range(9))
             rows.append((f"levels[{label}/{sigma!r}]", ok, "level counts are 2^m or 2^(m-1)"))
         paths = {}
 
@@ -1105,8 +1068,8 @@ def _blowup_checks(params, rng, horizon, size):
     identity = blowup_tree(first1, Fraction(1, 2), Fraction(1, 4), depth=6)
     rows.append(("identity-when-p>=q", identity.tree is first1, "S = T when p >= q"))
     reach = blowup_tree(first1, Fraction(1, 2), Fraction(3, 4), depth=8)
-    rows.append(("target-reached", measure_at_level(reach.tree, 8) >= Fraction(3, 4),
-                 f"measure {measure_at_level(reach.tree, 8)}"))
+    reached = measure_at_level(reach.tree, 8)
+    rows.append(("target-reached", reached >= Fraction(3, 4), f"measure {reached}"))
     return _rows("blowup", rows)
 
 

@@ -225,6 +225,22 @@ def test_tree_forwards_metered_queries_pinned():
         assert (out.status, out.value, out.steps, out.use) == ("converged", 0, steps, use)
     out = evaluate(wkl_from_seqwwkl_witness().backward, [tape], 12, 4096)
     assert (out.status, out.value, out.steps, out.use) == ("converged", 1, 104, {0: 22777875})
+    # the SeqWWKL forward: its cost at x = 600, and every instance cell it
+    # reads, in order, while forward bits 0..1999 are read
+    no11 = tree_to_point(NO11)
+    for base, steps, use, cells in (
+        (Point.ones(), 637, {0: 54},
+         "2c67279f178f38a69c63339a5d5814a9ce9354424e67a837a8e3d1784382dc48"),
+        (no11, 629, {0: 52}, "be0e5ea7a0c24b8cadb7c31e43e16bf0b2bcdf03dce52f4ce8a0982c337a33e3"),
+    ):
+        out = evaluate(wkl_from_seqwwkl_witness().forward, [base], 600, 4096)
+        assert (out.status, out.value, out.steps, out.use) == ("converged", 1, steps, use)
+        rec = _RecordingTape(base)
+        img = wkl_from_seqwwkl_witness().forward_image(rec)
+        for i in range(2000):
+            img.bit(i)
+        digest = hashlib.sha256(",".join(map(str, rec.reads)).encode()).hexdigest()
+        assert digest == cells, base.label
 
 
 def test_use_soundness_check_costs_reads_not_use():
@@ -395,6 +411,31 @@ def test_tracking_tree_by_index_matches_prefix_rule():
             for rho in (sigma.extend(0), sigma.extend(1), Prefix(), Prefix((1, 0))):
                 for k in range(10):
                     assert ext_in_tree(base, rho, k) == ext(rho, k), (base.label, rho, k)
+
+
+def test_ext_in_tree_tests_rule_trees_in_prefix_search_order():
+    # a rule tree is searched on string indices; it must test the same
+    # strings, in the same order, as the depth-first search on Prefix strings
+    def counting(tree):
+        asked = []
+
+        def member(sigma):
+            asked.append(sigma.bits)
+            return sigma in tree
+
+        return TreeByRule(member, tree.label), asked
+
+    for base in (NO11, HAND_TREES["fix"](1, 0)):
+        tested = 0
+        for sigma in TRACKING_SIGMAS:
+            for rho in (sigma.extend(0), sigma.extend(1)):
+                for k in range(10):
+                    t, got = counting(base)
+                    ref, want = counting(base)
+                    assert ext_in_tree(t, rho, k) == _ref_ext_in_tree(ref, rho, k)
+                    assert got == want, (base.label, rho, k)
+                    tested += len(got)
+        assert tested > 100, base.label
 
 
 def test_tracking_tree_levels_match_orphan_scan():

@@ -136,6 +136,7 @@ def test_exhaustive_results_reproducible():
 
 
 def test_path_count_equals_measure_identity():
+    import itertools
     from fractions import Fraction
 
     from wred.problems import measure_at_level
@@ -145,3 +146,8 @@ def test_path_count_equals_measure_identity():
         for d in range(8):
             count = len(enumerate_paths(t, d))
             assert Fraction(count, 2**d) == measure_at_level(t, d)
+            # a count that reads no tree-level code: the strings of length d
+            # all of whose prefixes satisfy the rule
+            direct = sum(all(t.member(Prefix(bits[:i])) for i in range(d + 1))
+                         for bits in itertools.product((0, 1), repeat=d))
+            assert count == direct, (t.label, d)
