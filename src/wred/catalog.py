@@ -381,14 +381,18 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
     `index_member`, one tracking tree per column.
     """
     children = (sigma.extend(0), sigma.extend(1))
+    ext_memo: dict = {}
+    allowed: dict = {}
 
-    @functools.cache
     def ext(c: int, k: int) -> bool:
-        return ext_in_tree(s, children[c], k)
+        if (c, k) not in ext_memo:
+            ext_memo[(c, k)] = ext_in_tree(s, children[c], k)
+        return ext_memo[(c, k)]
 
-    @functools.cache
     def allows(b: int, n: int) -> bool:
-        return _tracking_allows(ext, b, n)
+        if (b, n) not in allowed:
+            allowed[(b, n)] = _tracking_allows(ext, b, n)
+        return allowed[(b, n)]
 
     def index_member(idx: int) -> bool:
         if idx == 0:
