@@ -227,16 +227,17 @@ def test_tree_forwards_metered_queries_pinned():
     assert (out.status, out.value, out.steps, out.use) == ("converged", 1, 104, {0: 22777875})
     # the SeqWWKL forward: its cost at x = 600, and every instance cell it
     # reads, in order, while forward bits 0..1999 are read
-    no11 = tree_to_point(NO11)
+    w = wkl_from_seqwwkl_witness()
     for base, steps, use, cells in (
         (Point.ones(), 637, {0: 54},
          "2c67279f178f38a69c63339a5d5814a9ce9354424e67a837a8e3d1784382dc48"),
-        (no11, 629, {0: 52}, "be0e5ea7a0c24b8cadb7c31e43e16bf0b2bcdf03dce52f4ce8a0982c337a33e3"),
+        (tree_to_point(NO11), 629, {0: 52},
+         "be0e5ea7a0c24b8cadb7c31e43e16bf0b2bcdf03dce52f4ce8a0982c337a33e3"),
     ):
-        out = evaluate(wkl_from_seqwwkl_witness().forward, [base], 600, 4096)
+        out = evaluate(w.forward, [base], 600, 4096)
         assert (out.status, out.value, out.steps, out.use) == ("converged", 1, steps, use)
         rec = _RecordingTape(base)
-        img = wkl_from_seqwwkl_witness().forward_image(rec)
+        img = w.forward_image(rec)
         for i in range(2000):
             img.bit(i)
         digest = hashlib.sha256(",".join(map(str, rec.reads)).encode()).hexdigest()
