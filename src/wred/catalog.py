@@ -546,6 +546,26 @@ def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int,
 # thin-set constructions
 
 
+def _memo_rule(rule: Callable[[tuple[int, ...]], int]) -> Callable[[tuple[int, ...]], int]:
+    """A derived coloring's rule, run at most once per tuple.
+
+    For rules over a fixed base that is not read through a metered tape:
+    a repeat is answered without reading the base again, so a base that
+    may change, or whose reads a ledger must charge again (see `RuleTape`),
+    keeps its plain rule.  `Coloring.value` still checks every tuple and
+    color, and a rule that raises leaves nothing in the memo.
+    """
+    memo: dict[tuple[int, ...], int] = {}
+
+    def memoized(t):
+        v = memo.get(t)
+        if v is None:
+            v = memo[t] = rule(t)
+        return v
+
+    return memoized
+
+
 def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
     """Group n blocks of size m behind a pivot; the color is the base-k
     digit string of the pivot-block colors."""
@@ -560,7 +580,7 @@ def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
             digits.append(f.value((x,) + block))
         return sum(d * k**i for i, d in enumerate(digits))
 
-    return Coloring(m * n + 1, k**n, rule, f"step({f.label})")
+    return Coloring(m * n + 1, k**n, _memo_rule(rule), f"step({f.label})")
 
 
 def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple,
@@ -728,7 +748,26 @@ def ts_pigeonhole_extract(f: Coloring, members, omitted: int, horizon: int):
 
 def _restrict_coloring(f: Coloring, base: list[int]) -> Coloring:
     return Coloring(f.arity, f.colors,
-                    lambda t: f.value(tuple(base[i] for i in t)), f"{f.label}|H")
+                    _memo_rule(lambda t: f.value(tuple(base[i] for i in t))), f"{f.label}|H")
+
+
+def _distinct_count_coloring(f: Coloring) -> Coloring:
+    """A triangle's number of distinct f-colors, less one."""
+    return Coloring(3, 3, _memo_rule(lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
+                                                    f.value((t[1], t[2]))}) - 1),
+                    "distinct-count")
+
+
+def _agreement_coloring(f: Coloring, base: list[int]) -> Coloring:
+    """The agreement pattern of a triangle of base indices under f: 0 when
+    its three edges agree, 1 when only the two at its least vertex do, else 2."""
+
+    def rule(t):
+        x, y, z = (base[i] for i in t)
+        a, b, c = f.value((y, z)), f.value((x, y)), f.value((x, z))
+        return 0 if a == b == c else 1 if b == c else 2
+
+    return Coloring(3, 3, _memo_rule(rule), "agreement-collapsed")
 
 
 @dataclass
@@ -753,8 +792,7 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int, budget=None):
     budget = budget or SearchBudget(horizon=horizon, size=max(2 * size, 8))
     log = PipelineLog()
 
-    g = Coloring(3, 3, lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
-                                      f.value((t[1], t[2]))}) - 1, "distinct-count")
+    g = _distinct_count_coloring(f)
     h_set = None
     for c in (1, 2):
         res = find_thin(g, budget, omit=c)
@@ -791,18 +829,7 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int, budget=None):
 
     # g_omit == 2: triangles inside h never take three distinct colors,
     # so the four-way agreement pattern is exhaustive on h
-    def h_pattern(t):
-        a, b, c = (f.value((t[1], t[2])), f.value((t[0], t[1])), f.value((t[0], t[2])))
-        if a == b == c:
-            return 0
-        if b == c != a:
-            return 1
-        if b == a != c:
-            return 2
-        return 3
-
-    idx = _restrict_coloring(Coloring(3, 4, h_pattern, "agreement"), h_set)
-    collapsed = Coloring(3, 3, lambda t: min(idx.value(t), 2), "agreement-collapsed")
+    collapsed = _agreement_coloring(f, h_set)
     g_sub = None
     sub_size = min(len(h_set), max(size + 1, 5))
     for c in (1, 2):

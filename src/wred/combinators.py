@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import random
 import sys
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -950,8 +951,9 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
         x, k = divmod(p, width)
         if x + 1 >= len(markers):
             raise Diverge("gap", p)
-        display = ctx.scratch.get("display") or _Display(
-            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j))
+        display = ctx.scratch.get("display") or _Display(  # parked in ctx: holds it weakly
+            weakref.proxy(ctx), cfg.witness.forward, cfg.c, markers,
+            lambda j, a=ctx.tape(0): family_column(a, j))
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
         return cfg.c.bit(x) if x < markers[i] else display.tail_bit(i, x)

@@ -21,6 +21,7 @@ and each of its ticks is charged to the root of its ledger chain.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -336,9 +337,13 @@ class EvalContext:
     `run` and `apply` charge every tick to the caller's current position.
     A nested application reads only the tapes it is given, so through
     `tape(i)` views its reads become the caller's use of the real oracles.
+
+    The `tape(i)` views and the ledger of a tape parked by `apply` refer
+    to the context weakly, so what a step parks in scratch makes no
+    reference cycle: dropping a sweep frees its context at once.
     """
 
-    __slots__ = ("tapes", "fuel", "steps", "use", "scratch", "ledger")
+    __slots__ = ("tapes", "fuel", "steps", "use", "scratch", "ledger", "__weakref__")
 
     def __init__(self, tapes, fuel: Optional[int]):
         self.tapes = tapes
@@ -368,7 +373,8 @@ class EvalContext:
         return b
 
     def tape(self, idx: int) -> "CtxTape":
-        """View one oracle as a tape; reads are metered against this context."""
+        """View one oracle as a tape; reads are metered against this context,
+        and are valid while it lives."""
         return CtxTape(self, idx)
 
     def run(self, func: "Functional", tapes, x: int) -> int:
@@ -383,7 +389,7 @@ class EvalContext:
         t = self.scratch.get(key)
         if t is None:
             t = self.scratch[key] = FunctionalTape(func, tapes, None)
-            t.ctx.ledger = self.ledger or self
+            t.ctx.ledger = self.ledger or weakref.proxy(self)
         return t
 
 
@@ -391,7 +397,7 @@ class CtxTape:
     __slots__ = ("ctx", "idx")
 
     def __init__(self, ctx: EvalContext, idx: int):
-        self.ctx = ctx
+        self.ctx = weakref.proxy(ctx)
         self.idx = idx
 
     def bit(self, pos: int) -> int:
@@ -441,7 +447,9 @@ class EvalOutcome:
 
 
 def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
-    """One position of a sweep in ctx: steps restart; raises Diverge."""
+    """One position of a sweep in ctx: steps restart; raises Diverge.
+
+    `FunctionalTape.bit` runs the same position inline."""
     ctx.steps = 0
     ctx.tick()  # entry charge: fuel 0 always diverges
     v = func.step(ctx, x)
@@ -485,7 +493,7 @@ class FunctionalTape:
         self.ctx = EvalContext(tapes, fuel)
         self.steps = 0
         self._bits: list[int] = []
-        self._stalled: Optional[Diverge] = None
+        self._stalled: Optional[str] = None  # the reason of a terminal stall
 
     def ready(self, pos: int) -> bool:
         """Whether bit pos is already materialized, so reading it does no work."""
@@ -494,17 +502,32 @@ class FunctionalTape:
     def bit(self, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative tape position {pos}")
-        while len(self._bits) <= pos:
-            if self._stalled is not None:
-                raise Diverge(self._stalled.reason, len(self._bits))
-            try:
-                v = _run_step(self.func, self.ctx, len(self._bits))
-            except Diverge as d:
-                self._stalled = d
-                raise Diverge(d.reason, len(self._bits))
-            self.steps += self.ctx.steps
-            self._bits.append(v)
-        return self._bits[pos]
+        bits = self._bits
+        if pos < len(bits):
+            return bits[pos]
+        if self._stalled is not None:
+            raise Diverge(self._stalled, len(bits))
+        ctx, step = self.ctx, self.func.step
+        led = ctx.ledger or ctx
+        try:
+            while len(bits) <= pos:
+                # one position, as _run_step runs it: steps restart, the
+                # entry charge (fuel 0 always diverges), then the step
+                x = len(bits)
+                ctx.steps = 0
+                led.steps += 1
+                if led.steps > led.fuel:
+                    raise Diverge("fuel")
+                v = step(ctx, x)
+                if v not in (0, 1):
+                    raise ContractError(f"{self.func.label}: step returned non-bit {v!r} at {x}")
+                self.steps += ctx.steps
+                bits.append(v)
+            return bits[pos]
+        except Diverge as d:
+            self._stalled = d.reason
+        # raised outside the handler, so it holds no traceback of the stall
+        raise Diverge(self._stalled, len(bits))
 
 
 def pointwise(arity: int, fn: Callable[[EvalContext, int], int], label: str) -> Functional:

@@ -1,12 +1,19 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wred.catalog import (
     ENTRIES,
+    _agreement_coloring,
+    _distinct_count_coloring,
+    _memo_rule,
+    _restrict_coloring,
     SQUASH_CONFIGS,
     assemble_path,
     blowup_once,
@@ -57,7 +64,9 @@ from wred.combinators import (
 )
 from wred.kernel import (
     DEFAULT_FUEL,
+    ContractError,
     EvalContext,
+    FunctionalTape,
     InputError,
     Point,
     Prefix,
@@ -461,6 +470,25 @@ def test_wkl_from_seqwwkl_forward_image_pinned():
         assert hashlib.sha256(bits).hexdigest() == digest, seed
 
 
+def test_dropping_a_swept_seqwwkl_forward_frees_its_context():
+    # the sweep parks S, which reads ctx.tape(0), and its tracking trees in
+    # its own scratch; the view refers to the context weakly, so dropping
+    # the tape frees the context without waiting for a gc collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = FunctionalTape(wkl_from_seqwwkl_witness().forward, [Point.from_seed(5)], 4096)
+        for x in range(200):
+            tape.bit(x)
+        assert "s" in tape.ctx.scratch and ("tracking", 3) in tape.ctx.scratch
+        ctx = weakref.ref(tape.ctx)
+        del tape
+        assert ctx() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _ref_in_s(query, count, bits):
     # the interleave's membership test on bit tuples, reading through query
     def member_via(bit_of, col):
@@ -627,11 +655,106 @@ def test_ts33_agreement_values_bounded():
     # whenever the stage-1 set omits distinct-count 2, the four agreement
     # cases are exhaustive: the pattern never needs a fifth value
     f = Coloring(2, 2, lambda t: (t[0] * t[1]) % 2, "prod")
-    g = Coloring(3, 3, lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
-                                      f.value((t[1], t[2]))}) - 1, "dc")
+    g = _distinct_count_coloring(f)
     h = [x for x in range(10)]
     for t in itertools.combinations(h, 3):
         assert g.value(t) in (0, 1)  # 2-colorings never take three values
+
+
+# --- derived colorings memoize their rule per tuple ------------------------------
+
+
+def _scramble(k):
+    return lambda t: sum((i + 3) * x * x + x for i, x in enumerate(t)) % k
+
+
+def _counted(arity, k, rule, calls):
+    def counting(t):
+        calls[t] += 1
+        return rule(t)
+
+    return Coloring(arity, k, counting, "counted")
+
+
+# the plain rules the memoized colorings must agree with
+def _plain_step(m, n, k):
+    return lambda f: lambda z: sum(f.value((z[0],) + z[1 + i * m:1 + (i + 1) * m]) * k**i
+                                   for i in range(n))
+
+
+def _plain_distinct_count(f):
+    return lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
+                          f.value((t[1], t[2]))}) - 1
+
+
+BASE = [1, 3, 4, 7, 8, 10, 12, 13, 15, 18]
+
+
+def _plain_restrict(f):
+    return lambda t: f.value(tuple(BASE[i] for i in t))
+
+
+def _plain_agreement(f):
+    # the four-way pattern on the restriction, patterns 2 and 3 collapsed
+    def pattern(t):
+        a, b, c = f.value((t[1], t[2])), f.value((t[0], t[1])), f.value((t[0], t[2]))
+        if a == b == c:
+            return 0
+        if b == c != a:
+            return 1
+        if b == a != c:
+            return 2
+        return 3
+
+    return lambda t: min(pattern(tuple(BASE[i] for i in t)), 2)
+
+
+# (derived coloring of f, its plain rule, f's arity and colors, base reads per tuple)
+MEMOIZED = {
+    "ts_step(1,2,2)": (lambda f: ts_step_coloring(1, 2, 2, f), _plain_step(1, 2, 2), 2, 2, 2),
+    "ts_step(2,2,3)": (lambda f: ts_step_coloring(2, 2, 3, f), _plain_step(2, 2, 3), 3, 3, 2),
+    "distinct-count": (_distinct_count_coloring, _plain_distinct_count, 2, 3, 3),
+    "restrict": (lambda f: _restrict_coloring(f, BASE), _plain_restrict, 2, 3, 1),
+    "agreement": (lambda f: _agreement_coloring(f, BASE), _plain_agreement, 2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_memoized_coloring_reads_its_base_once_per_tuple(name):
+    derive, plain, arity, k, reads = MEMOIZED[name]
+    calls = Counter()
+    g = derive(_counted(arity, k, _scramble(k), calls))
+    ref = plain(Coloring(arity, k, _scramble(k), "plain"))
+    tuples = list(itertools.combinations(range(len(BASE)), g.arity))
+    assert [g.value(t) for t in tuples] == [ref(t) for t in tuples]
+    assert sum(calls.values()) == reads * len(tuples)
+    for t in tuples:
+        g.value(t)
+    assert sum(calls.values()) == reads * len(tuples)
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_memoized_coloring_keeps_its_checks_and_memoizes_no_error(name):
+    derive, _, arity, k, _ = MEMOIZED[name]
+    calls = Counter()
+    # out of range on every base tuple from 0 or BASE[0], which the least
+    # derived tuple reads
+    g = derive(_counted(arity, k, lambda t: k if t[0] in (0, BASE[0]) else 0, calls))
+    for bad in [tuple(range(g.arity))[::-1], (0,) * g.arity, tuple(range(g.arity + 1))]:
+        with pytest.raises(InputError):
+            g.value(bad)
+    assert not calls
+    least = tuple(range(g.arity))
+    with pytest.raises(ContractError):
+        g.value(least)
+    first = sum(calls.values())
+    with pytest.raises(ContractError):
+        g.value(least)
+    assert first > 0 and sum(calls.values()) == 2 * first  # asked again: nothing memoized
+    over = Coloring(2, 2, _memo_rule(lambda t: 2), "over")
+    for _ in range(2):
+        with pytest.raises(ContractError):
+            over.value((0, 1))  # memoized, and still checked
 
 
 # --- cube colorings -----------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -466,6 +468,29 @@ def test_squash_backward_chain_and_mutation():
     bad_sols = squash_backward(cfg, ms, bad, 3, a_family_tape=fam)
     verdicts = [e.verify_at(family_column(fam, i), s, 8, 2) for i, s in enumerate(bad_sols)]
     assert any(v.failed for v in verdicts)
+
+
+def test_dropping_a_swept_squash_row_frees_its_context():
+    # the row's display is parked in its sweep's own context, and so are the
+    # display's levels; each refers to the context weakly, so dropping the
+    # row frees the context without waiting for a gc collection
+    from wred.combinators import squash_row_tape
+
+    cfg = echo_squash_config()
+    ms = squash_markers(cfg, 30)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        row = squash_row_tape(cfg, ms, Point.from_seed(314), 0)
+        for x in range(12):
+            row.bit(x)
+        assert "display" in row.ctx.scratch and 0 in row.ctx.scratch
+        ctx = weakref.ref(row.ctx)
+        del row
+        assert ctx() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_squash_witness_end_to_end_soundness():

@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wred.kernel import (
     Continuation,
+    ContractError,
     Diverge,
+    EvalContext,
     FunctionalTape,
     InputError,
     MapTape,
@@ -28,6 +33,7 @@ from wred.kernel import (
     projection_functional,
     rank_tuple,
     tuple_rank,
+    _run_step,
 )
 
 
@@ -231,3 +237,109 @@ def test_negative_positions_are_input_errors():
         evaluate(identity_functional(), [Point.ones()], -3, 50)
     with pytest.raises(InputError):
         evaluate(pointwise(1, lambda ctx, x: ctx.query(0, x - 1), "back1"), [Point.ones()], 0, 50)
+
+
+# --- the sweep against its one-position definition --------------------------
+
+# position x reads cells 0..x, so it needs x + 2 ticks with the entry charge
+PARITY = pointwise(1, lambda ctx, x: sum(ctx.query(0, i) for i in range(x + 1)) % 2, "parity")
+
+
+def _read_by_run_step(func, tapes, fuel, pos):
+    """A FunctionalTape read of pos, as _run_step position by position."""
+    ctx = EvalContext(tapes, fuel)
+    steps = 0
+    for x in range(pos + 1):
+        try:
+            v = _run_step(func, ctx, x)
+        except Diverge as d:
+            return "diverged", d.reason, x, steps, ctx.use
+        steps += ctx.steps
+    return "converged", v, pos, steps, ctx.use
+
+
+def _read_by_tape(func, tapes, fuel, pos):
+    tape = FunctionalTape(func, tapes, fuel)
+    try:
+        v = tape.bit(pos)
+    except Diverge as d:
+        return "diverged", d.reason, d.position, tape.steps, tape.ctx.use
+    return "converged", v, pos, tape.steps, tape.ctx.use
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 5, 6, 7])
+@pytest.mark.parametrize("pos", [0, 4])
+def test_tape_sweep_agrees_with_run_step_at_the_fuel_edges(pos, fuel):
+    # position 4 needs 6: fuel 6 converges through it, fuel 5 stalls there
+    tapes = [Point.from_seed(3)]
+    assert _read_by_tape(PARITY, tapes, fuel, pos) == _read_by_run_step(PARITY, tapes, fuel, pos)
+
+
+def test_tape_sweep_agrees_with_run_step_on_a_gap():
+    tapes = [Prefix((1, 0, 1))]
+    got = _read_by_tape(PARITY, tapes, 50, 5)
+    assert got == _read_by_run_step(PARITY, tapes, 50, 5)
+    assert got[:3] == ("diverged", "gap", 3)
+
+
+@pytest.mark.parametrize("fuel", [0, 34, 35])
+def test_parked_tape_agrees_with_run_step_on_the_callers_ledger(fuel):
+    # a cell read through the caller's view costs two ticks, the nested query
+    # and the caller's, so positions 0..4 charge 5 + 2 * 15 = 35 to its ledger
+    def sides():
+        caller = EvalContext([Point.from_seed(8)], fuel)
+        nested = EvalContext([caller.tape(0)], None)
+        nested.ledger = caller
+        return caller, nested
+
+    caller, _ = sides()
+    tape = caller.apply(PARITY, [caller.tape(0)], "parked")
+    try:
+        got = ("converged", tape.bit(4))
+    except Diverge as d:
+        got = ("diverged", d.reason, d.position)
+    ref_caller, nested = sides()
+    want = None
+    for x in range(5):
+        try:
+            v = _run_step(PARITY, nested, x)
+        except Diverge as d:
+            want = ("diverged", d.reason, x)
+            break
+    want = want or ("converged", v)
+    assert got == want
+    assert (caller.steps, caller.use, tape.steps, tape.ctx.use) == (
+        ref_caller.steps, ref_caller.use, 0, nested.use)
+    assert got[0] == ("converged" if fuel == 35 else "diverged")
+
+
+def test_non_bit_step_raises_the_same_contract_error():
+    count = pointwise(1, lambda ctx, x: x, "count")
+    ctx = EvalContext([Point.ones()], 50)
+    with pytest.raises(ContractError) as want:
+        for x in range(4):
+            _run_step(count, ctx, x)
+    tape = FunctionalTape(count, [Point.ones()], 50)
+    with pytest.raises(ContractError) as got:
+        tape.bit(3)
+    assert str(got.value) == str(want.value)
+    assert tape.bit(1) == 1  # a contract error is not a stall
+
+
+def test_dropping_a_swept_composite_frees_its_context():
+    # the composite parks its inner tape, which reads ctx.tape(0) on ctx's
+    # ledger, in ctx's own scratch; both refer to ctx weakly, so dropping the
+    # tape frees the context without waiting for a gc collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip")
+        tape = FunctionalTape(compose_functionals(flip, flip), [Point.from_seed(2)], 1000)
+        assert tuple(tape.bit(x) for x in range(8)) == Point.from_seed(2).prefix(8).bits
+        assert "inner" in tape.ctx.scratch
+        ctx = weakref.ref(tape.ctx)
+        del tape
+        assert ctx() is None
+    finally:
+        if enabled:
+            gc.enable()

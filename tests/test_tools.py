@@ -15,15 +15,21 @@ def _load(name):
 
 def test_entry_times_prints_cpu_and_queries(capsys):
     entry_times = _load("entry_times")
+    from wred.kernel import EvalContext
+    from wred.problems import Coloring
+
+    plain = (EvalContext.query, Coloring.value)
     start = time.process_time()
     assert entry_times.main(["--seed", "0", "--entry", "rt_product"]) == 0
     assert time.process_time() - start < 1.0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["entry", "cpu_s", "queries"]
-    name, cpu, queries = lines[1].split()
-    assert name == "rt_product" and float(cpu) >= 0 and int(queries) > 0
-    assert lines[2].split()[0] == "total" and lines[2].split()[2] == queries
+    assert lines[0].split() == ["entry", "cpu_s", "queries", "coloring_value"]
+    name, cpu, queries, values = lines[1].split()
+    assert name == "rt_product" and float(cpu) >= 0 and int(queries) > 0 and int(values) > 0
+    assert lines[2].split()[0] == "total" and lines[2].split()[2:] == [queries, values]
     assert len(lines) == 3
+    # the counting run restores what it wraps
+    assert (EvalContext.query, Coloring.value) == plain
 
 
 def test_bench_record_writes_the_schema(tmp_path):

@@ -6,10 +6,11 @@ Runs each catalog entry's verify suite (all entries unless --entry names
 some) under the eight seeds 8*seed .. 8*seed+7 at 1 sample, horizon 16,
 size 4 and fuel 4096, the configurations of the benchmark's verify-all
 workload, and prints one line per entry, costliest first: the process
-CPU seconds of its suites and how many times `EvalContext.query` ran in
-them.  The time comes from a plain run and the count from a second run
-with `query` wrapped, so the counting does not inflate the time.  Run
-from the root of a checkout; the package is imported from its src/.
+CPU seconds of its suites and how many times `EvalContext.query` and
+`Coloring.value` ran in them.  The time comes from a plain run and the
+counts from a second run with both wrapped, so the counting does not
+inflate the time.  Run from the root of a checkout; the package is
+imported from its src/.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wred import kernel  # noqa: E402
+from wred import kernel, problems  # noqa: E402
 from wred.catalog import ENTRIES  # noqa: E402
 from wred.harness import SuiteConfig, run_suite  # noqa: E402
 
@@ -40,21 +41,29 @@ def cpu_seconds(entry: str, seed: int) -> float:
     return time.process_time() - start
 
 
-def query_count(entry: str, seed: int) -> int:
-    plain = kernel.EvalContext.query
-    calls = 0
+COUNTED = ((kernel.EvalContext, "query"), (problems.Coloring, "value"))
 
-    def counted(ctx, tape, pos):
-        nonlocal calls
-        calls += 1
-        return plain(ctx, tape, pos)
 
-    kernel.EvalContext.query = counted
+def call_counts(entry: str, seed: int) -> list[int]:
+    """How many times each COUNTED method ran in the entry's suites."""
+    calls = [0] * len(COUNTED)
+
+    def counted(i, plain):
+        def wrapper(*args):
+            calls[i] += 1
+            return plain(*args)
+
+        return wrapper
+
+    plains = [getattr(cls, name) for cls, name in COUNTED]
+    for i, ((cls, name), plain) in enumerate(zip(COUNTED, plains)):
+        setattr(cls, name, counted(i, plain))
     try:
         for config in configs(seed):
             run_suite(entry, config)
     finally:
-        kernel.EvalContext.query = plain
+        for (cls, name), plain in zip(COUNTED, plains):
+            setattr(cls, name, plain)
     return calls
 
 
@@ -64,13 +73,14 @@ def main(argv=None) -> int:
     parser.add_argument("--entry", action="append", choices=sorted(ENTRIES),
                         help="an entry to measure (repeatable; default: every entry)")
     args = parser.parse_args(argv)
-    rows = [(cpu_seconds(e, args.seed), query_count(e, args.seed), e)
+    rows = [(cpu_seconds(e, args.seed), call_counts(e, args.seed), e)
             for e in args.entry or sorted(ENTRIES)]
     rows.sort(key=lambda r: (-r[0], r[2]))
-    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s}")
-    for cpu, calls, entry in rows:
-        print(f"{entry:24s} {cpu:8.3f} {calls:10d}")
-    print(f"{'total':24s} {sum(r[0] for r in rows):8.3f} {sum(r[1] for r in rows):10d}")
+    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s} {'coloring_value':>14s}")
+    for cpu, (queries, values), entry in rows:
+        print(f"{entry:24s} {cpu:8.3f} {queries:10d} {values:14d}")
+    total = [sum(r[1][i] for r in rows) for i in range(len(COUNTED))]
+    print(f"{'total':24s} {sum(r[0] for r in rows):8.3f} {total[0]:10d} {total[1]:14d}")
     return 0
 
 
