@@ -338,9 +338,9 @@ class EvalContext:
     A nested application reads only the tapes it is given, so through
     `tape(i)` views its reads become the caller's use of the real oracles.
 
-    The `tape(i)` views and the ledger of a tape parked by `apply` refer
-    to the context weakly, so what a step parks in scratch makes no
-    reference cycle: dropping a sweep frees its context at once.
+    `tape(i)` views and nested contexts' ledgers refer to a context
+    weakly, so what a step parks in scratch makes no reference cycle:
+    dropping a sweep frees its context at once.
     """
 
     __slots__ = ("tapes", "fuel", "steps", "use", "scratch", "ledger", "__weakref__")
@@ -351,10 +351,10 @@ class EvalContext:
         self.steps = 0
         self.use: dict[int, int] = {}
         self.scratch: dict = {}
-        self.ledger: Optional[EvalContext] = None  # nested: the root of the caller chain
+        self.ledger: Optional[weakref.ref] = None  # nested: the root of the caller chain
 
     def tick(self, n: int = 1) -> None:
-        led = self.ledger or self
+        led = self if self.ledger is None else self.ledger()
         led.steps += n
         if led.steps > led.fuel:
             raise Diverge("fuel")
@@ -362,7 +362,7 @@ class EvalContext:
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
-        led = self.ledger or self  # tick(), inlined on the hottest path
+        led = self if self.ledger is None else self.ledger()  # tick(), inlined: the hottest path
         led.steps += 1
         if led.steps > led.fuel:
             raise Diverge("fuel")
@@ -380,7 +380,7 @@ class EvalContext:
     def run(self, func: "Functional", tapes, x: int) -> int:
         """func's bit at x on tapes, computed on this context's ledger."""
         nested = EvalContext(tapes, None)
-        nested.ledger = self.ledger or self
+        nested.ledger = self.ledger or weakref.ref(self)
         return _run_step(func, nested, x)
 
     def apply(self, func: "Functional", tapes, key) -> "FunctionalTape":
@@ -389,7 +389,7 @@ class EvalContext:
         t = self.scratch.get(key)
         if t is None:
             t = self.scratch[key] = FunctionalTape(func, tapes, None)
-            t.ctx.ledger = self.ledger or weakref.proxy(self)
+            t.ctx.ledger = self.ledger or weakref.ref(self)
         return t
 
 
@@ -397,11 +397,11 @@ class CtxTape:
     __slots__ = ("ctx", "idx")
 
     def __init__(self, ctx: EvalContext, idx: int):
-        self.ctx = weakref.proxy(ctx)
+        self.ctx = weakref.ref(ctx)
         self.idx = idx
 
     def bit(self, pos: int) -> int:
-        return self.ctx.query(self.idx, pos)
+        return self.ctx().query(self.idx, pos)
 
 
 @dataclass
@@ -508,7 +508,7 @@ class FunctionalTape:
         if self._stalled is not None:
             raise Diverge(self._stalled, len(bits))
         ctx, step = self.ctx, self.func.step
-        led = ctx.ledger or ctx
+        led = ctx if ctx.ledger is None else ctx.ledger()
         try:
             while len(bits) <= pos:
                 # one position, as _run_step runs it: steps restart, the

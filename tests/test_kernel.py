@@ -289,7 +289,7 @@ def test_parked_tape_agrees_with_run_step_on_the_callers_ledger(fuel):
     def sides():
         caller = EvalContext([Point.from_seed(8)], fuel)
         nested = EvalContext([caller.tape(0)], None)
-        nested.ledger = caller
+        nested.ledger = weakref.ref(caller)
         return caller, nested
 
     caller, _ = sides()
