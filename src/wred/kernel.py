@@ -362,7 +362,7 @@ class EvalContext:
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
-        led = self if self.ledger is None else self.ledger()  # tick(), inlined: the hottest path
+        led = self if self.ledger is None else self.ledger()  # tick(), inlined on the hottest path
         led.steps += 1
         if led.steps > led.fuel:
             raise Diverge("fuel")
