@@ -30,7 +30,6 @@ from .problems import (
     Verdict,
     coloring_from_tape,
     coloring_to_point,
-    known_problems,
     lookup,
     measure_at_level,
     verify_homogeneous_at,

@@ -136,9 +136,8 @@ class CutTree:
         assert total.denominator == 1, "disjoint supports keep counts integral"
         return int(total)
 
-    def measure(self, level: Optional[int] = None) -> Fraction:
-        level = self.height if level is None else level
-        return Fraction(self.level_count(level), 2**level)
+    def measure(self) -> Fraction:
+        return Fraction(self.level_count(self.height), 2**self.height)
 
     def as_partial_point(self) -> RuleTape:
         """The tree as a partial oracle: bit(string_index(sigma)) says whether
@@ -223,13 +222,13 @@ class _ImageSweep:
 
 
 def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
-                 stages: int, image_cap: int = 12, fuel: int = DEFAULT_FUEL):
+                 stages: int, fuel: int = DEFAULT_FUEL):
     """Cut a tree of measure >= p so the image tree drops below measure q.
 
     Case 2 stages pick a pattern alpha agreed on by at least a 2^-a
     fraction of the image level and prune exactly that pattern from the
     tree: the measure multiplies by precisely 1 - 2^-a each time, and the
-    log certifies it.
+    log certifies it.  Image levels are read no deeper than 12.
     """
     a = least_cut_width(p, q)
     tree = CutTree()
@@ -239,7 +238,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
 
     for s in range(stages):
         mu_before = tree.measure()
-        cap = min(s, image_cap)
+        cap = min(s, 12)
         sweep.advance(tree.as_partial_point(), 2 ** (cap + 1) - 2)
         n_s = sweep.height(cap)
         image = sweep.level(n_s)
@@ -316,14 +315,15 @@ def _set_prefix(members) -> Prefix:
 
 
 def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: int,
-                     set_budget: int = 1 << 12, fuel: int = DEFAULT_FUEL,
-                     horizon: int = 32, tail_size: int = 4) -> TS1Result:
+                     fuel: int = DEFAULT_FUEL, horizon: int = 32) -> TS1Result:
     """Defeat a claimed TS^1_j <= TS^1_k reduction pair at finite scale.
 
     Colors are invalidated one at a time as the backward functional is
     caught asserting membership; at most j-1 action stages can fire, and
     the assembled set shows at most j of the k image colors while the
-    backward image must mix source colors.
+    backward image must mix source colors.  A stage tries the first 2^12
+    canonical finite sets as anchors, and a set is assembled only on a
+    homogeneous image tail of at least 4 members.
     """
     if not 2 <= j < k:
         raise InputError("need 2 <= j < k")
@@ -367,7 +367,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
                 evals += 1
                 if _converged(backward, x) is None:
                     eligible.append(x)
-            for idx in range(1, set_budget):
+            for idx in range(1, 1 << 12):
                 if acted or evals >= psi_eval_budget:
                     truncated = evals >= psi_eval_budget
                     break
@@ -421,7 +421,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
         if c is not None:
             by_color.setdefault(c, []).append(x)
     tail = max(by_color.values(), key=len, default=[])
-    if len(tail) >= tail_size:
+    if len(tail) >= 4:
         t = sorted(set().union(*f_sets) | set(tail)) if f_sets else sorted(tail)
         result.assembled = t
         result.assembled_colors = {image_vals[x] for x in t if image_vals.get(x) is not None}
@@ -430,7 +430,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
 
 def ts1_backward_sample(psi: Functional, members, horizon: int,
                         fuel: int = DEFAULT_FUEL) -> list[int]:
-    """Members the backward functional asserts on a finite set oracle."""
+    """Members the backward functional asserts on a finite set oracle (criterion 5)."""
     if not members:
         return []
     backward = FunctionalTape(psi, [_set_prefix(members)], fuel)
@@ -491,13 +491,16 @@ def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Colo
     return colorings, log
 
 
-def check_defeats(colorings: list[Coloring], g: Delta2Approx, e: int, horizon: int,
-                  finite_threshold: int = 4) -> tuple[bool, str]:
-    """Confirm the e-th declared limit set is finite or uses all colors."""
+def check_defeats(colorings: list[Coloring], g: Delta2Approx, e: int,
+                  horizon: int) -> tuple[bool, str]:
+    """Confirm the e-th declared limit set is finite or uses all colors.
+
+    Fewer than 4 members below the horizon counts as finite.
+    """
     if g.limit is None:
         raise InputError("defeat checking needs a declared limit")
     d_e = [b for b in range(horizon) if g.limit(e, b) == 1]
-    if len(d_e) < finite_threshold:
+    if len(d_e) < 4:
         return True, f"D_{e} has only {len(d_e)} members below {horizon}"
     k = colorings[e].colors
     used = {colorings[e].value((b,)) for b in d_e}
@@ -519,12 +522,16 @@ class CMResult:
         return self.trigger
 
 
-def _fresh_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int,
-                      used=frozenset()):
+# the rainbow adversaries try strings up to this length, and read each
+# image below this position
+_LEN_CAP, _OUT_BOUND = 6, 16
+
+
+def _fresh_double_one(phi: Functional, sigma: Prefix, used=frozenset()):
     """Least x < y outside `used` with converged output 1 at both, on the string oracle."""
-    image = FunctionalTape(phi, [sigma], fuel)
+    image = FunctionalTape(phi, [sigma], DEFAULT_FUEL)
     ones = []
-    for pos in range(out_bound):
+    for pos in range(_OUT_BOUND):
         v = _converged(image, pos)
         if v is None:
             break
@@ -535,8 +542,7 @@ def _fresh_double_one(phi: Functional, sigma: Prefix, out_bound: int, fuel: int,
     return None
 
 
-def cm_coloring(phi: Functional, len_cap: int = 6, out_bound: int = 16,
-                fuel: int = DEFAULT_FUEL) -> CMResult:
+def cm_coloring(phi: Functional) -> CMResult:
     """Glue one pair per stage once the functional shows two 1s.
 
     Colors are fresh pairing values except that, after the trigger, the
@@ -544,10 +550,10 @@ def cm_coloring(phi: Functional, len_cap: int = 6, out_bound: int = 16,
     and anything extending the trigger string computes both witnesses.
     """
     found = None
-    for length in range(len_cap + 1):
+    for length in range(_LEN_CAP + 1):
         for bits in itertools.product((0, 1), repeat=length):
             sigma = Prefix(bits)
-            got = _fresh_double_one(phi, sigma, out_bound, fuel)
+            got = _fresh_double_one(phi, sigma)
             if got is not None:
                 found = (got[0], got[1], sigma)
                 break
@@ -590,8 +596,7 @@ class ArbBoundsResult:
     triggers: list[int]  # discovery stage per cylinder set
 
 
-def rainbow_measure_coloring(phi: Functional, q: Fraction, len_cap: int = 6,
-                             out_bound: int = 16, fuel: int = DEFAULT_FUEL) -> ArbBoundsResult:
+def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:
     """Collect disjoint cylinder sets of measure >= q on which the
     functional commits to two rainbow members, then glue those members.
 
@@ -607,7 +612,7 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction, len_cap: int = 6,
         collected: list[Prefix] = []
         pairs: list[tuple] = []
         mass = Fraction(0)
-        for length in range(len_cap + 1):
+        for length in range(_LEN_CAP + 1):
             if mass >= q:
                 break
             for bits in itertools.product((0, 1), repeat=length):
@@ -617,7 +622,7 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction, len_cap: int = 6,
                     continue
                 if any(c.is_prefix_of(sigma) or sigma.is_prefix_of(c) for c in collected):
                     continue
-                fresh = _fresh_double_one(phi, sigma, out_bound, fuel, used_all)
+                fresh = _fresh_double_one(phi, sigma, used_all)
                 if fresh is None:
                     continue
                 collected.append(sigma)
@@ -658,13 +663,11 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction, len_cap: int = 6,
                            cylinders, bound, triggers)
 
 
-def rrt_column_splitter(phi: Functional, columns: int, e: int = 0,
-                        len_cap: int = 6, out_bound: int = 16,
-                        fuel: int = DEFAULT_FUEL) -> list[ArbBoundsResult]:
+def rrt_column_splitter(phi: Functional, columns: int) -> list[ArbBoundsResult]:
     """One arb-bounds run per column, at geometrically shrinking targets.
 
     Column j (0-indexed) restricts the functional to output column
-    pair(e, j) and runs the cylinder search at q = 2^-(j+1), so the
+    pair(0, j) and runs the cylinder search at q = 2^-(j+1), so the
     measure of sets solving column j shrinks below 2^-j as in the
     splitting argument.
     """
@@ -672,11 +675,10 @@ def rrt_column_splitter(phi: Functional, columns: int, e: int = 0,
         raise InputError("need at least one column")
     out = []
     for jcol in range(columns):
-        col = cantor_pair(e, jcol)
+        col = cantor_pair(0, jcol)
         restricted = pointwise(1, lambda ctx, x, col=col: _inner_value(phi, ctx, x, col),
                                f"column[{col}]")
-        out.append(rainbow_measure_coloring(restricted, Fraction(1, 2 ** (jcol + 1)),
-                                            len_cap, out_bound, fuel))
+        out.append(rainbow_measure_coloring(restricted, Fraction(1, 2 ** (jcol + 1))))
     return out
 
 

@@ -217,7 +217,7 @@ def _column_node(m: int, shifts) -> int:
     return idx
 
 
-def wkl_interleave(count, depth: int = 4) -> Witness:
+def wkl_interleave(count) -> Witness:
     """<WKL,WKL> <= WKL or SeqWKL <= WKL by interleaving the node bits.
 
     The two differ only in their `_LAYOUTS` data.  The column map says
@@ -238,12 +238,12 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
     Both give the same answer, and the cells the memo reads are a subset
     of the walk's.
 
-    `depth` caps the path horizon of the wire-level problem specs; the
-    exact measure identities are checked directly on tree rules, where
-    deeper levels stay cheap.
+    The wire-level problem specs cap the path horizon at depth 4 for each
+    of a pair's trees; the exact measure identities are checked directly
+    on tree rules, where deeper levels stay cheap.
     """
     if count == 2:
-        source = parallel_product(wkl_spec(path_depth=depth), wkl_spec(path_depth=depth))
+        source = parallel_product(wkl_spec(path_depth=4), wkl_spec(path_depth=4))
         label = "<WKL,WKL><=WKL"
     elif count == "omega":
         source = seq(wkl_spec(path_depth=3), columns=2)
@@ -280,7 +280,7 @@ def wkl_interleave(count, depth: int = 4) -> Witness:
         return v
 
     forward = pointwise(1, in_s, "wkl-interleave")
-    target = wkl_spec(path_depth=2 * depth if count == 2 else 12)
+    target = wkl_spec(path_depth=8 if count == 2 else 12)
     return Witness(source, target, forward, identity_functional(), "strong", label=label)
 
 
@@ -417,14 +417,14 @@ def assemble_path(paths: Callable[[Prefix], object], depth: int) -> Point:
     return Point(rule, "assembled-path")
 
 
-def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
+def wkl_from_seqwwkl_witness() -> Witness:
     """WKL <= Seq(1/2-WWKL): one tracking tree per finite string.
 
     The extendibility predicate is informative about sigma's children
     only at node depths past |sigma|+1, so the path solver probes the
-    tracking trees twice as deep as the verified horizon.
+    tracking trees twice as deep as the verified horizon, depth 3.
     """
-    target = seq(wwkl_spec(Fraction(1, 2), path_depth=depth, solve_depth=2 * depth))
+    target = seq(wwkl_spec(Fraction(1, 2), path_depth=3, solve_depth=6))
 
     def fstep(ctx, x):
         # column col is the tracking tree of the string with index col, over
@@ -450,7 +450,7 @@ def wkl_from_seqwwkl_witness(depth: int = 3) -> Witness:
         return b
 
     backward = pointwise(1, bstep, "assemble-path")
-    return Witness(wkl_spec(path_depth=depth), target, forward, backward, "strong",
+    return Witness(wkl_spec(path_depth=3), target, forward, backward, "strong",
                    label="WKL<=Seq(1/2-WWKL)")
 
 
@@ -519,19 +519,19 @@ def blowup_once(t: TreeByRule, p: Fraction, eps: Fraction, depth: int) -> Blowup
     return Blowup(s, pointwise(1, pstep, "drop-shift"), shifts)
 
 
-def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int,
-                eps: Fraction = Fraction(1, 10), max_rounds: int = 8) -> Blowup:
-    """Iterate the one-step blow-up until the level measure reaches q."""
+def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int) -> Blowup:
+    """Iterate the one-step blow-up, with eps = 1/10, until the level
+    measure reaches q; more than 8 rounds is a ResourceError."""
     if not (0 < p < 1 and 0 < q < 1):
         raise InputError("need 0 < p, q < 1")
     if p >= q:
         return _identity_blowup(t)
     cur = _identity_blowup(t)
-    for _ in range(max_rounds):
+    for _ in range(8):
         mu = measure_at_level(cur.tree, depth)
         if mu >= q:
             return cur
-        step = blowup_once(cur.tree, mu, eps, depth)
+        step = blowup_once(cur.tree, mu, Fraction(1, 10), depth)
         cur = Blowup(step.tree,
                      compose_functionals(cur.path_map, step.path_map, "blowup-chain"),
                      cur.shifts + step.shifts)
@@ -583,8 +583,12 @@ def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
     return Coloring(m * n + 1, k**n, _memo_rule(rule), f"step({f.label})")
 
 
+# "infinitely many" at desk scale: at least this many witnesses within the horizon
+_WITNESS_THRESHOLD = 3
+
+
 def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple,
-                    horizon: int, threshold: int = 3):
+                    horizon: int):
     """Recover an f-thin set from a g-thin set, per the staged argument.
 
     Returns (members, omitted, detail) or None when the witness threshold
@@ -603,13 +607,13 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
     best_i = None
     for i in range(n - 1, -1, -1):
         witnesses = [x for x in h if _least_chain_top(f, m, avoided, i, x, h) is not None]
-        if len(witnesses) >= threshold:
+        if len(witnesses) >= _WITNESS_THRESHOLD:
             best_i = i
             break
     if best_i is None:
         blocked = [x for x in h if _least_chain_top(f, m, avoided, 0, x, h) is not None]
         rest = [x for x in h if x not in blocked]
-        if len(rest) < threshold:
+        if len(rest) < _WITNESS_THRESHOLD:
             return None
         return rest, avoided[0], "degenerate: no pivot reaches the first digit"
     if best_i == n - 1:
@@ -637,7 +641,7 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
         # leave room for the witnessing blocks before the next pivot
         chain_top = _least_chain_top(f, m, avoided, best_i, nxt, pool)
         lo = chain_top if chain_top is not None else nxt
-    if len(sequence) < threshold:
+    if len(sequence) < _WITNESS_THRESHOLD:
         return None
     return sequence, avoided[best_i + 1], f"pivot digit {best_i}"
 
@@ -675,8 +679,7 @@ def ts_aca_coloring(n: int, f: Callable[[int], int]) -> Coloring:
     return Coloring(n + 2, 2**n, rule, "aca-coloring")
 
 
-def ts_aca_largest_index(g: Coloring, members, b: int, horizon: int,
-                         threshold: int = 3) -> int:
+def ts_aca_largest_index(g: Coloring, members, b: int, horizon: int) -> int:
     """Largest index m such that tuples matching the first m avoided bits
     keep appearing (witness-count threshold within the horizon)."""
     n = g.arity - 2
@@ -688,9 +691,9 @@ def ts_aca_largest_index(g: Coloring, members, b: int, horizon: int,
             v = g.value(t)
             if all((v >> i) & 1 == (b >> i) & 1 for i in range(m)):
                 count += 1
-                if count >= threshold:
+                if count >= _WITNESS_THRESHOLD:
                     break
-        if count >= threshold:
+        if count >= _WITNESS_THRESHOLD:
             best = m
             break
     return best
@@ -778,7 +781,7 @@ class PipelineLog:
         self.steps.append(msg)
 
 
-def ts33_pipeline(f: Coloring, horizon: int, size: int, budget=None):
+def ts33_pipeline(f: Coloring, horizon: int, size: int):
     """Homogeneous set for a pair coloring, consuming thin-set oracles.
 
     Follows the staged case analysis: triangles by distinct-count, then
@@ -789,7 +792,7 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int, budget=None):
 
     if f.arity != 2:
         raise InputError("the pipeline consumes pair colorings")
-    budget = budget or SearchBudget(horizon=horizon, size=max(2 * size, 8))
+    budget = SearchBudget(horizon=horizon, size=max(2 * size, 8))
     log = PipelineLog()
 
     g = _distinct_count_coloring(f)

@@ -67,16 +67,6 @@ def _spin(ctx, x):
         ctx.tick()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {raw!r}")
-
-
 def _write(path, text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -262,8 +252,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fuel_default = _env_int("WRED_FUEL_DEFAULT", 4096)
-    horizon_default = _env_int("WRED_HORIZON_DEFAULT", 16)
     top = _Parser(prog="wred", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -272,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the soundness suite for an entry")
     v.add_argument("entry")
     v.add_argument("--samples", type=int, default=25)
-    v.add_argument("--horizon", type=int, default=horizon_default)
+    v.add_argument("--horizon", type=int, default=16)
     v.add_argument("--size", type=int, default=4)
-    v.add_argument("--fuel", type=int, default=fuel_default)
+    v.add_argument("--fuel", type=int, default=4096)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default="")
     v.set_defaults(fn=cmd_verify)
@@ -282,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("squash", help="markers and the materialized instance table")
     s.add_argument("--config", required=True)
     s.add_argument("--stages", type=int, default=None)
-    s.add_argument("--horizon", type=int, default=horizon_default)
+    s.add_argument("--horizon", type=int, default=16)
     s.add_argument("--count", type=int, default=4)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="")
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force searches over a document")
     o.add_argument("task")
     o.add_argument("--input", required=True)
-    o.add_argument("--horizon", type=int, default=horizon_default)
+    o.add_argument("--horizon", type=int, default=16)
     o.add_argument("--size", type=int, default=4)
     o.add_argument("--depth", type=int, default=6)
     o.set_defaults(fn=cmd_oracle)

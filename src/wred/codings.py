@@ -4,6 +4,8 @@ The decoders here never pretend to compute a jump: they are claim
 checkers over finite certificates.  Test predicates must declare their
 ground truth and stabilization/witness bounds, and the module audits the
 declarations by brute force on the test domain before using them.
+Acceptance criteria 6 and 8 and tests/test_codings.py check these
+constructions; nothing else in the package calls them.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ def unbounded_truth(pred: BoundedPredicate, i: int) -> bool:
 
 
 def audit_predicate(pred: BoundedPredicate, indices) -> list[int]:
-    """Indices where the declared truth disagrees with brute force."""
+    """Indices where the declared truth disagrees with brute force (criterion 6)."""
     return [i for i in indices if bool(pred.truth(i)) != unbounded_truth(pred, i)]
 
 
 def jump_coloring(pred: BoundedPredicate) -> Callable[[int], Coloring]:
-    """Column i colors a tuple 1 when the bounded alternation holds below it."""
+    """Column i colors a tuple 1 when the bounded alternation holds below it (criterion 6)."""
     n = pred.depth
 
     def column(i: int) -> Coloring:
@@ -100,7 +102,7 @@ def true_homogeneous_set(pred: BoundedPredicate, i: int, horizon: int,
 
     Members: a tail above the leading Skolem witness, where the bounded
     formula is already true.  Non-members at depth 2: the staircase that
-    outruns the refutation bounds, so every pair computes 0.
+    outruns the refutation bounds, so every pair computes 0 (criterion 6).
     """
     n, member = pred.depth, bool(pred.truth(i))
     if n == 1:
@@ -128,7 +130,7 @@ def true_homogeneous_set(pred: BoundedPredicate, i: int, horizon: int,
 
 def jump_decode(pred: BoundedPredicate, families: Callable[[int], Coloring],
                 h_sets: Callable[[int], list], indices, horizon: int) -> dict[int, int]:
-    """Read one membership bit per column off the homogeneous color."""
+    """Read one membership bit per column off the homogeneous color (criterion 6)."""
     out = {}
     for i in indices:
         f_i = families(i)
@@ -165,6 +167,7 @@ class LimitPredicate:
 
 
 def audit_limit(pred: LimitPredicate, indices) -> list[int]:
+    """Indices whose rule leaves the declared limit past its bound (criterion 6)."""
     if pred.depth != 1:
         raise InputError("limit audits are implemented at depth 1")
     bad = []
@@ -195,7 +198,7 @@ def kummer_coloring(pred: LimitPredicate, k: int) -> Callable[[tuple], Coloring]
 def kummer_claim_check(pred: LimitPredicate, k: int, xs: tuple, members,
                        omitted: int, horizon: int):
     """The coded count occurs on the thin set and differs from its
-    omitted color; built from the stabilization staircase."""
+    omitted color; built from the stabilization staircase (criterion 6)."""
     xs = tuple(sorted(xs))
     f = kummer_coloring(pred, k)(xs)
     sample = sorted(y for y in set(members) if y < horizon)
@@ -225,7 +228,7 @@ def seq_rrt1_greedy(columns: Callable[[int], Coloring], count: int, size: int,
 
     Greedy-minimal: every element is the least eligible one.  Returns
     None for a column whose eligibility runs dry inside the horizon
-    (which signals an unbounded fiber at this scale).
+    (which signals an unbounded fiber at this scale; criterion 8).
     """
     out = []
     for i in range(count):
@@ -252,7 +255,8 @@ def seq_ts1_omega_solver(columns: Callable[[int], Coloring], count: int, size: i
     The jump question 'is there b > a with f(b) != 0' is answered by
     search up to the horizon; when the support runs dry the set continues
     with consecutive integers and is trivially thin (the range is finite
-    at this scale).  The simulation is disclosed in the note.
+    at this scale).  The simulation is disclosed in the note
+    (test_seq_ts1_omega_mixed_support).
     """
     out = []
     for i in range(count):
@@ -318,7 +322,7 @@ def audit_stabilization(approx: StableApprox, i: int, domain: int) -> list:
 def limit_lift_transfer(approx: StableApprox, i: int, members, omitted: int,
                         horizon: int):
     """A thin set for the lifted coloring, restricted past stabilization,
-    is thin for the limit coloring."""
+    is thin for the limit coloring (test_codings.py::test_lift_thinness_transfer)."""
     if audit_stabilization(approx, i, min(horizon, 12)):
         raise InputError("stabilization bound violated on test data")
     lifted = approx.lifted_coloring(i)

@@ -34,7 +34,6 @@ from typing import Optional
 
 from .kernel import (
     DEFAULT_FUEL,
-    Continuation,
     ContractError,
     Diverge,
     EvalContext,
@@ -129,11 +128,11 @@ class SoundnessRow:
 
 
 def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: int,
-                            fuel: int = DEFAULT_FUEL, budget=None) -> list[SoundnessRow]:
+                            fuel: int = DEFAULT_FUEL) -> list[SoundnessRow]:
     """The master property: forward validity + backward solution transport."""
     from .oracle import SearchBudget
 
-    budget = budget or SearchBudget(horizon=horizon, size=size + w.solve_slack)
+    budget = SearchBudget(horizon=horizon, size=size + w.solve_slack)
     rows: list[SoundnessRow] = []
     if w.source.sample_instance is None:
         return [SoundnessRow(f"{w.label}", INCONCLUSIVE, "source has no sampler")]
@@ -168,10 +167,6 @@ def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: i
     return rows
 
 
-def soundness_failures(rows: list[SoundnessRow]) -> list[SoundnessRow]:
-    return [r for r in rows if r.status == FAIL]
-
-
 # ---------------------------------------------------------------------------
 # toy total problem (used by squash configs and combinator tests)
 
@@ -189,67 +184,6 @@ def triv_spec() -> ProblemSpec:
         default_c=Point.zeros(),
         params={},
     )
-
-
-def echo_spec() -> ProblemSpec:
-    """Tail echo: a solution is <d, T> with T(x) = A(x) for all x >= d.
-
-    Total, finitely verifiable, and with honest finite tolerance (bump d
-    to the agreement bound), so it exercises squashing and iteration with
-    solutions that can actually fail verification.  Wire form: even bits
-    the tail T, odd bits d in unary.
-    """
-
-    def verify(inst_tape, sol_tape, horizon, size):
-        try:
-            d = read_unary(odd_part(sol_tape), horizon)
-            if d >= horizon:
-                return verdict_inconclusive("exception bound reaches the horizon")
-            for x in range(d, horizon):
-                if even_part(sol_tape).bit(x) != inst_tape.bit(x):
-                    return verdict_fail(f"echo broken at {x}")
-        except Diverge as dv:
-            return verdict_inconclusive(f"solution tape diverged ({dv.reason})")
-        if horizon - d < size:
-            return verdict_inconclusive(f"echoed window {horizon - d} < required {size}")
-        return verdict_pass(f"echoes beyond {d}")
-
-    def tolerance(sol_tape, m):
-        # unary of max(d, m): ones below m, then the original unary
-        return interleave_tapes(even_part(sol_tape),
-                                Continuation(Prefix((1,) * m), odd_part(sol_tape)))
-
-    return ProblemSpec(
-        name="ECHO",
-        is_total=True,
-        decode=lambda tape: tape,
-        verify_at=verify,
-        tolerance=tolerance,
-        sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
-        brute_solution_tapes=lambda inst, budget: [interleave_tapes(inst, Point.zeros())],
-        default_c=Point.zeros(),
-        params={},
-    )
-
-
-def echo_pair_witness() -> Witness:
-    """<ECHO,ECHO> <= ECHO: the interleaved pair is itself an instance.
-
-    A solution <d, T> of the merged instance deinterleaves into component
-    solutions with the same exception bound d.
-    """
-    e = echo_spec()
-
-    def bstep(ctx, x):
-        q, r = divmod(x, 2)  # r = component
-        u, v = divmod(q, 2)  # v = 0 tail bit, 1 unary bit
-        if v == 0:
-            return ctx.query(0, 4 * u + 2 * r)
-        return ctx.query(0, 2 * u + 1)
-
-    backward = oblivious(pointwise(1, bstep, "echo-pair-split"))
-    return Witness(parallel_product(e, e), e, identity_functional(), backward, "strong",
-                   label="<ECHO,ECHO><=ECHO")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +244,7 @@ def combine_verdicts(*vs: Verdict) -> Verdict:
 
 
 def witness_parallel(w1: Witness, w2: Witness) -> Witness:
-    """<P,P'> <= <Q,Q'> from P <= Q and P' <= Q'."""
+    """<P,P'> <= <Q,Q'> from P <= Q and P' <= Q' (test_parallel_identity_pair_sound)."""
     kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
     def fstep(ctx: EvalContext, x: int) -> int:
@@ -395,7 +329,8 @@ def tag_tape(tag: int, payload):
 
 
 def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
-    """P_i <= [P_0,...]: tag the instance, pass the solution through."""
+    """P_i <= [P_0,...]: tag the instance, pass the solution through
+    (test_alternative_embedding_sound)."""
     if not 0 <= i < len(specs):
         raise InputError(f"tag {i} out of range")
 
@@ -415,7 +350,7 @@ def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
 
 
 def compose_witness(w1: Witness, w2: Witness) -> Witness:
-    """Transitivity: from P <= Q and Q <= R build P <= R."""
+    """Transitivity: from P <= Q and Q <= R build P <= R (test_law_composition_associative)."""
     if w1.target.name != w2.source.name:
         raise InputError(f"cannot compose {w1.label} with {w2.label}: middle problems differ")
     kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
@@ -440,7 +375,8 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
 
 
 def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional) -> ProblemSpec:
-    """Q after P: solve P, glue (instance, solution) into a Q-instance, solve Q."""
+    """Q after P: solve P, glue (instance, solution) into a Q-instance, solve Q
+    (test_compositional_product_projection_glue)."""
     if theta_glue.arity != 2:
         raise InputError("glue functional must read (instance, P-solution)")
 
@@ -546,8 +482,8 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
     )
 
 
-def lift_seq(w: Witness, columns: int = 4) -> Witness:
-    """SeqP <= SeqQ from P <= Q, columnwise."""
+def lift_seq(w: Witness) -> Witness:
+    """SeqP <= SeqQ from P <= Q, columnwise (test_law_lift_is_functorial)."""
 
     def fstep(ctx, x):
         i, t = cantor_unpair(x)
@@ -563,7 +499,7 @@ def lift_seq(w: Witness, columns: int = 4) -> Witness:
         return ctx.run(w.backward, cols, t)
 
     backward = pointwise(w.backward.arity, bstep, "seq-backward")
-    return Witness(seq(w.source, columns), seq(w.target, columns), forward, backward,
+    return Witness(seq(w.source), seq(w.target), forward, backward,
                    w.kind, label=f"Seq[{w.label}]")
 
 
@@ -582,7 +518,8 @@ def iterate_finite(w: Witness, n: int) -> Witness:
     """From <P,P> <= P, nest forward n-1 times: P^n <= P.
 
     The forward image is Phi(A_0, Phi(A_1, ... Phi(A_{n-2}, A_{n-1})...))
-    with A_0 outermost; the backward repeatedly splits pair solutions.
+    with A_0 outermost; the backward repeatedly splits pair solutions
+    (test_iterate_soundness_suite).
     """
     if n < 1:
         raise InputError("iteration count must be >= 1")
@@ -709,6 +646,8 @@ class _Display:
     read in increasing order, each level T_j sweeping once.  It lives in
     one context's scratch and parks T_j there (key j), so each level pull
     is charged to the position of the context's sweep that forced it.
+    The context owns the display, and the display refers to it weakly,
+    so dropping the context frees both at once.
 
     No read recurses through more than a bounded number of levels: a read
     from outside the display starts a loop over an explicit stack, a
@@ -718,7 +657,7 @@ class _Display:
     """
 
     def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0):
-        self.ctx, self.forward, self.c, self.markers = ctx, forward, c, markers
+        self.ctx, self.forward, self.c, self.markers = weakref.proxy(ctx), forward, c, markers
         self.sigma_tapes = sigma_tapes  # level -> tape
         self.stage = stage
         self.pull_limit: Optional[int] = None  # inside the loop: the first level not pulled
@@ -771,19 +710,22 @@ class _Link:
         return self.display.tail_bit(self.j, pos)
 
 
-def _symbolic_display(forward: Functional, c: Point, markers, s: int, n: int,
-                      assignment: dict) -> _Display:
-    """The compactness display at stage s for candidate n, every level's
-    string a symbolic length-n prefix over one assignment, on a new context."""
-    return _Display(EvalContext([], DEFAULT_FUEL), forward, c, [*markers[:s + 1], n],
-                    lambda j: _SymbolicPrefix(j, n, assignment), stage=s)
+def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
+                      assignment: dict) -> EvalContext:
+    """A new context holding the compactness display at stage s for
+    candidate n, every level's string a symbolic length-n prefix over one
+    assignment."""
+    ctx = EvalContext([], DEFAULT_FUEL)
+    _Display(ctx, forward, c, [*markers[:s + 1], n],
+             lambda j: _SymbolicPrefix(j, n, assignment), stage=s)
+    return ctx
 
 
-def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
+def _dfs_search(root: EvalContext, i: int, width_budget: int) -> bool:
     """Does the nested expression converge at s for ALL sigma_i..sigma_s in 2^n?
 
-    `root` is the symbolic display of stage s and candidate n on the empty
-    assignment.  Branches only on oracle bits the evaluation actually
+    `root` holds the symbolic display of stage s and candidate n on the
+    empty assignment.  Branches only on oracle bits the evaluation actually
     reads; unread bits cannot affect the outcome, so the leaf set exactly
     covers 2^n per level.  Exceeding the width budget is a resource error.
 
@@ -797,21 +739,20 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
     it pays only for what earlier ones left unmaterialized).  Each branch
     after a _NeedBit evaluates in a display of its own.
     """
-    s, n = root.stage, root.markers[-1]
+    display = root.scratch["display"]
+    forward, c, markers, s = display.forward, display.c, display.markers, display.stage
+    n = markers[-1]
     leaves = 0
     probe = pointwise(0, lambda ctx, x: ctx.scratch["display"].level(i).bit(x), f"level{i}")
-
-    def attempt(assignment: dict) -> bool:
-        nonlocal leaves
-        display = root if not assignment else _symbolic_display(
-            root.forward, root.c, root.markers, s, n, assignment)
+    pending = [{}]  # assignments to try, the next on top: branch 0 before branch 1
+    while pending:
+        assignment = pending.pop()
+        ctx = root if not assignment else _symbolic_context(forward, c, markers, s, n, assignment)
         try:
-            _run_step(probe, display.ctx, s)
+            _run_step(probe, ctx, s)
         except _NeedBit as nb:
-            for b in (0, 1):
-                if not attempt({**assignment, nb.key: b}):
-                    return False
-            return True
+            pending += ({**assignment, nb.key: 1}, {**assignment, nb.key: 0})
+            continue
         except Diverge as d:
             if d.reason == "fuel":
                 raise ResourceError(
@@ -824,9 +765,7 @@ def _dfs_search(root: _Display, i: int, width_budget: int) -> bool:
                 f"marker search frontier exceeded {width_budget} at stage {s}",
                 stage=s, candidate=n, frontier=leaves,
             )
-        return True
-
-    return attempt({})
+    return True
 
 
 class _ReadProfile:
@@ -916,7 +855,7 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
             if profile is not None:
                 ok = _closure_check_stage(forward, markers, s, n, profile=profile)
             else:
-                root = _symbolic_display(forward, cfg.c, markers, s, n, {})
+                root = _symbolic_context(forward, cfg.c, markers, s, n, {})
                 ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
             if ok:
                 found = n
@@ -951,9 +890,8 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
         x, k = divmod(p, width)
         if x + 1 >= len(markers):
             raise Diverge("gap", p)
-        display = ctx.scratch.get("display") or _Display(  # parked in ctx: holds it weakly
-            weakref.proxy(ctx), cfg.witness.forward, cfg.c, markers,
-            lambda j, a=ctx.tape(0): family_column(a, j))
+        display = ctx.scratch.get("display") or _Display(
+            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j))
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
         return cfg.c.bit(x) if x < markers[i] else display.tail_bit(i, x)
@@ -967,7 +905,7 @@ def _check_row(markers, i: int) -> None:
 
 
 def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
-                   horizon: int, count: int = 5, slack: int = 4) -> SquashRun:
+                   horizon: int, count: int = 5) -> SquashRun:
     """Materialize B_0..B_count and check the structural identity exactly.
 
     B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
@@ -979,12 +917,13 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
 
     The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(<A_i,
     B_{i+1}>)(x) for m_i <= x < horizon is then recomputed against the
-    materialized next row, never assumed.
+    materialized next row, never assumed.  The rows run 4 stages past the
+    horizon, for the check's reads of B_{i+1}.
     """
     if horizon < 0 or count < 0:
         raise InputError(f"horizon and count must be >= 0, got {horizon} and {count}")
     _check_row(markers, count)
-    ext = horizon + slack
+    ext = horizon + 4
     if len(markers) < ext + 1:
         raise InputError(f"need markers through stage {ext}, have {len(markers) - 1}")
     width = count + 1
@@ -1006,7 +945,7 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
                     want = check.bit(x)
                 except Diverge as d:
                     raise ResourceError(
-                        f"identity check needs B_{i + 1} beyond {ext}; raise slack",
+                        f"identity check needs B_{i + 1} beyond {ext}",
                         row=i, position=x, reason=d.reason,
                     )
             if table[i][x] != want:
@@ -1014,14 +953,6 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
                     f"B_{i}({x}) = {table[i][x]} but the identity gives {want} (marker bug)"
                 )
     return SquashRun(markers, table, horizon)
-
-
-def squash_row_tape(cfg: SquashConfig, markers: MarkerSequence, a_family_tape, i: int):
-    """B_i as a lazy tape, defined while the marker supply lasts; like every
-    lazy tape, a divergence raises Diverge."""
-    _check_row(markers, i)
-    return FunctionalTape(_squash_table(cfg, markers, range(i, i + 1)), [a_family_tape],
-                          DEFAULT_FUEL)
 
 
 def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
@@ -1056,7 +987,8 @@ def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: 
     The columns of one sweep of the squash backward, which alternates the
     tolerance operator (to absorb the finite error below each marker) with
     the witness's backward (to split off one solution per level).  Plain
-    witnesses also read the pair instance <A_i, B_{i+1}>: they need the family.
+    witnesses also read the pair instance <A_i, B_{i+1}>: they need the family
+    (test_squash_backward_chain_and_mutation).
     """
     if cfg.kind == "plain" and a_family_tape is None:
         raise InputError("plain squash backward needs the instance family tape")
@@ -1079,11 +1011,6 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
 
 # ---------------------------------------------------------------------------
 # fan-out for Ramsey witnesses
-
-
-def split_base(value: int, base: int, count: int) -> tuple[int, ...]:
-    """Digits of value in the given base, least significant first."""
-    return tuple((value // base**i) % base for i in range(count))
 
 
 def merge_base(digits, base: int) -> int:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .catalog import ENTRIES, run_entry
 from .combinators import SoundnessRow
-from .kernel import ContractError, InputError, Point, Prefix, ResourceError
+from .kernel import ContractError, InputError, Point, ResourceError
 from .problems import HAND_TREES, Coloring, TreeByRule
 
 EXIT_PASS, EXIT_FAIL, EXIT_RESOURCE, EXIT_INPUT, EXIT_CONTRACT = 0, 1, 2, 3, 4
@@ -158,16 +158,6 @@ def load_instance(doc: InstanceDocument):
         if b not in (0, 1):
             raise InputError(f"point bit {b} is not 0/1 (entries and tail are bits)")
     return Point.from_bits(bits, tail=tail)
-
-
-def save_coloring_table(f: Coloring, domain: int) -> InstanceDocument:
-    entries = [t + (f.value(t),) for t in f.tuples(range(domain))]
-    return InstanceDocument(
-        kind="coloring", representation="table",
-        params={"arity": f.arity, "colors": "omega" if f.colors is None else f.colors,
-                "domain": domain},
-        entries=entries,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def max_entry_below_rank(m: int, n: int) -> int:
 class Point:
     """A total rule position -> {0,1} with a memo; an element of 2^omega."""
 
-    def __init__(self, rule: Callable[[int], int], label: str = "point"):
+    def __init__(self, rule: Callable[[int], int], label: str):
         self.rule = rule
         self.label = label
         self.memo: dict[int, int] = {}
@@ -173,16 +173,16 @@ class Point:
         return Point(rule, f"seeded({seed})")
 
     @staticmethod
-    def from_bits(bits: Sequence[int], tail: int = 0, label: str = "table") -> "Point":
+    def from_bits(bits: Sequence[int], tail: int = 0) -> "Point":
         """Explicit bits on a finite window, constant tail beyond."""
         stored = tuple(bits)
-        return Point(lambda p: stored[p] if p < len(stored) else tail, label)
+        return Point(lambda p: stored[p] if p < len(stored) else tail, "table")
 
     @staticmethod
-    def from_set(members, label: str = "set") -> "Point":
+    def from_set(members) -> "Point":
         """Characteristic function of a finite set of naturals."""
         s = frozenset(members)
-        return Point(lambda p: 1 if p in s else 0, label)
+        return Point(lambda p: 1 if p in s else 0, "set")
 
 
 class Prefix:
@@ -559,24 +559,6 @@ def identity_functional() -> Functional:
     return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x), "identity"))
 
 
-def constant_functional(bit: int, arity: int = 1) -> Functional:
-    return oblivious(pointwise(arity, lambda ctx, x: bit, f"const{bit}"))
-
-
-def projection_functional(tape: int, arity: int = 2) -> Functional:
-    return oblivious(pointwise(arity, lambda ctx, x: ctx.query(tape, x), f"proj{tape}"))
-
-
-def interleave_functional() -> Functional:
-    """Arity 2: output even bits from tape 0, odd bits from tape 1."""
-
-    def step(ctx: EvalContext, x: int) -> int:
-        q, r = divmod(x, 2)
-        return ctx.query(r, q)
-
-    return oblivious(pointwise(2, step, "interleave"))
-
-
 def compose_functionals(outer: Functional, inner: Functional, label: str = "") -> Functional:
     """outer o inner for arity-1 functionals, as a single functional.
 
@@ -611,7 +593,8 @@ class _Truncated:
 
 
 def check_use_soundness(func: Functional, oracles, x: int, fuel: int) -> bool:
-    """Re-run against oracles cut after their use; converged value must agree."""
+    """Re-run against oracles cut after their use; converged value must agree
+    (test_catalog_functionals_honor_kernel_contracts)."""
     out = evaluate(func, oracles, x, fuel)
     if not out.converged:
         return True
@@ -621,7 +604,8 @@ def check_use_soundness(func: Functional, oracles, x: int, fuel: int) -> bool:
 
 
 def check_downward_closure(func: Functional, oracles, x: int, fuel: int) -> bool:
-    """Convergence at x within fuel f implies convergence at all y <= x."""
+    """Convergence at x within fuel f implies convergence at all y <= x
+    (test_catalog_functionals_honor_kernel_contracts)."""
     out = evaluate(func, oracles, x, fuel)
     if not out.converged:
         return True

@@ -485,13 +485,8 @@ def verify_path_at(tree: TreeByRule, path_tape, depth: int) -> Verdict:
     return verdict_pass(f"in the tree through depth {depth}")
 
 
-def tolerance_rt(members, m: int, n: int):
-    """Drop elements <= the largest entry of any tuple with rank < m."""
-    ell = max_entry_below_rank(m, n)
-    return sorted(x for x in members if x > ell)
-
-
 def tolerance_rt_tape(tape, m: int, n: int):
+    """Drop elements <= the largest entry of any tuple with rank < m."""
     return Continuation(Prefix((0,) * (max_entry_below_rank(m, n) + 1)), tape)
 
 
@@ -585,7 +580,11 @@ def _planted_coloring(rng, n: int, k: int, horizon: int, size: int, thin: bool) 
     return Coloring(n, k, rule, f"planted(seed={seed})")
 
 
-def rt_spec(n: int, k: int, plant_horizon: int = 16) -> ProblemSpec:
+# the window below which sampled instances plant their solution
+_PLANT_HORIZON = 16
+
+
+def rt_spec(n: int, k: int) -> ProblemSpec:
     """Ramsey's theorem for n-tuples and k colors; total, finite tolerance."""
     if n < 1 or k < 1:
         raise InputError("RT needs n >= 1, k >= 1")
@@ -599,7 +598,7 @@ def rt_spec(n: int, k: int, plant_horizon: int = 16) -> ProblemSpec:
     def sample(rng):
         if rng.random() < 0.5 and n == 1:
             return Point.from_seed(rng.getrandbits(32))
-        return coloring_to_point(_planted_coloring(rng, n, k, plant_horizon, 4 * n, thin=False))
+        return coloring_to_point(_planted_coloring(rng, n, k, _PLANT_HORIZON, 4 * n, thin=False))
 
     def brute(instance, budget):
         from .oracle import find_homogeneous
@@ -621,7 +620,7 @@ def rt_spec(n: int, k: int, plant_horizon: int = 16) -> ProblemSpec:
     )
 
 
-def ts_spec(n: int, k: Optional[int], plant_horizon: int = 16) -> ProblemSpec:
+def ts_spec(n: int, k: Optional[int]) -> ProblemSpec:
     """Thin set theorem; solutions carry their omitted color explicitly."""
     if n < 1 or (k is not None and k < 2):
         raise InputError("TS needs n >= 1 and k >= 2 (or omega)")
@@ -639,7 +638,7 @@ def ts_spec(n: int, k: Optional[int], plant_horizon: int = 16) -> ProblemSpec:
 
     def sample(rng):
         kk = k if k is not None else 2 + rng.randrange(4)
-        planted = _planted_coloring(rng, n, kk, plant_horizon, 4 * n, thin=True)
+        planted = _planted_coloring(rng, n, kk, _PLANT_HORIZON, 4 * n, thin=True)
         if k is None:
             planted = Coloring(n, None, planted.rule, planted.label + "-as-omega")
         return coloring_to_point(planted)
@@ -823,13 +822,11 @@ def register(name: str, factory: Callable[[], ProblemSpec]) -> None:
 
 
 def lookup(name: str) -> ProblemSpec:
+    """The registered problem called name; an unknown name is an InputError
+    that lists the known ones (test_registry_lists_and_looks_up)."""
     if name not in _REGISTRY:
         raise InputError(f"unknown problem {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[name]()
-
-
-def known_problems() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 for _n in (1, 2, 3):

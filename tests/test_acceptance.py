@@ -35,8 +35,6 @@ from wred.combinators import (
     check_witness_soundness,
     fanout_rt,
     merge_base,
-    soundness_failures,
-    split_base,
     squash_forward,
     squash_markers,
 )
@@ -51,6 +49,8 @@ from wred.problems import (
     tree_to_point,
     verify_rainbow_at,
 )
+
+from helpers import soundness_failures, split_base
 
 SEED = 2026
 QWWKL_LOG_DIGEST = "2589f3fe395635b2eeef8a6142ad4e1852275b0233fcb4af3d6de646d51c25d8"

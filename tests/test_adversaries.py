@@ -19,8 +19,8 @@ from wred.adversaries import (
     ts1_diagonalizer,
     _fresh_double_one,
 )
-from wred.kernel import (DEFAULT_FUEL, Diverge, InputError, Point, Prefix, cantor_pair, evaluate,
-                         oblivious, pointwise)
+from wred.kernel import (Diverge, InputError, Point, Prefix, cantor_pair, evaluate, oblivious,
+                         pointwise)
 from wred.oracle import SearchBudget, find_rainbow
 from wred.problems import Coloring, index_string, string_index, verify_rainbow_at
 
@@ -276,11 +276,10 @@ def test_cm_glued_pair_blocks_rainbows():
 def test_fresh_double_one_sweeps_each_position_once():
     swept = []
     echo = counted_echo(swept)
-    assert _fresh_double_one(echo, Prefix((0, 1, 0, 1, 1, 1)), 16, DEFAULT_FUEL,
-                             used=frozenset({1})) == (3, 4)
+    assert _fresh_double_one(echo, Prefix((0, 1, 0, 1, 1, 1)), used=frozenset({1})) == (3, 4)
     assert swept == [0, 1, 2, 3, 4]
     swept.clear()  # a stall at the end of the string ends the search
-    assert _fresh_double_one(echo, Prefix((0, 1)), 16, DEFAULT_FUEL) is None
+    assert _fresh_double_one(echo, Prefix((0, 1))) is None
     assert swept == [0, 1, 2]
 
 

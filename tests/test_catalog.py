@@ -50,12 +50,10 @@ from wred.combinators import (
     Witness,
     check_witness_soundness,
     compose_witness,
-    echo_pair_witness,
     fanout_rt,
     iterate_finite,
     lift_seq,
     parallel_product,
-    soundness_failures,
     squash,
     squash_forward,
     squash_markers,
@@ -98,6 +96,8 @@ from wred.problems import (
     verify_path_at,
     verify_thin_at,
 )
+
+from helpers import echo_pair_witness, soundness_failures
 
 
 def rng():
@@ -837,7 +837,7 @@ def _xor_plain_squash_config():
 def test_plain_squash_backward_reads_the_pair_instance():
     # TRIV's tolerance is the identity, so the unravel is P_i = <A_i, B_{i+1}>
     # xor R_i with R_0 = T and R_{i+1} the odd half of P_i; S_i is the even half
-    from wred.combinators import squash_backward, squash_row_tape
+    from wred.combinators import squash_backward, squash_forward
 
     cfg = _xor_plain_squash_config()
     ms = squash_markers(cfg, 40)
@@ -856,8 +856,8 @@ def test_plain_squash_backward_reads_the_pair_instance():
         lambda u: a(1, u) ^ b(1, 2 * u) ^ t(4 * u + 1),
         lambda u: a(2, u) ^ b(2, 2 * u) ^ b(1, 4 * u + 1) ^ t(8 * u + 3),
     ]
-    row = squash_row_tape(cfg, ms, fam, 1)
-    assert [row.bit(x) for x in range(30)] == [b(1, x) for x in range(30)]
+    row = squash_forward(cfg, ms, fam, 30, count=1).table[1]
+    assert row[:30] == [b(1, x) for x in range(30)]
     cols = squash_backward(cfg, ms, sol, 3, a_family_tape=fam)
     pulled = squash(cfg, 40, 3).pull_back(fam, sol)
     for i in range(3):

@@ -15,16 +15,12 @@ from wred.combinators import (
     combine_verdicts,
     compose_witness,
     compositional_product,
-    echo_pair_witness,
-    echo_spec,
     fanout_rt,
     iterate_finite,
     lift_seq,
     merge_base,
     parallel_product,
     seq,
-    soundness_failures,
-    split_base,
     squash,
     squash_backward,
     squash_forward,
@@ -42,9 +38,16 @@ from wred.kernel import (
     interleave_tapes,
     oblivious,
     pointwise,
-    projection_functional,
 )
 from wred.problems import PASS, rt_spec, set_members_at, thin_solution_tape, ts_spec
+
+from helpers import (
+    echo_pair_witness,
+    echo_spec,
+    projection_functional,
+    soundness_failures,
+    split_base,
+)
 
 
 def identity_witness(spec):
@@ -450,12 +453,10 @@ def test_squash_forward_projection_all_zeros():
 
 
 def test_squash_backward_chain_and_mutation():
-    from wred.combinators import squash_row_tape
-
     cfg = echo_squash_config()
     ms = squash_markers(cfg, 90)  # deep: column i of the chain reads B_0 at ~2^(i+1) h
     fam = Point.from_seed(314)
-    b0 = squash_row_tape(cfg, ms, fam, 0)
+    b0 = squash(cfg, 90).forward_image(fam)
     t0 = interleave_tapes(b0, Point.zeros())  # honest solution <0, B_0>
     sols = squash_backward(cfg, ms, t0, 3, a_family_tape=fam)
     e = cfg.q_spec
@@ -474,14 +475,11 @@ def test_dropping_a_swept_squash_row_frees_its_context():
     # the row's display is parked in its sweep's own context, and so are the
     # display's levels; each refers to the context weakly, so dropping the
     # row frees the context without waiting for a gc collection
-    from wred.combinators import squash_row_tape
-
-    cfg = echo_squash_config()
-    ms = squash_markers(cfg, 30)
+    w = squash(echo_squash_config(), 30)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        row = squash_row_tape(cfg, ms, Point.from_seed(314), 0)
+        row = w.forward_image(Point.from_seed(314))
         for x in range(12):
             row.bit(x)
         assert "display" in row.ctx.scratch and 0 in row.ctx.scratch
@@ -491,6 +489,37 @@ def test_dropping_a_swept_squash_row_frees_its_context():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_dfs_marker_search_frees_each_display_context_at_once(monkeypatch):
+    # a DFS display is parked in its context and refers to it weakly, as the
+    # squash table's display does, so the context of each candidate's root
+    # and of each branch is freed when the search drops it, with gc disabled
+    from wred import combinators
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.kernel import EvalContext
+
+    contexts = []
+
+    class Recorded(EvalContext):
+        __slots__ = ()
+
+        def __init__(self, tapes, fuel):
+            super().__init__(tapes, fuel)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(combinators, "EvalContext", Recorded)
+    for name, stages in (("projection-toy", 6), ("coh-interleave", 4)):
+        cfg = _without_reads(SQUASH_CONFIGS[name])
+        contexts.clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            squash_markers(cfg, stages)
+            assert contexts and all(ref() is None for ref in contexts), name
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def test_squash_witness_end_to_end_soundness():
@@ -633,11 +662,11 @@ def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
 
 
 def test_squash_forward_fuel_exhaustion_is_resource_error():
-    from wred.combinators import squash_row_tape
     from wred.kernel import DEFAULT_FUEL, Diverge, ResourceError
 
     cfg = projection_squash_config()
     ms = squash_markers(cfg, 12)
+    w = squash(cfg, 12)  # its forward reads the config's forward when it runs
 
     def heavy(ctx, x):  # each chain step spends more than a whole read's budget
         ctx.tick(DEFAULT_FUEL + 1)
@@ -647,23 +676,20 @@ def test_squash_forward_fuel_exhaustion_is_resource_error():
     with pytest.raises(ResourceError) as exc:
         squash_forward(cfg, ms, Point.from_seed(7), 8, count=2)
     assert exc.value.context == {"row": 0, "stage": 0, "reason": "fuel"}
-    # a row tape is a lazy tape: it stalls where B_1 first leaves C, at m_1 = 1
+    # the squash forward's image is a lazy tape: it stalls where B_0 first
+    # leaves C, at m_0 = 0
     with pytest.raises(Diverge) as stall:
-        squash_row_tape(cfg, ms, Point.from_seed(7), 1).bit(3)
-    assert (stall.value.reason, stall.value.position) == ("fuel", 1)
+        w.forward_image(Point.from_seed(7)).bit(3)
+    assert (stall.value.reason, stall.value.position) == ("fuel", 0)
 
 
 def test_squash_readers_reject_bad_rows_and_counts():
-    from wred.combinators import squash_row_tape
-
     cfg, fam = projection_squash_config(), Point.from_seed(7)
     ms = squash_markers(cfg, 12)  # markers m_0..m_12
     bad = [
         lambda: squash_forward(cfg, ms, fam, -1, count=2),
         lambda: squash_forward(cfg, ms, fam, 4, count=-1),
         lambda: squash_forward(cfg, ms, fam, 4, count=13),  # B_13 needs m_13
-        lambda: squash_row_tape(cfg, ms, fam, -1),
-        lambda: squash_row_tape(cfg, ms, fam, 13),
         lambda: squash_backward(cfg, ms, fam, -1),
         lambda: squash_backward(cfg, ms, fam, 13),
         lambda: squash(cfg, 12, 13),
@@ -672,7 +698,7 @@ def test_squash_readers_reject_bad_rows_and_counts():
         with pytest.raises(InputError):
             call()
     assert len(squash_forward(cfg, ms, fam, 4, count=12).table) == 13
-    assert squash_row_tape(cfg, ms, fam, 12).bit(11) == 0
+    assert squash_forward(cfg, ms, fam, 8, count=12).table[12][11] == 0
     assert len(squash_backward(cfg, ms, fam, 12)) == 12
 
 
@@ -812,7 +838,7 @@ def test_marker_engines_agree_with_literal_enumeration():
     # the nested expression converges at the stage
     import itertools
 
-    from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_display
+    from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_context
     from wred.kernel import EvalContext, Prefix
 
     def brute(forward, c, markers, s, n):
@@ -825,8 +851,9 @@ def test_marker_engines_agree_with_literal_enumeration():
                 # level i of the display is Phi(<sigma_i, V_{i+1}>), where
                 # levels i+1..s wrap around C|n
                 tapes = dict(zip(levels, combo))
-                display = _Display(EvalContext([], 10_000), forward, c, [*markers[:s + 1], n],
-                                   tapes.__getitem__, stage=s)
+                ctx = EvalContext([], 10_000)  # owns the display
+                display = _Display(ctx, forward, c, [*markers[:s + 1], n], tapes.__getitem__,
+                                   stage=s)
                 try:
                     display.level(i).bit(s)
                 except Exception:
@@ -842,7 +869,7 @@ def test_marker_engines_agree_with_literal_enumeration():
                 want = brute(forward, cfg.c, markers, s, n)
                 got_closure = _closure_check_stage(forward, markers, s, n)
                 got_dfs = all(
-                    _dfs_search(_symbolic_display(forward, cfg.c, markers, s, n, {}), i, 4096)
+                    _dfs_search(_symbolic_context(forward, cfg.c, markers, s, n, {}), i, 4096)
                     for i in range(s + 1)
                 )
                 assert want == got_closure == got_dfs, (cfg.label, s, n)
@@ -952,7 +979,7 @@ def test_dfs_engine_frontier_on_coh_interleave_is_resource_error():
 
 def test_dfs_shared_root_matches_a_fresh_display_per_level():
     from wred.catalog import SQUASH_CONFIGS
-    from wred.combinators import _dfs_search, _symbolic_display
+    from wred.combinators import _dfs_search, _symbolic_context
     from wred.kernel import ResourceError
 
     def verdict(run):
@@ -966,10 +993,10 @@ def test_dfs_shared_root_matches_a_fresh_display_per_level():
         forward, markers = cfg.witness.forward, [0]
         for s in range(stages):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 3):
-                root = _symbolic_display(forward, cfg.c, markers, s, n, {})
+                root = _symbolic_context(forward, cfg.c, markers, s, n, {})
                 for i in range(s, -1, -1):
                     shared = verdict(lambda: _dfs_search(root, i, 64))
                     fresh = verdict(lambda: _dfs_search(
-                        _symbolic_display(forward, cfg.c, markers, s, n, {}), i, 64))
+                        _symbolic_context(forward, cfg.c, markers, s, n, {}), i, 64))
                     assert shared == fresh, (name, s, n, i)
             markers.append(max(markers[-1], s) + 1)

@@ -6,13 +6,13 @@ import pytest
 
 from wred.cli import main
 from wred.harness import (
+    InstanceDocument,
     Report,
     ReportRow,
     SuiteConfig,
     load_instance,
     parse_document,
     run_suite,
-    save_coloring_table,
 )
 from wred.kernel import ContractError, InputError, Prefix
 from wred.problems import Coloring, TreeByRule, measure_at_level
@@ -23,7 +23,9 @@ from wred.problems import Coloring, TreeByRule, measure_at_level
 
 def test_coloring_table_roundtrip():
     f = Coloring(2, 3, lambda t: (t[0] + 2 * t[1]) % 3, "demo")
-    doc = save_coloring_table(f, 8)
+    doc = InstanceDocument(kind="coloring", representation="table",
+                           params={"arity": 2, "colors": 3},
+                           entries=[t + (f.value(t),) for t in f.tuples(range(8))])
     text = doc.to_text()
     loaded, table = load_instance(parse_document(text))
     for t in f.tuples(range(8)):

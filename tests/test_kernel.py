@@ -19,22 +19,21 @@ from wred.kernel import (
     check_downward_closure,
     check_use_soundness,
     compose_functionals,
-    constant_functional,
     evaluate,
     even_part,
     family_column,
     family_tape,
     identity_functional,
-    interleave_functional,
     interleave_tapes,
     max_entry_below_rank,
     odd_part,
     pointwise,
-    projection_functional,
     rank_tuple,
     tuple_rank,
     _run_step,
 )
+
+from helpers import constant_functional, interleave_functional, projection_functional
 
 
 # --- pairing and ranking ----------------------------------------------------

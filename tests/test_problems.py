@@ -16,7 +16,6 @@ from wred.problems import (
     coloring_to_point,
     coh_spec,
     index_string,
-    known_problems,
     level_members,
     leftmost_path_point,
     lookup,
@@ -26,7 +25,6 @@ from wred.problems import (
     string_index,
     thin_solution_from_tape,
     thin_solution_tape,
-    tolerance_rt,
     tolerance_rt_tape,
     tolerance_thin_tape,
     tree_to_point,
@@ -37,6 +35,8 @@ from wred.problems import (
     verify_thin_at,
     wkl_spec,
 )
+
+from helpers import echo_spec
 
 
 # --- totalization -------------------------------------------------------------
@@ -147,8 +147,9 @@ def test_fail_monotone_under_horizon_growth():
 
 
 def test_tolerance_rt_examples():
-    assert tolerance_rt({1, 3, 5, 7}, 0, 2) == [1, 3, 5, 7]
-    assert tolerance_rt({1, 3, 5, 7}, 4, 2) == [5, 7]
+    tape = Point.from_set({1, 3, 5, 7})
+    assert set_members_at(tolerance_rt_tape(tape, 0, 2), 10) == [1, 3, 5, 7]
+    assert set_members_at(tolerance_rt_tape(tape, 4, 2), 10) == [5, 7]
 
 
 def test_tolerance_tape_matches_set_version():
@@ -165,8 +166,6 @@ def test_tolerance_tape_matches_set_version():
     assert [thin.bit(p) for p in range(24)] == [
         0 if p % 2 == 0 and p // 2 <= 3 else base.bit(p) for p in range(24)]
     # echo: the unary bound d (odd bits) rises to max(d, m), the tail stays
-    from wred.combinators import echo_spec
-
     tail = Point.from_seed(22)
     for d, m in ((2, 5), (7, 3), (0, 0)):
         sol = interleave_tapes(tail, Point(lambda q, d=d: 1 if q < d else 0, "unary"))
@@ -196,7 +195,7 @@ def test_tolerance_transfer_property():
         if not res.found:
             continue
         checked += 1
-        moved = tolerance_rt(res.members, m, 2)
+        moved = set_members_at(tolerance_rt_tape(Point.from_set(res.members), m, 2), 12)
         assert verify_homogeneous_at(f2, moved, 12, 1).status != "fail"
     assert checked >= 20
 
@@ -491,12 +490,11 @@ def test_thin_tape_rejects_out_of_range():
 
 
 def test_registry_lists_and_looks_up():
-    names = known_problems()
-    assert "RT^2_2" in names and "WKL" in names and "COH" in names
+    with pytest.raises(InputError) as err:
+        lookup("nope")
+    assert all(repr(name) in str(err.value) for name in ("RT^2_2", "WKL", "COH"))
     spec = lookup("RT^1_2")
     assert spec.is_total and spec.tolerance is not None
-    with pytest.raises(InputError):
-        lookup("nope")
 
 
 def test_rt_spec_sample_verify_cycle():
