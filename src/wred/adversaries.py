@@ -23,6 +23,7 @@ from .kernel import (
     Functional,
     FunctionalTape,
     InputError,
+    Ledger,
     Prefix,
     ResourceError,
     RuleTape,
@@ -199,7 +200,7 @@ class _ImageSweep:
     def advance(self, oracle, upto_index: int) -> None:
         while len(self.bits) <= upto_index:
             try:
-                v = _run_step(self.phi, EvalContext([oracle], self.fuel), len(self.bits))
+                v = _run_step(self.phi, EvalContext([oracle], Ledger(self.fuel)), len(self.bits))
             except Diverge:
                 return
             self.bits.append(v)

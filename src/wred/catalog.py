@@ -649,18 +649,19 @@ def ts_step_extract(f: Coloring, m: int, n: int, k: int, members, avoided: tuple
 def _least_chain_top(f: Coloring, m: int, avoided, i: int, x: int, pool):
     """The top y_i of the first chain y_0 < ... < y_i in the pool above x
     with f(x, y_j) = a_j, in search order; None when there is no chain."""
-
-    def rec(level: int, lo: int):
-        if level > i:
-            return lo
-        for combo in itertools.combinations([y for y in pool if y > lo], m):
+    # depth first: blocks[j] holds the untried blocks for y_j above y_{j-1}
+    blocks = [itertools.combinations([y for y in pool if y > x], m)]
+    while blocks:
+        level = len(blocks) - 1
+        for combo in blocks[level]:
             if f.value((x,) + combo) == avoided[level]:
-                got = rec(level + 1, combo[-1])
-                if got is not None:
-                    return got
-        return None
-
-    return rec(0, x)
+                if level == i:
+                    return combo[-1]
+                blocks.append(itertools.combinations([y for y in pool if y > combo[-1]], m))
+                break
+        else:
+            blocks.pop()
+    return None
 
 
 def ts_aca_coloring(n: int, f: Callable[[int], int]) -> Coloring:

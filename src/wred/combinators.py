@@ -40,6 +40,7 @@ from .kernel import (
     Functional,
     FunctionalTape,
     InputError,
+    Ledger,
     MapTape,
     Point,
     Prefix,
@@ -715,7 +716,7 @@ def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
     """A new context holding the compactness display at stage s for
     candidate n, every level's string a symbolic length-n prefix over one
     assignment."""
-    ctx = EvalContext([], DEFAULT_FUEL)
+    ctx = EvalContext([], Ledger(DEFAULT_FUEL))
     _Display(ctx, forward, c, [*markers[:s + 1], n],
              lambda j: _SymbolicPrefix(j, n, assignment), stage=s)
     return ctx

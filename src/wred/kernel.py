@@ -13,15 +13,15 @@ This bakes in the usual normalization for oracle machines (output
 positions are produced in order) instead of monitoring it after the
 fact; a violation cannot occur by construction.
 
-Fuel is per output position and covers nested applications: a nested
-context (`EvalContext.run`, `EvalContext.apply`) has no fuel of its own,
-and each of its ticks is charged to the root of its ledger chain.
+Fuel is per output position and covers nested applications: a context
+meters its ticks on a `Ledger`, and a nested context (`EvalContext.run`,
+`EvalContext.apply`) shares its caller's ledger, not its caller, so each
+of its ticks is charged to the root position that forced it.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -320,13 +320,26 @@ def family_column(t, i: int):
 DEFAULT_FUEL = 50_000
 
 
+class Ledger:
+    """The steps one root position has spent and the fuel that bounds them:
+    a root context's own, shared by every context nested in it.  Only a
+    root position restarts `steps`."""
+
+    __slots__ = ("steps", "fuel")
+
+    def __init__(self, fuel: int):
+        self.steps = 0
+        self.fuel = fuel
+
+
 class EvalContext:
     """Query interface handed to a step procedure; meters fuel and use.
 
-    One context serves a whole sweep: `steps` restarts at each position,
-    while `use` accumulates over the sweep and `scratch` and the `tape(i)`
-    views persist, so steps park nested applications there (`apply`) and
-    later positions reuse the same lazily-extended tapes.
+    One context serves a whole sweep: a root sweep restarts its ledger's
+    `steps` at each position, while `use` accumulates over the sweep and
+    `scratch` and the `tape(i)` views persist, so steps park nested
+    applications there (`apply`) and later positions reuse the same
+    lazily-extended tapes.
 
     A step may also keep per-position results in `scratch`, keyed by
     position and computed through `query`, and answer a later position
@@ -338,23 +351,22 @@ class EvalContext:
     A nested application reads only the tapes it is given, so through
     `tape(i)` views its reads become the caller's use of the real oracles.
 
-    `tape(i)` views and nested contexts' ledgers refer to a context
-    weakly, so what a step parks in scratch makes no reference cycle:
-    dropping a sweep frees its context at once.
+    A nested context and a `tape(i)` view share the caller's `Ledger`
+    (and a view its tapes and use), never the caller itself, so what a
+    step parks in scratch makes no reference cycle: dropping a sweep frees
+    its context at once, and a view or parked tape stays readable.
     """
 
-    __slots__ = ("tapes", "fuel", "steps", "use", "scratch", "ledger", "__weakref__")
+    __slots__ = ("tapes", "use", "scratch", "ledger", "__weakref__")
 
-    def __init__(self, tapes, fuel: Optional[int]):
+    def __init__(self, tapes, ledger: Ledger):
         self.tapes = tapes
-        self.fuel = fuel
-        self.steps = 0
         self.use: dict[int, int] = {}
         self.scratch: dict = {}
-        self.ledger: Optional[weakref.ref] = None  # nested: the root of the caller chain
+        self.ledger = ledger
 
     def tick(self, n: int = 1) -> None:
-        led = self if self.ledger is None else self.ledger()
+        led = self.ledger
         led.steps += n
         if led.steps > led.fuel:
             raise Diverge("fuel")
@@ -362,7 +374,7 @@ class EvalContext:
     def query(self, tape: int, pos: int) -> int:
         if pos < 0:
             raise InputError(f"negative oracle position {pos}")
-        led = self if self.ledger is None else self.ledger()  # tick(), inlined on the hottest path
+        led = self.ledger  # tick(), inlined on the hottest path
         led.steps += 1
         if led.steps > led.fuel:
             raise Diverge("fuel")
@@ -373,35 +385,33 @@ class EvalContext:
         return b
 
     def tape(self, idx: int) -> "CtxTape":
-        """View one oracle as a tape; reads are metered against this context,
-        and are valid while it lives."""
+        """View one oracle as a tape; reads are metered against this context."""
         return CtxTape(self, idx)
 
     def run(self, func: "Functional", tapes, x: int) -> int:
         """func's bit at x on tapes, computed on this context's ledger."""
-        nested = EvalContext(tapes, None)
-        nested.ledger = self.ledger or weakref.ref(self)
-        return _run_step(func, nested, x)
+        return _step(func, EvalContext(tapes, self.ledger), x)
 
     def apply(self, func: "Functional", tapes, key) -> "FunctionalTape":
         """func applied to tapes as a lazy tape on this context's ledger,
         parked in scratch under key; a parked tape ignores `tapes`."""
         t = self.scratch.get(key)
         if t is None:
-            t = self.scratch[key] = FunctionalTape(func, tapes, None)
-            t.ctx.ledger = self.ledger or weakref.ref(self)
+            t = self.scratch[key] = FunctionalTape(func, tapes, None, self.ledger)
         return t
 
 
-class CtxTape:
-    __slots__ = ("ctx", "idx")
+class CtxTape(EvalContext):
+    """Oracle idx of a context as a tape: a context on the same tapes, use
+    and ledger, so a read is that context's `query`; it holds no scratch."""
+
+    __slots__ = ("idx",)
 
     def __init__(self, ctx: EvalContext, idx: int):
-        self.ctx = weakref.ref(ctx)
-        self.idx = idx
+        self.tapes, self.use, self.ledger, self.idx = ctx.tapes, ctx.use, ctx.ledger, idx
 
     def bit(self, pos: int) -> int:
-        return self.ctx().query(self.idx, pos)
+        return self.query(self.idx, pos)
 
 
 @dataclass
@@ -447,11 +457,16 @@ class EvalOutcome:
 
 
 def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
-    """One position of a sweep in ctx: steps restart; raises Diverge.
+    """One root position of a sweep in ctx: the ledger restarts; raises
+    Diverge.  `FunctionalTape.bit` runs the same position inline."""
+    ctx.ledger.steps = 0
+    return _step(func, ctx, x)
 
-    `FunctionalTape.bit` runs the same position inline."""
-    ctx.steps = 0
-    ctx.tick()  # entry charge: fuel 0 always diverges
+
+def _step(func: Functional, ctx: EvalContext, x: int) -> int:
+    """One position on ctx's ledger, which it does not restart: the entry
+    charge (fuel 0 always diverges), then the step."""
+    ctx.tick()
     v = func.step(ctx, x)
     if v not in (0, 1):
         raise ContractError(f"{func.label}: step returned non-bit {v!r} at {x}")
@@ -483,14 +498,17 @@ class FunctionalTape:
     per-position fuel, so reading position p costs each position at most
     once across the life of the tape; `steps` totals the converged
     positions.  A divergence is terminal: the tape can never answer at or
-    beyond the stalled position.
+    beyond the stalled position.  A tape parked on a caller's `ledger`
+    (`EvalContext.apply`) charges the caller's position; its `steps` stay 0.
     """
 
-    def __init__(self, func: Functional, tapes, fuel: Optional[int]):
+    def __init__(self, func: Functional, tapes, fuel: Optional[int],
+                 ledger: Optional[Ledger] = None):
         if len(tapes) != func.arity:
             raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(tapes)}")
         self.func = func
-        self.ctx = EvalContext(tapes, fuel)
+        self.ctx = EvalContext(tapes, ledger or Ledger(fuel))
+        self.parked = ledger is not None  # on a caller's ledger, which it never restarts
         self.steps = 0
         self._bits: list[int] = []
         self._stalled: Optional[str] = None  # the reason of a terminal stall
@@ -507,21 +525,23 @@ class FunctionalTape:
             return bits[pos]
         if self._stalled is not None:
             raise Diverge(self._stalled, len(bits))
-        ctx, step = self.ctx, self.func.step
-        led = ctx if ctx.ledger is None else ctx.ledger()
+        ctx, step, led, parked = self.ctx, self.func.step, self.ctx.ledger, self.parked
         try:
             while len(bits) <= pos:
-                # one position, as _run_step runs it: steps restart, the
-                # entry charge (fuel 0 always diverges), then the step
+                # one position, as _run_step runs it for a root and _step for
+                # a parked tape: a root's steps restart, the entry charge
+                # (fuel 0 always diverges), then the step
                 x = len(bits)
-                ctx.steps = 0
+                if not parked:
+                    led.steps = 0
                 led.steps += 1
                 if led.steps > led.fuel:
                     raise Diverge("fuel")
                 v = step(ctx, x)
                 if v not in (0, 1):
                     raise ContractError(f"{self.func.label}: step returned non-bit {v!r} at {x}")
-                self.steps += ctx.steps
+                if not parked:
+                    self.steps += led.steps
                 bits.append(v)
             return bits[pos]
         except Diverge as d:
@@ -548,7 +568,7 @@ def oblivious(func: Functional) -> Functional:
         cells: list[tuple[int, int]] = []
         zeros = [Point(lambda p, t=t: cells.append((t, p)) or 0, "recorder")
                  for t in range(func.arity)]
-        _run_step(func, EvalContext(zeros, DEFAULT_FUEL), x)
+        _run_step(func, EvalContext(zeros, Ledger(DEFAULT_FUEL)), x)
         return cells
 
     func.reads = reads

@@ -44,46 +44,29 @@ class SearchResult:
         return not self.members and self.exhausted
 
 
-class _Nodes:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit):
-        self.count, self.limit = 0, limit
-
-    def spend(self) -> bool:
-        self.count += 1
-        return self.count <= self.limit
-
-
 def _dfs_extend(consistent, budget: SearchBudget) -> SearchResult:
     """Lexicographic DFS for a size-s subset of [0, N) passing `consistent`.
 
     `consistent(chosen, x)` judges adding x to an already-consistent
-    chosen prefix, so the first solution found is the least one.
+    chosen prefix, so the first solution found is the least one.  A level
+    that runs out of candidates, of room or of nodes backs up: its parent
+    drops its last choice and tries the next one, so after the node limit
+    every open level spends one more node on its way out.
     """
-    nodes = _Nodes(budget.node_limit)
+    size, horizon, limit = budget.size, budget.horizon, budget.node_limit
+    nodes = 0
     chosen: list[int] = []
-
-    def rec(start: int) -> Optional[list[int]]:
-        if len(chosen) == budget.size:
-            return list(chosen)
-        for x in range(start, budget.horizon):
-            if budget.horizon - x < budget.size - len(chosen):
-                break
-            if not nodes.spend():
-                return None
+    x = 0  # the next candidate for position len(chosen)
+    while len(chosen) < size:
+        if horizon - x >= size - len(chosen) and (nodes := nodes + 1) <= limit:
             if consistent(chosen, x):
                 chosen.append(x)
-                got = rec(x + 1)
-                if got is not None:
-                    return got
-                chosen.pop()
-        return None
-
-    got = rec(0)
-    if got is not None:
-        return SearchResult(tuple(got), mode="exhaustive", nodes=nodes.count)
-    return SearchResult(mode="exhaustive", nodes=nodes.count, exhausted=nodes.count > nodes.limit)
+            x += 1
+        elif chosen:
+            x = chosen.pop() + 1
+        else:
+            return SearchResult(mode="exhaustive", nodes=nodes, exhausted=nodes > limit)
+    return SearchResult(tuple(chosen), mode="exhaustive", nodes=nodes)
 
 
 def find_homogeneous(f: Coloring, budget: SearchBudget) -> SearchResult:

@@ -22,7 +22,7 @@ from wred.adversaries import (
 from wred.kernel import (Diverge, InputError, Point, Prefix, cantor_pair, evaluate, oblivious,
                          pointwise)
 from wred.oracle import SearchBudget, find_rainbow
-from wred.problems import Coloring, index_string, string_index, verify_rainbow_at
+from wred.problems import index_string, string_index
 
 
 def identity_tree_map():
@@ -107,8 +107,6 @@ def test_stage_log_append_only():
 
 def embed_2_to_3():
     # identity recoloring: the 2-coloring read back as a 3-coloring point
-    from wred.problems import color_block_width, read_color
-
     def step(ctx, x):
         r, off = divmod(x, 2)  # width of 3 colors is 2 bits
         return (ctx.query(0, r) >> off) & 1 if off == 0 else 0
@@ -383,9 +381,9 @@ def test_column_restriction_positional_algebra():
     marks = {cantor_pair(5, cantor_pair(0, 1))}
     phi = pointwise(1, lambda ctx, x: 1 if x in marks else 0, "marked")
     from wred.adversaries import _inner_value
-    from wred.kernel import EvalContext
+    from wred.kernel import EvalContext, Ledger
 
-    ctx = EvalContext([Point.zeros()], 1000)
+    ctx = EvalContext([Point.zeros()], Ledger(1000))
     assert _inner_value(phi, ctx, 5, cantor_pair(0, 1)) == 1
     assert _inner_value(phi, ctx, 4, cantor_pair(0, 1)) == 0
 

@@ -66,6 +66,7 @@ from wred.kernel import (
     EvalContext,
     FunctionalTape,
     InputError,
+    Ledger,
     Point,
     Prefix,
     cantor_pair,
@@ -472,8 +473,8 @@ def test_wkl_from_seqwwkl_forward_image_pinned():
 
 def test_dropping_a_swept_seqwwkl_forward_frees_its_context():
     # the sweep parks S, which reads ctx.tape(0), and its tracking trees in
-    # its own scratch; the view refers to the context weakly, so dropping
-    # the tape frees the context without waiting for a gc collection
+    # its own scratch; the view shares the context's ledger, not the context,
+    # so dropping the tape frees the context without waiting for a gc collection
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -526,7 +527,7 @@ def test_wkl_interleave_queries_match_tuple_reference():
         for base in bases:
             for x in range(1 << 10):
                 got = _RecordingTape(base)
-                value = forward.step(EvalContext([got], 1 << 20), x)
+                value = forward.step(EvalContext([got], Ledger(1 << 20)), x)
                 want = _RecordingTape(base)
                 expect = 1 if _ref_in_s(want.bit, count, index_bits(x)) else 0
                 assert (value, got.reads) == (expect, want.reads), (count, base.label, x)
@@ -549,7 +550,8 @@ def test_wkl_interleave_memo_agrees_with_walk():
                 seen.reads.clear()
                 bit = image.bit(x)
                 walked = _RecordingTape(base)
-                assert bit == forward.step(EvalContext([walked], 4096), x), (count, base.label, x)
+                assert bit == forward.step(EvalContext([walked], Ledger(4096)), x), (
+                    count, base.label, x)
                 assert len(seen.reads) <= min(x, 1), (count, base.label, x)
                 assert set(seen.reads) <= set(walked.reads), (count, base.label, x)
             assert check_use_soundness(forward, [base], 600, 4096), (count, base.label)
@@ -605,6 +607,26 @@ def test_ts_step_extract_parity_example():
     assert got is not None
     members, omitted, _ = got
     assert verify_thin_at(f, ThinSolution.of(members, omitted), 14, 3).ok
+
+
+def test_ts_step_extract_frees_its_colorings_at_once():
+    # the oracle's search (find_thin) and the chain lookup keep their open
+    # levels in plain lists, not in self-recursive closures, so with gc
+    # disabled the colorings are freed as soon as the caller drops them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = Coloring(2, 2, lambda t: (t[0] + t[1]) % 2, "parity-sum")
+        g = ts_step_coloring(1, 2, 2, f)
+        res = find_thin(g, SearchBudget(horizon=14, size=7, node_limit=500_000))
+        avoided = tuple((res.omitted >> i) & 1 for i in range(2))
+        assert ts_step_extract(f, 1, 2, 2, res.members, avoided, horizon=14) is not None
+        refs = weakref.ref(f), weakref.ref(g)
+        del f, g
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_ts_step_rejects_non_thin_input():
@@ -1013,7 +1035,7 @@ def _read_map_is_exact(f, seeds=(3, 17, 29), below=64) -> bool:
     for seed in seeds:
         for x in range(below):
             tapes = [_RecordingTape(Point.from_seed(seed + t)) for t in range(f.arity)]
-            f.step(EvalContext(tapes, DEFAULT_FUEL), x)
+            f.step(EvalContext(tapes, Ledger(DEFAULT_FUEL)), x)
             if {(t, p) for t, tape in enumerate(tapes) for p in tape.reads} != set(f.reads(x)):
                 return False
     return True

@@ -39,7 +39,7 @@ from wred.kernel import (
     oblivious,
     pointwise,
 )
-from wred.problems import PASS, rt_spec, set_members_at, thin_solution_tape, ts_spec
+from wred.problems import PASS, rt_spec
 
 from helpers import (
     echo_pair_witness,
@@ -473,8 +473,9 @@ def test_squash_backward_chain_and_mutation():
 
 def test_dropping_a_swept_squash_row_frees_its_context():
     # the row's display is parked in its sweep's own context, and so are the
-    # display's levels; each refers to the context weakly, so dropping the
-    # row frees the context without waiting for a gc collection
+    # display's levels; the display refers to the context weakly and the
+    # levels share its ledger, so dropping the row frees the context without
+    # waiting for a gc collection
     w = squash(echo_squash_config(), 30)
     enabled = gc.isenabled()
     gc.disable()
@@ -504,8 +505,8 @@ def test_dfs_marker_search_frees_each_display_context_at_once(monkeypatch):
     class Recorded(EvalContext):
         __slots__ = ()
 
-        def __init__(self, tapes, fuel):
-            super().__init__(tapes, fuel)
+        def __init__(self, tapes, ledger):
+            super().__init__(tapes, ledger)
             contexts.append(weakref.ref(self))
 
     monkeypatch.setattr(combinators, "EvalContext", Recorded)
@@ -839,7 +840,7 @@ def test_marker_engines_agree_with_literal_enumeration():
     import itertools
 
     from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_context
-    from wred.kernel import EvalContext, Prefix
+    from wred.kernel import EvalContext, Ledger, Prefix
 
     def brute(forward, c, markers, s, n):
         for i in range(s + 1):
@@ -851,7 +852,7 @@ def test_marker_engines_agree_with_literal_enumeration():
                 # level i of the display is Phi(<sigma_i, V_{i+1}>), where
                 # levels i+1..s wrap around C|n
                 tapes = dict(zip(levels, combo))
-                ctx = EvalContext([], 10_000)  # owns the display
+                ctx = EvalContext([], Ledger(10_000))  # owns the display
                 display = _Display(ctx, forward, c, [*markers[:s + 1], n], tapes.__getitem__,
                                    stage=s)
                 try:

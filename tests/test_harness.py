@@ -15,7 +15,7 @@ from wred.harness import (
     run_suite,
 )
 from wred.kernel import ContractError, InputError, Prefix
-from wred.problems import Coloring, TreeByRule, measure_at_level
+from wred.problems import Coloring, measure_at_level
 
 
 # --- documents -----------------------------------------------------------------

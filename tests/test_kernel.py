@@ -11,6 +11,7 @@ from wred.kernel import (
     EvalContext,
     FunctionalTape,
     InputError,
+    Ledger,
     MapTape,
     Point,
     Prefix,
@@ -31,6 +32,7 @@ from wred.kernel import (
     rank_tuple,
     tuple_rank,
     _run_step,
+    _step,
 )
 
 from helpers import constant_functional, interleave_functional, projection_functional
@@ -246,14 +248,14 @@ PARITY = pointwise(1, lambda ctx, x: sum(ctx.query(0, i) for i in range(x + 1)) 
 
 def _read_by_run_step(func, tapes, fuel, pos):
     """A FunctionalTape read of pos, as _run_step position by position."""
-    ctx = EvalContext(tapes, fuel)
+    ctx = EvalContext(tapes, Ledger(fuel))
     steps = 0
     for x in range(pos + 1):
         try:
             v = _run_step(func, ctx, x)
         except Diverge as d:
             return "diverged", d.reason, x, steps, ctx.use
-        steps += ctx.steps
+        steps += ctx.ledger.steps
     return "converged", v, pos, steps, ctx.use
 
 
@@ -286,9 +288,8 @@ def test_parked_tape_agrees_with_run_step_on_the_callers_ledger(fuel):
     # a cell read through the caller's view costs two ticks, the nested query
     # and the caller's, so positions 0..4 charge 5 + 2 * 15 = 35 to its ledger
     def sides():
-        caller = EvalContext([Point.from_seed(8)], fuel)
-        nested = EvalContext([caller.tape(0)], None)
-        nested.ledger = weakref.ref(caller)
+        caller = EvalContext([Point.from_seed(8)], Ledger(fuel))
+        nested = EvalContext([caller.tape(0)], caller.ledger)
         return caller, nested
 
     caller, _ = sides()
@@ -301,20 +302,20 @@ def test_parked_tape_agrees_with_run_step_on_the_callers_ledger(fuel):
     want = None
     for x in range(5):
         try:
-            v = _run_step(PARITY, nested, x)
+            v = _step(PARITY, nested, x)
         except Diverge as d:
             want = ("diverged", d.reason, x)
             break
     want = want or ("converged", v)
     assert got == want
-    assert (caller.steps, caller.use, tape.steps, tape.ctx.use) == (
-        ref_caller.steps, ref_caller.use, 0, nested.use)
+    assert (caller.ledger.steps, caller.use, tape.steps, tape.ctx.use) == (
+        ref_caller.ledger.steps, ref_caller.use, 0, nested.use)
     assert got[0] == ("converged" if fuel == 35 else "diverged")
 
 
 def test_non_bit_step_raises_the_same_contract_error():
     count = pointwise(1, lambda ctx, x: x, "count")
-    ctx = EvalContext([Point.ones()], 50)
+    ctx = EvalContext([Point.ones()], Ledger(50))
     with pytest.raises(ContractError) as want:
         for x in range(4):
             _run_step(count, ctx, x)
@@ -325,10 +326,49 @@ def test_non_bit_step_raises_the_same_contract_error():
     assert tape.bit(1) == 1  # a contract error is not a stall
 
 
+def test_nested_run_charges_the_callers_position_without_restarting_it():
+    # a position costs its entry charge, the caller's 10 ticks, the nested
+    # entry charge and the nested 10 ticks: 22 on one ledger, though each
+    # side alone stays under 21
+    inner = pointwise(0, lambda ctx, x: ctx.tick(10) or 0, "ten")
+
+    def step(ctx, x):
+        ctx.tick(10)
+        return ctx.run(inner, [], x)
+
+    outer = pointwise(0, step, "ten-then-ten")
+    assert evaluate(inner, [], 3, 21).converged
+    out = evaluate(outer, [], 3, 21)
+    assert (out.status, out.reason, out.position) == ("diverged", "fuel", 0)
+    out = evaluate(outer, [], 3, 22)
+    assert (out.status, out.value, out.steps) == ("converged", 0, 4 * 22)
+
+
+def test_views_and_parked_tapes_outlive_their_sweep():
+    # a view and a parked tape share the sweep's tapes, use and ledger, not
+    # its context, so after the sweep is dropped they read on as a live one
+    flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip")
+    comp = compose_functionals(flip, flip)
+
+    def sweep():
+        tape = FunctionalTape(comp, [Point.from_seed(4)], 1000)
+        assert [tape.bit(x) for x in range(4)] == list(Point.from_seed(4).prefix(4).bits)
+        return tape
+
+    live = sweep()
+    dropped = sweep()
+    view, inner = dropped.ctx.tape(0), dropped.ctx.scratch["inner"]
+    del dropped
+    live_view, live_inner = live.ctx.tape(0), live.ctx.scratch["inner"]
+    assert [view.bit(x) for x in range(10)] == [live_view.bit(x) for x in range(10)]
+    assert [inner.bit(x) for x in range(10)] == [live_inner.bit(x) for x in range(10)]
+    assert [inner.bit(x) for x in range(10)] == [1 - b for b in Point.from_seed(4).prefix(10).bits]
+
+
 def test_dropping_a_swept_composite_frees_its_context():
     # the composite parks its inner tape, which reads ctx.tape(0) on ctx's
-    # ledger, in ctx's own scratch; both refer to ctx weakly, so dropping the
-    # tape frees the context without waiting for a gc collection
+    # ledger, in ctx's own scratch; both share ctx's ledger, not ctx, so
+    # dropping the tape frees the context without waiting for a gc collection
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -4,6 +4,10 @@ A public top-level name of `wred` that no code in the package (outside its
 own definition and the re-exports of `wred/__init__.py`), `bench/` or
 `tools/` refers to is kept only for a reason: a criterion or a test checks
 it, and its docstring says which.
+
+No module of the package (bar the re-exports of `wred/__init__.py`), of
+`tests/` or of `tools/` imports a name it never uses.  `bench/` is left
+out: its setup probe imports modules only to time the import.
 """
 
 import ast
@@ -92,6 +96,27 @@ def test_every_uncalled_public_name_has_a_reason():
     for qualified, check in KEPT.items():
         doc = ast.get_docstring(uncalled[qualified]) or ""
         assert check in doc, f"{qualified}: its docstring does not name {check!r}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports and never reads, scopes merged."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += [p for d in ("tests", "tools") for p in sorted((ROOT / d).glob("*.py"))]
+    unused = {p.relative_to(ROOT).as_posix(): names for p in paths
+              if (names := _unused_imports(p))}
+    assert not unused, f"unused imports: {unused}"
 
 
 def test_readme_api_example_runs():
