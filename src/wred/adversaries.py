@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .kernel import (
     DEFAULT_FUEL,
+    ContractError,
     Diverge,
     EvalContext,
     Functional,
@@ -35,9 +36,9 @@ from .problems import (
     Coloring,
     color_bit,
     color_block_width,
-    index_bits,
     index_string,
     read_color,
+    string_index,
 )
 
 
@@ -107,25 +108,35 @@ class CutTree:
     longer than t and matches alpha on the positions xs; constraints from
     different stages use disjoint positions, so level counts multiply
     exactly.
+
+    On string indices, with hi = max(xs), `_masks` holds (max(t, hi), hi,
+    mask, pat) per constraint: index idx at length n > max(t, hi) is cut iff
+    ((idx + 1) >> (n - 1 - hi)) & mask == pat, mask and pat having bit hi - x
+    set for each x in xs, pat only where alpha is 1.
     """
 
     height: int = 0
     constraints: list = field(default_factory=list)  # (stage, xs, alpha)
-
-    def member(self, sigma: Prefix) -> bool:
-        return self.member_bits(sigma.bits)
-
-    def member_bits(self, bits: tuple) -> bool:
-        n = len(bits)
-        if n > self.height:
-            return False
-        for t, xs, alpha in self.constraints:
-            if n > t and all(bits[x] == a for x, a in zip(xs, alpha)):
-                return False
-        return True
+    _masks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __contains__(self, sigma: Prefix) -> bool:
-        return self.member(sigma)
+        return self.index_member(string_index(sigma))
+
+    def index_member(self, idx: int) -> bool:
+        """Whether the string with index idx (`string_index`) is in the tree."""
+        v = idx + 1  # a leading 1, then the string's bits
+        n = v.bit_length() - 1
+        if n > self.height:
+            return False
+        masks = self._masks
+        for t, xs, alpha in self.constraints[len(masks):]:  # those added since
+            hi = max(xs, default=-1)
+            masks.append((max(t, hi), hi, sum(1 << (hi - x) for x in xs),
+                          sum(a << (hi - x) for x, a in zip(xs, alpha))))
+        for above, hi, mask, pat in masks:
+            if n > above and (v >> (n - 1 - hi)) & mask == pat:
+                return False
+        return True
 
     def level_count(self, level: int) -> int:
         if level > self.height:
@@ -134,7 +145,8 @@ class CutTree:
         for t, xs, _alpha in self.constraints:
             if t < level:
                 total *= 1 - Fraction(1, 2 ** len(xs))
-        assert total.denominator == 1, "disjoint supports keep counts integral"
+        if total.denominator != 1:
+            raise ContractError(f"cut tree level {level} counts {total}: its supports are too wide")
         return int(total)
 
     def measure(self) -> Fraction:
@@ -148,10 +160,9 @@ class CutTree:
         """
 
         def rule(pos: int) -> int:
-            bits = index_bits(pos)
-            if len(bits) > self.height:
+            if pos >= (2 << self.height) - 1:
                 raise Diverge("gap", pos)
-            return 1 if self.member_bits(bits) else 0
+            return 1 if self.index_member(pos) else 0
 
         return RuleTape(rule)
 
@@ -182,12 +193,12 @@ class _ImageSweep:
     be revisited when the oracle extends.  The image height is the
     deepest fully-converged level.  For the same reason an image level,
     once every bit of it has converged, never changes: each is grown once
-    from the one above on string indices (children 2i+1, 2i+2) and kept,
-    and turned into strings once, when it is first asked for.
+    from the one above on string indices (children 2i+1, 2i+2) and kept.
 
-    Not a `FunctionalTape`: the tree oracle grows, so a gap is retried at
-    the next stage on a fresh context, while a tape's stall is terminal,
-    and so is that of any tape a composite parks in its context.
+    Each `advance` sweeps on one context, as a `FunctionalTape` does, and
+    a gap ends it.  Not a `FunctionalTape`: the tree oracle grows, so the
+    next stage retries the gap on a fresh context, while a tape's stall is
+    terminal, and so is that of any tape a composite parks in its context.
     """
 
     def __init__(self, phi: Functional, fuel: int):
@@ -195,15 +206,16 @@ class _ImageSweep:
         self.fuel = fuel
         self.bits: list[int] = []
         self.levels: list[list[int]] = [[0]]  # members of each image level, by index
-        self.strings: dict[int, tuple[Prefix, ...]] = {}  # the levels asked for, as strings
 
     def advance(self, oracle, upto_index: int) -> None:
-        while len(self.bits) <= upto_index:
+        bits, phi = self.bits, self.phi
+        ctx = EvalContext([oracle], Ledger(self.fuel))
+        while len(bits) <= upto_index:
             try:
-                v = _run_step(self.phi, EvalContext([oracle], Ledger(self.fuel)), len(self.bits))
+                v = _run_step(phi, ctx, len(bits))
             except Diverge:
                 return
-            self.bits.append(v)
+            bits.append(v)
 
     def height(self, cap: int) -> int:
         n = 0
@@ -211,15 +223,13 @@ class _ImageSweep:
             n += 1
         return n
 
-    def level(self, ell: int) -> tuple[Prefix, ...]:
-        """The image's members of length ell, in index order; needs ell <= height."""
-        if ell not in self.strings:
-            bits, levels = self.bits, self.levels
-            while len(levels) <= ell:
-                levels.append([c for m in levels[-1] for c in (2 * m + 1, 2 * m + 2)
-                               if bits[c] == 1])
-            self.strings[ell] = tuple(index_string(i) for i in levels[ell])
-        return self.strings[ell]
+    def members(self, ell: int) -> list[int]:
+        """The image's members of length ell as string indices, in order; needs ell <= height."""
+        bits, levels = self.bits, self.levels
+        while len(levels) <= ell:
+            levels.append([c for m in levels[-1] for c in (2 * m + 1, 2 * m + 2)
+                           if bits[c] == 1])
+        return levels[ell]
 
 
 def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
@@ -242,7 +252,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         cap = min(s, 12)
         sweep.advance(tree.as_partial_point(), 2 ** (cap + 1) - 2)
         n_s = sweep.height(cap)
-        image = sweep.level(n_s)
+        image = sweep.members(n_s)
         image_mu = Fraction(len(image), 2**n_s)
         xs = []
         probe = 0
@@ -252,7 +262,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             probe += 1
 
         reason = None
-        if Fraction(len(image), 2**n_s) < q:
+        if image_mu < q:
             reason = f"image level {n_s} below q"
         if reason is None and xs[-1] >= s:
             reason = f"x_{a - 1} = {xs[-1]} not below the stage"
@@ -263,7 +273,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             # the stage is simply retried once more of the tree is fixed
             tapes_extra = [] if psi.arity == 1 else [tree.as_partial_point()]
             for tau in image:
-                backward = FunctionalTape(psi, [tau] + tapes_extra, fuel)
+                backward = FunctionalTape(psi, [index_string(tau)] + tapes_extra, fuel)
                 vals = tuple(_converged(backward, x) for x in xs)
                 if None in vals:
                     reason = f"backward diverged on a level-{n_s} string at {xs[vals.index(None)]}"
@@ -582,6 +592,8 @@ class CylinderSet:
     used: tuple  # (x, y) per string, in order
 
     def overlaps(self, other: "CylinderSet") -> bool:
+        """Whether a string of one set is comparable with one of the other;
+        found cylinder sets must be disjoint (criterion 8)."""
         for a in self.strings:
             for b in other.strings:
                 if a.is_prefix_of(b) or b.is_prefix_of(a):

@@ -67,6 +67,8 @@ class InstanceDocument:
     entries: list = field(default_factory=list)  # table payload
 
     def to_text(self) -> str:
+        """The document as text, the inverse of `parse_document`
+        (test_coloring_table_roundtrip)."""
         lines = ["wred-instance v1", f"kind: {self.kind}",
                  f"representation: {self.representation}"]
         for key in sorted(self.params):

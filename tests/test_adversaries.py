@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from wred.adversaries import (
     ts1_diagonalizer,
     _fresh_double_one,
 )
-from wred.kernel import (Diverge, InputError, Point, Prefix, cantor_pair, evaluate, oblivious,
-                         pointwise)
+from wred.kernel import (ContractError, Diverge, InputError, Point, Prefix, cantor_pair, evaluate,
+                         oblivious, pointwise)
 from wred.oracle import SearchBudget, find_rainbow
 from wred.problems import index_string, string_index
 
@@ -454,15 +455,20 @@ def test_image_sweep_levels_match_prefix_walk(monkeypatch):
                        if bits[string_index(c)] == 1]
         return members
 
+    Sweep = adversaries._ImageSweep
+
+    def strings(sweep, ell):
+        return [index_string(i) for i in Sweep.members(sweep, ell)]
+
     asked, sweeps = [], []
 
-    class CheckedSweep(adversaries._ImageSweep):
-        def level(self, ell):
-            got = super().level(ell)
+    class CheckedSweep(Sweep):
+        def members(self, ell):
+            got = super().members(ell)
             asked.append(ell)
             sweeps.append(self)
             for e in range(ell + 1):
-                assert list(super().level(e)) == prefix_walk(self.bits, e), (len(asked), e)
+                assert strings(self, e) == prefix_walk(self.bits, e), (len(asked), e)
             return got
 
     monkeypatch.setattr(adversaries, "_ImageSweep", CheckedSweep)
@@ -471,22 +477,104 @@ def test_image_sweep_levels_match_prefix_walk(monkeypatch):
     assert len(asked) == 64 and max(asked) == 12
     assert len(log.action_stages()) == 3  # the image levels were cut
     # levels asked for deepest first, over the same converged bits
-    fresh = adversaries._ImageSweep(identity_tree_map(), 1)
+    fresh = Sweep(identity_tree_map(), 1)
     fresh.bits = sweeps[-1].bits
     for e in range(12, -1, -1):
-        assert list(fresh.level(e)) == prefix_walk(fresh.bits, e), e
+        assert strings(fresh, e) == prefix_walk(fresh.bits, e), e
+
+
+def in_cut_tree(tree, bits):
+    """The CutTree docstring, literally: a string no longer than the height
+    survives (t, xs, alpha) unless it is longer than t and matches alpha on xs."""
+    if len(bits) > tree.height:
+        return False
+    for t, xs, alpha in tree.constraints:
+        if len(bits) > t and all(x < len(bits) and bits[x] == a for x, a in zip(xs, alpha)):
+            return False
+    return True
+
+
+def assert_tape_is_literal_membership(tree, tape):
+    top = 2 ** (tree.height + 1) - 1  # first index of a string longer than the tree
+    for pos in range(2 ** (tree.height + 2) - 1):  # every string up to height + 1
+        bits = index_string(pos).bits
+        want = in_cut_tree(tree, bits)
+        assert (Prefix(bits) in tree) == want, (tree, bits)
+        if pos < top:
+            assert tape.bit(pos) == (1 if want else 0), (tree, bits)
+        else:
+            with pytest.raises(Diverge):
+                tape.bit(pos)
 
 
 def test_cut_tree_tape_is_membership_by_index():
+    from wred.adversaries import CutTree
+
     tree, _ = qwwkl_cutter(identity_tree_map(), const_zero_backward(),
                            Fraction(1, 2), Fraction(3, 4), stages=12)
     assert tree.constraints
-    tape = tree.as_partial_point()
-    top = 2 ** (tree.height + 1) - 1  # first index of a string longer than the tree
-    for pos in range(top):
-        assert tape.bit(pos) == (1 if index_string(pos) in tree else 0), pos
-    with pytest.raises(Diverge):
-        tape.bit(top)
+    assert_tape_is_literal_membership(tree, tree.as_partial_point())
+
+    rng = random.Random(19)
+    for trial in range(60):
+        tree = CutTree(height=rng.randrange(1, 9))
+        tape = tree.as_partial_point()  # made before any cut, read after each
+        free = list(range(tree.height + 2))
+        rng.shuffle(free)
+        for _ in range(rng.randrange(1, 4)):
+            if not free:
+                break
+            xs = [free.pop() for _ in range(min(len(free), rng.randrange(1, 4)))]
+            # xs unsorted and non-contiguous; a stage may sit below max(xs)
+            t = rng.randrange(tree.height + 1)
+            tree.constraints.append((t, tuple(xs), tuple(rng.randrange(2) for _ in xs)))
+            assert_tape_is_literal_membership(tree, tape)
+        tree.height += 1  # the tape reads the grown tree too
+        assert_tape_is_literal_membership(tree, tape)
+
+
+def test_image_sweep_one_context_per_advance_matches_fresh_contexts():
+    # a composite parks its inner tape in the advance's context; the bits
+    # must be those of a fresh context per position, also across a gap
+    # that ends an advance and is filled before the next one
+    from wred import adversaries
+    from wred.kernel import (DEFAULT_FUEL, EvalContext, Ledger, RuleTape, _run_step,
+                             compose_functionals)
+
+    inner = pointwise(1, lambda ctx, x: ctx.query(0, x) ^ ctx.query(0, x // 2), "mix")
+    outer = pointwise(1, lambda ctx, x: ctx.query(0, x + 2) & ctx.query(0, x // 3), "and")
+    phi = compose_functionals(outer, inner)
+    known = []  # the oracle's bits so far; beyond them, a gap
+
+    def rule(pos):
+        if pos >= len(known):
+            raise Diverge("gap", pos)
+        return known[pos]
+
+    oracle = RuleTape(rule)
+    rng = random.Random(5)
+    sweep = adversaries._ImageSweep(phi, DEFAULT_FUEL)
+    for grow in (7, 11, 25, 30):
+        known += [rng.randrange(2) for _ in range(grow)]
+        sweep.advance(oracle, 60)
+        want = []
+        for x in range(61):
+            try:
+                want.append(_run_step(phi, EvalContext([oracle], Ledger(DEFAULT_FUEL)), x))
+            except Diverge:
+                break
+        assert len(sweep.bits) == min(61, len(known) - 2), len(known)  # the gap ended it
+        assert sweep.bits == want, len(known)
+    assert len(known) > 62 and 1 in sweep.bits and 0 in sweep.bits
+
+
+def test_cut_tree_level_count_with_an_overwide_support_is_contract_error():
+    from wred.adversaries import CutTree
+
+    tree = CutTree(height=2, constraints=[(0, (0, 1), (0, 0))])  # two positions, stage 0
+    assert tree.level_count(2) == 3
+    with pytest.raises(ContractError):
+        tree.level_count(1)
 
 
 # sha256 of the log CSV followed by repr of the tables f_i(0..stages-1)
