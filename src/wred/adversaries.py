@@ -107,7 +107,8 @@ class CutTree:
     A string sigma survives a constraint (t, xs, alpha) unless it is
     longer than t and matches alpha on the positions xs; constraints from
     different stages use disjoint positions, so level counts multiply
-    exactly.
+    exactly.  `level_count` raises ContractError when two constraints, or
+    one constraint's xs, share a position; membership stays defined.
 
     On string indices, with hi = max(xs), `_masks` holds (max(t, hi), hi,
     mask, pat) per constraint: index idx at length n > max(t, hi) is cut iff
@@ -118,9 +119,22 @@ class CutTree:
     height: int = 0
     constraints: list = field(default_factory=list)  # (stage, xs, alpha)
     _masks: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _support: int = field(default=0, init=False, repr=False, compare=False)  # bit x: x is cut on
+    _shared: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, sigma: Prefix) -> bool:
         return self.index_member(string_index(sigma))
+
+    def _add_masks(self) -> None:
+        """Extend `_masks` by the constraints appended since, noting a shared position."""
+        for t, xs, alpha in self.constraints[len(self._masks):]:
+            for x in xs:
+                if self._support >> x & 1:
+                    self._shared = x
+                self._support |= 1 << x
+            hi = max(xs, default=-1)
+            self._masks.append((max(t, hi), hi, sum(1 << (hi - x) for x in xs),
+                                sum(a << (hi - x) for x, a in zip(xs, alpha))))
 
     def index_member(self, idx: int) -> bool:
         """Whether the string with index idx (`string_index`) is in the tree."""
@@ -129,16 +143,19 @@ class CutTree:
         if n > self.height:
             return False
         masks = self._masks
-        for t, xs, alpha in self.constraints[len(masks):]:  # those added since
-            hi = max(xs, default=-1)
-            masks.append((max(t, hi), hi, sum(1 << (hi - x) for x in xs),
-                          sum(a << (hi - x) for x, a in zip(xs, alpha))))
+        if len(masks) < len(self.constraints):
+            self._add_masks()
         for above, hi, mask, pat in masks:
             if n > above and (v >> (n - 1 - hi)) & mask == pat:
                 return False
         return True
 
     def level_count(self, level: int) -> int:
+        if len(self._masks) < len(self.constraints):
+            self._add_masks()
+        if self._shared is not None:
+            raise ContractError(f"cut tree constraints share position {self._shared}: "
+                                "level counts do not multiply")
         if level > self.height:
             return 0
         total = Fraction(2**level)
@@ -464,32 +481,43 @@ class Delta2Approx:
 def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Coloring], StageLog]:
     """The instance whose column e defeats the e-th limit-guessed set.
 
-    Column i at stage s: with the approximated set's colors C_{i,s}, pick
-    the least missing color, or else the color whose first occurrence is
-    latest.  The guesser is a pure rule, so C_{i,s} is read only until all
-    k colors are seen.
+    Column i at stage s: with the approximated set's colors C_{i,s} =
+    {f_i(b) : b < s, g(i, i, b, s) = 1}, pick the least missing color
+    (case 1), or else the color whose first occurrence is latest (case 2).
+
+    C_{i,s} is scanned one color at a time: for c = 0, 1, ..., the guesser
+    is read at the positions b < s with f_i(b) = c, in ascending order,
+    until one reads 1.  The first color with no such position is the
+    least missing one; when every color has one, C_{i,s} holds all k.
+    The guesser is a pure rule, so the order of the reads cannot change
+    the answer, and each color's scan stops at or before the point where
+    reading b = 0, 1, ... would have seen all k colors: no cell is read
+    that such a scan would skip.  The color whose first occurrence is
+    latest is the one whose position list became non-empty last.
     """
     if k < 2:
         raise InputError("need at least 2 colors")
+    rule = g.rule
     log = StageLog()
     tables: list[list[int]] = []
     for i in range(stages):
         f_i: list[int] = []
-        first: dict[int, int] = {}  # color -> its first position in f_i
+        at: list[list[int]] = [[] for _ in range(k)]  # color -> its positions in f_i
+        newest = 0  # the color whose first occurrence is latest
         for s in range(stages):
-            used = set()
-            for b in range(s):
-                if g.rule(i, i, b, s) == 1:
-                    used.add(f_i[b])
-                    if len(used) == k:
+            for choice, positions in enumerate(at):
+                for b in positions:
+                    if rule(i, i, b, s) == 1:
                         break
-            if len(used) < k:
-                choice = min(c for c in range(k) if c not in used)
-                case = "1"
+                else:
+                    case = "1"
+                    break
             else:
-                choice = max(first, key=first.__getitem__)
+                choice = newest
                 case = "2"
-            first.setdefault(choice, s)
+            if not at[choice]:
+                newest = choice
+            at[choice].append(s)
             f_i.append(choice)
             if i == s:
                 log.add(StageRecord(s, case, f"f_{i}({s}) = {choice}"))

@@ -577,6 +577,24 @@ def test_cut_tree_level_count_with_an_overwide_support_is_contract_error():
         tree.level_count(1)
 
 
+def test_cut_tree_level_count_with_a_shared_position_is_contract_error():
+    from wred.adversaries import CutTree
+
+    # both cut on position 0: no string of length 2 survives, yet the
+    # product of the per-constraint factors would count one
+    tree = CutTree(height=2, constraints=[(0, (0,), (0,)), (1, (0,), (1,))])
+    assert not any(tree.index_member(idx) for idx in range(3, 7))  # membership stays defined
+    with pytest.raises(ContractError):
+        tree.measure()
+    tree = CutTree(height=1)
+    assert tree.measure() == 1
+    tree.constraints.append((0, (0, 0), (1, 1)))  # one xs repeats a position
+    with pytest.raises(ContractError):
+        tree.level_count(1)
+    disjoint = CutTree(height=2, constraints=[(0, (0,), (0,)), (1, (1,), (1,))])
+    assert disjoint.level_count(2) == 1 and disjoint.measure() == Fraction(1, 4)
+
+
 # sha256 of the log CSV followed by repr of the tables f_i(0..stages-1)
 DELTA2_TABLE_DIGESTS = {
     (3, "evens", 128): "071c21a8c821aad525a1d4089b15eb59c0413f1df7581c2dd9faaf98d2b4d1d7",
@@ -585,30 +603,98 @@ DELTA2_TABLE_DIGESTS = {
 
 
 def reference_delta2_tables(k, rule, stages):
-    """The diagonalizer's tables straight from its definition."""
-    tables = []
+    """The diagonalizer's tables and cases straight from its definition."""
+    tables, cases = [], []
     for i in range(stages):
-        f_i = []
+        f_i, case_i = [], []
         for s in range(stages):
             used = {f_i[b] for b in range(s) if rule(i, i, b, s) == 1}
             if used != set(range(k)):
                 f_i.append(min(c for c in range(k) if c not in used))
+                case_i.append("1")
             else:
                 f_i.append(max(range(k), key=f_i.index))  # latest first occurrence
+                case_i.append("2")
         tables.append(f_i)
-    return tables
+        cases.append(case_i)
+    return tables, cases
+
+
+def delta2_test_rules():
+    """(k, rule, stages, dense): sparse rules, under which case 1 is the
+    rule; dense ones, under which case 2 is common; and the CLI's toy
+    guessers at 64 stages, for k = 2..5."""
+    from wred.cli import TOY_GUESSERS
+
+    out = []
+    for seed in range(8):
+        k, m = 2 + seed % 4, 3 + seed % 3
+
+        def sparse(e, i, b, s, seed=seed, m=m):
+            return 1 if (b * 7 + s * 13 + e * 5 + seed) % m == 0 else 0
+
+        def dense(e, i, b, s, seed=seed, m=m):
+            return 0 if (b * 7 + s * 13 + e * 5 + seed) % m == 0 else 1
+
+        out += [(k, sparse, 24, False), (k, dense, 24, True)]
+    for k in range(2, 6):
+        out += [(k, TOY_GUESSERS[name]().rule, 64, False) for name in ("empty", "evens")]
+    return out
 
 
 def test_delta2_tables_match_the_definition():
-    for seed in range(6):
-        k = 2 + seed % 3
+    dense_cases = []
+    for k, rule, stages, dense in delta2_test_rules():
+        colorings, log = delta2_diagonalizer(k, Delta2Approx(rule=rule), stages=stages)
+        tables = [[c.value((x,)) for x in range(stages)] for c in colorings]
+        want_tables, want_cases = reference_delta2_tables(k, rule, stages)
+        assert tables == want_tables, (k, stages)
+        assert [r.case for r in log.records] == [want_cases[i][i] for i in range(stages)]
+        if dense:
+            dense_cases += [c for case_i in want_cases for c in case_i]
+    assert dense_cases.count("2") > len(dense_cases) // 2
 
-        def rule(e, i, b, s, seed=seed):
-            return 1 if (b * 7 + s * 13 + e * 5 + seed) % (3 + seed % 4) == 0 else 0
 
-        colorings, _ = delta2_diagonalizer(k, Delta2Approx(rule=rule), stages=24)
-        tables = [[c.value((x,)) for x in range(24)] for c in colorings]
-        assert tables == reference_delta2_tables(k, rule, 24), seed
+def stop_at_k_reads(k, rule, stages):
+    """The cells (i, b, s) read by scanning b = 0, 1, ... until all k
+    colors are seen, the scan the diagonalizer's per-color scan replaced."""
+    reads = set()
+    for i in range(stages):
+        f_i: list[int] = []
+        first: dict[int, int] = {}
+        for s in range(stages):
+            used = set()
+            for b in range(s):
+                reads.add((i, b, s))
+                if rule(i, i, b, s) == 1:
+                    used.add(f_i[b])
+                    if len(used) == k:
+                        break
+            if len(used) < k:
+                choice = min(c for c in range(k) if c not in used)
+            else:
+                choice = max(first, key=first.__getitem__)
+            first.setdefault(choice, s)
+            f_i.append(choice)
+    return reads
+
+
+def test_delta2_reads_a_subset_of_the_stop_at_k_scan():
+    from wred.cli import TOY_GUESSERS
+
+    evens = TOY_GUESSERS["evens"]().rule
+    for k, rule, stages, _ in delta2_test_rules() + [(3, evens, 128, False)]:
+        calls = []
+
+        def recorded(e, i, b, s, rule=rule):
+            calls.append((e, i, b, s))
+            return rule(e, i, b, s)
+
+        delta2_diagonalizer(k, Delta2Approx(rule=recorded), stages=stages)
+        assert all(e == i and b < s for e, i, b, s in calls), (k, stages)
+        assert len(set(calls)) == len(calls), (k, stages)
+        assert {(i, b, s) for _, i, b, s in calls} <= stop_at_k_reads(k, rule, stages), (k, stages)
+    assert len(calls) <= 64256  # (3, evens, 128); the stop-at-k scan reads 171 776
 
 
 def test_delta2_log_and_tables_pinned():
