@@ -583,14 +583,14 @@ def test_cut_tree_level_count_with_a_shared_position_is_contract_error():
     # both cut on position 0: no string of length 2 survives, yet the
     # product of the per-constraint factors would count one
     tree = CutTree(height=2, constraints=[(0, (0,), (0,)), (1, (0,), (1,))])
-    assert not any(tree.index_member(idx) for idx in range(3, 7))  # membership stays defined
     with pytest.raises(ContractError):
         tree.measure()
-    tree = CutTree(height=1)
+    assert not any(tree.index_member(idx) for idx in range(3, 7))  # membership stays defined
+    tree = CutTree(height=2)
     assert tree.measure() == 1
-    tree.constraints.append((0, (0, 0), (1, 1)))  # one xs repeats a position
+    tree.constraints.append((0, (0, 0), (1, 1)))  # one xs repeats a position: 2 survive, not 3
     with pytest.raises(ContractError):
-        tree.level_count(1)
+        tree.level_count(2)
     disjoint = CutTree(height=2, constraints=[(0, (0,), (0,)), (1, (1,), (1,))])
     assert disjoint.level_count(2) == 1 and disjoint.measure() == Fraction(1, 4)
 
