@@ -621,14 +621,15 @@ def reference_delta2_tables(k, rule, stages):
 
 
 def delta2_test_rules():
-    """(k, rule, stages, dense): sparse rules, under which case 1 is the
-    rule; dense ones, under which case 2 is common; and the CLI's toy
+    """(k, rule, stages, dense): sparse rules (those the definition was
+    first checked on, and two with k = 5), under which case 1 is the rule;
+    their complements, under which case 2 is common; and the CLI's toy
     guessers at 64 stages, for k = 2..5."""
     from wred.cli import TOY_GUESSERS
 
     out = []
-    for seed in range(8):
-        k, m = 2 + seed % 4, 3 + seed % 3
+    for seed, k in [(seed, 2 + seed % 3) for seed in range(6)] + [(6, 5), (7, 5)]:
+        m = 3 + seed % 4
 
         def sparse(e, i, b, s, seed=seed, m=m):
             return 1 if (b * 7 + s * 13 + e * 5 + seed) % m == 0 else 0
