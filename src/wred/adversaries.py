@@ -26,7 +26,6 @@ from .kernel import (
     InputError,
     Ledger,
     Prefix,
-    ResourceError,
     RuleTape,
     cantor_pair,
     pointwise,
@@ -256,7 +255,8 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
     Case 2 stages pick a pattern alpha agreed on by at least a 2^-a
     fraction of the image level and prune exactly that pattern from the
     tree: the measure multiplies by precisely 1 - 2^-a each time, and the
-    log certifies it.  Image levels are read no deeper than 12.
+    log certifies it; a cut that does not is a ContractError.  Image
+    levels are read no deeper than 12.
     """
     a = least_cut_width(p, q)
     tree = CutTree()
@@ -310,8 +310,8 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         acted.update(xs)
         mu_after = tree.measure()
         if mu_after != mu_before * (1 - Fraction(1, 2**a)):
-            raise ResourceError("cut bookkeeping broke the multiplicative identity",
-                                stage=s, before=str(mu_before), after=str(mu_after))
+            raise ContractError(f"cut bookkeeping broke the multiplicative identity at stage {s}: "
+                                f"measure {mu_before} became {mu_after}")
         log.add(StageRecord(s, "2", f"acted with image count {len(image)} at level {n_s}",
                             acted_for=tuple(xs), alpha=alpha, measure_before=mu_before,
                             measure_after=mu_after, image_measure=image_mu))
@@ -642,7 +642,7 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:
     functional commits to two rainbow members, then glue those members.
 
     At most ceil(1/q) sets can ever be found: more would give disjoint
-    subsets of total measure above 1.
+    subsets of total measure above 1, and are a ContractError.
     """
     if not 0 < q < 1:
         raise InputError("need 0 < q < 1")
@@ -677,8 +677,8 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:
             used_all.update((x, y))
         cylinders.append(CylinderSet(tuple(collected), mass, tuple(pairs)))
         if len(cylinders) > math.ceil(1 / q):
-            raise ResourceError("more disjoint cylinder sets than the measure allows",
-                                count=len(cylinders))
+            raise ContractError(f"{len(cylinders)} disjoint cylinder sets of measure {q} or more: "
+                                "more than the measure allows")
 
     triggers = []
     t = 0

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import (
     Continuation,
@@ -258,8 +258,9 @@ def tree_to_point(t: TreeByRule) -> Point:
 _ORPHAN_SCAN_MAX = 1 << 14
 
 
-def _level_indices(t: TreeByRule, d: int) -> list[int]:
-    """String indices of t's members at level d, in lexicographic order.
+def _levels(t: TreeByRule, d: int) -> Iterator[list[int]]:
+    """String indices of t's members at levels 0, 1, ..., d, one list per
+    level in lexicographic order, from one walk down the tree.
 
     The frontier grows on indices, the children of i being 2i+1 and
     2i+2.  A tree with `index_member` is downward closed by construction
@@ -268,35 +269,43 @@ def _level_indices(t: TreeByRule, d: int) -> list[int]:
     level is scanned once, in lexicographic order: a member whose parent
     is live joins the next frontier, and the first member whose parent
     is missing (an orphan) breaks the downward-closure contract.  Above
-    the cap only the children of live nodes are tested.
+    the cap only the children of live nodes are tested.  Each level is
+    yielded before the next is read, so a reader that stops early reads
+    no deeper.
     """
-    if t.index_member is not None:
-        member = t.index_member
-        live = [0]
-        for _ in range(d):
-            live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if member(c)]
-        return live
-    if Prefix() not in t:
-        raise ContractError(f"{t.label}: root missing")
+    member = t.index_member
+    scan = member is None
+    if scan:
+        if Prefix() not in t:
+            raise ContractError(f"{t.label}: root missing")
+        member = lambda c: index_string(c) in t
     live = [0]
+    yield live
     for lvl in range(1, d + 1):
-        if (1 << lvl) > _ORPHAN_SCAN_MAX:
-            live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if index_string(c) in t]
-            continue
-        parents, live = set(live), []
-        for c, bits in enumerate(itertools.product((0, 1), repeat=lvl), (1 << lvl) - 1):
-            s = Prefix(bits)
-            if s in t:
-                if (c - 1) >> 1 not in parents:
-                    raise ContractError(f"{t.label}: {s!r} present but parent missing")
-                live.append(c)
+        if scan and (1 << lvl) <= _ORPHAN_SCAN_MAX:
+            parents, live = set(live), []
+            for c, bits in enumerate(itertools.product((0, 1), repeat=lvl), (1 << lvl) - 1):
+                s = Prefix(bits)
+                if s in t:
+                    if (c - 1) >> 1 not in parents:
+                        raise ContractError(f"{t.label}: {s!r} present but parent missing")
+                    live.append(c)
+        else:
+            live = [c for i in live for c in (2 * i + 1, 2 * i + 2) if member(c)]
+        yield live
+
+
+def _level_indices(t: TreeByRule, d: int) -> list[int]:
+    """String indices of t's members at level d: the last level of `_levels`."""
+    for live in _levels(t, d):
+        pass
     return live
 
 
 def level_members(t: TreeByRule, d: int) -> list[Prefix]:
     """Members of t at level d, lexicographic, with contract checks.
 
-    The level is read on string indices (`_level_indices`): a tree with
+    The level is read on string indices (`_levels`): a tree with
     `index_member` (decoded from a tape, or a tracking tree) grows its
     frontier on integers and needs no orphan scan; a rule-backed tree
     tests each string of a level at most once, in one pass that both
@@ -312,6 +321,13 @@ def measure_at_level(t: TreeByRule, d: int) -> Fraction:
     if d < 0:
         raise InputError("level must be >= 0")
     return Fraction(len(_level_indices(t, d)), 1 << d)
+
+
+def level_measures(t: TreeByRule, d: int) -> list[Fraction]:
+    """[measure_at_level(t, lvl) for lvl in 0..d], from one walk down t."""
+    if d < 0:
+        raise InputError("level must be >= 0")
+    return [Fraction(len(live), 1 << lvl) for lvl, live in enumerate(_levels(t, d))]
 
 
 def _leftmost_index(member: Callable[[int], bool], depth: int) -> Optional[int]:

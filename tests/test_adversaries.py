@@ -61,6 +61,17 @@ def test_cutter_constant_backward_cuts_exactly():
     assert tree.measure() >= Fraction(1, 2)
 
 
+def test_cutter_broken_multiplicative_identity_is_contract_error(monkeypatch):
+    import wred.adversaries as adversaries
+
+    # a measure that ignores the cuts breaks the identity at the first case-2 stage
+    monkeypatch.setattr(adversaries.CutTree, "measure", lambda self: Fraction(1))
+    with pytest.raises(ContractError, match=r"multiplicative identity at stage \d+: "
+                                            r"measure 1 became 1$"):
+        qwwkl_cutter(identity_tree_map(), const_zero_backward(),
+                     Fraction(1, 2), Fraction(3, 4), stages=24)
+
+
 def test_cutter_case2_requires_dense_image():
     _, log = qwwkl_cutter(identity_tree_map(), const_zero_backward(),
                           Fraction(1, 2), Fraction(3, 4), stages=24)
@@ -317,6 +328,14 @@ def split_functional():
         return 1 if x in ((0, 1) if b == 0 else (2, 3)) else 0
 
     return pointwise(1, step, "split")
+
+
+def test_arb_bounds_too_many_cylinder_sets_is_contract_error(monkeypatch):
+    # with no string a prefix of another, the whole space is found again and
+    # again: five sets of measure 1 where at most ceil(1/q) = 4 fit
+    monkeypatch.setattr(Prefix, "is_prefix_of", lambda self, other: False)
+    with pytest.raises(ContractError, match="^5 disjoint cylinder sets of measure 1/4 or more"):
+        rainbow_measure_coloring(all_ones_functional(), Fraction(1, 4))
 
 
 def test_arb_bounds_split_finds_two_disjoint_sets():

@@ -10,6 +10,7 @@ import pytest
 
 from wred.catalog import (
     ENTRIES,
+    CatalogEntry,
     _agreement_coloring,
     _distinct_count_coloring,
     _memo_rule,
@@ -46,6 +47,7 @@ from wred.catalog import (
     entry_ids,
 )
 from wred.combinators import (
+    SoundnessRow,
     SquashConfig,
     Witness,
     check_witness_soundness,
@@ -80,6 +82,7 @@ from wred.kernel import (
 from wred.oracle import SearchBudget, find_homogeneous, find_thin
 from wred.problems import (
     HAND_TREES,
+    PASS,
     Coloring,
     ThinSolution,
     TreeByRule,
@@ -87,6 +90,7 @@ from wred.problems import (
     coloring_to_point,
     index_bits,
     leftmost_path_point,
+    level_measures,
     level_members,
     measure_at_level,
     string_index,
@@ -214,6 +218,26 @@ def test_wkl_interleave_measure_is_product():
     s = TreeByRule.from_tape(img)
     for d in range(7):
         assert measure_at_level(s, 2 * d) == measure_at_level(NO11, d) * measure_at_level(FIRST1, d)
+
+
+def test_level_measures_match_the_per_level_walk_on_index_trees():
+    """One walk down a tape-decoded image and down the tracking trees gives
+    the per-level measures, each read from a tree decoded afresh."""
+    w = wkl_interleave(2)
+
+    def image():
+        img = w.forward_image(interleave_tapes(tree_to_point(NO11), tree_to_point(FIRST1)),
+                              fuel=1 << 20)
+        return TreeByRule.from_tape(img)
+
+    walked = level_measures(image(), 12)
+    assert walked == [measure_at_level(image(), d) for d in range(13)]
+    assert walked[12] == measure_at_level(NO11, 6) * measure_at_level(FIRST1, 6)
+    for tree in (TreeByRule.full(), FIRST1, NO11):
+        for sigma in (Prefix(), Prefix((1,)), Prefix((0, 1))):
+            walked = level_measures(half_measure_tree(tree, sigma), 10)
+            assert walked == [measure_at_level(half_measure_tree(tree, sigma), d)
+                              for d in range(11)], (tree.label, sigma)
 
 
 def test_wkl_interleave_paths_split():
@@ -943,6 +967,48 @@ def test_iterate_wkl_interleave():
 def test_entry_ids_stable():
     ids = entry_ids()
     assert "rt_product" in ids and "squash_coh_interleave" in ids and "ts3_cube" in ids
+
+
+def test_run_entry_calls_a_grid_independent_check_once(monkeypatch):
+    calls = []
+
+    def checks(params, rng, horizon, size):
+        calls.append(params)
+        return [SoundnessRow(f"probe/call{len(calls)}-{i}", PASS) for i in range(2)]
+
+    grid = [{"x": 0}, {"x": 1}, {"x": 2}]
+    monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks,
+                                                       checks_read_grid=False))
+    rows = run_entry("probe", rng(), 1, 8, 2)
+    assert len(calls) == 1
+    assert [r.case for r in rows] == ["probe/call1-0", "probe/call1-1"] * 3
+    # a second run_entry call runs the check again: nothing is kept between calls
+    assert run_entry("probe", rng(), 1, 8, 2) == [
+        SoundnessRow(f"probe/call2-{i}", PASS) for i in range(2)] * 3
+    # the default calls it once per grid point, in grid order
+    calls.clear()
+    monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks))
+    rows = run_entry("probe", rng(), 1, 8, 2)
+    assert calls == grid
+    assert [r.case for r in rows] == [f"probe/call{c}-{i}" for c in (1, 2, 3) for i in range(2)]
+
+
+def test_grid_independent_checks_read_neither_params_nor_rng():
+    """Every entry that declares checks_read_grid=False gets the same rows
+    at every grid point and leaves a fresh rng's state as it found it."""
+    declared = []
+    for entry in ENTRIES.values():
+        if entry.checks_read_grid:
+            continue
+        declared.append(entry.id)
+        seen = []
+        for params in entry.grid or [{}]:
+            r = rng()
+            before = r.getstate()
+            seen.append(entry.checks(params, r, 16, 4))
+            assert r.getstate() == before, (entry.id, params)
+        assert all(rows == seen[0] for rows in seen), entry.id
+    assert "wkl_interleave" in declared
 
 
 def test_unknown_entry_rejected():

@@ -16,6 +16,7 @@ from wred.problems import (
     coloring_to_point,
     coh_spec,
     index_string,
+    level_measures,
     level_members,
     leftmost_path_point,
     lookup,
@@ -455,6 +456,30 @@ def test_orphan_named_is_the_first_one_scanned():
     with pytest.raises(ContractError) as e:
         level_members(two_levels, 3)
     assert str(e.value) == "levels: Prefix(10) present but parent missing"
+
+
+def test_level_measures_match_the_per_level_walk():
+    """One walk gives every level's measure: the hand trees, whose rules
+    get the orphan scan, and one walked past _ORPHAN_SCAN_MAX to level 15."""
+    from wred.kernel import ContractError
+    from wred.problems import _ORPHAN_SCAN_MAX
+
+    trees = [HAND_TREES["full"](), HAND_TREES["no-11"](), HAND_TREES["first-bit"](0),
+             HAND_TREES["first-bit"](1), HAND_TREES["fix"](2, 1)]
+    for t in trees:
+        assert level_measures(t, 9) == [measure_at_level(t, d) for d in range(10)], t.label
+    assert (1 << 15) > _ORPHAN_SCAN_MAX
+    no11 = HAND_TREES["no-11"]()
+    deep = level_measures(no11, 15)
+    assert deep == [measure_at_level(no11, d) for d in range(16)]
+    assert deep[15] == Fraction(1597, 1 << 15)  # Fibonacci: strings of length 15 without 11
+    assert level_measures(no11, 0) == [1]
+    with pytest.raises(ContractError, match="present but parent missing"):
+        level_measures(TreeByRule(lambda s: len(s) != 1, "gap-at-1"), 3)
+    with pytest.raises(ContractError, match="root missing"):
+        level_measures(TreeByRule(lambda s: False, "empty"), 2)
+    with pytest.raises(InputError):
+        level_measures(no11, -1)
 
 
 def test_index_tree_measure_builds_no_strings(monkeypatch):
