@@ -547,26 +547,6 @@ def blowup_tree(t: TreeByRule, p: Fraction, q: Fraction, depth: int) -> Blowup:
 # thin-set constructions
 
 
-def _memo_rule(rule: Callable[[tuple[int, ...]], int]) -> Callable[[tuple[int, ...]], int]:
-    """A derived coloring's rule, run at most once per tuple.
-
-    For rules over a fixed base that is not read through a metered tape:
-    a repeat is answered without reading the base again, so a base that
-    may change, or whose reads a ledger must charge again (see `RuleTape`),
-    keeps its plain rule.  `Coloring.value` still checks every tuple and
-    color, and a rule that raises leaves nothing in the memo.
-    """
-    memo: dict[tuple[int, ...], int] = {}
-
-    def memoized(t):
-        v = memo.get(t)
-        if v is None:
-            v = memo[t] = rule(t)
-        return v
-
-    return memoized
-
-
 def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
     """Group n blocks of size m behind a pivot; the color is the base-k
     digit string of the pivot-block colors."""
@@ -581,7 +561,7 @@ def ts_step_coloring(m: int, n: int, k: int, f: Coloring) -> Coloring:
             digits.append(f.value((x,) + block))
         return sum(d * k**i for i, d in enumerate(digits))
 
-    return Coloring(m * n + 1, k**n, _memo_rule(rule), f"step({f.label})")
+    return Coloring(m * n + 1, k**n, rule, f"step({f.label})")
 
 
 # "infinitely many" at desk scale: at least this many witnesses within the horizon
@@ -752,15 +732,14 @@ def ts_pigeonhole_extract(f: Coloring, members, omitted: int, horizon: int):
 
 
 def _restrict_coloring(f: Coloring, base: list[int]) -> Coloring:
-    return Coloring(f.arity, f.colors,
-                    _memo_rule(lambda t: f.value(tuple(base[i] for i in t))), f"{f.label}|H")
+    return Coloring(f.arity, f.colors, lambda t: f.value(tuple(base[i] for i in t)),
+                    f"{f.label}|H")
 
 
 def _distinct_count_coloring(f: Coloring) -> Coloring:
     """A triangle's number of distinct f-colors, less one."""
-    return Coloring(3, 3, _memo_rule(lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
-                                                    f.value((t[1], t[2]))}) - 1),
-                    "distinct-count")
+    return Coloring(3, 3, lambda t: len({f.value((t[0], t[1])), f.value((t[0], t[2])),
+                                         f.value((t[1], t[2]))}) - 1, "distinct-count")
 
 
 def _agreement_coloring(f: Coloring, base: list[int]) -> Coloring:
@@ -772,7 +751,7 @@ def _agreement_coloring(f: Coloring, base: list[int]) -> Coloring:
         a, b, c = f.value((y, z)), f.value((x, y)), f.value((x, z))
         return 0 if a == b == c else 1 if b == c else 2
 
-    return Coloring(3, 3, _memo_rule(rule), "agreement-collapsed")
+    return Coloring(3, 3, rule, "agreement-collapsed")
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Deliberately naive.  Searches are greedy-first with an exhaustive DFS
 fallback, both under a node budget, and every result records which
 engine produced it.  Exhaustive results are canonical: the returned set
-is lexicographically least among solutions of the requested size.
+is lexicographically least among solutions of the requested size.  The
+predicates ask for the same tuple's color again and again; the coloring
+answers the repeats from its memo (`Coloring.value`), not the search.
 """
 
 from __future__ import annotations

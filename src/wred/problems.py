@@ -74,20 +74,35 @@ def verdict_inconclusive(detail: str) -> Verdict:
 
 @dataclass
 class Coloring:
-    """An arity-n coloring with k colors (colors=None means omega)."""
+    """An arity-n coloring with k colors (colors=None means omega).
+
+    `value` runs the rule at most once per tuple: `memo` keeps each color
+    that passed the tuple and range checks, so a read that raises stores
+    nothing and raises again when asked again.  The rule must therefore
+    be a pure function of its tuple over data fixed when the coloring is
+    built, and must never read a metered tape: a rule whose re-reads a
+    ledger must charge again stays a `kernel.RuleTape`.
+    """
 
     arity: int
     colors: Optional[int]
     rule: Callable[[tuple[int, ...]], int]
     label: str = "coloring"
+    memo: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def value(self, xs) -> int:
         t = xs if type(xs) is tuple else tuple(xs)
+        v = self.memo.get(t)
+        if v is not None:
+            return v
         if len(t) != self.arity or not all(map(operator.lt, t, t[1:])):
             raise InputError(f"{self.label}: {t} is not an increasing {self.arity}-tuple")
         v = self.rule(t)
         if v < 0 or (self.colors is not None and v >= self.colors):
             raise ContractError(f"{self.label}: color {v} out of range at {t}")
+        self.memo[t] = v
         return v
 
     def tuples(self, members: Iterable[int]):
@@ -147,7 +162,11 @@ def coloring_from_tape(tape, n: int, k: Optional[int], label: str = "decoded") -
 
     Finite k: the block of tuple rank r, read by `read_color`.
     k = omega: the unary count on the cantor column of rank r, capped at
-    OMEGA_UNARY_CAP so decoding stays total at desk scale.
+    OMEGA_UNARY_CAP so decoding stays total at desk scale.  The coloring
+    memoizes each color it reads (`Coloring`), so the tape must not change
+    and no ledger may need to charge its re-reads: a `Point`, a
+    `FunctionalTape` (which keeps every bit it computed) or a view of
+    them.  A `Diverge` from the tape propagates and stores nothing.
     """
     if k is not None:
         color_block_width(k)  # rejects k < 1

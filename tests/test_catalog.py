@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,6 @@ from wred.catalog import (
     CatalogEntry,
     _agreement_coloring,
     _distinct_count_coloring,
-    _memo_rule,
     _restrict_coloring,
     SQUASH_CONFIGS,
     assemble_path,
@@ -707,7 +707,7 @@ def test_ts33_agreement_values_bounded():
         assert g.value(t) in (0, 1)  # 2-colorings never take three values
 
 
-# --- derived colorings memoize their rule per tuple ------------------------------
+# --- every coloring memoizes its rule per tuple, derived ones included ------------
 
 
 def _scramble(k):
@@ -722,7 +722,7 @@ def _counted(arity, k, rule, calls):
     return Coloring(arity, k, counting, "counted")
 
 
-# the plain rules the memoized colorings must agree with
+# the plain rules, without a memo, that the derived colorings must agree with
 def _plain_step(m, n, k):
     return lambda f: lambda z: sum(f.value((z[0],) + z[1 + i * m:1 + (i + 1) * m]) * k**i
                                    for i in range(n))
@@ -765,42 +765,67 @@ MEMOIZED = {
 }
 
 
+def _counted_rule(g, runs):
+    """Count the runs of g's own rule, per tuple."""
+    rule = g.rule
+
+    def counting(t):
+        runs[t] += 1
+        return rule(t)
+
+    g.rule = counting
+    return g
+
+
 @pytest.mark.parametrize("name", sorted(MEMOIZED))
 def test_memoized_coloring_reads_its_base_once_per_tuple(name):
     derive, plain, arity, k, reads = MEMOIZED[name]
-    calls = Counter()
-    g = derive(_counted(arity, k, _scramble(k), calls))
-    ref = plain(Coloring(arity, k, _scramble(k), "plain"))
+    calls, runs = Counter(), Counter()
+    g = _counted_rule(derive(_counted(arity, k, _scramble(k), calls)), runs)
+    read = []  # every base tuple the plain rule reads, repeats included
+    ref = plain(SimpleNamespace(value=lambda t: read.append(t) or _scramble(k)(t)))
     tuples = list(itertools.combinations(range(len(BASE)), g.arity))
     assert [g.value(t) for t in tuples] == [ref(t) for t in tuples]
-    assert sum(calls.values()) == reads * len(tuples)
+    assert len(read) == reads * len(tuples)
+    # the base is a Coloring too: its rule runs once per base tuple read
+    assert calls == Counter({t: 1 for t in read})
+    assert runs == Counter({t: 1 for t in tuples}) and g.memo == dict(zip(tuples, map(ref, tuples)))
     for t in tuples:
         g.value(t)
-    assert sum(calls.values()) == reads * len(tuples)
+    assert calls == Counter({t: 1 for t in read}) and runs == Counter({t: 1 for t in tuples})
 
 
 @pytest.mark.parametrize("name", sorted(MEMOIZED))
 def test_memoized_coloring_keeps_its_checks_and_memoizes_no_error(name):
     derive, _, arity, k, _ = MEMOIZED[name]
-    calls = Counter()
+    calls, runs = Counter(), Counter()
     # out of range on every base tuple from 0 or BASE[0], which the least
     # derived tuple reads
-    g = derive(_counted(arity, k, lambda t: k if t[0] in (0, BASE[0]) else 0, calls))
+    base = _counted(arity, k, lambda t: k if t[0] in (0, BASE[0]) else 0, calls)
+    g = _counted_rule(derive(base), runs)
     for bad in [tuple(range(g.arity))[::-1], (0,) * g.arity, tuple(range(g.arity + 1))]:
         with pytest.raises(InputError):
             g.value(bad)
-    assert not calls
+    assert not calls and not runs and not g.memo
     least = tuple(range(g.arity))
     with pytest.raises(ContractError):
         g.value(least)
-    first = sum(calls.values())
+    first = calls.copy()
+    wrong = [t for t in first if t[0] in (0, BASE[0])]
+    assert wrong and all(first[t] == 1 for t in first)
     with pytest.raises(ContractError):
         g.value(least)
-    assert first > 0 and sum(calls.values()) == 2 * first  # asked again: nothing memoized
-    over = Coloring(2, 2, _memo_rule(lambda t: 2), "over")
+    # asked again: the derived rule and the wrong base tuple run again, while
+    # the base tuples read before it were memoized
+    assert runs == Counter({least: 2}) and least not in g.memo
+    assert calls == first + Counter(wrong)
+    assert all(t not in base.memo for t in wrong) and set(base.memo) == set(first) - set(wrong)
+    over_runs = Counter()
+    over = _counted_rule(Coloring(2, 2, lambda t: 2, "over"), over_runs)
     for _ in range(2):
         with pytest.raises(ContractError):
-            over.value((0, 1))  # memoized, and still checked
+            over.value((0, 1))  # checked on every read, and never stored
+    assert over_runs == Counter({(0, 1): 2}) and not over.memo
 
 
 # --- cube colorings -----------------------------------------------------------------

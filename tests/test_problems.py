@@ -97,6 +97,44 @@ def test_coloring_value_input_and_range_errors():
             g.value(xs)
 
 
+def test_decoded_coloring_matches_read_color_at_every_rank():
+    from wred.kernel import tuple_rank
+    from wred.problems import read_color
+
+    for seed, k in ((3, 2), (4, 3), (5, 5)):
+        tape = Point.from_seed(seed)
+        for n in (1, 2, 3):
+            f = coloring_from_tape(tape, n, k)
+            tuples = list(itertools.combinations(range(12), n))
+            want = [read_color(tape, k, tuple_rank(t)) for t in tuples]
+            assert [f.value(t) for t in tuples] == want
+            assert f.memo == dict(zip(tuples, want))
+            assert [f.value(list(t)) for t in tuples] == want  # answered from the memo
+
+
+def test_decoded_coloring_over_a_stalled_tape_memoizes_nothing():
+    from wred.kernel import FunctionalTape, pointwise
+    from wred.problems import read_color
+
+    copy = pointwise(1, lambda ctx, x: ctx.query(0, x), "copy")
+    for k in (2, 3):
+        w = (k - 1).bit_length()
+        # the tape answers blocks 0..2, ranks (0, 1), (0, 2), (1, 2), and
+        # stalls at block 3, rank (0, 3)
+        oracle = Prefix((1, 0, 0) * w)
+        tape = _Recording(FunctionalTape(copy, [oracle], 64))
+        f = coloring_from_tape(tape, 2, k)
+        good = [(0, 1), (0, 2), (1, 2)]
+        assert [f.value(t) for t in good] == [read_color(oracle, k, r) for r in range(3)]
+        for _ in range(3):
+            for t in ((0, 3), (1, 3), (2, 7)):
+                with pytest.raises(Diverge):
+                    f.value(t)
+        assert list(f.memo) == good
+        # every stalled read reached the tape again, at ranks 3, 4 and 23
+        assert [tape.reads.count(r * w) for r in (3, 4, 23)] == [3, 3, 3]
+
+
 # --- verifiers ----------------------------------------------------------------
 
 
@@ -456,6 +494,20 @@ def test_orphan_named_is_the_first_one_scanned():
     with pytest.raises(ContractError) as e:
         level_members(two_levels, 3)
     assert str(e.value) == "levels: Prefix(10) present but parent missing"
+
+
+def test_orphan_at_the_scan_cap_is_contract_error():
+    """2^14 equals _ORPHAN_SCAN_MAX, so level 14 is the last one scanned."""
+    from wred.kernel import ContractError
+    from wred.problems import _ORPHAN_SCAN_MAX
+
+    assert 1 << 14 == _ORPHAN_SCAN_MAX
+    orphan = (1,) * 14  # its parent 1^13 is missing; only 0^d lies below it
+    t = TreeByRule(lambda s: not any(s.bits) or s.bits == orphan, "late-orphan")
+    assert level_members(t, 13) == [Prefix((0,) * 13)]
+    with pytest.raises(ContractError) as e:
+        level_members(t, 14)
+    assert str(e.value) == f"late-orphan: Prefix({'1' * 14}) present but parent missing"
 
 
 def test_level_measures_match_the_per_level_walk():

@@ -23,10 +23,12 @@ def test_entry_times_prints_cpu_and_queries(capsys):
     assert entry_times.main(["--seed", "0", "--entry", "rt_product"]) == 0
     assert time.process_time() - start < 1.0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["entry", "cpu_s", "queries", "coloring_value"]
-    name, cpu, queries, values = lines[1].split()
+    assert lines[0].split() == ["entry", "cpu_s", "queries", "coloring_value", "rule_runs"]
+    name, cpu, queries, values, runs = lines[1].split()
     assert name == "rt_product" and float(cpu) >= 0 and int(queries) > 0 and int(values) > 0
-    assert lines[2].split()[0] == "total" and lines[2].split()[2:] == [queries, values]
+    # the oracle searches ask for colors they already read: those come from the memo
+    assert 0 < int(runs) < int(values)
+    assert lines[2].split()[0] == "total" and lines[2].split()[2:] == [queries, values, runs]
     assert len(lines) == 3
     # the counting run restores what it wraps
     assert (EvalContext.query, Coloring.value) == plain

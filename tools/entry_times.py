@@ -6,11 +6,13 @@ Runs each catalog entry's verify suite (all entries unless --entry names
 some) under the eight seeds 8*seed .. 8*seed+7 at 1 sample, horizon 16,
 size 4 and fuel 4096, the configurations of the benchmark's verify-all
 workload, and prints one line per entry, costliest first: the process
-CPU seconds of its suites and how many times `EvalContext.query` and
-`Coloring.value` ran in them.  The time comes from a plain run and the
-counts from a second run with both wrapped, so the counting does not
-inflate the time.  Run from the root of a checkout; the package is
-imported from its src/.
+CPU seconds of its suites, how many times `EvalContext.query` and
+`Coloring.value` ran in them, and `rule_runs`, the value calls whose
+tuple that coloring had not yet memoized (the rest are answered from its
+memo).  The time comes from a plain run and the counts from a second
+run with both methods wrapped, so the counting does not inflate the
+time.  Run from the root of a checkout; the package is imported from its
+src/.
 """
 
 from __future__ import annotations
@@ -41,30 +43,28 @@ def cpu_seconds(entry: str, seed: int) -> float:
     return time.process_time() - start
 
 
-COUNTED = ((kernel.EvalContext, "query"), (problems.Coloring, "value"))
+def call_counts(entry: str, seed: int) -> tuple[int, int, int]:
+    """Query calls, value calls and rule runs in the entry's suites."""
+    counts = [0, 0, 0]
+    plain_query, plain_value = kernel.EvalContext.query, problems.Coloring.value
 
+    def query(self, *args):
+        counts[0] += 1
+        return plain_query(self, *args)
 
-def call_counts(entry: str, seed: int) -> list[int]:
-    """How many times each COUNTED method ran in the entry's suites."""
-    calls = [0] * len(COUNTED)
+    def value(self, xs):
+        xs = xs if type(xs) is tuple else tuple(xs)
+        counts[1] += 1
+        counts[2] += xs not in self.memo
+        return plain_value(self, xs)
 
-    def counted(i, plain):
-        def wrapper(*args):
-            calls[i] += 1
-            return plain(*args)
-
-        return wrapper
-
-    plains = [getattr(cls, name) for cls, name in COUNTED]
-    for i, ((cls, name), plain) in enumerate(zip(COUNTED, plains)):
-        setattr(cls, name, counted(i, plain))
+    kernel.EvalContext.query, problems.Coloring.value = query, value
     try:
         for config in configs(seed):
             run_suite(entry, config)
     finally:
-        for (cls, name), plain in zip(COUNTED, plains):
-            setattr(cls, name, plain)
-    return calls
+        kernel.EvalContext.query, problems.Coloring.value = plain_query, plain_value
+    return tuple(counts)
 
 
 def main(argv=None) -> int:
@@ -76,11 +76,10 @@ def main(argv=None) -> int:
     rows = [(cpu_seconds(e, args.seed), call_counts(e, args.seed), e)
             for e in args.entry or sorted(ENTRIES)]
     rows.sort(key=lambda r: (-r[0], r[2]))
-    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s} {'coloring_value':>14s}")
-    for cpu, (queries, values), entry in rows:
-        print(f"{entry:24s} {cpu:8.3f} {queries:10d} {values:14d}")
-    total = [sum(r[1][i] for r in rows) for i in range(len(COUNTED))]
-    print(f"{'total':24s} {sum(r[0] for r in rows):8.3f} {total[0]:10d} {total[1]:14d}")
+    rows.append((sum(r[0] for r in rows), [sum(c) for c in zip(*(r[1] for r in rows))], "total"))
+    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s} {'coloring_value':>14s} {'rule_runs':>10s}")
+    for cpu, (queries, values, runs), entry in rows:
+        print(f"{entry:24s} {cpu:8.3f} {queries:10d} {values:14d} {runs:10d}")
     return 0
 
 
