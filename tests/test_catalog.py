@@ -714,12 +714,14 @@ def _scramble(k):
     return lambda t: sum((i + 3) * x * x + x for i, x in enumerate(t)) % k
 
 
-def _counted(arity, k, rule, calls):
+def _counting(rule, calls):
+    """rule, counting its runs per tuple in calls."""
+
     def counting(t):
         calls[t] += 1
         return rule(t)
 
-    return Coloring(arity, k, counting, "counted")
+    return counting
 
 
 # the plain rules, without a memo, that the derived colorings must agree with
@@ -765,23 +767,12 @@ MEMOIZED = {
 }
 
 
-def _counted_rule(g, runs):
-    """Count the runs of g's own rule, per tuple."""
-    rule = g.rule
-
-    def counting(t):
-        runs[t] += 1
-        return rule(t)
-
-    g.rule = counting
-    return g
-
-
 @pytest.mark.parametrize("name", sorted(MEMOIZED))
 def test_memoized_coloring_reads_its_base_once_per_tuple(name):
     derive, plain, arity, k, reads = MEMOIZED[name]
     calls, runs = Counter(), Counter()
-    g = _counted_rule(derive(_counted(arity, k, _scramble(k), calls)), runs)
+    g = derive(Coloring(arity, k, _counting(_scramble(k), calls), "counted"))
+    g.rule = _counting(g.rule, runs)
     read = []  # every base tuple the plain rule reads, repeats included
     ref = plain(SimpleNamespace(value=lambda t: read.append(t) or _scramble(k)(t)))
     tuples = list(itertools.combinations(range(len(BASE)), g.arity))
@@ -801,8 +792,10 @@ def test_memoized_coloring_keeps_its_checks_and_memoizes_no_error(name):
     calls, runs = Counter(), Counter()
     # out of range on every base tuple from 0 or BASE[0], which the least
     # derived tuple reads
-    base = _counted(arity, k, lambda t: k if t[0] in (0, BASE[0]) else 0, calls)
-    g = _counted_rule(derive(base), runs)
+    base = Coloring(arity, k, _counting(lambda t: k if t[0] in (0, BASE[0]) else 0, calls),
+                    "counted")
+    g = derive(base)
+    g.rule = _counting(g.rule, runs)
     for bad in [tuple(range(g.arity))[::-1], (0,) * g.arity, tuple(range(g.arity + 1))]:
         with pytest.raises(InputError):
             g.value(bad)
@@ -821,7 +814,7 @@ def test_memoized_coloring_keeps_its_checks_and_memoizes_no_error(name):
     assert calls == first + Counter(wrong)
     assert all(t not in base.memo for t in wrong) and set(base.memo) == set(first) - set(wrong)
     over_runs = Counter()
-    over = _counted_rule(Coloring(2, 2, lambda t: 2, "over"), over_runs)
+    over = Coloring(2, 2, _counting(lambda t: 2, over_runs), "over")
     for _ in range(2):
         with pytest.raises(ContractError):
             over.value((0, 1))  # checked on every read, and never stored

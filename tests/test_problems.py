@@ -102,17 +102,20 @@ def test_decoded_coloring_matches_read_color_at_every_rank():
     from wred.problems import read_color
 
     for seed, k in ((3, 2), (4, 3), (5, 5)):
-        tape = Point.from_seed(seed)
+        point = Point.from_seed(seed)
         for n in (1, 2, 3):
+            tape = _Recording(point)
             f = coloring_from_tape(tape, n, k)
             tuples = list(itertools.combinations(range(12), n))
-            want = [read_color(tape, k, tuple_rank(t)) for t in tuples]
+            want = [read_color(point, k, tuple_rank(t)) for t in tuples]
             assert [f.value(t) for t in tuples] == want
             assert f.memo == dict(zip(tuples, want))
-            assert [f.value(list(t)) for t in tuples] == want  # answered from the memo
+            reads = len(tape.reads)
+            assert [f.value(list(t)) for t in tuples] == want
+            assert len(tape.reads) == reads  # the repeats never reach the tape
 
 
-def test_decoded_coloring_over_a_stalled_tape_memoizes_nothing():
+def test_decoded_coloring_memoizes_no_stalled_read():
     from wred.kernel import FunctionalTape, pointwise
     from wred.problems import read_color
 
@@ -502,7 +505,7 @@ def test_orphan_at_the_scan_cap_is_contract_error():
     from wred.problems import _ORPHAN_SCAN_MAX
 
     assert 1 << 14 == _ORPHAN_SCAN_MAX
-    orphan = (1,) * 14  # its parent 1^13 is missing; only 0^d lies below it
+    orphan = (1,) * 14  # its parent 1^13 is not in t, whose other members are the 0^d
     t = TreeByRule(lambda s: not any(s.bits) or s.bits == orphan, "late-orphan")
     assert level_members(t, 13) == [Prefix((0,) * 13)]
     with pytest.raises(ContractError) as e:
