@@ -263,9 +263,9 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
     log = StageLog()
     acted: set[int] = set()
     sweep = _ImageSweep(phi, fuel)
+    mu_before = tree.measure()  # then the last stage's measure_after, the same tree
 
     for s in range(stages):
-        mu_before = tree.measure()
         cap = min(s, 12)
         sweep.advance(tree.as_partial_point(), 2 ** (cap + 1) - 2)
         n_s = sweep.height(cap)
@@ -299,8 +299,10 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
 
         if reason is not None:
             tree.height = s + 1
+            mu_after = tree.measure()
             log.add(StageRecord(s, "1", reason, measure_before=mu_before,
-                                measure_after=tree.measure(), image_measure=image_mu))
+                                measure_after=mu_after, image_measure=image_mu))
+            mu_before = mu_after
             continue
 
         threshold = Fraction(len(image), 2**a)
@@ -315,6 +317,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         log.add(StageRecord(s, "2", f"acted with image count {len(image)} at level {n_s}",
                             acted_for=tuple(xs), alpha=alpha, measure_before=mu_before,
                             measure_after=mu_after, image_measure=image_mu))
+        mu_before = mu_after
     return tree, log
 
 

@@ -614,15 +614,18 @@ class _NeedBit(Exception):
 
 
 class _SymbolicPrefix:
-    """Length-n oracle whose unassigned bits interrupt the evaluation."""
+    """Length-n oracle whose unassigned bits interrupt the evaluation.
 
-    def __init__(self, level: int, n: int, assignment: dict):
+    n is the last entry of `markers`, the display's live marker list, so a
+    display moved to a later candidate lengthens every level's prefix."""
+
+    def __init__(self, level: int, markers: list, assignment: dict):
         self.level = level
-        self.n = n
+        self.markers = markers
         self.assignment = assignment
 
     def bit(self, pos: int) -> int:
-        if pos >= self.n:
+        if pos >= self.markers[-1]:
             raise Diverge("gap", pos)
         key = (self.level, pos)
         if key in self.assignment:
@@ -644,8 +647,10 @@ class _Display:
     read at stage x is B_i(x) of the stagewise definition.  A bit converged
     at one stage is the same at every later one (the later chain only
     extends the earlier one's oracles), so one display serves every stage
-    read in increasing order, each level T_j sweeping once.  It lives in
-    one context's scratch and parks T_j there (key j), so each level pull
+    read in increasing order, each level T_j sweeping once: raise `stage`
+    (and for the DFS marker root, append the next candidate to `markers`).
+    This assumes no step catches Diverge.  It lives in one context's
+    scratch and parks T_j there (key j), so each level pull
     is charged to the position of the context's sweep that forced it.
     The context owns the display, and the display refers to it weakly,
     so dropping the context frees both at once.
@@ -715,10 +720,12 @@ def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
                       assignment: dict) -> EvalContext:
     """A new context holding the compactness display at stage s for
     candidate n, every level's string a symbolic length-n prefix over one
-    assignment."""
+    assignment.  The prefixes read n from the display's marker list, so
+    appending a later candidate and raising `stage` moves the display on
+    (`squash_markers` does this to its root)."""
     ctx = EvalContext([], Ledger(DEFAULT_FUEL))
-    _Display(ctx, forward, c, [*markers[:s + 1], n],
-             lambda j: _SymbolicPrefix(j, n, assignment), stage=s)
+    live = [*markers[:s + 1], n]
+    _Display(ctx, forward, c, live, lambda j: _SymbolicPrefix(j, live, assignment), stage=s)
     return ctx
 
 
@@ -738,7 +745,8 @@ def _dfs_search(root: EvalContext, i: int, width_budget: int) -> bool:
     Diverge is terminal for a level and keeps its reason whichever i
     reaches it first (an attempt is one position of the root's context, so
     it pays only for what earlier ones left unmaterialized).  Each branch
-    after a _NeedBit evaluates in a display of its own.
+    after a _NeedBit evaluates in a display of its own.  The root may also
+    come from an earlier stage, moved on by `squash_markers`.
     """
     display = root.scratch["display"]
     forward, c, markers, s = display.forward, display.c, display.markers, display.stage
@@ -845,10 +853,17 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     successor, so the first hit is the marker.  Level j is the witness's
     forward on the pair tape <sigma_j, V_{j+1}>, decided from its read map
     when it has one and by the branching DFS engine otherwise.
+
+    The DFS engine moves its root context from an accepted candidate to
+    the next stage (see _Display), so each level sweeps once over the
+    whole search.  That gives a fresh root's verdicts as long as no step
+    catches Diverge.  A rejected candidate, or a parked level that
+    stalled, drops the root, and the next candidate builds a fresh one.
     """
     forward = cfg.witness.forward
     profile = _ReadProfile(forward.reads) if forward.reads is not None else None
     markers = [0]
+    root = None  # the DFS engine's root context, kept from an accepted candidate
     for s in range(stages):
         start = max(markers[-1], s) + 1
         found = None
@@ -856,8 +871,14 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
             if profile is not None:
                 ok = _closure_check_stage(forward, markers, s, n, profile=profile)
             else:
-                root = _symbolic_context(forward, cfg.c, markers, s, n, {})
+                if root is None:
+                    root = _symbolic_context(forward, cfg.c, markers, s, n, {})
+                else:  # move the kept root to stage s and candidate n
+                    root.scratch["display"].markers.append(n)
+                    root.scratch["display"].stage = s
                 ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
+                if not ok or any(t._stalled for k, t in root.scratch.items() if k != "display"):
+                    root = None
             if ok:
                 found = n
                 break

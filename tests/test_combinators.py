@@ -29,6 +29,7 @@ from wred.combinators import (
     witness_parallel,
 )
 from wred.kernel import (
+    Diverge,
     Functional,
     InputError,
     Point,
@@ -967,15 +968,119 @@ def test_law_lift_is_functorial():
     run()
 
 
+def _markers_or_error(search, cfg, stages):
+    """The markers `search` finds, or its ResourceError's message and context."""
+    from wred.kernel import ResourceError
+
+    try:
+        return search(cfg, stages).markers
+    except ResourceError as e:
+        return str(e), e.context
+
+
+def _fresh_root_markers(cfg, stages):
+    """The DFS marker loop with a fresh root context for every candidate."""
+    from wred.combinators import _dfs_search, _symbolic_context
+    from wred.kernel import ResourceError
+
+    forward, markers = cfg.witness.forward, [0]
+    for s in range(stages):
+        start = max(markers[-1], s) + 1
+        for n in range(start, start + cfg.candidate_budget):
+            root = _symbolic_context(forward, cfg.c, markers, s, n, {})
+            if all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1)):
+                markers.append(n)
+                break
+        else:
+            raise ResourceError(f"no marker within {cfg.candidate_budget} candidates at stage {s}",
+                                stage=s, first_candidate=start)
+    return MarkerSequence(markers)
+
+
 def test_dfs_engine_frontier_on_coh_interleave_is_resource_error():
     # its forward reads instance bits, so the shared root display is
-    # interrupted by a _NeedBit and later levels resume it
+    # interrupted by a _NeedBit and later levels resume it; the root kept
+    # from stage to stage gives the error a fresh root per candidate gives
     from wred.catalog import SQUASH_CONFIGS
     from wred.kernel import ResourceError
 
     with pytest.raises(ResourceError, match="frontier exceeded 4096 at stage 10") as err:
         squash_markers(_without_reads(SQUASH_CONFIGS["coh-interleave"]), 30)
     assert err.value.context == {"stage": 10, "candidate": 11, "frontier": 4097}
+    assert _markers_or_error(_fresh_root_markers, _without_reads(SQUASH_CONFIGS["coh-interleave"]),
+                             30) == (str(err.value), err.value.context)
+
+
+def test_dfs_kept_root_matches_a_fresh_root_per_candidate(monkeypatch):
+    from wred import combinators
+    from wred.catalog import SQUASH_CONFIGS
+
+    def reading(reads):
+        def step(ctx, x):
+            return sum(ctx.query(0, q) for _, q in reads(x)) % 2
+
+        return lambda: synthetic_squash_config(reads, step)
+
+    cases = [(SQUASH_CONFIGS[name], 30, False) for name in ("projection-toy", "trivial-q-rt12")]
+    # their stages reject candidates, so the search also builds fresh roots
+    cases += [(reading(SYNTHETIC_READS[name]), 8, True) for name in ("ahead-1", "constant")]
+    # a level built at an early stage first reads its string at position 3,
+    # beyond that stage's candidate, which a later stage's prefix covers
+    cases.append((reading(lambda x: [(0, 2 * x)] if x >= 3 else []), 8, False))
+
+    def catching(ctx, x):
+        # catches the divergence of its read at odd x, so an accepted
+        # candidate can leave a stalled level, which drops the kept root
+        try:
+            return ctx.query(0, 2 * (x + 1) + 1)
+        except Diverge:
+            if x % 2 == 0:
+                raise
+            return 0
+
+    cases.append((lambda: synthetic_squash_config(None, catching), 8, True))
+    roots = []
+    build = combinators._symbolic_context
+
+    def counted(forward, c, markers, s, n, assignment):
+        roots.append(not assignment)
+        return build(forward, c, markers, s, n, assignment)
+
+    monkeypatch.setattr(combinators, "_symbolic_context", counted)
+    for make, stages, rebuilds in cases:
+        verdicts, built = [], []
+        for search in (squash_markers, _fresh_root_markers):
+            roots.clear()
+            verdicts.append(_markers_or_error(search, _without_reads(make), stages))
+            built.append(sum(roots))
+        assert verdicts[0] == verdicts[1]
+        assert (1 < built[0] < built[1]) if rebuilds else built == [1, stages]
+
+
+def test_dfs_kept_root_builds_one_root_and_sweeps_each_level_once(monkeypatch):
+    from wred import combinators
+    from wred.catalog import SQUASH_CONFIGS
+
+    roots, steps = [], [0]
+    build = combinators._symbolic_context
+
+    def counted(forward, c, markers, s, n, assignment):
+        roots.append(assignment)
+        return build(forward, c, markers, s, n, assignment)
+
+    monkeypatch.setattr(combinators, "_symbolic_context", counted)
+    cfg = _without_reads(SQUASH_CONFIGS["projection-toy"])
+    plain = cfg.witness.forward.step
+
+    def step(ctx, x):
+        steps[0] += 1
+        return plain(ctx, x)
+
+    cfg.witness.forward.step = step
+    squash_markers(cfg, 30)
+    # a fresh root per stage builds 30 roots and runs 9 455 forward steps;
+    # the kept root sweeps each level j once, to stage 29
+    assert roots == [{}] and steps[0] <= 900
 
 
 def test_dfs_shared_root_matches_a_fresh_display_per_level():
