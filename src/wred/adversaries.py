@@ -20,16 +20,12 @@ from .kernel import (
     DEFAULT_FUEL,
     ContractError,
     Diverge,
-    EvalContext,
     Functional,
     FunctionalTape,
     InputError,
-    Ledger,
     Prefix,
-    RuleTape,
     cantor_pair,
     pointwise,
-    _run_step,
 )
 from .problems import (
     Coloring,
@@ -135,19 +131,24 @@ class CutTree:
             self._masks.append((max(t, hi), hi, sum(1 << (hi - x) for x in xs),
                                 sum(a << (hi - x) for x, a in zip(xs, alpha))))
 
-    def index_member(self, idx: int) -> bool:
-        """Whether the string with index idx (`string_index`) is in the tree."""
-        v = idx + 1  # a leading 1, then the string's bits
+    def bit(self, pos: int) -> int:
+        """The tree as a partial oracle, read live: 1 when the string with
+        index pos (`string_index`) is in the tree, a gap beyond its height."""
+        v = pos + 1  # a leading 1, then the string's bits
         n = v.bit_length() - 1
         if n > self.height:
-            return False
+            raise Diverge("gap", pos)
         masks = self._masks
         if len(masks) < len(self.constraints):
             self._add_masks()
         for above, hi, mask, pat in masks:
             if n > above and (v >> (n - 1 - hi)) & mask == pat:
-                return False
-        return True
+                return 0
+        return 1
+
+    def index_member(self, idx: int) -> bool:
+        """Whether the string with index idx (`string_index`) is in the tree."""
+        return idx < (2 << self.height) - 1 and self.bit(idx) == 1
 
     def level_count(self, level: int) -> int:
         if len(self._masks) < len(self.constraints):
@@ -157,30 +158,25 @@ class CutTree:
                                 "level counts do not multiply")
         if level > self.height:
             return 0
-        total = Fraction(2**level)
+        # 2^level times the product of 1 - 2^-len(xs) over the cuts below it
+        kept, width = 1, 0
         for t, xs, _alpha in self.constraints:
             if t < level:
-                total *= 1 - Fraction(1, 2 ** len(xs))
-        if total.denominator != 1:
-            raise ContractError(f"cut tree level {level} counts {total}: its supports are too wide")
-        return int(total)
+                kept *= (1 << len(xs)) - 1
+                width += len(xs)
+        total, rem = divmod(kept << level, 1 << width)
+        if rem:
+            raise ContractError(f"cut tree level {level} counts "
+                                f"{Fraction(kept << level, 1 << width)}: its supports are too wide")
+        return total
 
     def measure(self) -> Fraction:
         return Fraction(self.level_count(self.height), 2**self.height)
 
-    def as_partial_point(self) -> RuleTape:
-        """The tree as a partial oracle: bit(string_index(sigma)) says whether
-        sigma is in the tree, defined on strings no longer than its height.
-
-        It reads the tree live, so it answers for the current stage.
-        """
-
-        def rule(pos: int) -> int:
-            if pos >= (2 << self.height) - 1:
-                raise Diverge("gap", pos)
-            return 1 if self.index_member(pos) else 0
-
-        return RuleTape(rule)
+    def as_partial_point(self) -> "CutTree":
+        """The tree as a partial oracle (`bit`): the tree itself, so it
+        answers for the current stage."""
+        return self
 
 
 def _converged(tape: FunctionalTape, x: int) -> Optional[int]:
@@ -211,10 +207,11 @@ class _ImageSweep:
     once every bit of it has converged, never changes: each is grown once
     from the one above on string indices (children 2i+1, 2i+2) and kept.
 
-    Each `advance` sweeps on one context, as a `FunctionalTape` does, and
-    a gap ends it.  Not a `FunctionalTape`: the tree oracle grows, so the
-    next stage retries the gap on a fresh context, while a tape's stall is
-    terminal, and so is that of any tape a composite parks in its context.
+    Each `advance` sweeps a fresh `FunctionalTape` that continues the kept
+    bits, so one context per advance, and a gap ends it.  Not one tape for
+    all stages: the tree oracle grows, so the next stage retries the gap on
+    a fresh context, while a tape's stall is terminal, and so is that of
+    any tape a composite parks in its context.
     """
 
     def __init__(self, phi: Functional, fuel: int):
@@ -224,14 +221,9 @@ class _ImageSweep:
         self.levels: list[list[int]] = [[0]]  # members of each image level, by index
 
     def advance(self, oracle, upto_index: int) -> None:
-        bits, phi = self.bits, self.phi
-        ctx = EvalContext([oracle], Ledger(self.fuel))
-        while len(bits) <= upto_index:
-            try:
-                v = _run_step(phi, ctx, len(bits))
-            except Diverge:
-                return
-            bits.append(v)
+        tape = FunctionalTape(self.phi, [oracle], self.fuel)
+        tape._bits = self.bits  # the sweep continues where the last advance ended
+        _converged(tape, upto_index)
 
     def height(self, cap: int) -> int:
         n = 0

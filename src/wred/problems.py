@@ -619,6 +619,14 @@ def _planted_coloring(rng, n: int, k: int, horizon: int, size: int, thin: bool) 
 _PLANT_HORIZON = 16
 
 
+def _searched_sample(members, budget) -> Prefix:
+    """A brute solution as the sample its search saw: the members' bits
+    below the budget's horizon, a gap beyond, so a scan for a later
+    member stops at the edge."""
+    s = frozenset(members)
+    return Prefix(1 if x in s else 0 for x in range(budget.horizon))
+
+
 def rt_spec(n: int, k: int) -> ProblemSpec:
     """Ramsey's theorem for n-tuples and k colors; total, finite tolerance."""
     if n < 1 or k < 1:
@@ -639,7 +647,7 @@ def rt_spec(n: int, k: int) -> ProblemSpec:
         from .oracle import find_homogeneous
 
         res = find_homogeneous(instance, budget)
-        return [Point.from_set(res.members)] if res.found else []
+        return [_searched_sample(res.members, budget)] if res.found else []
 
     return ProblemSpec(
         name=f"RT^{n}_{k}",
@@ -684,7 +692,7 @@ def ts_spec(n: int, k: Optional[int]) -> ProblemSpec:
         res = find_thin(instance, budget)
         if not res.found:
             return []
-        return [thin_solution_tape(Point.from_set(res.members), res.omitted)]
+        return [thin_solution_tape(_searched_sample(res.members, budget), res.omitted)]
 
     return ProblemSpec(
         name=f"TS^{n}_{kname}",
@@ -719,7 +727,7 @@ def rrt_spec(n: int, k: int) -> ProblemSpec:
         from .oracle import find_rainbow
 
         res = find_rainbow(instance, budget)
-        return [Point.from_set(res.members)] if res.found else []
+        return [_searched_sample(res.members, budget)] if res.found else []
 
     return ProblemSpec(
         name=f"RRT^{n}_{k}",

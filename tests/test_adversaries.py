@@ -614,6 +614,77 @@ def test_cut_tree_level_count_with_a_shared_position_is_contract_error():
     assert disjoint.level_count(2) == 1 and disjoint.measure() == Fraction(1, 4)
 
 
+def literal_level_count(tree, level):
+    """A level count as the product of Fractions 2^level * prod (1 - 2^-len(xs))
+    over the cuts below the level; ContractError on a shared position or a
+    product that is not an integer."""
+    support = [x for _t, xs, _alpha in tree.constraints for x in xs]
+    if len(set(support)) < len(support):
+        raise ContractError("shared position")
+    if level > tree.height:
+        return 0
+    total = Fraction(2**level)
+    for t, xs, _alpha in tree.constraints:
+        if t < level:
+            total *= 1 - Fraction(1, 2 ** len(xs))
+    if total.denominator != 1:
+        raise ContractError("not an integer")
+    return int(total)
+
+
+def outcome(count, *args):
+    try:
+        return count(*args)
+    except ContractError:
+        return "ContractError"
+
+
+def test_cut_tree_integer_counts_match_a_literal_fraction_product():
+    from wred.adversaries import CutTree
+
+    rng = random.Random(23)
+    seen = {"counted": 0, "too wide": 0, "shared": 0}
+    for trial in range(400):
+        tree = CutTree(height=rng.randrange(0, 10))
+        positions = rng.sample(range(14), 14)
+        for _ in range(rng.randrange(0, 5)):
+            width = rng.randrange(0, 5)
+            if rng.random() < 0.15:  # now and then a position some cut already uses
+                xs = [rng.randrange(14) for _ in range(width)]
+            else:
+                xs = [positions.pop() for _ in range(min(width, len(positions)))]
+            tree.constraints.append((rng.randrange(tree.height + 1), tuple(xs),
+                                     tuple(rng.randrange(2) for _ in xs)))
+        for level in range(tree.height + 2):
+            want = outcome(literal_level_count, tree, level)
+            assert outcome(tree.level_count, level) == want, (tree, level)
+        want = outcome(literal_level_count, tree, tree.height)
+        got = outcome(tree.measure)
+        if want == "ContractError":
+            assert got == want, tree
+            shared = outcome(literal_level_count, tree, tree.height + 1) == want
+            seen["shared" if shared else "too wide"] += 1
+        else:
+            assert got == Fraction(want, 2**tree.height) and type(got) is Fraction, tree
+            seen["counted"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_image_sweep_steps_the_forward_once_per_position():
+    # the 64-stage pinned run materializes the image through level 12,
+    # positions 0..8190, each stepped once however many stages ask for it
+    stepped = []
+
+    def step(ctx, x):
+        stepped.append(x)
+        return ctx.query(0, x)
+
+    tree, log = qwwkl_cutter(pointwise(1, step, "id"), const_zero_backward(),
+                             Fraction(1, 2), Fraction(3, 4), stages=64)
+    assert len(stepped) == 8191 and sorted(stepped) == list(range(8191))
+    assert tree.measure() == Fraction(343, 512) and len(log.action_stages()) == 3
+
+
 # sha256 of the log CSV followed by repr of the tables f_i(0..stages-1)
 DELTA2_TABLE_DIGESTS = {
     (3, "evens", 128): "071c21a8c821aad525a1d4089b15eb59c0413f1df7581c2dd9faaf98d2b4d1d7",

@@ -93,6 +93,7 @@ from wred.problems import (
     level_measures,
     level_members,
     measure_at_level,
+    set_members_at,
     string_index,
     thin_solution_from_tape,
     thin_solution_tape,
@@ -154,6 +155,40 @@ def test_arity_lift_transfers_brute_solutions():
     assert h.found
     pulled = w.pull_back(coloring_to_point(f), Point.from_set(h.members))
     assert verify_homogeneous_at(f, [x for x in range(8) if _safe_bit(pulled, x)], 8, 4).ok
+
+
+def test_arity_lift_pulls_a_brute_solution_back_to_a_gap_at_its_last_member():
+    # the solver's tape is the sample its search saw, so the backward's scan
+    # for a member after the last one stops at the horizon, not at the fuel
+    from wred.kernel import Diverge
+
+    w = rt_arity_lift(1, 2, 2)
+    budget = SearchBudget(horizon=16, size=4 + w.solve_slack)
+    rng = random.Random(7)
+    solved = 0
+    for _ in range(12):
+        a_tape = w.source.sample_instance(rng)
+        inst = w.target.decode(w.forward_image(a_tape, 4096))
+        sols = w.target.brute_solution_tapes(inst, budget)
+        if not sols:
+            continue
+        solved += 1
+        members = set_members_at(sols[0], budget.horizon + 4)
+        last = members[-1]
+        pulled = w.pull_back(a_tape, sols[0], 4096)
+        assert set_members_at(pulled, budget.horizon) == members[:-1]
+        with pytest.raises(Diverge) as stall:
+            pulled.bit(last)
+        assert (stall.value.reason, stall.value.position) == ("gap", last)
+        # the entry charge, the member's own read, then one read per later
+        # position, the last of them at the horizon
+        assert pulled.ctx.ledger.steps == 2 + budget.horizon - last
+        # a total tape of the same set runs the scan into the fuel limit
+        total = w.pull_back(a_tape, Point.from_set(members), 4096)
+        with pytest.raises(Diverge) as stall:
+            total.bit(last)
+        assert stall.value.reason == "fuel"
+    assert solved >= 6
 
 
 def _safe_bit(tape, x):

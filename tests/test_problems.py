@@ -21,6 +21,7 @@ from wred.problems import (
     leftmost_path_point,
     lookup,
     measure_at_level,
+    rrt_spec,
     rt_spec,
     set_members_at,
     string_index,
@@ -588,6 +589,41 @@ def test_rt_spec_sample_verify_cycle():
         sols = spec.brute_solution_tapes(inst, SearchBudget(horizon=16, size=4))
         assert sols, "sampler must admit desk-scale solutions"
         assert spec.verify_at(inst, sols[0], 16, 4).ok
+
+
+@pytest.mark.parametrize("make_spec, search", [
+    (lambda: rt_spec(2, 2), "find_homogeneous"),
+    (lambda: ts_spec(2, 3), "find_thin"),
+    (lambda: rrt_spec(2, 2), "find_rainbow"),
+], ids=["rt", "ts", "rrt"])
+def test_brute_solution_tape_reads_the_members_a_total_set_tape_reads(make_spec, search):
+    # a solver's tape is the sample its search saw, a gap beyond it; the
+    # members a verifier reads are those of the total set tape it replaces
+    from wred import oracle
+
+    spec, find = make_spec(), getattr(oracle, search)
+    rng = random.Random(search)
+    solved = 0
+    for _ in range(200):
+        budget = oracle.SearchBudget(horizon=rng.randrange(4, 17), size=rng.randrange(1, 5))
+        inst = spec.decode(spec.sample_instance(rng))
+        res = find(inst, budget)
+        sols = spec.brute_solution_tapes(inst, budget)
+        assert len(sols) == res.found
+        if not res.found:
+            continue
+        solved += 1
+        total = Point.from_set(res.members)
+        for horizon in (budget.horizon - 1, budget.horizon, budget.horizon + 3):
+            if search == "find_thin":
+                want = thin_solution_from_tape(thin_solution_tape(total, res.omitted), 3, horizon)
+                assert thin_solution_from_tape(sols[0], 3, horizon) == want
+            else:
+                assert set_members_at(sols[0], horizon) == set_members_at(total, horizon)
+        with pytest.raises(Diverge):  # the search saw nothing beyond its horizon
+            (sols[0].bit(2 * budget.horizon) if search == "find_thin"
+             else sols[0].bit(budget.horizon))
+    assert solved >= 100
 
 
 def test_ts_spec_round():

@@ -15,23 +15,53 @@ def _load(name):
 
 def test_entry_times_prints_cpu_and_queries(capsys):
     entry_times = _load("entry_times")
-    from wred.kernel import EvalContext
+    from wred.kernel import EvalContext, FunctionalTape
     from wred.problems import Coloring
 
-    plain = (EvalContext.query, Coloring.value)
+    plain = (EvalContext.query, Coloring.value, FunctionalTape.bit)
     start = time.process_time()
-    assert entry_times.main(["--seed", "0", "--entry", "rt_product"]) == 0
+    assert entry_times.main(["--seed", "0", "--entry", "rt_product",
+                             "--entry", "rt_arity_lift"]) == 0
     assert time.process_time() - start < 1.0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["entry", "cpu_s", "queries", "coloring_value", "rule_runs"]
-    name, cpu, queries, values, runs = lines[1].split()
-    assert name == "rt_product" and float(cpu) >= 0 and int(queries) > 0 and int(values) > 0
-    # the oracle searches ask for colors they already read: those come from the memo
-    assert 0 < int(runs) < int(values)
-    assert lines[2].split()[0] == "total" and lines[2].split()[2:] == [queries, values, runs]
-    assert len(lines) == 3
+    assert lines[0].split() == ["entry", "cpu_s", "queries", "coloring_value", "rule_runs",
+                                "fuel_stalls"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert len(lines) == 4 and lines[3].split()[0] == "total"
+    assert sorted(rows) == ["rt_arity_lift", "rt_product", "total"]
+    for name in ("rt_product", "rt_arity_lift"):
+        cpu, queries, values, runs, stalls = rows[name]
+        assert float(cpu) >= 0 and int(queries) > 0 and int(values) > 0
+        # the oracle searches ask for colors they already read: those come from the memo
+        assert 0 < int(runs) < int(values)
+        # a brute solution ends where its search ended, so the backward's
+        # scan for a later member stops at a gap, never at the fuel limit
+        assert stalls == "0", name
+    assert rows["total"][1:] == [str(sum(int(rows[n][i]) for n in ("rt_product", "rt_arity_lift")))
+                                 for i in range(1, 5)]
     # the counting run restores what it wraps
-    assert (EvalContext.query, Coloring.value) == plain
+    assert (EvalContext.query, Coloring.value, FunctionalTape.bit) == plain
+
+
+def test_entry_times_counts_a_fuel_stall_once():
+    entry_times = _load("entry_times")
+    from wred import catalog
+    from wred.kernel import Diverge, FunctionalTape, pointwise
+
+    def spin(ctx, x):
+        while True:
+            ctx.tick()
+
+    def suites(entry, config):
+        tape = FunctionalTape(pointwise(0, spin, "spin"), [], 50)
+        for pos in (0, 0, 3):  # the stall is terminal: later reads re-raise it
+            try:
+                tape.bit(pos)
+            except Diverge:
+                pass
+
+    entry_times.run_suite = suites
+    assert entry_times.call_counts(sorted(catalog.ENTRIES)[0], 0)[3] == entry_times.SEEDS_PER_RUN
 
 
 def test_bench_record_writes_the_schema(tmp_path):

@@ -7,12 +7,13 @@ some) under the eight seeds 8*seed .. 8*seed+7 at 1 sample, horizon 16,
 size 4 and fuel 4096, the configurations of the benchmark's verify-all
 workload, and prints one line per entry, costliest first: the process
 CPU seconds of its suites, how many times `EvalContext.query` and
-`Coloring.value` ran in them, and `rule_runs`, the value calls whose
+`Coloring.value` ran in them, `rule_runs`, the value calls whose
 tuple that coloring had not yet memoized (the rest are answered from its
-memo).  The time comes from a plain run and the counts from a second
-run with both methods wrapped, so the counting does not inflate the
-time.  Run from the root of a checkout; the package is imported from its
-src/.
+memo), and `fuel_stalls`, the `FunctionalTape` sweeps that ended because
+a position ran out of fuel.  The time comes from a plain run and the
+counts from a second run with the three methods wrapped, so the counting
+does not inflate the time.  Run from the root of a checkout; the package
+is imported from its src/.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ def cpu_seconds(entry: str, seed: int) -> float:
     return time.process_time() - start
 
 
-def call_counts(entry: str, seed: int) -> tuple[int, int, int]:
-    """Query calls, value calls and rule runs in the entry's suites."""
-    counts = [0, 0, 0]
+def call_counts(entry: str, seed: int) -> tuple[int, int, int, int]:
+    """Query calls, value calls, rule runs and fuel stalls in the entry's suites."""
+    counts = [0, 0, 0, 0]
     plain_query, plain_value = kernel.EvalContext.query, problems.Coloring.value
+    plain_bit = kernel.FunctionalTape.bit
 
     def query(self, *args):
         counts[0] += 1
@@ -58,12 +60,21 @@ def call_counts(entry: str, seed: int) -> tuple[int, int, int]:
         counts[2] += xs not in self.memo
         return plain_value(self, xs)
 
+    def bit(self, pos):
+        live = self._stalled is None  # a stall is terminal: count the read that ends the sweep
+        try:
+            return plain_bit(self, pos)
+        finally:
+            counts[3] += live and self._stalled == "fuel"
+
     kernel.EvalContext.query, problems.Coloring.value = query, value
+    kernel.FunctionalTape.bit = bit
     try:
         for config in configs(seed):
             run_suite(entry, config)
     finally:
         kernel.EvalContext.query, problems.Coloring.value = plain_query, plain_value
+        kernel.FunctionalTape.bit = plain_bit
     return tuple(counts)
 
 
@@ -77,9 +88,10 @@ def main(argv=None) -> int:
             for e in args.entry or sorted(ENTRIES)]
     rows.sort(key=lambda r: (-r[0], r[2]))
     rows.append((sum(r[0] for r in rows), [sum(c) for c in zip(*(r[1] for r in rows))], "total"))
-    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s} {'coloring_value':>14s} {'rule_runs':>10s}")
-    for cpu, (queries, values, runs), entry in rows:
-        print(f"{entry:24s} {cpu:8.3f} {queries:10d} {values:14d} {runs:10d}")
+    print(f"{'entry':24s} {'cpu_s':>8s} {'queries':>10s} {'coloring_value':>14s} {'rule_runs':>10s}"
+          f" {'fuel_stalls':>11s}")
+    for cpu, (queries, values, runs, stalls), entry in rows:
+        print(f"{entry:24s} {cpu:8.3f} {queries:10d} {values:14d} {runs:10d} {stalls:11d}")
     return 0
 
 
