@@ -29,7 +29,7 @@ import random
 import sys
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (
@@ -592,6 +592,7 @@ class SquashConfig:
     width_budget: int = 4096
     candidate_budget: int = 64
     label: str = "squash"
+    _profile: Optional["_ReadProfile"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.q_spec.is_total and self.p_spec.is_total):
@@ -606,6 +607,14 @@ class SquashConfig:
     @property
     def kind(self) -> str:
         return self.witness.kind
+
+    def read_profile(self) -> Optional["_ReadProfile"]:
+        """The forward's read-map profile (None without a map), which the
+        marker search and the forward table share."""
+        reads = self.witness.forward.reads
+        if self._profile is None or self._profile.reads is not reads:
+            self._profile = _ReadProfile(reads) if reads is not None else None
+        return self._profile
 
 
 class _NeedBit(Exception):
@@ -655,17 +664,19 @@ class _Display:
     The context owns the display, and the display refers to it weakly,
     so dropping the context frees both at once.
 
-    No read recurses through more than a bounded number of levels: a read
-    from outside the display starts a loop over an explicit stack, a
-    level that needs an unmaterialized bit too many levels below the one
-    being forced raises _Unready, and the loop materializes that bit
-    first and retries.
+    Given the forward's read map (`profile`), the table fills what a read
+    needs deepest level first (`fill`).  Otherwise no read recurses
+    through more than a bounded number of levels: a read from outside the
+    display starts a loop over an explicit stack, a level that needs an
+    unmaterialized bit too many levels below the one being forced raises
+    _Unready, and the loop materializes that bit first and retries.
     """
 
-    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0):
+    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0,
+                 profile: Optional[_ReadProfile] = None):
         self.ctx, self.forward, self.c, self.markers = weakref.proxy(ctx), forward, c, markers
         self.sigma_tapes = sigma_tapes  # level -> tape
-        self.stage = stage
+        self.stage, self.profile = stage, profile
         self.pull_limit: Optional[int] = None  # inside the loop: the first level not pulled
         ctx.scratch["display"] = self
 
@@ -684,6 +695,25 @@ class _Display:
             if j >= self.pull_limit:
                 raise _Unready(j, q)
         return t.bit(q)
+
+    def fill(self, j: int, q: int) -> None:
+        """Materialize T_j through q, deepest level first: T_j through q
+        reads V_{j+1} through top[1][q], so T_{j+1} is needed that far if
+        that reaches m_{j+1}.  The walk stops at the stage bound, a marker
+        or a level materialized that far, and fills the levels it passed in
+        reverse, so each one's reads below are ready and pull nothing."""
+        profile, markers, scratch = self.profile, self.markers, self.ctx.scratch
+        top1, chain = profile.top[1], []
+        while j <= self.stage and q >= markers[j]:
+            t = scratch.get(j) or self.level(j)
+            if t.ready(q):
+                break
+            chain.append((t, q))
+            if q >= len(top1):
+                profile.extend(q)
+            j, q = j + 1, top1[q]
+        for t, q in reversed(chain):
+            t.bit(q)
 
     def _force(self, j: int, q: int) -> int:
         # a pulled level costs 7 interpreter frames for a plain step: pulls
@@ -825,15 +855,19 @@ def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budg
     profile = profile or _ReadProfile(forward.reads)
     top0, top1 = profile.top
     demand = [s]
-    nodes = s + 1
+    d, nodes = s, s + 1
     for j in range(1, s + 1):
-        profile.extend(demand[-1])
-        q = top1[demand[-1]]
-        demand.append(max(s, q) if q >= markers[j] else s)
-        nodes += max(0, demand[-1] - markers[j] + 1)
+        if d >= len(top1):
+            profile.extend(d)
+        q, m = top1[d], markers[j]
+        d = q if q >= m and q > s else s
+        if d >= m:
+            nodes += d - m + 1
         if nodes > node_budget:
             raise ResourceError(f"marker closure exceeded {node_budget} nodes", stage=s, candidate=n)
-    profile.extend(demand[-1])
+        demand.append(d)
+    if d >= len(top1):
+        profile.extend(d)
     lim = n
     for j in range(s, -1, -1):
         end = demand[j] + 1
@@ -861,7 +895,7 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     stalled, drops the root, and the next candidate builds a fresh one.
     """
     forward = cfg.witness.forward
-    profile = _ReadProfile(forward.reads) if forward.reads is not None else None
+    profile = cfg.read_profile()
     markers = [0]
     root = None  # the DFS engine's root context, kept from an accepted candidate
     for s in range(stages):
@@ -913,10 +947,15 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
         if x + 1 >= len(markers):
             raise Diverge("gap", p)
         display = ctx.scratch.get("display") or _Display(
-            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j))
+            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j),
+            profile=cfg.read_profile())
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
-        return cfg.c.bit(x) if x < markers[i] else display.tail_bit(i, x)
+        if x < markers[i]:
+            return cfg.c.bit(x)
+        if display.profile is not None:
+            display.fill(i, x)  # seeded per read: its pulls are charged to this position
+        return display.tail_bit(i, x)
 
     return pointwise(1, step, f"{cfg.label}-B{rows.start}..{rows.stop - 1}")
 

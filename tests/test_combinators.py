@@ -29,6 +29,7 @@ from wred.combinators import (
     witness_parallel,
 )
 from wred.kernel import (
+    DEFAULT_FUEL,
     Diverge,
     Functional,
     InputError,
@@ -427,12 +428,7 @@ def test_dfs_and_closure_marker_engines_agree():
     # forwards that do read what they declare; their markers lie above the
     # first candidate, so a stage's search tries several
     for name in ("ahead-1", "constant"):
-        reads = SYNTHETIC_READS[name]
-
-        def step(ctx, x, reads=reads):
-            return sum(ctx.query(0, q) for _, q in reads(x)) % 2
-
-        assert agree(lambda: synthetic_squash_config(reads, step), 8), name
+        assert agree(_reading(SYNTHETIC_READS[name]), 8), name
 
 
 def test_squash_forward_identity_checked_exactly():
@@ -548,6 +544,15 @@ def synthetic_squash_config(reads, step=lambda ctx, x: 0):
     return SquashConfig(q_spec=t, p_spec=t, witness=w, label="synthetic")
 
 
+def _reading(reads):
+    """A synthetic config whose forward reads every cell its map declares."""
+
+    def step(ctx, x):
+        return sum(ctx.query(0, q) for _, q in reads(x)) % 2
+
+    return lambda: synthetic_squash_config(reads, step)
+
+
 # pair-tape read maps: odd positions are the B_{i+1} half, even ones the A_i half
 SYNTHETIC_READS = {
     "ahead-1": lambda x: [(0, 2 * (x + 1) + 1)],
@@ -640,6 +645,172 @@ def test_closure_engine_matches_recursive_reference():
     with pytest.raises(ResourceError) as exc:
         _closure_check_stage(configs[0].witness.forward, [0, 2, 4], 2, 6, node_budget=5)
     assert exc.value.context == {"stage": 2, "candidate": 6}
+
+
+def _closure_loop_reference(forward, markers, s, n, node_budget=1 << 20, profile=None):
+    """`_closure_check_stage` as it was before its loops were made lean: the
+    profile extended every level, `max` for the demand and the node count."""
+    from bisect import bisect_left
+
+    from wred.combinators import _ReadProfile
+    from wred.kernel import ResourceError
+
+    profile = profile or _ReadProfile(forward.reads)
+    top0, top1 = profile.top
+    demand = [s]
+    nodes = s + 1
+    for j in range(1, s + 1):
+        profile.extend(demand[-1])
+        q = top1[demand[-1]]
+        demand.append(max(s, q) if q >= markers[j] else s)
+        nodes += max(0, demand[-1] - markers[j] + 1)
+        if nodes > node_budget:
+            raise ResourceError(f"marker closure exceeded {node_budget} nodes", stage=s, candidate=n)
+    profile.extend(demand[-1])
+    lim = n
+    for j in range(s, -1, -1):
+        end = demand[j] + 1
+        first_bad = min(bisect_left(top0, n, 0, end), bisect_left(top1, lim, 0, end))
+        if first_bad <= s:
+            return False
+        lim = max(markers[j], first_bad)
+    return True
+
+
+def _verdict_or_error(check, *args, **kwargs):
+    from wred.kernel import ResourceError
+
+    try:
+        return check(*args, **kwargs)
+    except ResourceError as e:
+        return str(e), e.context
+
+
+def test_lean_closure_check_matches_the_loop_it_replaced():
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.combinators import _closure_check_stage, _ReadProfile
+
+    configs = [synthetic_squash_config(r) for r in SYNTHETIC_READS.values()]
+    configs += [SQUASH_CONFIGS[name]() for name in sorted(SQUASH_CONFIGS)]
+    budgets_failed = 0
+    for cfg in configs:
+        forward = cfg.witness.forward
+        shared = _ReadProfile(forward.reads)  # one per search, as squash_markers keeps it
+        markers = [0]
+        for s in range(12):
+            start = max(markers[-1], s) + 1
+            for n in range(start, start + 4):
+                want = _closure_loop_reference(forward, markers, s, n)
+                assert _closure_check_stage(forward, markers, s, n) == want
+                assert _closure_check_stage(forward, markers, s, n, profile=shared) == want
+                for budget in range(1, 65):
+                    want = _verdict_or_error(_closure_loop_reference, forward, markers, s, n, budget)
+                    budgets_failed += isinstance(want, tuple)
+                    assert _verdict_or_error(_closure_check_stage, forward, markers, s, n,
+                                             budget) == want, (cfg.label, s, n, budget)
+            found = next((n for n in range(start, start + cfg.candidate_budget)
+                          if _closure_loop_reference(forward, markers, s, n)), None)
+            if found is None:
+                break
+            markers.append(found)
+    assert budgets_failed > 1000  # the budgets end many checks, at many stages
+
+
+def _table_charges(cfg, markers, stages, fuel=DEFAULT_FUEL, width=5):
+    """The squash table of rows 0..width-1 through `stages`, read position
+    by position: each position's bit and the steps charged to it, and the
+    stall (row, stage, reason) that ended it, if one did."""
+    from wred.combinators import _squash_table
+    from wred.kernel import FunctionalTape
+
+    rows = FunctionalTape(_squash_table(cfg, markers, range(width)), [Point.from_seed(3)], fuel)
+    out, spent = [], 0
+    for p in range(stages * width):
+        try:
+            out.append((rows.bit(p), rows.steps - spent))
+        except Diverge as d:
+            stage, row = divmod(d.position, width)
+            return out, (row, stage, d.reason)
+        spent = rows.steps
+    return out, None
+
+
+def test_read_map_table_fills_what_the_lazy_pull_computes(monkeypatch):
+    # the same table with its read map (levels filled deepest first) and
+    # with `reads` stripped (the lazy pull): the same bits, the same steps
+    # charged to each position, and the same first stall, on the real
+    # markers (also at a fuel that ends the table partway) and on m_j = j,
+    # too low for the forwards that read ahead
+    import sys
+
+    from wred import combinators
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.kernel import ResourceError
+
+    pulls, force = [], combinators._Display._force
+
+    def counted(display, j, q):
+        pulls.append((j, q))
+        return force(display, j, q)
+
+    class Unready(combinators._Unready):
+        def __init__(self, level, pos):
+            super().__init__(level, pos)
+            pulls.append("retry")
+
+    monkeypatch.setattr(combinators._Display, "_force", counted)
+    monkeypatch.setattr(combinators, "_Unready", Unready)
+    makes = {name: SQUASH_CONFIGS[name] for name in SQUASH_CONFIGS}
+    makes.update({name: _reading(reads) for name, reads in SYNTHETIC_READS.items()})
+    stages, ends, lazy_pulls = 44, [], 0  # horizon 40, as squash_forward extends it
+    # the lazy pull retries a level more than getrecursionlimit() // 32
+    # levels below the one it forces, and a retry charges the unwound steps
+    # again; at this limit it pulls each of this table's chains at once
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(64 * stages)
+    try:
+        for name, make in sorted(makes.items()):
+            try:
+                markers = squash_markers(make(), stages + 1).markers
+            except ResourceError:  # "doubling" has no markers; these end its chains
+                markers = [0] + [4 ** j for j in range(1, stages + 2)]
+            charges = sorted({steps for _, steps in _table_charges(make(), markers, stages)[0]})
+            # a fuel below the largest charge ends the table partway
+            for ms, fuel in ((markers, DEFAULT_FUEL), (list(range(stages + 2)), DEFAULT_FUEL),
+                             (markers, charges[len(charges) // 2])):
+                pulls.clear()
+                filled = _table_charges(make(), ms, stages, fuel)
+                assert not pulls, name  # every level a read needs is filled first
+                assert _table_charges(_without_reads(make), ms, stages, fuel) == filled, name
+                ends.append(filled[1] and filled[1][2])
+                lazy_pulls += bool(pulls)
+            assert ends[-3] is None and ends[-1] == "fuel" and filled[1][1] > 0, name
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ends.count("fuel") == 8 and ends.count("gap") == 4 and lazy_pulls == len(ends), ends
+
+
+def test_marker_search_and_table_read_the_map_once(monkeypatch):
+    # the config keeps one profile per read map, so the table reads none
+    # of the positions the marker search has read, and a new map (or none)
+    # gets a profile of its own (or none)
+    from wred.catalog import SQUASH_CONFIGS
+
+    for name in sorted(SQUASH_CONFIGS):
+        cfg = SQUASH_CONFIGS[name]()
+        forward, read = cfg.witness.forward, []
+        plain = forward.reads
+        monkeypatch.setattr(forward, "reads", lambda x: read.append(x) or plain(x))
+        markers = squash_markers(cfg, 50)
+        assert read == list(range(50)), name
+        squash_forward(cfg, markers, Point.from_seed(3), 44, count=4)
+        assert read == list(range(50)), name
+        profile = cfg.read_profile()
+        assert cfg.read_profile() is profile and profile.reads is forward.reads
+        forward.reads = plain
+        assert cfg.read_profile() is not profile and cfg.read_profile().reads is plain
+        forward.reads = None
+        assert cfg.read_profile() is None
 
 
 def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
@@ -1015,18 +1186,12 @@ def test_dfs_kept_root_matches_a_fresh_root_per_candidate(monkeypatch):
     from wred import combinators
     from wred.catalog import SQUASH_CONFIGS
 
-    def reading(reads):
-        def step(ctx, x):
-            return sum(ctx.query(0, q) for _, q in reads(x)) % 2
-
-        return lambda: synthetic_squash_config(reads, step)
-
     cases = [(SQUASH_CONFIGS[name], 30, False) for name in ("projection-toy", "trivial-q-rt12")]
     # their stages reject candidates, so the search also builds fresh roots
-    cases += [(reading(SYNTHETIC_READS[name]), 8, True) for name in ("ahead-1", "constant")]
+    cases += [(_reading(SYNTHETIC_READS[name]), 8, True) for name in ("ahead-1", "constant")]
     # a level built at an early stage first reads its string at position 3,
     # beyond that stage's candidate, which a later stage's prefix covers
-    cases.append((reading(lambda x: [(0, 2 * x)] if x >= 3 else []), 8, False))
+    cases.append((_reading(lambda x: [(0, 2 * x)] if x >= 3 else []), 8, False))
 
     def catching(ctx, x):
         # catches the divergence of its read at odd x, so an accepted

@@ -72,10 +72,11 @@ def test_bench_record_writes_the_schema(tmp_path):
                               "--workload", "verify-all", "--out", str(tmp_path)]) == 0
     (path,) = tmp_path.iterdir()
     doc = json.loads(path.read_text())
-    assert doc["schema"] == "wred-bench-record/1"
+    assert doc["schema"] == "wred-bench-record/2"
     assert path.name == f"BENCH_{doc['commit'][:7]}.json"
     assert set(doc["env"]) == {"python", "nproc", "platform"}
-    assert doc["settings"] == {"seeds": [3], "seconds": 0.1, "size": "tiny", "trace_seed": 3}
+    assert doc["settings"] == {"seeds": [3], "seconds": 0.1, "size": "tiny", "trace_seed": 3,
+                               "traced_runs": 3}
     assert list(doc["workloads"]) == ["verify-all"]
     spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
     end_to_end = {m["name"] for m in spec["end_to_end"]}
@@ -86,8 +87,12 @@ def test_bench_record_writes_the_schema(tmp_path):
         assert rec["pass_s"] == {"median": run["metrics"]["pass_s"],
                                  "q1": run["metrics"]["pass_s"], "q3": run["metrics"]["pass_s"]}
         traced = rec["traced"]
-        assert traced["correct"] and traced["digest"] == run["digest"]
-        assert set(traced["metrics"]) == per_layer
+        assert traced["correct"] and traced["digest"] == run["digest"] and traced["runs"] == 3
+        # each per-layer metric is the median of the three traced runs, within their range
+        assert set(traced["metrics"]) == set(traced["range"]) == per_layer
+        for name, (low, high) in traced["range"].items():
+            assert low <= traced["metrics"][name] <= high, name
+        assert traced["range"]["kernel.query.calls"][0] == traced["range"]["kernel.query.calls"][1]
         assert {"kernel.query.calls", "kernel.prefix.allocs", "oracle.search.nodes"} <= set(
             traced["counters"])
 
