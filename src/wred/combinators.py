@@ -697,11 +697,11 @@ class _Display:
         return t.bit(q)
 
     def fill(self, j: int, q: int) -> None:
-        """Materialize T_j through q, deepest level first: T_j through q
-        reads V_{j+1} through top[1][q], so T_{j+1} is needed that far if
-        that reaches m_{j+1}.  The walk stops at the stage bound, a marker
-        or a level materialized that far, and fills the levels it passed in
-        reverse, so each one's reads below are ready and pull nothing."""
+        """Materialize T_j through q, deepest level first.  T_j through q
+        reads V_{j+1} through top[1][q], which needs T_{j+1} that far if
+        it reaches m_{j+1}; the walk stops at the stage bound, a marker or
+        a level materialized that far.  Filled in reverse, each level's
+        reads below are ready (a read the map misses is pulled lazily)."""
         profile, markers, scratch = self.profile, self.markers, self.ctx.scratch
         top1, chain = profile.top[1], []
         while j <= self.stage and q >= markers[j]:
