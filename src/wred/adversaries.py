@@ -173,11 +173,6 @@ class CutTree:
     def measure(self) -> Fraction:
         return Fraction(self.level_count(self.height), 2**self.height)
 
-    def as_partial_point(self) -> "CutTree":
-        """The tree as a partial oracle (`bit`): the tree itself, so it
-        answers for the current stage."""
-        return self
-
 
 def _converged(tape: FunctionalTape, x: int) -> Optional[int]:
     """The tape's bit at x, or None when its sweep stalls at or below x."""
@@ -259,7 +254,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
 
     for s in range(stages):
         cap = min(s, 12)
-        sweep.advance(tree.as_partial_point(), 2 ** (cap + 1) - 2)
+        sweep.advance(tree, 2 ** (cap + 1) - 2)
         n_s = sweep.height(cap)
         image = sweep.members(n_s)
         image_mu = Fraction(len(image), 2**n_s)
@@ -280,7 +275,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             # an arity-2 backward also reads the construction's current
             # approximation; queries into the unfixed region diverge and
             # the stage is simply retried once more of the tree is fixed
-            tapes_extra = [] if psi.arity == 1 else [tree.as_partial_point()]
+            tapes_extra = [] if psi.arity == 1 else [tree]
             for tau in image:
                 backward = FunctionalTape(psi, [index_string(tau)] + tapes_extra, fuel)
                 vals = tuple(_converged(backward, x) for x in xs)

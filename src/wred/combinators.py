@@ -41,18 +41,19 @@ from .kernel import (
     FunctionalTape,
     InputError,
     Ledger,
-    MapTape,
     Point,
     Prefix,
     ResourceError,
     RuleTape,
     _run_step,
     cantor_unpair,
+    compose_functionals,
     even_part,
     family_column,
     family_tape,
     identity_functional,
     interleave_tapes,
+    map_tape,
     oblivious,
     odd_part,
     pointwise,
@@ -356,11 +357,7 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
         raise InputError(f"cannot compose {w1.label} with {w2.label}: middle problems differ")
     kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
-    def fstep(ctx, x):
-        return ctx.run(w2.forward, [ctx.apply(w1.forward, [ctx.tape(0)], "mid")], x)
-
-    forward = pointwise(1, fstep, f"{w2.forward.label}.{w1.forward.label}")
-
+    forward = compose_functionals(w2.forward, w1.forward)
     arity = max(w1.backward.arity, w2.backward.arity)
 
     def bstep(ctx, x):
@@ -622,24 +619,21 @@ class _NeedBit(Exception):
         self.key = key
 
 
-class _SymbolicPrefix:
+def _symbolic_prefix(level: int, markers: list, assignment: dict) -> RuleTape:
     """Length-n oracle whose unassigned bits interrupt the evaluation.
 
     n is the last entry of `markers`, the display's live marker list, so a
     display moved to a later candidate lengthens every level's prefix."""
 
-    def __init__(self, level: int, markers: list, assignment: dict):
-        self.level = level
-        self.markers = markers
-        self.assignment = assignment
-
-    def bit(self, pos: int) -> int:
-        if pos >= self.markers[-1]:
+    def bit(pos: int) -> int:
+        if pos >= markers[-1]:
             raise Diverge("gap", pos)
-        key = (self.level, pos)
-        if key in self.assignment:
-            return self.assignment[key]
+        key = (level, pos)
+        if key in assignment:
+            return assignment[key]
         raise _NeedBit(key)
+
+    return RuleTape(bit)
 
 
 class _Unready(Exception):
@@ -652,15 +646,17 @@ class _Display:
 
     Each level T_j runs the witness's arity-1 forward Phi on the pair tape
     <sigma_j, V_{j+1}> (sigma_j on the even bits, V_{j+1} on the odd
-    ones).  At stage x the display ends at V_{x+1} = C|m_{x+1}, so V_i(x)
-    read at stage x is B_i(x) of the stagewise definition.  A bit converged
-    at one stage is the same at every later one (the later chain only
-    extends the earlier one's oracles), so one display serves every stage
-    read in increasing order, each level T_j sweeping once: raise `stage`
-    (and for the DFS marker root, append the next candidate to `markers`).
-    This assumes no step catches Diverge.  It lives in one context's
-    scratch and parks T_j there (key j), so each level pull
-    is charged to the position of the context's sweep that forced it.
+    ones).  V_{j+1} is a `RuleTape` over `tail_bit`, which answers C below
+    m_{j+1} and reads T_{j+1} from there on.  At stage x the display ends
+    at V_{x+1} = C|m_{x+1}, so V_i(x) read at stage x is B_i(x) of the
+    stagewise definition.  A bit converged at one stage is the same at
+    every later one (the later chain only extends the earlier one's
+    oracles), so one display serves every stage read in increasing order,
+    each level T_j sweeping once: raise `stage` (and for the DFS marker
+    root, append the next candidate to `markers`).  This assumes no step
+    catches Diverge.  It lives in one context's scratch and parks T_j
+    there (key j), so each level pull is charged to the position of the
+    context's sweep that forced it.
     The context owns the display, and the display refers to it weakly,
     so dropping the context frees both at once.
 
@@ -681,11 +677,14 @@ class _Display:
         ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
-        return self.ctx.scratch.get(j) or self.ctx.apply(
-            self.forward, [interleave_tapes(self.sigma_tapes(j), _Link(self, j + 1))], j)
+        return self.ctx.scratch.get(j) or self.ctx.apply(self.forward, [interleave_tapes(
+            self.sigma_tapes(j), RuleTape(functools.partial(self.tail_bit, j + 1)))], j)
 
     def tail_bit(self, j: int, q: int) -> int:
-        """T_j(q) at the current stage; a divergence of the chain raises Diverge."""
+        """V_j(q) at the current stage: C(q) below m_j, T_j(q) from there on;
+        a divergence of the chain raises Diverge."""
+        if q < self.markers[j]:
+            return self.c.bit(q)
         if j > self.stage:
             raise Diverge("gap", q)
         t = self.ctx.scratch.get(j) or self.level(j)
@@ -716,8 +715,10 @@ class _Display:
             t.bit(q)
 
     def _force(self, j: int, q: int) -> int:
-        # a pulled level costs 7 interpreter frames for a plain step: pulls
-        # use under a quarter of the recursion limit, the explicit stack the rest
+        # a pulled level costs 5 interpreter frames for a plain step (the
+        # level's FunctionalTape.bit, the step, query, the pair tape's rule and
+        # tail_bit): pulls use under a sixth of the recursion limit, the
+        # explicit stack the rest
         depth = max(1, sys.getrecursionlimit() // 32)
         pending = [(j, q)]
         try:
@@ -734,18 +735,6 @@ class _Display:
         return bit  # the last one materialized is (j, q)
 
 
-class _Link:
-    """V_j of a display as an oracle tape."""
-
-    def __init__(self, display: _Display, j: int):
-        self.display, self.j, self.head = display, j, display.markers[j]
-
-    def bit(self, pos: int) -> int:
-        if pos < self.head:
-            return self.display.c.bit(pos)
-        return self.display.tail_bit(self.j, pos)
-
-
 def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
                       assignment: dict) -> EvalContext:
     """A new context holding the compactness display at stage s for
@@ -755,7 +744,7 @@ def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
     (`squash_markers` does this to its root)."""
     ctx = EvalContext([], Ledger(DEFAULT_FUEL))
     live = [*markers[:s + 1], n]
-    _Display(ctx, forward, c, live, lambda j: _SymbolicPrefix(j, live, assignment), stage=s)
+    _Display(ctx, forward, c, live, lambda j: _symbolic_prefix(j, live, assignment), stage=s)
     return ctx
 
 
@@ -951,8 +940,6 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
             profile=cfg.read_profile())
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
-        if x < markers[i]:
-            return cfg.c.bit(x)
         if display.profile is not None:
             display.fill(i, x)  # seeded per read: its pulls are charged to this position
         return display.tail_bit(i, x)
@@ -1033,7 +1020,7 @@ def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
                              "rows") if family else None
             for j in range(columns):
                 inst = None if not family else interleave_tapes(
-                    family_column(family[0], j), MapTape(rows, lambda x, j=j: x * columns + j))
+                    family_column(family[0], j), map_tape(rows, lambda x, j=j: x * columns + j))
                 oracles = w.backward_oracles(inst, theta(cur, markers[j]))
                 cur = odd_part(ctx.apply(w.backward, oracles, ("pulled", j)))
         return ctx.scratch[("pulled", i)].bit(2 * t)

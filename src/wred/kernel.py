@@ -226,91 +226,59 @@ class Prefix:
         return all(other.bit(i) == b for i, b in enumerate(self.bits))
 
 
-class Continuation:
-    """Continuation of a prefix by a tape: prefix bits where defined, tail beyond."""
-
-    def __init__(self, head: Prefix, tail):
-        self.head = head
-        self.tail = tail
-
-    def bit(self, pos: int) -> int:
-        if pos < len(self.head):
-            return self.head.bits[pos]
-        return self.tail.bit(pos)
-
-
 class RuleTape:
     """A rule position -> bit as a tape, with no memo: every read runs the rule.
 
-    For rules that read metered tapes: a re-read must repeat the reads so
-    the ledger charges them again, or steps and fuel would depend on what
-    was read before.  The rule may raise Diverge for a position it cannot
-    answer.
+    Every view of other tapes is one (the constructors below, the squashing
+    display's links), its rule in the `bit` slot, so a read is one call.  A
+    re-read repeats the rule's reads, so a ledger charges them again: steps
+    and fuel never depend on what was read before.  The rule may raise
+    Diverge for a position it cannot answer.
     """
 
-    __slots__ = ("rule",)
+    __slots__ = ("bit",)
 
     def __init__(self, rule: Callable[[int], int]):
-        self.rule = rule
-
-    def bit(self, pos: int) -> int:
-        return self.rule(pos)
+        self.bit = rule
 
 
-class MapTape:
-    """Reindexing view of a tape: bit(p) = base.bit(f(p))."""
-
-    def __init__(self, base, index_map: Callable[[int], int]):
-        self.base = base
-        self.index_map = index_map
-
-    def bit(self, pos: int) -> int:
-        return self.base.bit(self.index_map(pos))
+def map_tape(base, index_map: Callable[[int], int]) -> RuleTape:
+    """Reindexing view of a tape: bit(p) = base.bit(index_map(p))."""
+    return RuleTape(lambda p: base.bit(index_map(p)))
 
 
-class _Interleave:
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def bit(self, pos: int) -> int:
-        q, r = divmod(pos, 2)
-        return self.a.bit(q) if r == 0 else self.b.bit(q)
+def continuation(head: Prefix, tail) -> RuleTape:
+    """Continuation of a prefix by a tape: prefix bits where defined, tail beyond."""
+    bits, n = head.bits, len(head.bits)
+    return RuleTape(lambda p: bits[p] if p < n else tail.bit(p))
 
 
-def interleave_tapes(a, b):
+def interleave_tapes(a, b) -> RuleTape:
     """Even bits from a, odd bits from b."""
-    return _Interleave(a, b)
+    return RuleTape(lambda p: b.bit(p >> 1) if p & 1 else a.bit(p >> 1))
 
 
-def even_part(t):
-    return MapTape(t, lambda p: 2 * p)
+def even_part(t) -> RuleTape:
+    return RuleTape(lambda p: t.bit(2 * p))
 
 
-def odd_part(t):
-    return MapTape(t, lambda p: 2 * p + 1)
+def odd_part(t) -> RuleTape:
+    return RuleTape(lambda p: t.bit(2 * p + 1))
 
 
-class _Family:
-    __slots__ = ("members",)
-
-    def __init__(self, members: Callable[[int], object]):
-        self.members = members
-
-    def bit(self, pos: int) -> int:
-        i, x = cantor_unpair(pos)
-        return self.members(i).bit(x)
-
-
-def family_tape(members: Callable[[int], object]):
+def family_tape(members: Callable[[int], object]) -> RuleTape:
     """Merge an omega-family into one tape: bit(cantor_pair(i,x)) = member i at x."""
-    return _Family(members)
+
+    def bit(pos: int) -> int:
+        i, x = cantor_unpair(pos)
+        return members(i).bit(x)
+
+    return RuleTape(bit)
 
 
-def family_column(t, i: int):
+def family_column(t, i: int) -> RuleTape:
     """Column i of a cantor-merged family tape."""
-    return MapTape(t, lambda x: cantor_pair(i, x))
+    return RuleTape(lambda x: t.bit(cantor_pair(i, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +567,15 @@ def compose_functionals(outer: Functional, inner: Functional, label: str = "") -
 # contract checks (used by property tests and the verify suite)
 
 
-class _Truncated:
+def _truncated(base, last: int) -> RuleTape:
     """A view of a tape cut after position last: beyond it, a gap as in a Prefix."""
 
-    def __init__(self, base, last: int):
-        self.base = base
-        self.last = last
-
-    def bit(self, pos: int) -> int:
-        if pos > self.last:
+    def bit(pos: int) -> int:
+        if pos > last:
             raise Diverge("gap", pos)
-        return self.base.bit(pos)
+        return base.bit(pos)
+
+    return RuleTape(bit)
 
 
 def check_use_soundness(func: Functional, oracles, x: int, fuel: int) -> bool:
@@ -618,7 +584,7 @@ def check_use_soundness(func: Functional, oracles, x: int, fuel: int) -> bool:
     out = evaluate(func, oracles, x, fuel)
     if not out.converged:
         return True
-    truncated = [_Truncated(oracles[t], out.use.get(t, -1)) for t in range(func.arity)]
+    truncated = [_truncated(oracles[t], out.use.get(t, -1)) for t in range(func.arity)]
     again = evaluate(func, truncated, x, fuel)
     return again.converged and again.value == out.value and again.use == out.use
 

@@ -119,20 +119,18 @@ def enumerate_thin(f: Coloring, budget: SearchBudget, limit: int = 50) -> list:
 def find_rainbow(f: Coloring, budget: SearchBudget) -> SearchResult:
     """Greedy-first rainbow search with exhaustive fallback."""
     n = f.arity
-    greedy: list[int] = []
-    for x in range(budget.horizon):
-        trial = sorted(greedy + [x])
-        colors = [f.value(t) for t in itertools.combinations(trial, n)]
-        if len(colors) == len(set(colors)):
-            greedy.append(x)
-            if len(greedy) == budget.size:
-                return SearchResult(tuple(greedy), mode="greedy", nodes=len(greedy))
 
     def consistent(chosen, x):
         trial = sorted(chosen + [x])
         colors = [f.value(t) for t in itertools.combinations(trial, n)]
         return len(colors) == len(set(colors))
 
+    greedy: list[int] = []
+    for x in range(budget.horizon):
+        if consistent(greedy, x):
+            greedy.append(x)
+            if len(greedy) == budget.size:
+                return SearchResult(tuple(greedy), mode="greedy", nodes=len(greedy))
     return _dfs_extend(consistent, budget)
 
 

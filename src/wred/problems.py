@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .kernel import (
-    Continuation,
     ContractError,
     Diverge,
     InputError,
@@ -26,6 +25,7 @@ from .kernel import (
     Prefix,
     cantor_pair,
     cantor_unpair,
+    continuation,
     even_part,
     family_column,
     interleave_tapes,
@@ -522,7 +522,7 @@ def verify_path_at(tree: TreeByRule, path_tape, depth: int) -> Verdict:
 
 def tolerance_rt_tape(tape, m: int, n: int):
     """Drop elements <= the largest entry of any tuple with rank < m."""
-    return Continuation(Prefix((0,) * (max_entry_below_rank(m, n) + 1)), tape)
+    return continuation(Prefix((0,) * (max_entry_below_rank(m, n) + 1)), tape)
 
 
 def tolerance_thin_tape(tape, m: int, n: int):

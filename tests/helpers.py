@@ -7,12 +7,12 @@ smallest oblivious machines; the rest are one-line filters.
 
 from wred.combinators import SoundnessRow, Witness, parallel_product
 from wred.kernel import (
-    Continuation,
     Diverge,
     EvalContext,
     Functional,
     Point,
     Prefix,
+    continuation,
     even_part,
     identity_functional,
     interleave_tapes,
@@ -83,7 +83,7 @@ def echo_spec() -> ProblemSpec:
     def tolerance(sol_tape, m):
         # unary of max(d, m): ones below m, then the original unary
         return interleave_tapes(even_part(sol_tape),
-                                Continuation(Prefix((1,) * m), odd_part(sol_tape)))
+                                continuation(Prefix((1,) * m), odd_part(sol_tape)))
 
     return ProblemSpec(
         name="ECHO",

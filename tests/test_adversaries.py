@@ -532,12 +532,11 @@ def test_cut_tree_tape_is_membership_by_index():
     tree, _ = qwwkl_cutter(identity_tree_map(), const_zero_backward(),
                            Fraction(1, 2), Fraction(3, 4), stages=12)
     assert tree.constraints
-    assert_tape_is_literal_membership(tree, tree.as_partial_point())
+    assert_tape_is_literal_membership(tree, tree)
 
     rng = random.Random(19)
     for trial in range(60):
         tree = CutTree(height=rng.randrange(1, 9))
-        tape = tree.as_partial_point()  # made before any cut, read after each
         free = list(range(tree.height + 2))
         rng.shuffle(free)
         for _ in range(rng.randrange(1, 4)):
@@ -547,9 +546,9 @@ def test_cut_tree_tape_is_membership_by_index():
             # xs unsorted and non-contiguous; a stage may sit below max(xs)
             t = rng.randrange(tree.height + 1)
             tree.constraints.append((t, tuple(xs), tuple(rng.randrange(2) for _ in xs)))
-            assert_tape_is_literal_membership(tree, tape)
-        tree.height += 1  # the tape reads the grown tree too
-        assert_tape_is_literal_membership(tree, tape)
+            assert_tape_is_literal_membership(tree, tree)  # read live after each cut
+        tree.height += 1  # and once grown
+        assert_tape_is_literal_membership(tree, tree)
 
 
 def test_image_sweep_one_context_per_advance_matches_fresh_contexts():

@@ -5,27 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wred.kernel import (
-    Continuation,
     ContractError,
     Diverge,
     EvalContext,
     FunctionalTape,
     InputError,
     Ledger,
-    MapTape,
     Point,
     Prefix,
+    RuleTape,
     cantor_pair,
     cantor_unpair,
     check_downward_closure,
     check_use_soundness,
     compose_functionals,
+    continuation,
     evaluate,
     even_part,
     family_column,
     family_tape,
     identity_functional,
     interleave_tapes,
+    map_tape,
     max_entry_below_rank,
     odd_part,
     pointwise,
@@ -33,6 +34,7 @@ from wred.kernel import (
     tuple_rank,
     _run_step,
     _step,
+    _truncated,
 )
 
 from helpers import constant_functional, interleave_functional, projection_functional
@@ -107,7 +109,7 @@ def test_prefix_gap_diverges():
 def test_continuation_matches_paper_definition():
     sigma = Prefix((1, 1))
     tail = Point.zeros()
-    cont = Continuation(sigma, tail)
+    cont = continuation(sigma, tail)
     assert [cont.bit(i) for i in range(4)] == [1, 1, 0, 0]
 
 
@@ -130,6 +132,70 @@ def test_family_column_roundtrip():
     for i in range(8):
         for x in range(16):
             assert family_column(fam, i).bit(x) == i % 2
+
+
+
+_HEAD = 20  # the continuation's prefix length
+
+
+def _views(seed: int):
+    """Every view constructor over bases that log their reads, each with the
+    literal definition it must match (None: a gap)."""
+    reads = []
+
+    def base(k):
+        point = Point.from_seed(seed + k)
+        return point, RuleTape(lambda p: reads.append((k, p)) or point.bit(p))
+
+    (a, ta), (b, tb) = base(0), base(1)
+    members = {}
+
+    def member(i):
+        if i not in members:
+            members[i] = base(2 + i)
+        return members[i]
+
+    def family_literal(p):
+        i, x = cantor_unpair(p)
+        return member(i)[0].bit(x)
+
+    head = Prefix(tuple(1 - a.bit(p) for p in range(_HEAD)))
+    views = {
+        "map_tape": (map_tape(ta, lambda p: 3 * p + 1), lambda p: a.bit(3 * p + 1)),
+        "even_part": (even_part(ta), lambda p: a.bit(2 * p)),
+        "odd_part": (odd_part(ta), lambda p: a.bit(2 * p + 1)),
+        "family_column": (family_column(ta, 3), lambda x: a.bit(cantor_pair(3, x))),
+        "interleave_tapes": (interleave_tapes(ta, tb),
+                             lambda p: a.bit(p // 2) if p % 2 == 0 else b.bit(p // 2)),
+        "family_tape": (family_tape(lambda i: member(i)[1]), family_literal),
+        "continuation": (continuation(head, ta),
+                         lambda p: head.bits[p] if p < len(head) else a.bit(p)),
+        "_truncated": (_truncated(ta, 40), lambda p: a.bit(p) if p <= 40 else None),
+    }
+    return views, reads
+
+
+@pytest.mark.parametrize("name", list(_views(0)[0]))
+def test_every_view_is_a_rule_tape_that_rereads_its_base(name):
+    # a view is a RuleTape whose rule is its literal definition, and it
+    # keeps no memo: a second read of a position reads the base again
+    for seed in (1, 7, 23):
+        views, reads = _views(seed)
+        view, literal = views[name]
+        assert type(view) is RuleTape
+        for p in range(64):
+            want = literal(p)
+            if want is None:
+                with pytest.raises(Diverge) as gap:
+                    view.bit(p)
+                assert (gap.value.reason, gap.value.position) == ("gap", p)
+                continue
+            reads.clear()
+            assert view.bit(p) == want
+            first = list(reads)
+            assert view.bit(p) == want
+            assert reads == first * 2, (name, seed, p)
+            assert first or (name == "continuation" and p < _HEAD), (name, seed, p)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -218,7 +284,7 @@ def test_declared_reads_match_actual_use():
               constant_functional(1, 2)):
         assert f.reads is not None
         cells = set()  # each (tape, pos) the sweep asks for
-        tapes = [MapTape(Point.from_seed(1 + t), lambda p, t=t: cells.add((t, p)) or p)
+        tapes = [map_tape(Point.from_seed(1 + t), lambda p, t=t: cells.add((t, p)) or p)
                  for t in range(f.arity)]
         sweep = FunctionalTape(f, tapes, 100)
         for x in range(12):

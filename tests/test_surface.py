@@ -8,6 +8,9 @@ it, and its docstring says which.
 No module of the package (bar the re-exports of `wred/__init__.py`), of
 `tests/` or of `tools/` imports a name it never uses.  `bench/` is left
 out: its setup probe imports modules only to time the import.
+
+One tape algebra: only the classes in `TAPE_CLASSES` define `bit`; every
+view of other tapes is a `kernel.RuleTape` over a rule.
 """
 
 import ast
@@ -96,6 +99,20 @@ def test_every_uncalled_public_name_has_a_reason():
     for qualified, check in KEPT.items():
         doc = ast.get_docstring(uncalled[qualified]) or ""
         assert check in doc, f"{qualified}: its docstring does not name {check!r}"
+
+
+# the classes that are tapes in their own right; every other tape is a kernel.RuleTape
+TAPE_CLASSES = {"kernel.Point", "kernel.Prefix", "kernel.CtxTape", "kernel.FunctionalTape",
+                "adversaries.CutTree"}
+
+
+def test_only_the_tape_classes_define_bit():
+    defined = {f"{p.stem}.{node.name}" for p in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.ClassDef)
+               and any(isinstance(f, ast.FunctionDef) and f.name == "bit" for f in node.body)}
+    assert defined == TAPE_CLASSES, (
+        f"views to make kernel.RuleTapes: {sorted(defined - TAPE_CLASSES)}; "
+        f"tape classes gone: {sorted(TAPE_CLASSES - defined)}")
 
 
 def _unused_imports(path: Path) -> list[str]:
