@@ -929,7 +929,7 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
     in increasing order, and the one display parked on its context serves
     them all: each level T_j is built once.
     """
-    width = len(rows)
+    width, markers = len(rows), list(markers)  # a list: tail_bit indexes it on every read
 
     def step(ctx, p):
         x, k = divmod(p, width)
