@@ -646,8 +646,8 @@ class _Display:
 
     Each level T_j runs the witness's arity-1 forward Phi on the pair tape
     <sigma_j, V_{j+1}> (sigma_j on the even bits, V_{j+1} on the odd
-    ones).  V_{j+1} is a `RuleTape` over `tail_bit`, which answers C below
-    m_{j+1} and reads T_{j+1} from there on.  At stage x the display ends
+    ones), one `RuleTape` whose odd positions read `tail_bit`: V_{j+1} is
+    C below m_{j+1} and T_{j+1} from there on.  At stage x the display ends
     at V_{x+1} = C|m_{x+1}, so V_i(x) read at stage x is B_i(x) of the
     stagewise definition.  A bit converged at one stage is the same at
     every later one (the later chain only extends the earlier one's
@@ -677,8 +677,12 @@ class _Display:
         ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
-        return self.ctx.scratch.get(j) or self.ctx.apply(self.forward, [interleave_tapes(
-            self.sigma_tapes(j), RuleTape(functools.partial(self.tail_bit, j + 1)))], j)
+        t = self.ctx.scratch.get(j)
+        if t is None:  # the pair tape reads V_{j+1} straight from tail_bit
+            sigma, tail = self.sigma_tapes(j), self.tail_bit
+            t = self.ctx.apply(self.forward, [RuleTape(
+                lambda p: tail(j + 1, p >> 1) if p & 1 else sigma.bit(p >> 1))], j)
+        return t
 
     def tail_bit(self, j: int, q: int) -> int:
         """V_j(q) at the current stage: C(q) below m_j, T_j(q) from there on;
