@@ -678,7 +678,7 @@ class _Display:
 
     def level(self, j: int) -> FunctionalTape:
         t = self.ctx.scratch.get(j)
-        if t is None:  # the pair tape reads V_{j+1} straight from tail_bit
+        if t is None:  # one rule: a V_{j+1} tape of its own costs a call per odd read
             sigma, tail = self.sigma_tapes(j), self.tail_bit
             t = self.ctx.apply(self.forward, [RuleTape(
                 lambda p: tail(j + 1, p >> 1) if p & 1 else sigma.bit(p >> 1))], j)
