@@ -24,7 +24,6 @@ from .kernel import (
 from .problems import (
     Coloring,
     ProblemSpec,
-    SetFamily,
     ThinSolution,
     TreeByRule,
     Verdict,

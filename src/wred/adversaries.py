@@ -315,8 +315,6 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
 @dataclass
 class TS1Result:
     colors: list[int]  # f(0), f(1), ...
-    f_sets: list[tuple]  # the homogeneous anchors F_0 < F_1 < ...
-    anchors_x: list[int]
     invalidated: list[int]
     log: StageLog
     assembled: Optional[list[int]] = None  # T within the horizon
@@ -348,8 +346,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
     w_j = color_block_width(j)
     colors: list[int] = []
     valid = list(range(j))
-    f_sets: list[tuple] = []
-    anchors: list[int] = []
+    f_sets: list[tuple] = []  # the homogeneous anchors F_0 < F_1 < ...
     invalidated: list[int] = []
     log = StageLog()
 
@@ -408,7 +405,6 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
                     evals += 1
                     if _converged(backward, x) == 1:
                         f_sets.append(cand)
-                        anchors.append(x)
                         dead = colors[x]
                         invalidated.append(dead)
                         valid.remove(dead)
@@ -426,7 +422,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
             log.add(StageRecord(s, "wait", note or f"colors through {len(colors) - 1}"))
 
     # assemble T = union of anchors plus a homogeneous tail for the image
-    result = TS1Result(colors, f_sets, anchors, invalidated, log)
+    result = TS1Result(colors, invalidated, log)
     image = FunctionalTape(phi, [f_prefix_tape()], fuel)
     image_vals = {}
     for x in range(horizon):
@@ -464,7 +460,6 @@ class Delta2Approx:
     """A total guesser g(e, i, b, s) -> {0,1} with optional declared limits."""
 
     rule: Callable[[int, int, int, int], int]
-    stabilization: Optional[int] = None  # declared: g(e,i,b,s) constant for s >= this
     limit: Optional[Callable[[int, int], int]] = None  # declared lim_s g(e,i,b,s)
 
 

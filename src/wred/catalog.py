@@ -406,7 +406,7 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
     return t
 
 
-def assemble_path(paths: Callable[[Prefix], object], depth: int) -> Point:
+def assemble_path(paths: Callable[[Prefix], object]) -> Point:
     """C(n) = (path at C|n)(0): recursively consult the tracking paths."""
     bits: list[int] = []
 
@@ -754,27 +754,20 @@ def _agreement_coloring(f: Coloring, base: list[int]) -> Coloring:
     return Coloring(3, 3, rule, "agreement-collapsed")
 
 
-@dataclass
-class PipelineLog:
-    steps: list[str] = field(default_factory=list)
-
-    def note(self, msg: str):
-        self.steps.append(msg)
-
-
 def ts33_pipeline(f: Coloring, horizon: int, size: int):
     """Homogeneous set for a pair coloring, consuming thin-set oracles.
 
     Follows the staged case analysis: triangles by distinct-count, then
     the agreement pattern, then a min-homogeneous bucket split.  Returns
-    (members, color, log) or (None, None, log) when inconclusive.
+    (members, color, log) or (None, None, log) when inconclusive; log
+    lists the stages' notes.
     """
     from .oracle import SearchBudget, find_thin
 
     if f.arity != 2:
         raise InputError("the pipeline consumes pair colorings")
     budget = SearchBudget(horizon=horizon, size=max(2 * size, 8))
-    log = PipelineLog()
+    log: list[str] = []
 
     g = _distinct_count_coloring(f)
     h_set = None
@@ -784,9 +777,9 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int):
             h_set, g_omit = list(res.members), c
             break
     if h_set is None:
-        log.note("no thin set for the distinct-count coloring at this budget")
+        log.append("no thin set for the distinct-count coloring at this budget")
         return None, None, log
-    log.note(f"stage 1: thin set of size {len(h_set)} omitting distinct-count {g_omit}")
+    log.append(f"stage 1: thin set of size {len(h_set)} omitting distinct-count {g_omit}")
 
     def bucket_split(base: list[int], stage: str):
         for x in base:
@@ -800,7 +793,7 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int):
             if len(members) >= size:
                 v = verify_homogeneous_at(f, members, horizon, size)
                 if v.ok:
-                    log.note(f"{stage}: bucket of f-color {color} above {x}")
+                    log.append(f"{stage}: bucket of f-color {color} above {x}")
                     return members, f.value((members[0], members[1]))
         return None
 
@@ -808,7 +801,7 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int):
         got = bucket_split(h_set, "stage 2 (no two-valued triangles)")
         if got:
             return got[0], got[1], log
-        log.note("stage 2: all buckets below the size threshold")
+        log.append("stage 2: all buckets below the size threshold")
         return None, None, log
 
     # g_omit == 2: triangles inside h never take three distinct colors,
@@ -822,15 +815,15 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int):
             g_sub, h_omit = [h_set[i] for i in res.members], c
             break
     if g_sub is None:
-        log.note("stage 3: no thin set for the agreement pattern")
+        log.append("stage 3: no thin set for the agreement pattern")
         return None, None, log
-    log.note(f"stage 3: subset of size {len(g_sub)} omitting agreement {h_omit}")
+    log.append(f"stage 3: subset of size {len(g_sub)} omitting agreement {h_omit}")
 
     if h_omit == 1:
         got = bucket_split(g_sub, "stage 4 (agreement class 1 omitted)")
         if got:
             return got[0], got[1], log
-        log.note("stage 4: all buckets below the size threshold")
+        log.append("stage 4: all buckets below the size threshold")
         return None, None, log
 
     # h_omit == 2 under the collapse means patterns 2 and 3 are both gone:
@@ -843,14 +836,14 @@ def ts33_pipeline(f: Coloring, horizon: int, size: int):
     for x, cval in fbar.items():
         buckets.setdefault(cval, []).append(x)
     if not buckets:
-        log.note("stage 4: min-homogeneous set too small")
+        log.append("stage 4: min-homogeneous set too small")
         return None, None, log
     color, members = max(buckets.items(), key=lambda kv: (len(kv[1]), -kv[0]))
     v = verify_homogeneous_at(f, members, horizon, min(size, len(members)))
     if v.ok and len(members) >= size:
-        log.note(f"stage 4: min-homogeneous bucket of color {color}")
+        log.append(f"stage 4: min-homogeneous bucket of color {color}")
         return members, color, log
-    log.note("stage 4: bucket verification failed or too small")
+    log.append("stage 4: bucket verification failed or too small")
     return None, None, log
 
 
@@ -1068,7 +1061,7 @@ def _seqwwkl_checks(params, rng, horizon, size):
                 paths[key] = leftmost_path_point(half_measure_tree(tree, sigma), 8)
             return paths[key]
 
-        c = assemble_path(path_for, 10)
+        c = assemble_path(path_for)
         v = verify_path_at(tree, c, 10)
         rows.append((f"assembled[{label}]", v.ok, v.detail))
     return _rows("WKL<=Seq(1/2-WWKL)", rows)
@@ -1201,7 +1194,7 @@ def _ts33_checks(params, rng, horizon, size):
     rows = []
     const = Coloring(2, 3, lambda t: 1, "const1")
     members, color, log = ts33_pipeline(const, horizon=12, size=4)
-    rows.append(("constant", members is not None and color == 1, "; ".join(log.steps)))
+    rows.append(("constant", members is not None and color == 1, "; ".join(log)))
     found = 0
     for trial in range(4):
         spec = rt_spec(2, 3)
@@ -1210,9 +1203,9 @@ def _ts33_checks(params, rng, horizon, size):
         if members is not None:
             found += 1
             v = verify_homogeneous_at(f, members, 16, 4)
-            rows.append((f"sampled#{trial}", v.ok, f"color {color}; {log.steps[-1]}"))
+            rows.append((f"sampled#{trial}", v.ok, f"color {color}; {log[-1]}"))
         else:
-            rows.append((f"sampled#{trial}", True, "inconclusive: " + log.steps[-1]))
+            rows.append((f"sampled#{trial}", True, "inconclusive: " + log[-1]))
     rows.append(("yield", found >= 3, f"{found}/4 sampled colorings solved end to end"))
     return _rows("ts33_pipeline", rows)
 

@@ -58,7 +58,7 @@ TOY_GUESSERS = {
     "empty": lambda: Delta2Approx(rule=lambda e, i, b, s: 0, limit=lambda e, b: 0),
     "evens": lambda: Delta2Approx(
         rule=lambda e, i, b, s: 1 if (s >= 8 and b % 2 == 0) else 0,
-        stabilization=8, limit=lambda e, b: 1 if b % 2 == 0 else 0),
+        limit=lambda e, b: 1 if b % 2 == 0 else 0),
 }
 
 
@@ -141,9 +141,9 @@ def cmd_squash(args) -> int:
     stages = args.stages if args.stages is not None else args.horizon + 6
     markers = squash_markers(cfg, stages)
     fam = Point.from_seed(args.seed)
-    run = squash_forward(cfg, markers, fam, args.horizon, count=args.count)
+    table = squash_forward(cfg, markers, fam, args.horizon, count=args.count)
     lines = ["marker: " + " ".join(str(m) for m in markers.markers)]
-    for i, row in enumerate(run.table):
+    for i, row in enumerate(table):
         lines.append(f"B_{i}: " + "".join(str(b) for b in row[: args.horizon]))
     lines.append("identity: checked exactly on the materialized rows")
     _write(args.out, "\n".join(lines) + "\n")
@@ -151,6 +151,8 @@ def cmd_squash(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    if args.stages < 0:
+        raise InputError(f"--stages must be >= 0, got {args.stages}")
     params = _parse_params(args.param)
     name = args.name
     if name == "qwwkl-cutter":

@@ -17,6 +17,8 @@ from typing import Callable, Optional
 from .kernel import InputError
 from .problems import Coloring, ThinSolution, verify_thin_at
 
+TEST_DOMAIN = 24  # the predicates' audits quantify over [0, TEST_DOMAIN)
+
 
 # ---------------------------------------------------------------------------
 # bounded alternating predicates (the jump coding)
@@ -28,13 +30,12 @@ class BoundedPredicate:
 
     Membership means the alternating statement (exists x0)(forall x1)...
     holds; the declaration is audited against brute-force bounded
-    quantification over [0, domain).
+    quantification over [0, TEST_DOMAIN).
     """
 
     rule: Callable
     depth: int
     truth: Callable[[int], int]
-    domain: int = 24
     label: str = "predicate"
 
 
@@ -52,7 +53,7 @@ def _alternating(pred: BoundedPredicate, i: int, chosen: tuple, bound_list) -> b
 
 def unbounded_truth(pred: BoundedPredicate, i: int) -> bool:
     """Brute-force the alternation over the whole test domain."""
-    return _alternating(pred, i, (), [pred.domain] * pred.depth)
+    return _alternating(pred, i, (), [TEST_DOMAIN] * pred.depth)
 
 
 def audit_predicate(pred: BoundedPredicate, indices) -> list[int]:
@@ -76,13 +77,13 @@ def jump_coloring(pred: BoundedPredicate) -> Callable[[int], Coloring]:
 def membership_witness_bound(pred: BoundedPredicate, i: int) -> Optional[int]:
     """Least leading witness when i is a member (depth 1 or 2)."""
     if pred.depth == 1:
-        for x0 in range(pred.domain):
+        for x0 in range(TEST_DOMAIN):
             if pred.rule(i, x0):
                 return x0
         return None
     if pred.depth == 2:
-        for x0 in range(pred.domain):
-            if all(pred.rule(i, x0, x1) for x1 in range(pred.domain)):
+        for x0 in range(TEST_DOMAIN):
+            if all(pred.rule(i, x0, x1) for x1 in range(TEST_DOMAIN)):
                 return x0
         return None
     raise InputError("witness bounds are implemented for depths 1 and 2")
@@ -90,7 +91,7 @@ def membership_witness_bound(pred: BoundedPredicate, i: int) -> Optional[int]:
 
 def refutation_bound(pred: BoundedPredicate, i: int, x0: int) -> Optional[int]:
     """Least x1 refuting phi(i, x0, .) when i is a non-member (depth 2)."""
-    for x1 in range(pred.domain):
+    for x1 in range(TEST_DOMAIN):
         if not pred.rule(i, x0, x1):
             return x1
     return None
@@ -111,7 +112,7 @@ def true_homogeneous_set(pred: BoundedPredicate, i: int, horizon: int,
             if w0 is None:
                 raise InputError(f"{pred.label}: declared member {i} has no witness")
             return list(range(w0 + 1, max(w0 + 1 + size, horizon)))
-        return list(range(0, max(size, min(horizon, pred.domain))))
+        return list(range(0, max(size, min(horizon, TEST_DOMAIN))))
     if n == 2:
         if member:
             w0 = membership_witness_bound(pred, i)
@@ -162,7 +163,6 @@ class LimitPredicate:
     depth: int
     limit: Callable[[int], int]
     bound: Callable[[int], int]
-    domain: int = 24
     label: str = "limit-predicate"
 
 
@@ -173,7 +173,7 @@ def audit_limit(pred: LimitPredicate, indices) -> list[int]:
     bad = []
     for i in indices:
         b = pred.bound(i)
-        if any(pred.rule(i, y) != pred.limit(i) for y in range(b, pred.domain)):
+        if any(pred.rule(i, y) != pred.limit(i) for y in range(b, TEST_DOMAIN)):
             bad.append(i)
     return bad
 

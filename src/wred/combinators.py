@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -183,7 +182,6 @@ def triv_spec() -> ProblemSpec:
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=lambda inst, budget: [Point.ones()],
-        default_c=Point.zeros(),
         params={},
     )
 
@@ -229,7 +227,6 @@ def parallel_product(p: ProblemSpec, q: ProblemSpec) -> ProblemSpec:
         tolerance=tol,
         sample_instance=sample if p.sample_instance and q.sample_instance else None,
         brute_solution_tapes=brute,
-        default_c=Point.zeros(),
         params={"left": p.name, "right": q.name},
         validate_instance=validate,
     )
@@ -474,7 +471,6 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
         verify_at=verify,
         sample_instance=sample if p.sample_instance else None,
         brute_solution_tapes=brute if p.brute_solution_tapes else None,
-        default_c=Point.zeros(),
         params={"component": p.name, "columns": columns},
         validate_instance=validate,
     )
@@ -585,7 +581,7 @@ class SquashConfig:
     q_spec: ProblemSpec
     p_spec: ProblemSpec
     witness: Witness  # <Q,P> <= P
-    c: Optional[Point] = None
+    c: Point = field(default_factory=Point.zeros, init=False)  # C of the displays
     width_budget: int = 4096
     candidate_budget: int = 64
     label: str = "squash"
@@ -598,8 +594,6 @@ class SquashConfig:
             raise InputError("squashing requires finite tolerance for the base problem")
         if self.kind not in ("strong", "plain"):
             raise InputError("witness kind must be strong or plain")
-        if self.c is None:
-            self.c = self.p_spec.default_c or Point.zeros()
 
     @property
     def kind(self) -> str:
@@ -661,11 +655,13 @@ class _Display:
     so dropping the context frees both at once.
 
     Given the forward's read map (`profile`), the table fills what a read
-    needs deepest level first (`fill`).  Otherwise no read recurses
-    through more than a bounded number of levels: a read from outside the
-    display starts a loop over an explicit stack, a level that needs an
-    unmaterialized bit too many levels below the one being forced raises
-    _Unready, and the loop materializes that bit first and retries.
+    needs deepest level first (`fill`).  Otherwise a read from outside the
+    display starts the lazy pull (`_force`), a loop over an explicit stack
+    that runs one level position per attempt, so no read recurses through
+    the levels.  An attempt that needs a bit not yet materialized raises
+    _Unready; the loop takes back the attempt's ticks, materializes that
+    bit first and retries.  Each position is so charged what the read-map
+    fill charges, whatever the recursion limit.
     """
 
     def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0,
@@ -673,7 +669,7 @@ class _Display:
         self.ctx, self.forward, self.c, self.markers = weakref.proxy(ctx), forward, c, markers
         self.sigma_tapes = sigma_tapes  # level -> tape
         self.stage, self.profile = stage, profile
-        self.pull_limit: Optional[int] = None  # inside the loop: the first level not pulled
+        self.pulling = False  # inside `_force`'s loop
         ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
@@ -693,10 +689,9 @@ class _Display:
             raise Diverge("gap", q)
         t = self.ctx.scratch.get(j) or self.level(j)
         if not t.ready(q):
-            if self.pull_limit is None:
-                return self._force(j, q)
-            if j >= self.pull_limit:
+            if self.pulling:
                 raise _Unready(j, q)
+            return self._force(j, q)
         return t.bit(q)
 
     def fill(self, j: int, q: int) -> None:
@@ -719,24 +714,24 @@ class _Display:
             t.bit(q)
 
     def _force(self, j: int, q: int) -> int:
-        # a pulled level costs 5 interpreter frames for a plain step (the
-        # level's FunctionalTape.bit, the step, query, the pair tape's rule and
-        # tail_bit): pulls use under a sixth of the recursion limit, the
-        # explicit stack the rest
-        depth = max(1, sys.getrecursionlimit() // 32)
-        pending = [(j, q)]
+        ledger, pending = self.ctx.ledger, [(j, q)]
+        self.pulling = True
         try:
             while pending:
                 level, p = pending[-1]
-                self.pull_limit = level + depth
-                try:
-                    bit = self.level(level).bit(p)
+                t = self.level(level)
+                if t.ready(p):
                     pending.pop()
+                    continue
+                steps = ledger.steps
+                try:
+                    t.bit(len(t._bits))
                 except _Unready as u:
+                    ledger.steps = steps
                     pending.append(u.key)
         finally:
-            self.pull_limit = None
-        return bit  # the last one materialized is (j, q)
+            self.pulling = False
+        return t.bit(q)  # the last level popped is j
 
 
 def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
@@ -918,13 +913,6 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     return MarkerSequence(markers)
 
 
-@dataclass
-class SquashRun:
-    markers: MarkerSequence
-    table: list[list[int]]  # table[i][x] = B_i(x)
-    horizon: int
-
-
 def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
     """B_{rows[k]}(x) at position x * len(rows) + k; the table of row 0 alone
     is the squash forward.
@@ -957,8 +945,9 @@ def _check_row(markers, i: int) -> None:
 
 
 def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
-                   horizon: int, count: int = 5) -> SquashRun:
-    """Materialize B_0..B_count and check the structural identity exactly.
+                   horizon: int, count: int = 5) -> list[list[int]]:
+    """Materialize B_0..B_count, check the structural identity exactly and
+    return the rows: table[i][x] = B_i(x) for x < horizon + 4.
 
     B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
     v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0, and B_i(x) =
@@ -1004,7 +993,7 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
                 raise ContractError(
                     f"B_{i}({x}) = {table[i][x]} but the identity gives {want} (marker bug)"
                 )
-    return SquashRun(markers, table, horizon)
+    return table
 
 
 def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:

@@ -229,7 +229,7 @@ class SuiteConfig:
     seed: int = 0
 
 
-def _split_case(row: SoundnessRow, entry: str):
+def _split_case(row: SoundnessRow):
     case, _, check = row.case.rpartition("/")
     return case or row.case, check or "check"
 
@@ -262,7 +262,7 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
                                  config.horizon, config.fuel))
             continue
         for row in rows:
-            case, check = _split_case(row, entry_id)
+            case, check = _split_case(row)
             report.add(ReportRow(case, entry_id, check, row.status, row.detail,
                                  config.seed, config.horizon, config.fuel))
     return report

@@ -140,6 +140,7 @@ class Point:
         return b
 
     def prefix(self, n: int) -> "Prefix":
+        """The first n bits as a `Prefix` (test_views_and_parked_tapes_outlive_their_sweep)."""
         return Prefix(tuple(self.bit(i) for i in range(n)))
 
     def __repr__(self):
@@ -180,7 +181,8 @@ class Point:
 
     @staticmethod
     def from_set(members) -> "Point":
-        """Characteristic function of a finite set of naturals."""
+        """Characteristic function of a finite set of naturals
+        (test_tolerance_rt_examples)."""
         s = frozenset(members)
         return Point(lambda p: 1 if p in s else 0, "set")
 

@@ -161,7 +161,6 @@ STRUCTURAL_PROPERTIES = ("transitive", "semi-transitive", "semi-hereditary", "se
 @dataclass(frozen=True)
 class StructuralVerdict:
     holds: bool
-    exceptional_color: Optional[int] = None
     witness: Optional[tuple] = None
     detail: str = ""
 
@@ -195,8 +194,7 @@ def structural_check(f: Coloring, members, prop: str) -> StructuralVerdict:
                 return StructuralVerdict(False, witness=w, detail=f"color {c} not transitive at {w}")
             return StructuralVerdict(True)
         if len(bad) <= 1:
-            exc = next(iter(bad), None)
-            return StructuralVerdict(True, exceptional_color=exc)
+            return StructuralVerdict(True)
         items = sorted(bad.items())
         return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")
 
@@ -207,7 +205,7 @@ def structural_check(f: Coloring, members, prop: str) -> StructuralVerdict:
             else None
         )
         if len(bad) <= 1:
-            return StructuralVerdict(True, exceptional_color=next(iter(bad), None))
+            return StructuralVerdict(True)
         items = sorted(bad.items())
         return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")
 
@@ -222,6 +220,6 @@ def structural_check(f: Coloring, members, prop: str) -> StructuralVerdict:
                 bad[i] = (x, tuple(ys))
                 break
     if len(bad) <= 1:
-        return StructuralVerdict(True, exceptional_color=next(iter(bad), None))
+        return StructuralVerdict(True)
     items = sorted(bad.items())
     return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")

@@ -23,7 +23,6 @@ from .kernel import (
     InputError,
     Point,
     Prefix,
-    cantor_pair,
     cantor_unpair,
     continuation,
     even_part,
@@ -292,6 +291,8 @@ def _levels(t: TreeByRule, d: int) -> Iterator[list[int]]:
     yielded before the next is read, so a reader that stops early reads
     no deeper.
     """
+    if d < 0:
+        raise InputError("level must be >= 0")
     member = t.index_member
     scan = member is None
     if scan:
@@ -337,15 +338,11 @@ def level_members(t: TreeByRule, d: int) -> list[Prefix]:
 
 def measure_at_level(t: TreeByRule, d: int) -> Fraction:
     """|{sigma in 2^d : sigma in t}| / 2^d as an exact rational."""
-    if d < 0:
-        raise InputError("level must be >= 0")
     return Fraction(len(_level_indices(t, d)), 1 << d)
 
 
 def level_measures(t: TreeByRule, d: int) -> list[Fraction]:
     """[measure_at_level(t, lvl) for lvl in 0..d], from one walk down t."""
-    if d < 0:
-        raise InputError("level must be >= 0")
     return [Fraction(len(live), 1 << lvl) for lvl, live in enumerate(_levels(t, d))]
 
 
@@ -404,20 +401,6 @@ def leftmost_path_point(t: TreeByRule, depth: int) -> Point:
         return grown[pos]
 
     return Point(rule, f"path({t.label})")
-
-
-# ---------------------------------------------------------------------------
-# set families (COH instances)
-
-
-@dataclass
-class SetFamily:
-    member: Callable[[int, int], int]
-    label: str = "family"
-
-    @staticmethod
-    def from_tape(tape, label: str = "decoded-family") -> "SetFamily":
-        return SetFamily(lambda i, x: tape.bit(cantor_pair(i, x)), label)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +528,6 @@ class ProblemSpec:
     tolerance: Optional[Callable] = None  # (solution tape, m) -> tape
     sample_instance: Optional[Callable] = None  # rng -> tape
     brute_solution_tapes: Optional[Callable] = None  # (instance, budget) -> [tape]
-    default_c: Optional[Point] = None
     params: dict = field(default_factory=dict)
     validate_instance: Optional[Callable] = None  # (instance, horizon) -> Verdict
 
@@ -657,7 +639,6 @@ def rt_spec(n: int, k: int) -> ProblemSpec:
         tolerance=lambda tape, m: tolerance_rt_tape(tape, m, n),
         sample_instance=sample,
         brute_solution_tapes=brute,
-        default_c=Point.zeros(),
         params={"n": n, "k": k},
         validate_instance=_validate_coloring,
     )
@@ -702,7 +683,6 @@ def ts_spec(n: int, k: Optional[int]) -> ProblemSpec:
         tolerance=lambda tape, m: tolerance_thin_tape(tape, m, n),
         sample_instance=sample,
         brute_solution_tapes=brute,
-        default_c=Point.zeros(),
         params={"n": n, "k": k},
         validate_instance=_validate_coloring,
     )
@@ -835,9 +815,6 @@ def wwkl_spec(q: Optional[Fraction] = None, path_depth: int = 10,
 def coh_spec() -> ProblemSpec:
     """COH: total, tolerance is the identity, not finitely verifiable."""
 
-    def decode(tape):
-        return SetFamily.from_tape(tape)
-
     def verify(instance, sol_tape, horizon, size):
         return verdict_inconclusive("cohesiveness quantifies over a tail; structural checks only")
 
@@ -847,12 +824,11 @@ def coh_spec() -> ProblemSpec:
     return ProblemSpec(
         name="COH",
         is_total=True,
-        decode=decode,
+        decode=lambda tape: tape,  # member i is family_column(tape, i)
         verify_at=verify,
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=brute,
-        default_c=Point.zeros(),
         params={},
     )
 

@@ -93,7 +93,6 @@ def echo_spec() -> ProblemSpec:
         tolerance=tolerance,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=lambda inst, budget: [interleave_tapes(inst, Point.zeros())],
-        default_c=Point.zeros(),
         params={},
     )
 

@@ -213,7 +213,7 @@ def test_delta2_evens_guesser_defeated():
             return 0
         return 1 if b % 2 == 0 else 0
 
-    g = Delta2Approx(rule=rule, stabilization=stab, limit=lambda e, b: 1 if b % 2 == 0 else 0)
+    g = Delta2Approx(rule=rule, limit=lambda e, b: 1 if b % 2 == 0 else 0)
     colorings, _ = delta2_diagonalizer(3, g, stages=64)
     ok, detail = check_defeats(colorings, g, e=2, horizon=64)
     assert ok and "all 3 colors" in detail
@@ -433,7 +433,7 @@ def test_ts1_log_digest_pinned():
 
 def test_delta2_log_digest_pinned():
     g = Delta2Approx(rule=lambda e, i, b, s: 1 if (s >= 8 and b % 2 == 0) else 0,
-                     stabilization=8, limit=lambda e, b: 1 if b % 2 == 0 else 0)
+                     limit=lambda e, b: 1 if b % 2 == 0 else 0)
     _, log = delta2_diagonalizer(3, g, stages=32)
     assert log.digest() == DELTA2_LOG_DIGEST
 

@@ -403,7 +403,7 @@ def test_assemble_path_through_no11():
             paths[sigma.bits] = leftmost_path_point(half_measure_tree(NO11, sigma), 8)
         return paths[sigma.bits]
 
-    c = assemble_path(path_for, 10)
+    c = assemble_path(path_for)
     assert verify_path_at(NO11, c, 10).ok
 
 
@@ -905,8 +905,8 @@ def test_coh_squash_markers_and_identity():
     cfg = squash_config_coh()
     ms = squash_markers(cfg, 22)
     assert all(ms[s + 1] > s for s in range(len(ms) - 1))
-    run = squash_forward(cfg, ms, Point.from_seed(5), 16, count=4)
-    assert len(run.table) == 5
+    table = squash_forward(cfg, ms, Point.from_seed(5), 16, count=4)
+    assert len(table) == 5
 
 
 def test_squash_backward_coh_reproduces_columns():
@@ -955,7 +955,7 @@ def test_plain_squash_backward_reads_the_pair_instance():
         lambda u: a(1, u) ^ b(1, 2 * u) ^ t(4 * u + 1),
         lambda u: a(2, u) ^ b(2, 2 * u) ^ b(1, 4 * u + 1) ^ t(8 * u + 3),
     ]
-    row = squash_forward(cfg, ms, fam, 30, count=1).table[1]
+    row = squash_forward(cfg, ms, fam, 30, count=1)[1]
     assert row[:30] == [b(1, x) for x in range(30)]
     cols = squash_backward(cfg, ms, sol, 3, a_family_tape=fam)
     pulled = squash(cfg, 40, 3).pull_back(fam, sol)

@@ -436,17 +436,17 @@ def test_squash_forward_identity_checked_exactly():
     horizon = 16
     ms = squash_markers(cfg, horizon + 5)
     fam = Point.from_seed(1001)
-    run = squash_forward(cfg, ms, fam, horizon, count=4)
+    table = squash_forward(cfg, ms, fam, horizon, count=4)
     for i in range(5):
         for x in range(ms[i]):
-            assert run.table[i][x] == cfg.c.bit(x)
+            assert table[i][x] == cfg.c.bit(x)
 
 
 def test_squash_forward_projection_all_zeros():
     cfg = projection_squash_config()
     ms = squash_markers(cfg, 21)
-    run = squash_forward(cfg, ms, Point.from_seed(7), 16, count=4)
-    assert all(all(v == 0 for v in row) for row in run.table)
+    table = squash_forward(cfg, ms, Point.from_seed(7), 16, count=4)
+    assert all(all(v == 0 for v in row) for row in table)
 
 
 def test_squash_backward_chain_and_mutation():
@@ -578,8 +578,8 @@ def test_squash_config_markers_and_tables_pinned():
         cfg = SQUASH_CONFIGS[name]()
         ms = squash_markers(cfg, 64)
         assert _sha256(ms.markers) == SQUASH_MARKER_SHA, name
-        run = squash_forward(cfg, ms, Point.from_seed(3), 44, count=4)
-        assert _sha256(run.table) == SQUASH_TABLE_SHA[name], name
+        table = squash_forward(cfg, ms, Point.from_seed(3), 44, count=4)
+        assert _sha256(table) == SQUASH_TABLE_SHA[name], name
 
 
 def test_synthetic_read_map_markers_pinned():
@@ -762,32 +762,34 @@ def test_read_map_table_fills_what_the_lazy_pull_computes(monkeypatch):
     monkeypatch.setattr(combinators, "_Unready", Unready)
     makes = {name: SQUASH_CONFIGS[name] for name in SQUASH_CONFIGS}
     makes.update({name: _reading(reads) for name, reads in SYNTHETIC_READS.items()})
-    stages, ends, lazy_pulls = 44, [], 0  # horizon 40, as squash_forward extends it
-    # the lazy pull retries a level more than getrecursionlimit() // 32
-    # levels below the one it forces, and a retry charges the unwound steps
-    # again; at this limit it pulls each of this table's chains at once
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(64 * stages)
-    try:
-        for name, make in sorted(makes.items()):
-            try:
-                markers = squash_markers(make(), stages + 1).markers
-            except ResourceError:  # "doubling" has no markers; these end its chains
-                markers = [0] + [4 ** j for j in range(1, stages + 2)]
-            charges = sorted({steps for _, steps in _table_charges(make(), markers, stages)[0]})
-            # a fuel below the largest charge ends the table partway
-            for ms, fuel in ((markers, DEFAULT_FUEL), (list(range(stages + 2)), DEFAULT_FUEL),
-                             (markers, charges[len(charges) // 2])):
-                pulls.clear()
-                filled = _table_charges(make(), ms, stages, fuel)
-                assert not pulls, name  # every level a read needs is filled first
-                assert _table_charges(_without_reads(make), ms, stages, fuel) == filled, name
-                ends.append(filled[1] and filled[1][2])
-                lazy_pulls += bool(pulls)
-            assert ends[-3] is None and ends[-1] == "fuel" and filled[1][1] > 0, name
-    finally:
+    stages = 44  # horizon 40, as squash_forward extends it
+    # the lazy pull undoes the ticks of an attempt it retries, so its
+    # charges do not depend on how deep the interpreter lets it recurse
+    default = sys.getrecursionlimit()
+    for limit in (default, 20_000):
         sys.setrecursionlimit(limit)
-    assert ends.count("fuel") == 8 and ends.count("gap") == 4 and lazy_pulls == len(ends), ends
+        ends, lazy_pulls = [], 0
+        try:
+            for name, make in sorted(makes.items()):
+                try:
+                    markers = squash_markers(make(), stages + 1).markers
+                except ResourceError:  # "doubling" has no markers; these end its chains
+                    markers = [0] + [4 ** j for j in range(1, stages + 2)]
+                charges = sorted({steps for _, steps in _table_charges(make(), markers, stages)[0]})
+                # a fuel below the largest charge ends the table partway
+                for ms, fuel in ((markers, DEFAULT_FUEL), (list(range(stages + 2)), DEFAULT_FUEL),
+                                 (markers, charges[len(charges) // 2])):
+                    pulls.clear()
+                    filled = _table_charges(make(), ms, stages, fuel)
+                    assert not pulls, name  # every level a read needs is filled first
+                    assert _table_charges(_without_reads(make), ms, stages, fuel) == filled, \
+                        (name, limit)
+                    ends.append(filled[1] and filled[1][2])
+                    lazy_pulls += bool(pulls)
+                assert ends[-3] is None and ends[-1] == "fuel" and filled[1][1] > 0, name
+        finally:
+            sys.setrecursionlimit(default)
+        assert ends.count("fuel") == 8 and ends.count("gap") == 4 and lazy_pulls == len(ends), ends
 
 
 def test_marker_search_and_table_read_the_map_once(monkeypatch):
@@ -870,8 +872,8 @@ def test_squash_readers_reject_bad_rows_and_counts():
     for call in bad:
         with pytest.raises(InputError):
             call()
-    assert len(squash_forward(cfg, ms, fam, 4, count=12).table) == 13
-    assert squash_forward(cfg, ms, fam, 8, count=12).table[12][11] == 0
+    assert len(squash_forward(cfg, ms, fam, 4, count=12)) == 13
+    assert squash_forward(cfg, ms, fam, 8, count=12)[12][11] == 0
     assert len(squash_backward(cfg, ms, fam, 12)) == 12
 
 
@@ -898,10 +900,10 @@ def test_squash_forward_needs_no_deep_recursion():
     sys.setrecursionlimit(400)  # a chain nested through 68 levels would need far more
     try:
         ms = squash_markers(cfg, 68)
-        run = squash_forward(cfg, ms, Point.from_seed(3), 64, count=4)
+        table = squash_forward(cfg, ms, Point.from_seed(3), 64, count=4)
     finally:
         sys.setrecursionlimit(old)
-    assert [len(row) for row in run.table] == [68] * 5
+    assert [len(row) for row in table] == [68] * 5
 
 
 # --- fan-out ---------------------------------------------------------------------------
@@ -1002,8 +1004,8 @@ def test_squash_forward_runs_on_the_real_context_of_the_pair_tape():
     ms = squash_markers(stateful, 21)
     assert ms.markers == squash_markers(stateless, 21).markers
     fam = Point.from_seed(11)
-    assert (squash_forward(stateful, ms, fam, 16, count=4).table
-            == squash_forward(stateless, ms, fam, 16, count=4).table)
+    assert (squash_forward(stateful, ms, fam, 16, count=4)
+            == squash_forward(stateless, ms, fam, 16, count=4))
 
 
 def test_marker_engines_agree_with_literal_enumeration():

@@ -362,6 +362,14 @@ def test_cli_adversary_bad_params_are_input_errors(capsys, name, param):
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["qwwkl-cutter", "ts1", "delta2", "cm"])
+def test_cli_adversary_negative_stages_is_input_error(tmp_path, capsys, name):
+    out = tmp_path / "log.csv"
+    assert main(["adversary", name, "--stages", "-1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("input error: --stages")
+
+
 def test_cli_squash(tmp_path):
     out = tmp_path / "squash.txt"
     code = main(["squash", "--config", "projection-toy", "--horizon", "12",
@@ -443,6 +451,14 @@ def test_cli_oracle_paths(tmp_path, capsys):
     assert main(["oracle", "paths", "--input", str(doc), "--depth", "4"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 8  # Fibonacci count at depth 4
+
+
+def test_cli_oracle_paths_negative_depth_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "tree.doc"
+    doc.write_text("wred-instance v1\nkind: tree\nrepresentation: rule\nparam rule: no-11\n")
+    assert main(["oracle", "paths", "--input", str(doc), "--depth", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: level must be >= 0\n"
 
 
 def test_console_script_entrypoint():

@@ -9,7 +9,6 @@ from wred.kernel import Diverge, InputError, Point, Prefix, interleave_tapes
 from wred.problems import (
     HAND_TREES,
     Coloring,
-    SetFamily,
     ThinSolution,
     TreeByRule,
     coloring_from_tape,
@@ -635,8 +634,9 @@ def test_ts_spec_round():
 
 def test_coh_spec_is_total_and_inconclusive():
     spec = coh_spec()
-    fam = spec.decode(Point.from_seed(3))
-    assert isinstance(fam, SetFamily)
+    tape = Point.from_seed(3)
+    fam = spec.decode(tape)
+    assert fam is tape
     assert spec.verify_at(fam, Point.ones(), 16, 4).status == "inconclusive"
 
 

@@ -3,7 +3,13 @@
 A public top-level name of `wred` that no code in the package (outside its
 own definition and the re-exports of `wred/__init__.py`), `bench/` or
 `tools/` refers to is kept only for a reason: a criterion or a test checks
-it, and its docstring says which.
+it, and its docstring says which.  The same holds for a public method of a
+public class that no such code calls through an attribute.
+
+Every field of a package dataclass is read as an attribute in the package,
+`bench/` or `tools/`, or only tests read it and `READ_BY_TESTS` names one.
+Every parameter of a package function (`def`, not lambda) is read in its
+body, unless the function is a callback whose signature its caller fixes.
 
 No module of the package (bar the re-exports of `wred/__init__.py`), of
 `tests/` or of `tools/` imports a name it never uses.  `bench/` is left
@@ -42,6 +48,10 @@ KEPT = {
     "kernel.check_downward_closure": "test_catalog_functionals_honor_kernel_contracts",
     "kernel.check_use_soundness": "test_catalog_functionals_honor_kernel_contracts",
     "problems.lookup": "test_registry_lists_and_looks_up",
+    "adversaries.CylinderSet.overlaps": "criterion 8",
+    "harness.InstanceDocument.to_text": "test_coloring_table_roundtrip",
+    "kernel.Point.from_set": "test_tolerance_rt_examples",
+    "kernel.Point.prefix": "test_views_and_parked_tapes_outlive_their_sweep",
 }
 
 
@@ -76,11 +86,24 @@ def _references(nodes) -> set[str]:
     return out
 
 
+def _read_attributes(nodes) -> set[str]:
+    """Attributes read in nodes: how a method is called, and how a field is read."""
+    return {node.attr for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def _outside() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for d in ("bench", "tools") for p in sorted((ROOT / d).glob("*.py"))]
+
+
 def _uncalled() -> dict[str, ast.AST]:
-    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
-    outside = _references(ast.parse(p.read_text())
-                          for d in ("bench", "tools") for p in sorted((ROOT / d).glob("*.py")))
+    modules, outside_trees = _modules(), _outside()
+    outside = _references(outside_trees)
     inside = [(node, _references([node])) for tree in modules.values() for node in tree.body]
     found = {}
     for mod, tree in modules.items():
@@ -88,6 +111,21 @@ def _uncalled() -> dict[str, ast.AST]:
             if name not in outside and not any(name in refs for other, refs in inside
                                                if other is not node):
                 found[f"{mod}.{name}"] = node
+    # a method is called through an attribute anywhere but in its own definition
+    outside, units = _read_attributes(outside_trees), []
+    for tree in modules.values():
+        for top in tree.body:
+            units += top.body if isinstance(top, ast.ClassDef) else [top]
+    inside = [(node, _read_attributes([node])) for node in units]
+    for mod, tree in modules.items():
+        for cls in (node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and not node.name.startswith("_")):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in outside
+                        and not any(node.name in refs for other, refs in inside
+                                    if other is not node)):
+                    found[f"{mod}.{cls.name}.{node.name}"] = node
     return found
 
 
@@ -99,6 +137,65 @@ def test_every_uncalled_public_name_has_a_reason():
     for qualified, check in KEPT.items():
         doc = ast.get_docstring(uncalled[qualified]) or ""
         assert check in doc, f"{qualified}: its docstring does not name {check!r}"
+
+
+# module.Class.field -> a test that reads it, for the dataclass fields only tests read
+READ_BY_TESTS = {
+    "adversaries.ArbBoundsResult.coloring": "test_arb_bounds_coloring_is_bounded",
+    "adversaries.ArbBoundsResult.triggers": "test_arb_bounds_exclusion",
+    "adversaries.CMResult.coloring": "test_cm_untriggered_injective",
+    "adversaries.TS1Result.invalidated": "test_ts1_identity_recolor_one_action",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    modules = _modules()
+    read = _read_attributes([*modules.values(), *_outside()])
+    unread = {f"{mod}.{cls.name}.{st.target.id}" for mod, tree in modules.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for st in cls.body if isinstance(st, ast.AnnAssign)
+              and isinstance(st.target, ast.Name) and st.target.id not in read}
+    assert unread == set(READ_BY_TESTS), (
+        f"fields nothing reads: {sorted(unread - set(READ_BY_TESTS))}; "
+        f"listed but read or gone: {sorted(set(READ_BY_TESTS) - unread)}")
+    tests = {node.name: node for p in sorted((ROOT / "tests").glob("test_*.py"))
+             for node in ast.parse(p.read_text()).body if isinstance(node, ast.FunctionDef)}
+    for qualified, test in READ_BY_TESTS.items():
+        assert test in tests, f"{qualified}: no test {test}"
+        assert qualified.rpartition(".")[2] in _read_attributes([tests[test]]), (
+            f"{test} does not read {qualified}")
+
+
+# callback signatures that the caller fixes, so a callback may leave a parameter unread
+CALLBACKS = {
+    ("params", "rng", "horizon", "size"),  # a catalog entry's checks
+    ("instance", "sol_tape", "horizon", "size"),  # a ProblemSpec's verify closure
+    ("instance", "budget"),  # a ProblemSpec's brute closure
+    ("ctx", "x"),  # a Functional's step
+}
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = tuple(p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                           if p is not None and p.arg not in ("self", "cls"))
+            if params in CALLBACKS or node.name.startswith("cmd_"):  # cmd_*(args)
+                continue
+            read = {n.id for n in ast.walk(ast.Module(node.body, []))
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{mod}.{node.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters nothing reads: {unread}"
 
 
 # the classes that are tapes in their own right; every other tape is a kernel.RuleTape
