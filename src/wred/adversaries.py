@@ -377,7 +377,7 @@ def ts1_diagonalizer(phi: Functional, psi: Functional, j: int, k: int, stages: i
             eligible = []
             backward = FunctionalTape(psi, [_set_prefix(base)], fuel)
             for x in range(len(colors)):
-                if x > s or colors[x] not in valid:
+                if colors[x] not in valid:
                     continue
                 evals += 1
                 if _converged(backward, x) is None:
@@ -566,36 +566,45 @@ def _fresh_double_one(phi: Functional, sigma: Prefix, used=frozenset()):
     return None
 
 
+def _strings():
+    """The strings up to _LEN_CAP: shortest first, then in lexicographic order."""
+    for length in range(_LEN_CAP + 1):
+        for bits in itertools.product((0, 1), repeat=length):
+            yield Prefix(bits)
+
+
+def _glued(glue: dict, label: str) -> Coloring:
+    """Fresh pairing colors, except that from its trigger on, a glued member
+    takes its group's least member's color.
+
+    `glue` maps each glued member to (its group's least member, trigger).
+    """
+
+    def rule(t):
+        z, s = t
+        if z in glue and s >= glue[z][1]:
+            return cantor_pair(glue[z][0], s)
+        return cantor_pair(z, s)
+
+    return Coloring(2, None, rule, label)
+
+
 def cm_coloring(phi: Functional) -> CMResult:
     """Glue one pair per stage once the functional shows two 1s.
 
     Colors are fresh pairing values except that, after the trigger, the
     two glued witnesses share a color forever; the coloring is 2-bounded
     and anything extending the trigger string computes both witnesses.
+    The trigger is the first string of the search that shows two 1s.
     """
-    found = None
-    for length in range(_LEN_CAP + 1):
-        for bits in itertools.product((0, 1), repeat=length):
-            sigma = Prefix(bits)
-            got = _fresh_double_one(phi, sigma)
-            if got is not None:
-                found = (got[0], got[1], sigma)
-                break
-        if found:
-            break
-    if found is None:
-        rule = lambda t: cantor_pair(t[0], t[1])
-        return CMResult(Coloring(2, None, rule, "cm-untriggered"))
-    x, y, sigma = found
-    stage = max(x, y, len(sigma)) + 1
-
-    def rule(t):
-        z, s = t
-        if s >= stage and z in (x, y):
-            return cantor_pair(x, s)
-        return cantor_pair(z, s)
-
-    return CMResult(Coloring(2, None, rule, "cm-glued"), (x, y, sigma, stage))
+    for sigma in _strings():
+        got = _fresh_double_one(phi, sigma)
+        if got is not None:
+            x, y = got
+            stage = max(x, y, len(sigma)) + 1
+            return CMResult(_glued({x: (x, stage), y: (x, stage)}, "cm-glued"),
+                            (x, y, sigma, stage))
+    return CMResult(_glued({}, "cm-untriggered"))
 
 
 @dataclass
@@ -638,24 +647,20 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:
         collected: list[Prefix] = []
         pairs: list[tuple] = []
         mass = Fraction(0)
-        for length in range(_LEN_CAP + 1):
+        for sigma in _strings():
+            if any(c.is_prefix_of(sigma) or sigma.is_prefix_of(c)
+                   for cyl in cylinders for c in cyl.strings):
+                continue
+            if any(c.is_prefix_of(sigma) or sigma.is_prefix_of(c) for c in collected):
+                continue
+            fresh = _fresh_double_one(phi, sigma, used_all)
+            if fresh is None:
+                continue
+            collected.append(sigma)
+            pairs.append(fresh)
+            mass += Fraction(1, 2 ** len(sigma))
             if mass >= q:
                 break
-            for bits in itertools.product((0, 1), repeat=length):
-                sigma = Prefix(bits)
-                if any(c.is_prefix_of(sigma) or sigma.is_prefix_of(c)
-                       for cyl in cylinders for c in cyl.strings):
-                    continue
-                if any(c.is_prefix_of(sigma) or sigma.is_prefix_of(c) for c in collected):
-                    continue
-                fresh = _fresh_double_one(phi, sigma, used_all)
-                if fresh is None:
-                    continue
-                collected.append(sigma)
-                pairs.append(fresh)
-                mass += Fraction(1, 2 ** len(sigma))
-                if mass >= q:
-                    break
         if mass < q:
             break
         for x, y in pairs:
@@ -678,15 +683,8 @@ def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:
         for v in members:
             glue[v] = (members[0], trig)
 
-    def rule(tup):
-        z, s = tup
-        if z in glue and s >= glue[z][1]:
-            return cantor_pair(glue[z][0], s)
-        return cantor_pair(z, s)
-
     bound = max((len({v for pair in cyl.used for v in pair}) for cyl in cylinders), default=1)
-    return ArbBoundsResult(Coloring(2, None, rule, f"arb-bounds(q={q})"),
-                           cylinders, bound, triggers)
+    return ArbBoundsResult(_glued(glue, f"arb-bounds(q={q})"), cylinders, bound, triggers)
 
 
 def rrt_column_splitter(phi: Functional, columns: int) -> list[ArbBoundsResult]:

@@ -54,6 +54,7 @@ from .problems import (
     HAND_TREES,
     OMEGA_UNARY_CAP,
     PASS,
+    ProblemSpec,
     ThinSolution,
     TreeByRule,
     color_bit,
@@ -931,26 +932,26 @@ def _snd_forward():
     return oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd"))
 
 
+def _projection_config(p: ProblemSpec, label: str) -> SquashConfig:
+    """Q trivial over P: the forward projects the pair <A, B> to its P half B."""
+    w = Witness(parallel_product(triv_spec(), p), p, _snd_forward(), _dup_backward(), "strong",
+                label=f"<TRIV,{p.name}><={p.name}")
+    return SquashConfig(q_spec=triv_spec(), witness=w, label=label)
+
+
 def squash_config_trivial_q() -> SquashConfig:
-    """Q trivial over P = RT^1_2: forward projects the pair to its P half."""
-    q, p = triv_spec(), rt_spec(1, 2)
-    w = Witness(parallel_product(triv_spec(), rt_spec(1, 2)), rt_spec(1, 2),
-                _snd_forward(), _dup_backward(), "strong", label="<TRIV,RT^1_2><=RT^1_2")
-    return SquashConfig(q_spec=q, p_spec=p, witness=w, label="trivial-q-rt12")
+    """Q trivial over P = RT^1_2."""
+    return _projection_config(rt_spec(1, 2), "trivial-q-rt12")
 
 
 def squash_config_coh() -> SquashConfig:
     """Q = P = COH with the interleaving witness."""
-    return SquashConfig(q_spec=coh_spec(), p_spec=coh_spec(), witness=coh_interleave(2),
-                        label="coh-interleave")
+    return SquashConfig(q_spec=coh_spec(), witness=coh_interleave(2), label="coh-interleave")
 
 
 def squash_config_projection() -> SquashConfig:
-    """Pure plumbing: Q = P = TRIV, forward is the second-tape projection."""
-    q, p = triv_spec(), triv_spec()
-    w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
-                _snd_forward(), _dup_backward(), "strong", label="<TRIV,TRIV><=TRIV")
-    return SquashConfig(q_spec=q, p_spec=p, witness=w, label="projection-toy")
+    """Pure plumbing: Q = P = TRIV."""
+    return _projection_config(triv_spec(), "projection-toy")
 
 
 SQUASH_CONFIGS: dict[str, Callable[[], SquashConfig]] = {
@@ -990,8 +991,8 @@ class CatalogEntry:
 
 
 def _rows(name, pairs):
-    return [SoundnessRow(f"{name}/{case}", PASS if ok else FAIL, detail)
-            for case, ok, detail in pairs]
+    return [SoundnessRow(name, check, PASS if ok else FAIL, detail)
+            for check, ok, detail in pairs]
 
 
 def _coh_structural_checks(params, rng, horizon, size):
@@ -1356,10 +1357,6 @@ for _name in SQUASH_CONFIGS:
     ))
 
 
-def entry_ids() -> list[str]:
-    return sorted(ENTRIES)
-
-
 def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, size: int,
               fuel: int = DEFAULT_FUEL) -> list[SoundnessRow]:
     """Generic soundness over the grid plus entry-specific checks.
@@ -1374,10 +1371,7 @@ def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, siz
     entry = ENTRIES[entry_id]
     rows: list[SoundnessRow] = []
     for params, witness in entry.witnesses():
-        per_arity = max(
-            size,
-            4 * witness.source.params.get("n", 1) if "n" in witness.source.params else size,
-        )
+        per_arity = max(size, 4 * witness.source.params.get("n", 0))
         rows.extend(check_witness_soundness(witness, rng, samples, horizon, per_arity, fuel))
     if entry.checks is not None:
         grid = entry.grid or [{}]

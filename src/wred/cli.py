@@ -225,15 +225,14 @@ def cmd_oracle(args) -> int:
     loaded = load_instance(doc)
     budget = SearchBudget(horizon=args.horizon, size=args.size)
     if kind == "coloring":
-        f = loaded[0] if isinstance(loaded, tuple) else loaded
         if args.task == "homogeneous":
-            res = find_homogeneous(f, budget)
+            res = find_homogeneous(loaded, budget)
         elif args.task == "thin":
-            res = find_thin(f, budget)
+            res = find_thin(loaded, budget)
         elif args.task == "rainbow":
-            res = find_rainbow(f, budget)
+            res = find_rainbow(loaded, budget)
         else:
-            res = find_min_homogeneous(f, budget)
+            res = find_min_homogeneous(loaded, budget)
         if res.found:
             omit = "" if res.omitted is None else f" omitted={res.omitted}"
             print(f"found ({res.mode}): {' '.join(map(str, res.members))}{omit}")

@@ -60,7 +60,6 @@ from .kernel import (
 from .problems import (
     FAIL,
     INCONCLUSIVE,
-    PASS,
     ProblemSpec,
     Verdict,
     color_bit,
@@ -123,7 +122,10 @@ class Witness:
 
 @dataclass
 class SoundnessRow:
+    """One verify row.  `check` is kept whole, since names may hold a '/'."""
+
     case: str
+    check: str
     status: str
     detail: str = ""
 
@@ -136,7 +138,7 @@ def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: i
     budget = SearchBudget(horizon=horizon, size=size + w.solve_slack)
     rows: list[SoundnessRow] = []
     if w.source.sample_instance is None:
-        return [SoundnessRow(f"{w.label}", INCONCLUSIVE, "source has no sampler")]
+        return [SoundnessRow(w.label, "check", INCONCLUSIVE, "source has no sampler")]
     for i in range(samples):
         case = f"{w.label}#{i}"
         a_tape = w.source.sample_instance(rng)
@@ -147,24 +149,23 @@ def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: i
             fwd = w.target.check_instance(tgt_inst, horizon)
         except Diverge as d:
             fwd = verdict_inconclusive(f"forward image diverged ({d.reason})")
+        rows.append(SoundnessRow(case, "forward", fwd.status, fwd.detail))
         if not fwd.ok:
-            rows.append(SoundnessRow(case + "/forward", fwd.status, fwd.detail))
             continue
-        rows.append(SoundnessRow(case + "/forward", PASS, fwd.detail))
         if w.target.brute_solution_tapes is None:
-            rows.append(SoundnessRow(case + "/backward", INCONCLUSIVE, "no target solver"))
+            rows.append(SoundnessRow(case, "backward", INCONCLUSIVE, "no target solver"))
             continue
         try:
             sols = w.target.brute_solution_tapes(tgt_inst, budget)
         except Diverge as d:
-            rows.append(SoundnessRow(case + "/backward", INCONCLUSIVE, f"solver diverged ({d.reason})"))
+            rows.append(SoundnessRow(case, "backward", INCONCLUSIVE, f"solver diverged ({d.reason})"))
             continue
         if not sols:
-            rows.append(SoundnessRow(case + "/backward", INCONCLUSIVE, "no brute solution in budget"))
+            rows.append(SoundnessRow(case, "backward", INCONCLUSIVE, "no brute solution in budget"))
             continue
         s_tape = w.pull_back(a_tape, sols[0], fuel)
         v = w.source.verify_at(src_inst, s_tape, horizon, size)
-        rows.append(SoundnessRow(case + "/backward", v.status, v.detail))
+        rows.append(SoundnessRow(case, "backward", v.status, v.detail))
     return rows
 
 
@@ -579,8 +580,7 @@ class SquashConfig:
     """Hypotheses of the squashing construction, checked on entry."""
 
     q_spec: ProblemSpec
-    p_spec: ProblemSpec
-    witness: Witness  # <Q,P> <= P
+    witness: Witness  # <Q,P> <= P; P is its target
     c: Point = field(default_factory=Point.zeros, init=False)  # C of the displays
     width_budget: int = 4096
     candidate_budget: int = 64
@@ -588,9 +588,9 @@ class SquashConfig:
     _profile: Optional["_ReadProfile"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.q_spec.is_total and self.p_spec.is_total):
+        if not (self.q_spec.is_total and self.witness.target.is_total):
             raise InputError("squashing requires total problems")
-        if self.p_spec.tolerance is None:
+        if self.witness.target.tolerance is None:
             raise InputError("squashing requires finite tolerance for the base problem")
         if self.kind not in ("strong", "plain"):
             raise InputError("witness kind must be strong or plain")
@@ -997,7 +997,7 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
 
 
 def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
-    w, theta = cfg.witness, cfg.p_spec.tolerance
+    w, theta = cfg.witness, cfg.witness.target.tolerance
 
     def step(ctx, x):
         i, t = cantor_unpair(x)
@@ -1045,9 +1045,9 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
     """Assemble the three sub-operations into a witness SeqQ <= P."""
     markers = squash_markers(cfg, stages)
     _check_row(markers, columns)
-    return Witness(seq(cfg.q_spec, columns), cfg.p_spec, _squash_table(cfg, markers, range(1)),
-                   _squash_unravel(cfg, markers, columns), cfg.kind,
-                   label=f"Seq{cfg.q_spec.name}<={cfg.p_spec.name} ({cfg.label})")
+    return Witness(seq(cfg.q_spec, columns), cfg.witness.target,
+                   _squash_table(cfg, markers, range(1)), _squash_unravel(cfg, markers, columns),
+                   cfg.kind, label=f"Seq{cfg.q_spec.name}<={cfg.witness.target.name} ({cfg.label})")
 
 
 # ---------------------------------------------------------------------------

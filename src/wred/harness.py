@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .catalog import ENTRIES, run_entry
-from .combinators import SoundnessRow
 from .kernel import ContractError, InputError, Point, ResourceError
 from .problems import HAND_TREES, Coloring, TreeByRule
 
@@ -136,7 +135,7 @@ def load_instance(doc: InstanceDocument):
                 return table[t]
             raise InputError(f"tuple {t} outside the declared table domain")
 
-        return Coloring(arity, colors, rule, "table"), table
+        return Coloring(arity, colors, rule, "table")
     if doc.kind == "tree":
         if doc.representation == "rule":
             name = doc.params.get("rule", "")
@@ -229,11 +228,6 @@ class SuiteConfig:
     seed: int = 0
 
 
-def _split_case(row: SoundnessRow):
-    case, _, check = row.case.rpartition("/")
-    return case or row.case, check or "check"
-
-
 def run_suite(selector: str, config: SuiteConfig) -> Report:
     """Generic soundness plus entry-specific invariants for the selection.
 
@@ -262,7 +256,6 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
                                  config.horizon, config.fuel))
             continue
         for row in rows:
-            case, check = _split_case(row)
-            report.add(ReportRow(case, entry_id, check, row.status, row.detail,
+            report.add(ReportRow(row.case, entry_id, row.check, row.status, row.detail,
                                  config.seed, config.horizon, config.fuel))
     return report

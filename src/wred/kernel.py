@@ -111,11 +111,12 @@ def rank_tuple(r: int, n: int) -> tuple[int, ...]:
 
 
 def max_entry_below_rank(m: int, n: int) -> int:
-    """Largest element of any n-tuple with rank < m; -1 when m == 0."""
-    best = -1
-    for r in range(m):
-        best = max(best, rank_tuple(r, n)[n - 1])
-    return best
+    """Largest element of any n-tuple with rank < m; -1 when m == 0.
+
+    In colex order a tuple's largest element never falls as the rank
+    grows, so the tuple of rank m - 1 has it.
+    """
+    return rank_tuple(m - 1, n)[n - 1] if m > 0 else -1
 
 
 # ---------------------------------------------------------------------------

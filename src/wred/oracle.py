@@ -1,11 +1,12 @@
 """Brute-force finite solvers: the ground truth for every property test.
 
-Deliberately naive.  Searches are greedy-first with an exhaustive DFS
-fallback, both under a node budget, and every result records which
-engine produced it.  Exhaustive results are canonical: the returned set
-is lexicographically least among solutions of the requested size.  The
-predicates ask for the same tuple's color again and again; the coloring
-answers the repeats from its memo (`Coloring.value`), not the search.
+Deliberately naive.  Searches are exhaustive DFS under a node budget;
+`find_rainbow` alone tries a greedy pass first, and every result records
+which engine produced it.  Exhaustive results are canonical: the
+returned set is lexicographically least among solutions of the requested
+size.  The predicates ask for the same tuple's color again and again;
+the coloring answers the repeats from its memo (`Coloring.value`), not
+the search.
 """
 
 from __future__ import annotations
@@ -188,38 +189,26 @@ def structural_check(f: Coloring, members, prop: str) -> StructuralVerdict:
             if f.value((x, y)) == f.value((y, z)) and f.value((x, z)) != f.value((x, y))
             else None
         )
-        if prop == "transitive":
-            if bad:
-                c, w = next(iter(bad.items()))
-                return StructuralVerdict(False, witness=w, detail=f"color {c} not transitive at {w}")
-            return StructuralVerdict(True)
-        if len(bad) <= 1:
-            return StructuralVerdict(True)
-        items = sorted(bad.items())
-        return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")
-
-    if prop == "semi-hereditary":
+        if prop == "transitive" and bad:
+            c, w = next(iter(bad.items()))
+            return StructuralVerdict(False, witness=w, detail=f"color {c} not transitive at {w}")
+    elif prop == "semi-hereditary":
         bad = violators(
             lambda x, y, z: f.value((x, z))
             if f.value((x, z)) == f.value((y, z)) and f.value((x, y)) != f.value((x, z))
             else None
         )
-        if len(bad) <= 1:
-            return StructuralVerdict(True)
-        items = sorted(bad.items())
-        return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")
-
-    # semi-trivial: for all colors but possibly one, every {y > x : f(x,y) = i}
-    # restricted to the sample is homogeneous
-    bad = {}
-    for i in sorted(used_colors):
-        for x in h:
-            ys = [y for y in h if y > x and f.value((x, y)) == i]
-            vals = {f.value(p) for p in itertools.combinations(ys, 2)}
-            if len(vals) > 1:
-                bad[i] = (x, tuple(ys))
-                break
+    else:
+        # semi-trivial: for all colors but possibly one, every {y > x : f(x,y) = i}
+        # restricted to the sample is homogeneous
+        bad = {}
+        for i in sorted(used_colors):
+            for x in h:
+                ys = [y for y in h if y > x and f.value((x, y)) == i]
+                vals = {f.value(p) for p in itertools.combinations(ys, 2)}
+                if len(vals) > 1:
+                    bad[i] = (x, tuple(ys))
+                    break
     if len(bad) <= 1:
         return StructuralVerdict(True)
-    items = sorted(bad.items())
-    return StructuralVerdict(False, witness=items[0][1], detail=f"colors {sorted(bad)} all fail")
+    return StructuralVerdict(False, witness=bad[min(bad)], detail=f"colors {sorted(bad)} all fail")

@@ -44,7 +44,6 @@ from wred.catalog import (
     ts_step_extract,
     wkl_from_seqwwkl_witness,
     wkl_interleave,
-    entry_ids,
 )
 from wred.combinators import (
     SoundnessRow,
@@ -930,7 +929,7 @@ def _xor_plain_squash_config():
                               "xor"))
     back = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "inst-xor-sol")
     w = Witness(parallel_product(t, t), t, fwd, back, "plain", label="xor-plain")
-    return SquashConfig(q_spec=t, p_spec=t, witness=w, label="xor-plain")
+    return SquashConfig(q_spec=t, witness=w, label="xor-plain")
 
 
 def test_plain_squash_backward_reads_the_pair_instance():
@@ -1018,7 +1017,7 @@ def test_iterate_wkl_interleave():
 
 
 def test_entry_ids_stable():
-    ids = entry_ids()
+    ids = sorted(ENTRIES)
     assert "rt_product" in ids and "squash_coh_interleave" in ids and "ts3_cube" in ids
 
 
@@ -1027,23 +1026,23 @@ def test_run_entry_calls_a_grid_independent_check_once(monkeypatch):
 
     def checks(params, rng, horizon, size):
         calls.append(params)
-        return [SoundnessRow(f"probe/call{len(calls)}-{i}", PASS) for i in range(2)]
+        return [SoundnessRow("probe", f"call{len(calls)}-{i}", PASS) for i in range(2)]
 
     grid = [{"x": 0}, {"x": 1}, {"x": 2}]
     monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks,
                                                        checks_read_grid=False))
     rows = run_entry("probe", rng(), 1, 8, 2)
     assert len(calls) == 1
-    assert [r.case for r in rows] == ["probe/call1-0", "probe/call1-1"] * 3
+    assert [r.check for r in rows] == ["call1-0", "call1-1"] * 3
     # a second run_entry call runs the check again: nothing is kept between calls
     assert run_entry("probe", rng(), 1, 8, 2) == [
-        SoundnessRow(f"probe/call2-{i}", PASS) for i in range(2)] * 3
+        SoundnessRow("probe", f"call2-{i}", PASS) for i in range(2)] * 3
     # the default calls it once per grid point, in grid order
     calls.clear()
     monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks))
     rows = run_entry("probe", rng(), 1, 8, 2)
     assert calls == grid
-    assert [r.case for r in rows] == [f"probe/call{c}-{i}" for c in (1, 2, 3) for i in range(2)]
+    assert [r.check for r in rows] == [f"call{c}-{i}" for c in (1, 2, 3) for i in range(2)]
 
 
 def test_grid_independent_checks_read_neither_params_nor_rng():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -216,7 +217,7 @@ def test_nested_work_is_charged_to_the_callers_fuel():
 
     def heavy_squash(kind):
         w = heavy_witness(parallel_product(e, e), e, kind)
-        return squash(SquashConfig(q_spec=e, p_spec=e, witness=w, label=f"heavy-{kind}"), 6)
+        return squash(SquashConfig(q_spec=e, witness=w, label=f"heavy-{kind}"), 6)
 
     e, rt = echo_spec(), rt_spec(1, 2)
     composites = [
@@ -363,7 +364,7 @@ def test_iterate_soundness_suite():
 
 def echo_squash_config():
     e = echo_spec()
-    return SquashConfig(q_spec=e, p_spec=e, witness=echo_pair_witness(), label="echo")
+    return SquashConfig(q_spec=e, witness=echo_pair_witness(), label="echo")
 
 
 def projection_squash_config():
@@ -371,7 +372,7 @@ def projection_squash_config():
     fwd = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd"))
     back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
     w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="<TRIV,TRIV><=TRIV")
-    return SquashConfig(q_spec=t, p_spec=t, witness=w, label="projection")
+    return SquashConfig(q_spec=t, witness=w, label="projection")
 
 
 def test_marker_sequence_invariants_enforced():
@@ -389,11 +390,11 @@ def test_squash_requires_total_and_tolerant():
     nt = rt_spec(1, 2)
     nt.is_total = False
     with pytest.raises(InputError):
-        SquashConfig(q_spec=e, p_spec=nt, witness=echo_pair_witness())
+        SquashConfig(q_spec=e, witness=dataclasses.replace(echo_pair_witness(), target=nt))
     no_tol = echo_spec()
     no_tol.tolerance = None
     with pytest.raises(InputError):
-        SquashConfig(q_spec=e, p_spec=no_tol, witness=echo_pair_witness())
+        SquashConfig(q_spec=e, witness=dataclasses.replace(echo_pair_witness(), target=no_tol))
 
 
 def test_projection_markers_match_hand_simulation():
@@ -541,7 +542,7 @@ def synthetic_squash_config(reads, step=lambda ctx, x: 0):
     fwd = Functional(1, step, "synthetic", reads)
     back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
     w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="synthetic")
-    return SquashConfig(q_spec=t, p_spec=t, witness=w, label="synthetic")
+    return SquashConfig(q_spec=t, witness=w, label="synthetic")
 
 
 def _reading(reads):
@@ -964,7 +965,7 @@ def test_squash_markers_never_converging_forward_is_resource_error():
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, spin, "spin"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                       "dup"), "strong")
-    cfg = SquashConfig(q_spec=t, p_spec=t, witness=w, candidate_budget=4)
+    cfg = SquashConfig(q_spec=t, witness=w, candidate_budget=4)
     with pytest.raises(ResourceError):
         squash_markers(cfg, 2)
 
@@ -984,7 +985,7 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, xor_all, "xor"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                         "dup"), "strong")
-    cfg = SquashConfig(q_spec=t, p_spec=t, witness=w, width_budget=8, candidate_budget=4)
+    cfg = SquashConfig(q_spec=t, witness=w, width_budget=8, candidate_budget=4)
     with pytest.raises(ResourceError):
         squash_markers(cfg, 6)
 

@@ -27,7 +27,7 @@ def test_coloring_table_roundtrip():
                            params={"arity": 2, "colors": 3},
                            entries=[t + (f.value(t),) for t in f.tuples(range(8))])
     text = doc.to_text()
-    loaded, table = load_instance(parse_document(text))
+    loaded = load_instance(parse_document(text))
     for t in f.tuples(range(8)):
         assert loaded.value(t) == f.value(t)
     assert parse_document(text).to_text() == text  # byte-exact round trip
@@ -168,7 +168,7 @@ def test_verify_all_csv_bytes_pinned():
     csv = run_suite("all", SuiteConfig(samples=1, seed=0)).to_csv()
     assert len(csv.splitlines()) == 114
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "760ee069e37f948eebd755dbbd4b8b2f4f5ac845f34b6480f7ba3839cc82e3c6"
+        "422c894c1e451363f84230c13772811735dc0a2deb81685bf441b91c6568c44f"
     )
 
 
@@ -177,8 +177,16 @@ def test_verify_all_csv_bytes_pinned_at_seed_3():
     csv = run_suite("all", SuiteConfig(samples=1, seed=3)).to_csv()
     assert len(csv.splitlines()) == 114
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "1684ba1784bfc8c378e9b269b21efcab2bb3558e0c840949941a3b6569b74f4a"
+        "f1593342f1407f0ab877d7ba089d31577dbf363bb5d5767c14094dcfa1b3f2d4"
     )
+
+
+def test_verify_row_keeps_a_check_name_with_a_slash_whole():
+    rows = run_suite("wkl_from_seqwwkl", SuiteConfig(samples=1)).rows
+    levels = sorted((r.case_id, r.check) for r in rows if "levels[" in r.case_id + r.check)
+    assert levels == [("WKL<=Seq(1/2-WWKL)", f"levels[{tree}/{sigma}]")
+                      for tree in ("first-1", "full", "no-11")
+                      for sigma in ("Prefix()", "Prefix(01)", "Prefix(1)")]
 
 
 def test_report_exit_codes():

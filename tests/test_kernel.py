@@ -89,6 +89,16 @@ def test_max_entry_below_rank():
     assert max_entry_below_rank(0, 2) == -1
 
 
+def test_max_entry_below_rank_matches_the_scan():
+    # the scan over every rank below m, run once per arity: best is its
+    # answer for m before rank m is read
+    for n in range(1, 5):
+        best = -1
+        for m in range(400):
+            assert max_entry_below_rank(m, n) == best, (m, n)
+            best = max(best, rank_tuple(m, n)[n - 1])
+
+
 # --- tapes -------------------------------------------------------------------
 
 

@@ -70,19 +70,39 @@ def _public_definitions(tree: ast.Module):
                 yield name, node
 
 
+def _bound(fn) -> set[str]:
+    """The names a function binds: its parameters and what it assigns."""
+    a = fn.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    return {p.arg for p in params if p is not None} | {
+        n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
 def _references(nodes) -> set[str]:
-    """Names, attributes, imported names and strings (getattr targets) in nodes."""
+    """Names, attributes, imported names and strings (getattr targets) in nodes.
+
+    A name that an enclosing function binds is that function's local, not
+    a reference to a module's name of the same spelling.
+    """
     out = set()
-    for top in nodes:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound(node)
+        if isinstance(node, ast.Name):
+            if node.id not in local:
                 out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    for top in nodes:
+        visit(top, frozenset())
     return out
 
 
