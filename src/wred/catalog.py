@@ -7,7 +7,6 @@ finite-scale checks.  Entry ids are addressable from the CLI.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -196,7 +195,6 @@ _LAYOUTS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def _columns(n: int, column_of: Callable[[int], int]) -> tuple:
     """How a string of length n splits into columns under a column map.
 
@@ -209,14 +207,6 @@ def _columns(n: int, column_of: Callable[[int], int]) -> tuple:
     for p in range(n):
         cols.setdefault(column_of(p), []).append(n - 1 - p)
     return tuple(tuple(shifts) for shifts in cols.values())
-
-
-def _column_node(m: int, shifts) -> int:
-    """Index of the column string whose bits are the bits of m at `shifts`."""
-    idx = 0
-    for shift in shifts:
-        idx = 2 * idx + 1 + ((m >> shift) & 1)
-    return idx
 
 
 def wkl_interleave(count) -> Witness:
@@ -238,7 +228,8 @@ def wkl_interleave(count) -> Witness:
     straight from the bits of x+1 and queries the column's nodes shortest
     first, stopping at the first 0; columns are tried in order 0, 1, ...
     Both give the same answer, and the cells the memo reads are a subset
-    of the walk's.
+    of the walk's.  Which column holds a length's last position, and its
+    shifts, is worked out once per length.
 
     The wire-level problem specs cap the path horizon at depth 4 for each
     of a pair's trees; the exact measure identities are checked directly
@@ -253,8 +244,10 @@ def wkl_interleave(count) -> Witness:
     else:
         raise InputError("count must be 2 or 'omega'")
     column_of, place = _LAYOUTS[count]
+    last: dict = {}  # n -> (the column of position n - 1, its shifts)
 
-    def walk(ctx, m, n):
+    def walk(ctx, m):
+        n = m.bit_length() - 1
         for i, shifts in enumerate(_columns(n, column_of)):
             idx = 0
             for shift in shifts:
@@ -263,19 +256,23 @@ def wkl_interleave(count) -> Witness:
                     return 0
         return 1
 
-    def last_node(m, n):
-        i = column_of(n - 1)
-        return place(i, _column_node(m, _columns(n, column_of)[i]))
-
     def in_s(ctx, x):
         memo = ctx.scratch
-        m = x + 1
-        n = m.bit_length() - 1
         parent = memo.get((x - 1) >> 1)  # x = 0 looks up -1, never present
         if parent is None:
-            v = walk(ctx, m, n)
+            v = walk(ctx, x + 1)
         elif parent:
-            v = ctx.query(0, last_node(m, n))
+            m = x + 1
+            n = m.bit_length() - 1
+            lay = last.get(n)
+            if lay is None:
+                i = column_of(n - 1)
+                lay = last[n] = (i, _columns(n, column_of)[i])
+            i, shifts = lay
+            idx = 0  # the last column's node
+            for shift in shifts:
+                idx = 2 * idx + 1 + ((m >> shift) & 1)
+            v = ctx.query(0, place(i, idx))
         else:
             v = 0
         memo[x] = v
@@ -323,17 +320,19 @@ def ts_collapse(n: int, j: int, k) -> Witness:
 # WKL from sequential WWKL (the half-measure trees)
 
 
-def ext_in_tree(s: TreeByRule, rho: Prefix, k: int) -> bool:
+def ext_in_tree(s: TreeByRule, rho: Prefix, k: int,
+                member: Optional[Callable[[int], bool]] = None) -> bool:
     """Is rho extendible in s to length k (or already that long)?
 
     A depth-first search on string indices (children 2i+1, 2i+2), the
-    1-child popped first.  Membership is s's `index_member` when it has
-    one and `index_string(i) in s` otherwise; either way the strings are
-    tested in the order of the same search on `Prefix` strings.
+    1-child popped first.  Membership is `member` when given, else s's
+    `index_member` when it has one and `index_string(i) in s` otherwise;
+    either way the strings are tested in the order of the same search on
+    `Prefix` strings.
     """
     if k <= len(rho):
         return True
-    member = s.index_member or (lambda i: index_string(i) in s)
+    member = member or s.index_member or (lambda i: index_string(i) in s)
     idx = string_index(rho)
     if not member(idx):
         return False
@@ -380,29 +379,36 @@ def half_measure_tree(s: TreeByRule, sigma: Prefix) -> TreeByRule:
     is downward closed by construction (see `_tracking_allows`), so
     `level_members` grows it on indices without the orphan scan.  The
     forward of `wkl_from_seqwwkl_witness` reads its columns through
-    `index_member`, one tracking tree per column.
+    `index_member`, one tracking tree per column.  A rule-backed s is
+    asked each string at most once per tracking tree: the answers are
+    kept here, never on s.
     """
     children = (sigma.extend(0), sigma.extend(1))
     ext_memo: dict = {}
     allowed: dict = {}
+    base_member = s.index_member
+    if base_member is None:
+        seen: dict = {}
+        base_member = lambda i: seen[i] if i in seen else seen.setdefault(i, index_string(i) in s)
 
     def ext(c: int, k: int) -> bool:
-        if (c, k) not in ext_memo:
-            ext_memo[(c, k)] = ext_in_tree(s, children[c], k)
-        return ext_memo[(c, k)]
-
-    def allows(b: int, n: int) -> bool:
-        if (b, n) not in allowed:
-            allowed[(b, n)] = _tracking_allows(ext, b, n)
-        return allowed[(b, n)]
+        v = ext_memo.get(2 * k + c)
+        if v is None:
+            v = ext_memo[2 * k + c] = ext_in_tree(s, children[c], k, base_member)
+        return v
 
     def index_member(idx: int) -> bool:
         if idx == 0:
             return True
-        n = (idx + 1).bit_length() - 1
-        return allows(((idx + 1) >> (n - 1)) & 1, n)
+        m = idx + 1
+        n = m.bit_length() - 1
+        key = 2 * n + ((m >> (n - 1)) & 1)
+        v = allowed.get(key)
+        if v is None:
+            v = allowed[key] = _tracking_allows(ext, key & 1, n)
+        return v
 
-    t = TreeByRule(lambda tau: not tau.bits or allows(tau.bits[0], len(tau)), f"T[{sigma!r}]")
+    t = TreeByRule(lambda tau: index_member(string_index(tau)), f"T[{sigma!r}]")
     t.index_member = index_member
     return t
 
@@ -499,23 +505,25 @@ def blowup_once(t: TreeByRule, p: Fraction, eps: Fraction, depth: int) -> Blowup
             needed=str(target_mass), found=str(mass),
         )
 
+    cuts = [(len(sh.bits), sh.bits) for sh in shifts]
+
     def member(sigma: Prefix) -> bool:
         if sigma in t:
             return True
-        for sh in shifts:
-            if len(sigma) >= len(sh) and sigma.bits[: len(sh)] == sh.bits:
-                if Prefix(sigma.bits[len(sh):]) in t:
-                    return True
+        bits = sigma.bits
+        for n, sh in cuts:  # a shorter sigma's slice is shorter than sh
+            if bits[:n] == sh and Prefix(bits[n:]) in t:
+                return True
         return False
 
     s = TreeByRule(member, f"blowup({t.label})")
-    max_len = max(len(sh) for sh in shifts)
+    max_len = max(n for n, _ in cuts)
 
     def pstep(ctx, x):
-        head = tuple(ctx.query(0, i) for i in range(max_len))
-        for sh in shifts:
-            if head[: len(sh)] == sh.bits:
-                return ctx.query(0, x + len(sh))
+        head = tuple([ctx.query(0, i) for i in range(max_len)])
+        for n, sh in cuts:
+            if head[:n] == sh:
+                return ctx.query(0, x + n)
         return ctx.query(0, x)
 
     return Blowup(s, pointwise(1, pstep, "drop-shift"), shifts)

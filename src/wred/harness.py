@@ -126,9 +126,14 @@ def load_instance(doc: InstanceDocument):
         for e in doc.entries:
             if len(e) != arity + 1:
                 raise InputError(f"table entry {e} does not match arity {arity}")
-            if colors is not None and not 0 <= e[-1] < colors:
-                raise InputError(f"color {e[-1]} out of range in entry {e}")
-            table[e[:-1]] = e[-1]
+            t, c = e[:-1], e[-1]
+            if c < 0 or (colors is not None and c >= colors):
+                raise InputError(f"color {c} out of range in entry {e}")
+            if t[0] < 0 or any(a >= b for a, b in zip(t, t[1:])):
+                raise InputError(f"table entry {e}: {t} is not an increasing tuple of naturals")
+            if t in table:
+                raise InputError(f"table entry {e} repeats the tuple {t}")
+            table[t] = c
 
         def rule(t):
             if t in table:
@@ -144,6 +149,8 @@ def load_instance(doc: InstanceDocument):
             return TREE_RULES[name](doc.params)
         members = {tuple(e) for e in doc.entries} | {()}
         for m in members:
+            if any(b not in (0, 1) for b in m):
+                raise InputError(f"table tree entry {m} is not a string of bits")
             if m and m[:-1] not in members:
                 raise InputError(f"table tree is not downward closed at {m}")
         return TreeByRule(lambda s: s.bits in members, "table-tree")

@@ -99,15 +99,27 @@ def rank_tuple(r: int, n: int) -> tuple[int, ...]:
         raise InputError("rank must be >= 0 and arity >= 1")
     out = []
     rem = r
-    for i in range(n, 0, -1):
-        # largest c with C(c, i) <= rem
-        c = i - 1
+    for i in range(n, 1, -1):
+        # largest c with C(c, i) <= rem: since (c-i+1)^i <= i! C(c, i) <= c^i,
+        # it lies in [e, e+i-1] for e the integer i-th root of i! rem
+        c = max(_iroot(rem * math.factorial(i), i), i - 1)
         while math.comb(c + 1, i) <= rem:
             c += 1
         out.append(c)
         rem -= math.comb(c, i)
+    out.append(rem)  # C(c, 1) = c
     out.reverse()
     return tuple(out)
+
+
+def _iroot(a: int, k: int) -> int:
+    """The largest x >= 0 with x**k <= a (k >= 2), by Newton's method on integers."""
+    if k == 2 or a == 0:
+        return math.isqrt(a)
+    x = 1 << -(-a.bit_length() // k)  # above the root
+    while (y := ((k - 1) * x + a // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def max_entry_below_rank(m: int, n: int) -> int:
@@ -163,14 +175,16 @@ class Point:
     def from_seed(seed: int) -> "Point":
         """Deterministic pseudo-random point (splitmix-style hash)."""
 
-        def rule(pos: int, seed=seed) -> int:
-            z = (pos * 0x9E3779B97F4A7C15 + seed * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) % (1 << 64)
+        mask = (1 << 64) - 1
+        base = seed * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
+
+        def rule(pos: int) -> int:
+            z = (pos * 0x9E3779B97F4A7C15 + base) & mask
             z ^= z >> 30
-            z = (z * 0xBF58476D1CE4E5B9) % (1 << 64)
+            z = (z * 0xBF58476D1CE4E5B9) & mask
             z ^= z >> 27
-            z = (z * 0x94D049BB133111EB) % (1 << 64)
-            z ^= z >> 31
-            return z & 1
+            z *= 0x94D049BB133111EB  # bits 0 and 31, all that is read, need no mask
+            return (z ^ (z >> 31)) & 1
 
         return Point(rule, f"seeded({seed})")
 
@@ -195,9 +209,8 @@ class Prefix:
 
     def __init__(self, bits: Sequence[int] = ()):
         bs = tuple(bits)
-        for b in bs:
-            if b not in (0, 1):
-                raise InputError(f"prefix bit {b!r} is not 0/1")
+        if bs.count(0) + bs.count(1) != len(bs):
+            raise InputError(f"prefix bit {next(b for b in bs if b not in (0, 1))!r} is not 0/1")
         self.bits = bs
 
     def bit(self, pos: int) -> int:
@@ -350,9 +363,9 @@ class EvalContext:
         if led.steps > led.fuel:
             raise Diverge("fuel")
         b = self.tapes[tape].bit(pos)
-        prev = self.use.get(tape, -1)
-        if pos > prev:
-            self.use[tape] = pos
+        use = self.use
+        if pos > use.get(tape, -1):
+            use[tape] = pos
         return b
 
     def tape(self, idx: int) -> "CtxTape":
@@ -489,23 +502,20 @@ class FunctionalTape:
         return pos < len(self._bits)
 
     def bit(self, pos: int) -> int:
+        bits = self._bits
+        if 0 <= pos < len(bits):
+            return bits[pos]
         if pos < 0:
             raise InputError(f"negative tape position {pos}")
-        bits = self._bits
-        if pos < len(bits):
-            return bits[pos]
         if self._stalled is not None:
             raise Diverge(self._stalled, len(bits))
         ctx, step, led, parked = self.ctx, self.func.step, self.ctx.ledger, self.parked
         try:
-            while len(bits) <= pos:
+            for x in range(len(bits), pos + 1):
                 # one position, as _run_step runs it for a root and _step for
                 # a parked tape: a root's steps restart, the entry charge
                 # (fuel 0 always diverges), then the step
-                x = len(bits)
-                if not parked:
-                    led.steps = 0
-                led.steps += 1
+                led.steps = led.steps + 1 if parked else 1
                 if led.steps > led.fuel:
                     raise Diverge("fuel")
                 v = step(ctx, x)

@@ -4,9 +4,9 @@ Deliberately naive.  Searches are exhaustive DFS under a node budget;
 `find_rainbow` alone tries a greedy pass first, and every result records
 which engine produced it.  Exhaustive results are canonical: the
 returned set is lexicographically least among solutions of the requested
-size.  The predicates ask for the same tuple's color again and again;
-the coloring answers the repeats from its memo (`Coloring.value`), not
-the search.
+size.  A candidate joins a consistent set of smaller members, so each
+predicate tests only the tuples the candidate adds (`_new_tuples`) and
+reads an old color only to compare against it.
 """
 
 from __future__ import annotations
@@ -72,12 +72,19 @@ def _dfs_extend(consistent, budget: SearchBudget) -> SearchResult:
     return SearchResult(tuple(chosen), mode="exhaustive", nodes=nodes)
 
 
+def _new_tuples(chosen: list, x: int, n: int):
+    """The n-tuples with x on top of chosen (all below x), lexicographic."""
+    return (t + (x,) for t in itertools.combinations(chosen, n - 1))
+
+
 def find_homogeneous(f: Coloring, budget: SearchBudget) -> SearchResult:
     """Least size-s subset of [0, N) monochromatic under f, if any."""
     n = f.arity
 
     def consistent(chosen, x):
-        colors = {f.value(t) for t in itertools.combinations(sorted(chosen + [x]), n)}
+        colors = {f.value(t) for t in _new_tuples(chosen, x, n)}
+        if len(chosen) >= n:  # the old tuples share one color
+            colors.add(f.value(tuple(chosen[:n])))
         return len(colors) <= 1
 
     return _dfs_extend(consistent, budget)
@@ -93,9 +100,7 @@ def find_thin(f: Coloring, budget: SearchBudget, omit: Optional[int] = None) -> 
     for c in color_range:
 
         def consistent(chosen, x, c=c):
-            return all(
-                f.value(t) != c for t in itertools.combinations(sorted(chosen + [x]), f.arity)
-            )
+            return all(f.value(t) != c for t in _new_tuples(chosen, x, f.arity))
 
         res = _dfs_extend(consistent, budget)
         any_exhausted |= res.exhausted
@@ -122,9 +127,10 @@ def find_rainbow(f: Coloring, budget: SearchBudget) -> SearchResult:
     n = f.arity
 
     def consistent(chosen, x):
-        trial = sorted(chosen + [x])
-        colors = [f.value(t) for t in itertools.combinations(trial, n)]
-        return len(colors) == len(set(colors))
+        new = [f.value(t) for t in _new_tuples(chosen, x, n)]
+        fresh = set(new)
+        return len(fresh) == len(new) and fresh.isdisjoint(
+            map(f.value, itertools.combinations(chosen, n)))
 
     greedy: list[int] = []
     for x in range(budget.horizon):
@@ -141,10 +147,10 @@ def find_min_homogeneous(f: Coloring, budget: SearchBudget) -> SearchResult:
         raise InputError("min-homogeneity is defined for pair colorings")
 
     def consistent(chosen, x):
-        trial = sorted(chosen + [x])
-        for a, rest in zip(trial, range(len(trial))):
-            vals = {f.value((a, b)) for b in trial[rest + 1 :]}
-            if len(vals) > 1:
+        # a's pairs in chosen share the color of (a, a's successor in chosen)
+        for a, b in zip(chosen, chosen[1:] + [None]):
+            c = f.value((a, x))
+            if b is not None and c != f.value((a, b)):
                 return False
         return True
 

@@ -244,15 +244,22 @@ class TreeByRule:
 
         The root is always in; a nonempty string is in iff the tape has a
         1 at the index of every nonempty prefix of it.  Membership is
-        memoized by index: member(i) = member((i-1)//2) and bit(i) = 1,
-        with the parent decided before the node's own bit is read, so the
-        tape is read at the same positions, in the same order, as a walk
-        down the prefixes.  A Diverge from the tape propagates and leaves
-        that node undecided.
+        memoized by index: member(i) = member((i-1)//2) and bit(i) = 1.
+        A node whose parent is decided reads its one bit; any other walks
+        up from its nearest decided ancestor, so the tape is read at the
+        same positions, in the same order, as a walk down the prefixes.  A
+        Diverge from the tape propagates and leaves that node undecided.
         """
         known = {0: True}
 
         def index_member(idx: int) -> bool:
+            inside = known.get(idx)
+            if inside is not None:
+                return inside
+            parent = known.get((idx - 1) >> 1)
+            if parent is not None:
+                inside = known[idx] = parent and tape.bit(idx) == 1
+                return inside
             path = []
             while idx not in known:
                 path.append(idx)
@@ -303,10 +310,10 @@ def _levels(t: TreeByRule, d: int) -> Iterator[list[int]]:
     yield live
     for lvl in range(1, d + 1):
         if scan and (1 << lvl) <= _ORPHAN_SCAN_MAX:
-            parents, live = set(live), []
+            parents, live, rule = set(live), [], t.member
             for c, bits in enumerate(itertools.product((0, 1), repeat=lvl), (1 << lvl) - 1):
                 s = Prefix(bits)
-                if s in t:
+                if rule(s):
                     if (c - 1) >> 1 not in parents:
                         raise ContractError(f"{t.label}: {s!r} present but parent missing")
                     live.append(c)
@@ -727,11 +734,11 @@ def rrt_spec(n: int, k: int) -> ProblemSpec:
 HAND_TREES: dict[str, Callable[..., TreeByRule]] = {
     "full": TreeByRule.full,
     "no-11": lambda: TreeByRule(
-        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s) - 1)), "no-11"),
+        lambda s: all(s.bits[i : i + 2] != (1, 1) for i in range(len(s.bits) - 1)), "no-11"),
     "first-bit": lambda b, label=None: TreeByRule(
-        lambda s: len(s) == 0 or s.bits[0] == b, label or f"first-{b}"),
+        lambda s: not s.bits or s.bits[0] == b, label or f"first-{b}"),
     "fix": lambda pos, val: TreeByRule(
-        lambda s: len(s) <= pos or s.bits[pos] == val, f"fix({pos}={val})"),
+        lambda s: len(s.bits) <= pos or s.bits[pos] == val, f"fix({pos}={val})"),
 }
 
 

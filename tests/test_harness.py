@@ -69,6 +69,27 @@ def test_tree_document_and_closure_check():
         load_instance(parse_document(bad))
 
 
+@pytest.mark.parametrize("task, body, match", [
+    ("homogeneous", "kind: coloring\nparam arity: 1\nparam colors: omega\nentry: 0 -1\n",
+     r"color -1 out of range in entry \(0, -1\)"),
+    ("thin", "kind: coloring\nparam arity: 2\nparam colors: 2\nentry: 1 0 1\n",
+     r"table entry \(1, 0, 1\): \(1, 0\) is not an increasing tuple"),
+    ("thin", "kind: coloring\nparam arity: 2\nparam colors: 2\nentry: 0 1 0\nentry: 0 1 1\n",
+     r"table entry \(0, 1, 1\) repeats the tuple \(0, 1\)"),
+    ("paths", "kind: tree\nentry: 0\nentry: 0 2\n",
+     r"table tree entry \(0, 2\) is not a string of bits"),
+], ids=["omega-negative-color", "coloring-not-increasing", "coloring-repeat", "tree-non-bit"])
+def test_table_documents_reject_entries_never_read(tmp_path, capsys, task, body, match):
+    text = "wred-instance v1\nrepresentation: table\n" + body
+    with pytest.raises(InputError, match=match):
+        load_instance(parse_document(text))
+    doc = tmp_path / "table.doc"
+    doc.write_text(text)
+    assert main(["oracle", task, "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
 def test_point_document():
     doc = parse_document(
         "wred-instance v1\nkind: point\nrepresentation: rule\nparam rule: alternating\n"

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import pytest
@@ -97,6 +98,55 @@ def test_max_entry_below_rank_matches_the_scan():
         for m in range(400):
             assert max_entry_below_rank(m, n) == best, (m, n)
             best = max(best, rank_tuple(m, n)[n - 1])
+
+
+def _scan_rank_tuple(r, n):
+    # rank_tuple as a linear scan: each element is the largest c with C(c, i) <= rem
+    out, rem = [], r
+    for i in range(n, 0, -1):
+        c = i - 1
+        while math.comb(c + 1, i) <= rem:
+            c += 1
+        out.append(c)
+        rem -= math.comb(c, i)
+    return tuple(reversed(out))
+
+
+def test_rank_tuple_matches_the_scan():
+    for n in range(1, 5):
+        for r in range(5000):
+            assert rank_tuple(r, n) == _scan_rank_tuple(r, n), (r, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_rank_tuple_is_exact_beyond_float_range(n):
+    for r in (2**1100, 2**1100 - 1, 3**700 + 5):
+        t = rank_tuple(r, n)
+        assert len(t) == n and all(a < b for a, b in zip(t, t[1:]))
+        assert tuple_rank(t) == r
+
+
+def _old_seeded_bit(seed, pos):
+    z = (pos * 0x9E3779B97F4A7C15 + seed * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) % (1 << 64)
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) % (1 << 64)
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) % (1 << 64)
+    z ^= z >> 31
+    return z & 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 2**40 + 7])
+def test_seeded_point_matches_the_modular_formula(seed):
+    p = Point.from_seed(seed)
+    assert [p.bit(i) for i in range(4096)] == [_old_seeded_bit(seed, i) for i in range(4096)]
+
+
+@pytest.mark.parametrize("bits, bad", [((0, 2), "2"), ((1, -1, 0), "-1"), (("1",), "'1'"),
+                                       ((0, 1, 2, -1), "2")])
+def test_prefix_names_its_first_non_bit(bits, bad):
+    with pytest.raises(InputError, match=f"^prefix bit {bad} is not 0/1$"):
+        Prefix(bits)
 
 
 # --- tapes -------------------------------------------------------------------

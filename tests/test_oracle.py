@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
-from wred.kernel import InputError, Prefix, tuple_rank
+from wred.kernel import InputError, Point, Prefix, tuple_rank
 from wred.oracle import (
     SearchBudget,
+    SearchResult,
+    _dfs_extend,
     enumerate_paths,
     enumerate_thin,
     find_homogeneous,
@@ -11,7 +15,7 @@ from wred.oracle import (
     find_thin,
     structural_check,
 )
-from wred.problems import HAND_TREES, Coloring, TreeByRule
+from wred.problems import HAND_TREES, Coloring, TreeByRule, read_color
 
 PARITY = Coloring(2, 2, lambda t: (t[0] + t[1]) % 2, "parity")
 CONST = Coloring(2, 3, lambda t: 1, "const1")
@@ -151,3 +155,88 @@ def test_path_count_equals_measure_identity():
             direct = sum(all(t.member(Prefix(bits[:i])) for i in range(d + 1))
                          for bits in itertools.product((0, 1), repeat=d))
             assert count == direct, (t.label, d)
+
+
+# --- the searches against whole-set predicates ------------------------------
+
+
+def _whole_set_searches():
+    # each predicate as it read before: every tuple of sorted(chosen + [x])
+    def homogeneous(f, budget):
+        def consistent(chosen, x):
+            colors = {f.value(t) for t in itertools.combinations(sorted(chosen + [x]), f.arity)}
+            return len(colors) <= 1
+
+        return _dfs_extend(consistent, budget)
+
+    def thin(f, budget):
+        any_exhausted = False
+        for c in range(f.colors):
+            def consistent(chosen, x, c=c):
+                return all(f.value(t) != c
+                           for t in itertools.combinations(sorted(chosen + [x]), f.arity))
+
+            res = _dfs_extend(consistent, budget)
+            any_exhausted |= res.exhausted
+            if res.found:
+                return SearchResult(res.members, omitted=c, mode=res.mode, nodes=res.nodes)
+        return SearchResult(exhausted=any_exhausted)
+
+    def rainbow(f, budget):
+        def consistent(chosen, x):
+            colors = [f.value(t) for t in itertools.combinations(sorted(chosen + [x]), f.arity)]
+            return len(colors) == len(set(colors))
+
+        greedy = []
+        for x in range(budget.horizon):
+            if consistent(greedy, x):
+                greedy.append(x)
+                if len(greedy) == budget.size:
+                    return SearchResult(tuple(greedy), mode="greedy", nodes=len(greedy))
+        return _dfs_extend(consistent, budget)
+
+    def min_homogeneous(f, budget):
+        def consistent(chosen, x):
+            trial = sorted(chosen + [x])
+            for i, a in enumerate(trial):
+                if len({f.value((a, b)) for b in trial[i + 1:]}) > 1:
+                    return False
+            return True
+
+        return _dfs_extend(consistent, budget)
+
+    return {find_homogeneous: homogeneous, find_thin: thin, find_rainbow: rainbow,
+            find_min_homogeneous: min_homogeneous}
+
+
+def _recorded_coloring(seed, n, k):
+    # a pure seeded coloring that logs every rule run, i.e. every memo miss
+    runs = []
+    noise = Point.from_seed(seed)
+
+    def rule(t):
+        runs.append(t)
+        return read_color(noise, k, tuple_rank(t))
+
+    return Coloring(n, k, rule, f"rec{seed}"), runs
+
+
+def test_searches_match_whole_set_predicates_run_for_run():
+    budgets = [SearchBudget(horizon=9, size=3), SearchBudget(horizon=10, size=5),
+               SearchBudget(horizon=10, size=4, node_limit=12),
+               SearchBudget(horizon=8, size=6, node_limit=3)]
+    seen = set()
+    for search, whole_set in _whole_set_searches().items():
+        for seed in range(4):
+            for n in ([2] if search is find_min_homogeneous else [1, 2, 3]):
+                for k in (2, 3, 4):
+                    for budget in budgets:
+                        f, runs = _recorded_coloring(seed, n, k)
+                        g, want = _recorded_coloring(seed, n, k)
+                        res = search(f, budget)
+                        assert res == whole_set(g, budget), (search.__name__, seed, n, k, budget)
+                        assert runs == want, (search.__name__, seed, n, k, budget)
+                        seen.add((res.found, res.exhausted, res.mode))
+    # found and certified-absent, exhausted, and greedy results are all compared
+    assert {(True, False, "exhaustive"), (False, False, "exhaustive"),
+            (False, True, "exhaustive"), (True, False, "greedy")} <= seen

@@ -368,6 +368,50 @@ def test_index_tree_divergence_is_never_memoized():
     assert Prefix((1,)) in t and level_members(t, 1) == [Prefix((0,)), Prefix((1,))]
 
 
+def _path_walk_member(tape):
+    """Decoded-tree membership that always walks up to a decided ancestor."""
+    known = {0: True}
+
+    def member(idx):
+        path = []
+        while idx not in known:
+            path.append(idx)
+            idx = (idx - 1) >> 1
+        inside = known[idx]
+        for i in reversed(path):
+            if inside:
+                inside = tape.bit(i) == 1
+            known[i] = inside
+        return inside
+
+    return member
+
+
+def _answer(member, idx):
+    try:
+        return member(idx)
+    except Diverge as d:
+        return d.reason
+
+
+def test_decided_parent_reads_match_the_path_walk_read_for_read():
+    # level walks, the children of decided nodes, and deep nodes under
+    # undecided ones, on full tapes and on tapes that diverge past a prefix
+    for seed in range(12):
+        rng = random.Random(seed)
+        base = Point.from_seed(seed)
+        if seed % 3 == 0:
+            base = Prefix(tuple(base.bit(i) for i in range(40)))
+        fast_tape, slow_tape = _Recording(base), _Recording(base)
+        fast = TreeByRule.from_tape(fast_tape)
+        slow = _path_walk_member(slow_tape)
+        # index order asks every node after its parent; then memo hits and deep nodes
+        queries = list(range(2**6)) * 2 + [rng.randrange(2**9) for _ in range(300)]
+        for idx in queries:
+            assert _answer(fast.index_member, idx) == _answer(slow, idx), (seed, idx)
+        assert fast_tape.reads == slow_tape.reads, seed
+
+
 def test_leftmost_path_stays_inside():
     no11 = HAND_TREES["no-11"]()
     p = leftmost_path_point(no11, 8)
