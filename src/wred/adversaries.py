@@ -246,6 +246,8 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
     levels are read no deeper than 12.
     """
     a = least_cut_width(p, q)
+    if fuel < 0:
+        raise InputError(f"need fuel >= 0, got {fuel}")
     tree = CutTree()
     log = StageLog()
     acted: set[int] = set()

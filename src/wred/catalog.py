@@ -440,12 +440,11 @@ def wkl_from_seqwwkl_witness() -> Witness:
         # trees and their memoized answers persist across the sweep
         col, pos = cantor_unpair(x)
         scratch = ctx.scratch
-        member = scratch.get(("tracking", col))
+        member = scratch.get(col)  # column col's tracking tree, parked under col
         if member is None:
             if "s" not in scratch:
                 scratch["s"] = TreeByRule.from_tape(ctx.tape(0), "S")
-            member = half_measure_tree(scratch["s"], index_string(col)).index_member
-            scratch[("tracking", col)] = member
+            member = scratch[col] = half_measure_tree(scratch["s"], index_string(col)).index_member
         return 1 if member(pos) else 0
 
     forward = pointwise(1, fstep, "seqwwkl-family")

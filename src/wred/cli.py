@@ -62,6 +62,14 @@ TOY_GUESSERS = {
 }
 
 
+# the --param keys each adversary reads
+ADVERSARY_PARAMS = {
+    "qwwkl-cutter": ("p", "q", "psi", "phi", "fuel"), "ts1": ("j", "k", "phi", "psi"),
+    "delta2": ("k", "guesser"), "cm": ("phi",), "arb-bounds": ("phi", "q"),
+    "column-splitter": ("phi", "columns"),
+}
+
+
 def _spin(ctx, x):
     while True:
         ctx.tick()
@@ -153,8 +161,14 @@ def cmd_squash(args) -> int:
 def cmd_adversary(args) -> int:
     if args.stages < 0:
         raise InputError(f"--stages must be >= 0, got {args.stages}")
-    params = _parse_params(args.param)
-    name = args.name
+    params, name = _parse_params(args.param), args.name
+    if name not in ADVERSARY_PARAMS:
+        raise InputError(f"unknown adversary {name!r}; known: {sorted(ADVERSARY_PARAMS)}")
+    unread = sorted(set(params) - set(ADVERSARY_PARAMS[name]))
+    if unread:
+        raise InputError(f"{name} reads no --param {', '.join(unread)}; "
+                         f"it reads {', '.join(ADVERSARY_PARAMS[name])}")
+    note = None  # a summary line for stderr
     if name == "qwwkl-cutter":
         p = _param(params, "p", "1/2", Fraction)
         q = _param(params, "q", "3/4", Fraction)
@@ -162,47 +176,36 @@ def cmd_adversary(args) -> int:
         phi = _param(params, "phi", "identity", TOY_FORWARD)
         fuel = _param(params, "fuel", 50_000, int)
         tree, log = qwwkl_cutter(phi, psi, p, q, stages=args.stages, fuel=fuel)
-        _write(args.out, log.to_csv())
-        print(f"# mu(T) = {tree.measure()}; digest {log.digest()}", file=sys.stderr)
-        return EXIT_PASS
-    if name == "ts1":
+        text, note = log.to_csv(), f"# mu(T) = {tree.measure()}; digest {log.digest()}"
+    elif name == "ts1":
         j, k = _param(params, "j", 2, int), _param(params, "k", 3, int)
         phi = _param(params, "phi", "embed23", TOY_FORWARD)
         psi = _param(params, "psi", "echo", TOY_BACKWARD)
         res = ts1_diagonalizer(phi, psi, j, k, stages=args.stages)
-        _write(args.out, res.log.to_csv())
-        print(f"# actions={len(res.log.action_stages())} colors[:16]={res.colors[:16]}",
-              file=sys.stderr)
-        return EXIT_PASS
-    if name == "delta2":
+        text = res.log.to_csv()
+        note = f"# actions={len(res.log.action_stages())} colors[:16]={res.colors[:16]}"
+    elif name == "delta2":
         k = _param(params, "k", 3, int)
         guesser = _param(params, "guesser", "evens", TOY_GUESSERS)
-        _, log = delta2_diagonalizer(k, guesser, stages=args.stages)
-        _write(args.out, log.to_csv())
-        return EXIT_PASS
-    if name == "cm":
+        text = delta2_diagonalizer(k, guesser, stages=args.stages)[1].to_csv()
+    elif name == "cm":
+        res = cm_coloring(_param(params, "phi", "ones", TOY_FORWARD))
+        text = "trigger: " + (str(res.trigger) if res.trigger else "none") + "\n"
+    elif name == "arb-bounds":
         phi = _param(params, "phi", "ones", TOY_FORWARD)
-        res = cm_coloring(phi)
-        lines = ["trigger: " + (str(res.trigger) if res.trigger else "none")]
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_PASS
-    if name == "arb-bounds":
-        phi = _param(params, "phi", "ones", TOY_FORWARD)
-        q = _param(params, "q", "1/2", Fraction)
-        res = rainbow_measure_coloring(phi, q)
+        res = rainbow_measure_coloring(phi, _param(params, "q", "1/2", Fraction))
         lines = [f"cylinders: {len(res.cylinders)}", f"bound: {res.bound}"]
-        for cyl in res.cylinders:
-            lines.append(f"set: measure={cyl.measure} strings={len(cyl.strings)}")
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_PASS
-    if name == "column-splitter":
+        lines += [f"set: measure={cyl.measure} strings={len(cyl.strings)}" for cyl in res.cylinders]
+        text = "\n".join(lines) + "\n"
+    else:  # column-splitter
         phi = _param(params, "phi", "ones", TOY_FORWARD)
         results = rrt_column_splitter(phi, columns=_param(params, "columns", 2, int))
-        lines = [f"column {j}: cylinders={len(r.cylinders)} bound={r.bound}"
-                 for j, r in enumerate(results)]
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_PASS
-    raise InputError(f"unknown adversary {name!r}")
+        text = "\n".join(f"column {j}: cylinders={len(r.cylinders)} bound={r.bound}"
+                         for j, r in enumerate(results)) + "\n"
+    _write(args.out, text)
+    if note:
+        print(note, file=sys.stderr)
+    return EXIT_PASS
 
 
 # the document kind each oracle task searches

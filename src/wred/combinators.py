@@ -39,12 +39,11 @@ from .kernel import (
     Functional,
     FunctionalTape,
     InputError,
-    Ledger,
     Point,
     Prefix,
     ResourceError,
     RuleTape,
-    _run_step,
+    branching_reads,
     cantor_unpair,
     compose_functionals,
     even_part,
@@ -582,7 +581,7 @@ class SquashConfig:
     q_spec: ProblemSpec
     witness: Witness  # <Q,P> <= P; P is its target
     c: Point = field(default_factory=Point.zeros, init=False)  # C of the displays
-    width_budget: int = 4096
+    width_budget: int = 4096  # branches per position when the forward's read map is derived
     candidate_budget: int = 64
     label: str = "squash"
     _profile: Optional["_ReadProfile"] = field(default=None, init=False, repr=False, compare=False)
@@ -599,40 +598,16 @@ class SquashConfig:
     def kind(self) -> str:
         return self.witness.kind
 
-    def read_profile(self) -> Optional["_ReadProfile"]:
-        """The forward's read-map profile (None without a map), which the
-        marker search and the forward table share."""
-        reads = self.witness.forward.reads
-        if self._profile is None or self._profile.reads is not reads:
-            self._profile = _ReadProfile(reads) if reads is not None else None
+    def read_profile(self) -> "_ReadProfile":
+        """The forward's read-map profile, which the marker search and the
+        forward table share.  A forward without a map gets one derived by
+        `branching_reads`, at most `width_budget` branches per position."""
+        forward = self.witness.forward
+        source = forward.reads or forward
+        if self._profile is None or self._profile.source is not source:
+            reads = forward.reads or branching_reads(forward, self.width_budget)
+            self._profile = _ReadProfile(reads, source)
         return self._profile
-
-
-class _NeedBit(Exception):
-    def __init__(self, key):
-        self.key = key
-
-
-def _symbolic_prefix(level: int, markers: list, assignment: dict) -> RuleTape:
-    """Length-n oracle whose unassigned bits interrupt the evaluation.
-
-    n is the last entry of `markers`, the display's live marker list, so a
-    display moved to a later candidate lengthens every level's prefix."""
-
-    def bit(pos: int) -> int:
-        if pos >= markers[-1]:
-            raise Diverge("gap", pos)
-        key = (level, pos)
-        if key in assignment:
-            return assignment[key]
-        raise _NeedBit(key)
-
-    return RuleTape(bit)
-
-
-class _Unready(Exception):
-    def __init__(self, level: int, pos: int):
-        self.key = (level, pos)
 
 
 class _Display:
@@ -646,30 +621,20 @@ class _Display:
     stagewise definition.  A bit converged at one stage is the same at
     every later one (the later chain only extends the earlier one's
     oracles), so one display serves every stage read in increasing order,
-    each level T_j sweeping once: raise `stage` (and for the DFS marker
-    root, append the next candidate to `markers`).  This assumes no step
+    each level T_j sweeping once: raise `stage`.  This assumes no step
     catches Diverge.  It lives in one context's scratch and parks T_j
-    there (key j), so each level pull is charged to the position of the
-    context's sweep that forced it.
-    The context owns the display, and the display refers to it weakly,
-    so dropping the context frees both at once.
-
-    Given the forward's read map (`profile`), the table fills what a read
-    needs deepest level first (`fill`).  Otherwise a read from outside the
-    display starts the lazy pull (`_force`), a loop over an explicit stack
-    that runs one level position per attempt, so no read recurses through
-    the levels.  An attempt that needs a bit not yet materialized raises
-    _Unready; the loop takes back the attempt's ticks, materializes that
-    bit first and retries.  Each position is so charged what the read-map
-    fill charges, whatever the recursion limit.
+    there (key j), so each level's work is charged to the position of the
+    context's sweep that filled it.  The context owns the display, and the
+    display refers to it weakly, so dropping the context frees both at once.
+    A read first fills what the read map (`profile`) says it needs (`fill`);
+    a level bit still missing when read is one the map missed.
     """
 
-    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes, stage=0,
-                 profile: Optional[_ReadProfile] = None):
+    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes,
+                 profile: _ReadProfile):
         self.ctx, self.forward, self.c, self.markers = weakref.proxy(ctx), forward, c, markers
         self.sigma_tapes = sigma_tapes  # level -> tape
-        self.stage, self.profile = stage, profile
-        self.pulling = False  # inside `_force`'s loop
+        self.stage, self.profile = 0, profile
         ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
@@ -689,9 +654,7 @@ class _Display:
             raise Diverge("gap", q)
         t = self.ctx.scratch.get(j) or self.level(j)
         if not t.ready(q):
-            if self.pulling:
-                raise _Unready(j, q)
-            return self._force(j, q)
+            raise ContractError(f"read map missed level {j} at position {q}")
         return t.bit(q)
 
     def fill(self, j: int, q: int) -> None:
@@ -699,7 +662,7 @@ class _Display:
         reads V_{j+1} through top[1][q], which needs T_{j+1} that far if
         it reaches m_{j+1}; the walk stops at the stage bound, a marker or
         a level materialized that far.  Filled in reverse, each level's
-        reads below are ready (a read the map misses is pulled lazily)."""
+        reads below are ready."""
         profile, markers, scratch = self.profile, self.markers, self.ctx.scratch
         top1, chain = profile.top[1], []
         while j <= self.stage and q >= markers[j]:
@@ -713,87 +676,6 @@ class _Display:
         for t, q in reversed(chain):
             t.bit(q)
 
-    def _force(self, j: int, q: int) -> int:
-        ledger, pending = self.ctx.ledger, [(j, q)]
-        self.pulling = True
-        try:
-            while pending:
-                level, p = pending[-1]
-                t = self.level(level)
-                if t.ready(p):
-                    pending.pop()
-                    continue
-                steps = ledger.steps
-                try:
-                    t.bit(len(t._bits))
-                except _Unready as u:
-                    ledger.steps = steps
-                    pending.append(u.key)
-        finally:
-            self.pulling = False
-        return t.bit(q)  # the last level popped is j
-
-
-def _symbolic_context(forward: Functional, c: Point, markers, s: int, n: int,
-                      assignment: dict) -> EvalContext:
-    """A new context holding the compactness display at stage s for
-    candidate n, every level's string a symbolic length-n prefix over one
-    assignment.  The prefixes read n from the display's marker list, so
-    appending a later candidate and raising `stage` moves the display on
-    (`squash_markers` does this to its root)."""
-    ctx = EvalContext([], Ledger(DEFAULT_FUEL))
-    live = [*markers[:s + 1], n]
-    _Display(ctx, forward, c, live, lambda j: _symbolic_prefix(j, live, assignment), stage=s)
-    return ctx
-
-
-def _dfs_search(root: EvalContext, i: int, width_budget: int) -> bool:
-    """Does the nested expression converge at s for ALL sigma_i..sigma_s in 2^n?
-
-    `root` holds the symbolic display of stage s and candidate n on the
-    empty assignment.  Branches only on oracle bits the evaluation actually
-    reads; unread bits cannot affect the outcome, so the leaf set exactly
-    covers 2^n per level.  Exceeding the width budget is a resource error.
-
-    The root is the same display for every level i of one stage and
-    candidate: the expression checked for i is its level i.  So
-    `squash_markers` builds it once per candidate and runs `_dfs_search`
-    from it for each i.  Sharing it changes no verdict: a _NeedBit appends
-    nothing to the levels it interrupts and leaves them retryable, and a
-    Diverge is terminal for a level and keeps its reason whichever i
-    reaches it first (an attempt is one position of the root's context, so
-    it pays only for what earlier ones left unmaterialized).  Each branch
-    after a _NeedBit evaluates in a display of its own.  The root may also
-    come from an earlier stage, moved on by `squash_markers`.
-    """
-    display = root.scratch["display"]
-    forward, c, markers, s = display.forward, display.c, display.markers, display.stage
-    n = markers[-1]
-    leaves = 0
-    probe = pointwise(0, lambda ctx, x: ctx.scratch["display"].level(i).bit(x), f"level{i}")
-    pending = [{}]  # assignments to try, the next on top: branch 0 before branch 1
-    while pending:
-        assignment = pending.pop()
-        ctx = root if not assignment else _symbolic_context(forward, c, markers, s, n, assignment)
-        try:
-            _run_step(probe, ctx, s)
-        except _NeedBit as nb:
-            pending += ({**assignment, nb.key: 1}, {**assignment, nb.key: 0})
-            continue
-        except Diverge as d:
-            if d.reason == "fuel":
-                raise ResourceError(
-                    f"marker search out of fuel at stage {s}", stage=s, candidate=n, level=i
-                )
-            return False
-        leaves += 1
-        if leaves > width_budget:
-            raise ResourceError(
-                f"marker search frontier exceeded {width_budget} at stage {s}",
-                stage=s, candidate=n, frontier=leaves,
-            )
-    return True
-
 
 class _ReadProfile:
     """Prefix maxima of a forward's read map, by side, grown on demand.
@@ -802,11 +684,12 @@ class _ReadProfile:
     p//2 when p is even (side 0) and V's p//2 when p is odd (side 1).
     top[t][y] is the largest side-t position read at any y' <= y (-1 if
     none).  The map is pure and instance-independent, so one profile
-    serves every stage and candidate of a marker search.
+    serves every stage and candidate of a marker search.  `source` is the
+    declared map, or the forward a map was derived for.
     """
 
-    def __init__(self, reads):
-        self.reads = reads
+    def __init__(self, reads, source=None):
+        self.reads, self.source = reads, source or reads
         self.top: tuple[list[int], list[int]] = ([], [])
 
     def extend(self, y: int) -> None:
@@ -821,17 +704,17 @@ class _ReadProfile:
 
 def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
                          profile: Optional[_ReadProfile] = None) -> bool:
-    """Read-closure engine for forwards with a read map.
+    """The read-closure marker check of one stage and candidate.
 
     Level j runs the arity-1 forward on the pair tape <sigma_j, V_{j+1}>,
-    so its reads split by side (see _ReadProfile).  Exact when the step
-    is value-oblivious, so its map gives every cell it touches: the nested
-    expression converges for all sigma iff every transitively required
-    cell is available.  The sweep makes convergence downward closed, so
-    level j is available exactly below one limit: lim[s+1] = n and lim[j]
-    = max(m_j, first_bad[j]), where first_bad[j] is the least y with a
-    sigma read at q >= n or a V read at q >= lim[j+1].  The stage holds
-    iff first_bad[i] > s for every i <= s.
+    so its reads split by side (see _ReadProfile).  Exact when the map
+    is (a value-oblivious step): the nested expression converges for all
+    sigma iff every transitively required cell is available; a superset
+    map may only reject a candidate that converges.  The sweep makes
+    convergence downward closed, so level j is available exactly below
+    one limit: lim[s+1] = n and lim[j] = max(m_j, first_bad[j]), where
+    first_bad[j] is the least y with a sigma read at q >= n or a V read at
+    q >= lim[j+1].  The stage holds iff first_bad[i] > s for every i <= s.
 
     Level 0 is demanded on 0..s, and level j+1 on 0..max(s, q) where q is
     the furthest read of level j's demand if it reaches m_{j+1}; beyond
@@ -873,37 +756,14 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     until the nested convergence display holds for every i <= s and all
     length-n strings on every level; the set of good n is closed under
     successor, so the first hit is the marker.  Level j is the witness's
-    forward on the pair tape <sigma_j, V_{j+1}>, decided from its read map
-    when it has one and by the branching DFS engine otherwise.
-
-    The DFS engine moves its root context from an accepted candidate to
-    the next stage (see _Display), so each level sweeps once over the
-    whole search.  That gives a fresh root's verdicts as long as no step
-    catches Diverge.  A rejected candidate, or a parked level that
-    stalled, drops the root, and the next candidate builds a fresh one.
+    forward on the pair tape <sigma_j, V_{j+1}>, decided from the
+    config's read profile (`_closure_check_stage`).
     """
-    forward = cfg.witness.forward
-    profile = cfg.read_profile()
-    markers = [0]
-    root = None  # the DFS engine's root context, kept from an accepted candidate
+    forward, profile, markers = cfg.witness.forward, cfg.read_profile(), [0]
     for s in range(stages):
         start = max(markers[-1], s) + 1
-        found = None
-        for n in range(start, start + cfg.candidate_budget):
-            if profile is not None:
-                ok = _closure_check_stage(forward, markers, s, n, profile=profile)
-            else:
-                if root is None:
-                    root = _symbolic_context(forward, cfg.c, markers, s, n, {})
-                else:  # move the kept root to stage s and candidate n
-                    root.scratch["display"].markers.append(n)
-                    root.scratch["display"].stage = s
-                ok = all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1))
-                if not ok or any(t._stalled for k, t in root.scratch.items() if k != "display"):
-                    root = None
-            if ok:
-                found = n
-                break
+        found = next((n for n in range(start, start + cfg.candidate_budget)
+                      if _closure_check_stage(forward, markers, s, n, profile=profile)), None)
         if found is None:
             raise ResourceError(
                 f"no marker within {cfg.candidate_budget} candidates at stage {s}",
@@ -929,11 +789,10 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
             raise Diverge("gap", p)
         display = ctx.scratch.get("display") or _Display(
             ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j),
-            profile=cfg.read_profile())
+            cfg.read_profile())
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
-        if display.profile is not None:
-            display.fill(i, x)  # seeded per read: its pulls are charged to this position
+        display.fill(i, x)  # seeded per read: its work is charged to this position
         return display.tail_bit(i, x)
 
     return pointwise(1, step, f"{cfg.label}-B{rows.start}..{rows.stop - 1}")

@@ -407,8 +407,8 @@ class Functional:
     downward closed.  `reads`, when set, gives the exact oracle cells
     step(x) queries whatever the oracles hold; `oblivious` derives it from
     the step.  It lets the squashing compactness search reason about all
-    oracles at once without enumerating them; without it (`reads` None)
-    the search branches on the bits it reads.
+    oracles at once without enumerating them; a forward without it (`reads`
+    None) is given one by `branching_reads`.
     """
 
     arity: int
@@ -544,16 +544,53 @@ def oblivious(func: Functional) -> Functional:
     oracles hold, so the zero oracles stand for every oracle.  A composite
     whose children are oblivious is oblivious.
     """
+    func.reads = lambda x: _branch_reads(func, x, {})
+    return func
+
+
+def branching_reads(func: Functional, width_budget: int) -> Callable[[int], list[tuple[int, int]]]:
+    """A read map for func's step, whatever its reads depend on.
+
+    reads(x) runs step(x) once for every assignment of the cells it reads,
+    as `oblivious` runs it once: a cell the branch has not fixed reads 0,
+    and a sibling branch fixes it to 1.  It returns every cell any branch
+    read: the exact map when the step is value-oblivious, a superset of
+    each oracle's reads otherwise.  A branch that diverges, or more than
+    width_budget branches at one position, is a ResourceError naming it.
+    """
 
     def reads(x: int) -> list[tuple[int, int]]:
-        cells: list[tuple[int, int]] = []
-        zeros = [Point(lambda p, t=t: cells.append((t, p)) or 0, "recorder")
-                 for t in range(func.arity)]
-        _run_step(func, EvalContext(zeros, Ledger(DEFAULT_FUEL)), x)
-        return cells
+        cells: dict = {}  # every cell read, in first-read order
+        pending, branches = [{}], 0
+        while pending:
+            fixed = pending.pop()
+            branches += 1
+            if branches > width_budget:
+                raise ResourceError(f"read map of {func.label} exceeded {width_budget} branches "
+                                    f"at position {x}", position=x, branches=branches)
+            try:
+                read = _branch_reads(func, x, fixed)
+            except Diverge as d:
+                raise ResourceError(f"read map of {func.label} diverged at position {x} "
+                                    f"({d.reason})", position=x, reason=d.reason) from None
+            cells.update(dict.fromkeys(read))
+            opened = [cell for cell in read if cell not in fixed]
+            for k, cell in enumerate(opened):  # the branches that first differ at cell
+                pending.append({**fixed, **dict.fromkeys(opened[:k], 0), cell: 1})
+        return list(cells)
 
-    func.reads = reads
-    return func
+    return reads
+
+
+def _branch_reads(func: Functional, x: int, fixed: dict) -> list[tuple[int, int]]:
+    """The cells step(x) reads, in order, in a fresh context with
+    DEFAULT_FUEL on oracles that answer a cell (t, p) from `fixed`, and 0
+    where it is not there; raises Diverge."""
+    cells: list[tuple[int, int]] = []
+    oracles = [Point(lambda p, t=t: cells.append((t, p)) or fixed.get((t, p), 0), "recorder")
+               for t in range(func.arity)]
+    _run_step(func, EvalContext(oracles, Ledger(DEFAULT_FUEL)), x)
+    return cells
 
 
 def identity_functional() -> Functional:
@@ -577,7 +614,7 @@ def compose_functionals(outer: Functional, inner: Functional, label: str = "") -
 
 
 # ---------------------------------------------------------------------------
-# contract checks (used by property tests and the verify suite)
+# contract checks (used by property tests)
 
 
 def _truncated(base, last: int) -> RuleTape:

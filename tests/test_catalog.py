@@ -529,20 +529,31 @@ def test_wkl_from_seqwwkl_forward_image_pinned():
         assert hashlib.sha256(bits).hexdigest() == digest, seed
 
 
-def test_dropping_a_swept_seqwwkl_forward_frees_its_context():
+def test_dropping_a_swept_seqwwkl_forward_frees_its_context(monkeypatch):
     # the sweep parks S, which reads ctx.tape(0), and its tracking trees in
     # its own scratch; the view shares the context's ledger, not the context,
-    # so dropping the tape frees the context without waiting for a gc collection
+    # so dropping the tape frees the context and the parked trees without
+    # waiting for a gc collection
+    from wred import catalog
+
+    members, build = [], catalog.half_measure_tree
+
+    def recorded(s, sigma):
+        tree = build(s, sigma)
+        members.append(weakref.ref(tree.index_member))  # what the sweep parks
+        return tree
+
+    monkeypatch.setattr(catalog, "half_measure_tree", recorded)
     enabled = gc.isenabled()
     gc.disable()
     try:
         tape = FunctionalTape(wkl_from_seqwwkl_witness().forward, [Point.from_seed(5)], 4096)
         for x in range(200):
             tape.bit(x)
-        assert "s" in tape.ctx.scratch and ("tracking", 3) in tape.ctx.scratch
+        assert len(members) > 3 and all(ref() is not None for ref in members)
         ctx = weakref.ref(tape.ctx)
         del tape
-        assert ctx() is None
+        assert ctx() is None and all(ref() is None for ref in members)
     finally:
         if enabled:
             gc.enable()

@@ -412,11 +412,14 @@ def test_markers_instance_independent_and_reproducible():
 
 def _without_reads(make):
     cfg = make()
-    cfg.witness.forward.reads = None  # no read map: squash_markers uses the DFS engine
+    cfg.witness.forward.reads = None  # no read map: the config derives one by branching
     return cfg
 
 
 def test_dfs_and_closure_marker_engines_agree():
+    # the markers on the declared read map and on the map derived for a
+    # forward without one (`branching_reads`), which is the same map for a
+    # value-oblivious step
     from wred.catalog import SQUASH_CONFIGS
 
     def agree(make, stages):
@@ -430,6 +433,56 @@ def test_dfs_and_closure_marker_engines_agree():
     # first candidate, so a stage's search tries several
     for name in ("ahead-1", "constant"):
         assert agree(_reading(SYNTHETIC_READS[name]), 8), name
+
+
+def test_readless_coh_interleave_gets_its_declared_maps_markers_and_table():
+    # its forward reads instance bits ahead of the level it answers; with
+    # no map it gets one derived for it, and with it the declared map's
+    # markers and table
+    from wred.catalog import SQUASH_CONFIGS
+
+    make = SQUASH_CONFIGS["coh-interleave"]
+    declared, derived = make(), _without_reads(make)
+    markers = squash_markers(declared, 35)
+    assert squash_markers(derived, 35).markers == markers.markers
+    fam = Point.from_seed(3)
+    assert (squash_forward(derived, markers, fam, 30, count=4)
+            == squash_forward(declared, markers, fam, 30, count=4))
+
+
+def test_read_map_that_misses_the_levels_is_a_contract_error():
+    # projection-toy's map with every V-side (odd) cell dropped: the markers
+    # then come out too low, and the table's first read of a level the map
+    # did not fill is caught
+    from wred.catalog import SQUASH_CONFIGS
+    from wred.kernel import ContractError
+
+    cfg = SQUASH_CONFIGS["projection-toy"]()
+    plain = cfg.witness.forward.reads
+    cfg.witness.forward.reads = lambda x: [(t, p) for t, p in plain(x) if p % 2 == 0]
+    markers = squash_markers(cfg, 20)
+    assert markers.markers == list(range(21))
+    with pytest.raises(ContractError, match="read map missed level 1 at position 1"):
+        squash_forward(cfg, markers, Point.from_seed(3), 12, count=4)
+
+
+def test_value_dependent_step_gets_a_superset_read_map():
+    # the step reads A(x), then B(x + 1) or B(x) as A(x) says: the derived
+    # map holds both branches' cells, where `oblivious` sees only one; on
+    # it the markers leave room for B(x + 1), and the table's identity holds
+    from wred.kernel import branching_reads
+
+    def step(ctx, x):
+        return ctx.query(0, 2 * (x + 1) + 1) if ctx.query(0, 2 * x) else ctx.query(0, 2 * x + 1)
+
+    want = {(0, 2 * 5), (0, 2 * 5 + 1), (0, 2 * 6 + 1)}
+    assert set(branching_reads(pointwise(1, step, "either"), 4)(5)) == want
+    assert set(oblivious(pointwise(1, step, "either")).reads(5)) == want - {(0, 2 * 6 + 1)}
+    cfg = synthetic_squash_config(None, step)
+    assert set(cfg.read_profile().reads(5)) == want
+    markers = squash_markers(cfg, 20)
+    assert markers.markers == list(range(0, 41, 2))  # as for "ahead-1"
+    squash_forward(cfg, markers, Point.from_seed(3), 14, count=4)  # raises unless it holds
 
 
 def test_squash_forward_identity_checked_exactly():
@@ -488,37 +541,6 @@ def test_dropping_a_swept_squash_row_frees_its_context():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_dfs_marker_search_frees_each_display_context_at_once(monkeypatch):
-    # a DFS display is parked in its context and refers to it weakly, as the
-    # squash table's display does, so the context of each candidate's root
-    # and of each branch is freed when the search drops it, with gc disabled
-    from wred import combinators
-    from wred.catalog import SQUASH_CONFIGS
-    from wred.kernel import EvalContext
-
-    contexts = []
-
-    class Recorded(EvalContext):
-        __slots__ = ()
-
-        def __init__(self, tapes, ledger):
-            super().__init__(tapes, ledger)
-            contexts.append(weakref.ref(self))
-
-    monkeypatch.setattr(combinators, "EvalContext", Recorded)
-    for name, stages in (("projection-toy", 6), ("coh-interleave", 4)):
-        cfg = _without_reads(SQUASH_CONFIGS[name])
-        contexts.clear()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            squash_markers(cfg, stages)
-            assert contexts and all(ref() is None for ref in contexts), name
-        finally:
-            if enabled:
-                gc.enable()
 
 
 def test_squash_witness_end_to_end_soundness():
@@ -736,67 +758,39 @@ def _table_charges(cfg, markers, stages, fuel=DEFAULT_FUEL, width=5):
     return out, None
 
 
-def test_read_map_table_fills_what_the_lazy_pull_computes(monkeypatch):
-    # the same table with its read map (levels filled deepest first) and
-    # with `reads` stripped (the lazy pull): the same bits, the same steps
+def test_read_map_table_fills_what_the_lazy_pull_computes():
+    # the same table on the declared read map and on the map derived for a
+    # forward without one (`branching_reads`): the same bits, the same steps
     # charged to each position, and the same first stall, on the real
     # markers (also at a fuel that ends the table partway) and on m_j = j,
     # too low for the forwards that read ahead
-    import sys
-
-    from wred import combinators
     from wred.catalog import SQUASH_CONFIGS
     from wred.kernel import ResourceError
 
-    pulls, force = [], combinators._Display._force
-
-    def counted(display, j, q):
-        pulls.append((j, q))
-        return force(display, j, q)
-
-    class Unready(combinators._Unready):
-        def __init__(self, level, pos):
-            super().__init__(level, pos)
-            pulls.append("retry")
-
-    monkeypatch.setattr(combinators._Display, "_force", counted)
-    monkeypatch.setattr(combinators, "_Unready", Unready)
     makes = {name: SQUASH_CONFIGS[name] for name in SQUASH_CONFIGS}
     makes.update({name: _reading(reads) for name, reads in SYNTHETIC_READS.items()})
     stages = 44  # horizon 40, as squash_forward extends it
-    # the lazy pull undoes the ticks of an attempt it retries, so its
-    # charges do not depend on how deep the interpreter lets it recurse
-    default = sys.getrecursionlimit()
-    for limit in (default, 20_000):
-        sys.setrecursionlimit(limit)
-        ends, lazy_pulls = [], 0
+    ends = []
+    for name, make in sorted(makes.items()):
         try:
-            for name, make in sorted(makes.items()):
-                try:
-                    markers = squash_markers(make(), stages + 1).markers
-                except ResourceError:  # "doubling" has no markers; these end its chains
-                    markers = [0] + [4 ** j for j in range(1, stages + 2)]
-                charges = sorted({steps for _, steps in _table_charges(make(), markers, stages)[0]})
-                # a fuel below the largest charge ends the table partway
-                for ms, fuel in ((markers, DEFAULT_FUEL), (list(range(stages + 2)), DEFAULT_FUEL),
-                                 (markers, charges[len(charges) // 2])):
-                    pulls.clear()
-                    filled = _table_charges(make(), ms, stages, fuel)
-                    assert not pulls, name  # every level a read needs is filled first
-                    assert _table_charges(_without_reads(make), ms, stages, fuel) == filled, \
-                        (name, limit)
-                    ends.append(filled[1] and filled[1][2])
-                    lazy_pulls += bool(pulls)
-                assert ends[-3] is None and ends[-1] == "fuel" and filled[1][1] > 0, name
-        finally:
-            sys.setrecursionlimit(default)
-        assert ends.count("fuel") == 8 and ends.count("gap") == 4 and lazy_pulls == len(ends), ends
+            markers = squash_markers(make(), stages + 1).markers
+        except ResourceError:  # "doubling" has no markers; these end its chains
+            markers = [0] + [4 ** j for j in range(1, stages + 2)]
+        charges = sorted({steps for _, steps in _table_charges(make(), markers, stages)[0]})
+        # a fuel below the largest charge ends the table partway
+        for ms, fuel in ((markers, DEFAULT_FUEL), (list(range(stages + 2)), DEFAULT_FUEL),
+                         (markers, charges[len(charges) // 2])):
+            filled = _table_charges(make(), ms, stages, fuel)
+            assert _table_charges(_without_reads(make), ms, stages, fuel) == filled, name
+            ends.append(filled[1] and filled[1][2])
+        assert ends[-3] is None and ends[-1] == "fuel" and filled[1][1] > 0, name
+    assert ends.count("fuel") == 8 and ends.count("gap") == 4, ends
 
 
 def test_marker_search_and_table_read_the_map_once(monkeypatch):
     # the config keeps one profile per read map, so the table reads none
     # of the positions the marker search has read, and a new map (or none)
-    # gets a profile of its own (or none)
+    # gets a profile of its own (or one on a map derived for the forward)
     from wred.catalog import SQUASH_CONFIGS
 
     for name in sorted(SQUASH_CONFIGS):
@@ -813,7 +807,9 @@ def test_marker_search_and_table_read_the_map_once(monkeypatch):
         forward.reads = plain
         assert cfg.read_profile() is not profile and cfg.read_profile().reads is plain
         forward.reads = None
-        assert cfg.read_profile() is None
+        derived = cfg.read_profile()
+        assert derived is not profile and cfg.read_profile() is derived
+        assert derived.reads is not plain and derived.reads(7) == plain(7)
 
 
 def test_squash_backward_builds_one_pull_back_per_column(monkeypatch):
@@ -848,7 +844,8 @@ def test_squash_forward_fuel_exhaustion_is_resource_error():
         ctx.tick(DEFAULT_FUEL + 1)
         return ctx.query(0, 2 * x + 1)
 
-    cfg.witness.forward = pointwise(1, heavy, "heavy-snd")
+    # it declares snd's map: a map derived from heavy would run out of fuel
+    cfg.witness.forward = Functional(1, heavy, "heavy-snd", cfg.witness.forward.reads)
     with pytest.raises(ResourceError) as exc:
         squash_forward(cfg, ms, Point.from_seed(7), 8, count=2)
     assert exc.value.context == {"row": 0, "stage": 0, "reason": "fuel"}
@@ -966,15 +963,16 @@ def test_squash_markers_never_converging_forward_is_resource_error():
                 pointwise(1, spin, "spin"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                       "dup"), "strong")
     cfg = SquashConfig(q_spec=t, witness=w, candidate_budget=4)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="read map of spin diverged at position 0") as exc:
         squash_markers(cfg, 2)
+    assert exc.value.context == {"position": 0, "reason": "fuel"}
 
 
 def test_squash_marker_dfs_width_budget_is_resource_error():
     from wred.kernel import ResourceError
 
-    # value-dependent forward with no declared reads: the branching DFS
-    # must give up loudly when the frontier outgrows its budget
+    # a forward with no declared reads whose step reads x + 1 cells: deriving
+    # its map runs 2^(x+1) branches at x, so it gives up loudly at x = 3
     def xor_all(ctx, x):
         v = 0
         for p in range(x + 1):
@@ -986,8 +984,10 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
                 pointwise(1, xor_all, "xor"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                         "dup"), "strong")
     cfg = SquashConfig(q_spec=t, witness=w, width_budget=8, candidate_budget=4)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="read map of xor exceeded 8 branches at position 3") \
+            as exc:
         squash_markers(cfg, 6)
+    assert exc.value.context == {"position": 3, "branches": 9}
 
 
 def test_squash_forward_runs_on_the_real_context_of_the_pair_tape():
@@ -1000,7 +1000,7 @@ def test_squash_forward_runs_on_the_real_context_of_the_pair_tape():
 
     stateless = projection_squash_config()
     stateful = projection_squash_config()
-    stateful.witness.forward = pointwise(1, step, "scratchy-snd")  # no read map: DFS engine
+    stateful.witness.forward = pointwise(1, step, "scratchy-snd")  # no read map: derived
     stateless.witness.forward.reads = None
     ms = squash_markers(stateful, 21)
     assert ms.markers == squash_markers(stateless, 21).markers
@@ -1011,47 +1011,53 @@ def test_squash_forward_runs_on_the_real_context_of_the_pair_tape():
 
 def test_marker_engines_agree_with_literal_enumeration():
     # the definition: for every tuple of length-n strings, one per level,
-    # the nested expression converges at the stage
+    # the nested expression converges at the stage; the closure check
+    # decides it on the declared map and on the derived one
     import itertools
 
-    from wred.combinators import _Display, _closure_check_stage, _dfs_search, _symbolic_context
-    from wred.kernel import EvalContext, Ledger, Prefix
+    from wred.combinators import _closure_check_stage, _ReadProfile
+    from wred.kernel import FunctionalTape, Prefix, branching_reads, continuation
 
-    def brute(forward, c, markers, s, n):
-        for i in range(s + 1):
-            levels = list(range(i, s + 1))
-            for combo in itertools.product(
-                [Prefix(b) for b in itertools.product((0, 1), repeat=n)],
-                repeat=len(levels),
-            ):
-                # level i of the display is Phi(<sigma_i, V_{i+1}>), where
-                # levels i+1..s wrap around C|n
-                tapes = dict(zip(levels, combo))
-                ctx = EvalContext([], Ledger(10_000))  # owns the display
-                display = _Display(ctx, forward, c, [*markers[:s + 1], n], tapes.__getitem__,
-                                   stage=s)
-                try:
-                    display.level(i).bit(s)
-                except Exception:
-                    return False
+    def converges(forward, c, markers, strings, s, i):
+        # V_{s+1} = C|n, V_j = C|m_j followed by T_j = Phi(<sigma_j, V_{j+1}>)
+        v = c.prefix(markers[s + 1])
+        for j in range(s, i - 1, -1):
+            t = FunctionalTape(forward, [interleave_tapes(strings[j], v)], 10_000)
+            v = continuation(c.prefix(markers[j]), t)
+        try:
+            t.bit(s)
+        except Diverge:
+            return False
         return True
 
-    for make in (projection_squash_config, echo_squash_config):
+    def brute(forward, c, markers, s, n):
+        live = [*markers[:s + 1], n]
+        strings = [Prefix(b) for b in itertools.product((0, 1), repeat=n)]
+        return all(converges(forward, c, live, dict(zip(range(i, s + 1), combo)), s, i)
+                   for i in range(s + 1)
+                   for combo in itertools.product(strings, repeat=s + 1 - i))
+
+    # the last two reject candidates: they read B_{i+1} or A_i ahead
+    cases = [(projection_squash_config, 3), (echo_squash_config, 3),
+             (_reading(SYNTHETIC_READS["ahead-1"]), 2),
+             (_reading(SYNTHETIC_READS["instance-ahead-2"]), 2)]
+    rejected = 0
+    for make, stages in cases:
         cfg = make()
         forward = cfg.witness.forward
+        derived = _ReadProfile(branching_reads(forward, 4096))
         markers = [0]
-        for s in (0, 1, 2):
+        for s in range(stages):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 4):
                 want = brute(forward, cfg.c, markers, s, n)
                 got_closure = _closure_check_stage(forward, markers, s, n)
-                got_dfs = all(
-                    _dfs_search(_symbolic_context(forward, cfg.c, markers, s, n, {}), i, 4096)
-                    for i in range(s + 1)
-                )
-                assert want == got_closure == got_dfs, (cfg.label, s, n)
+                got_derived = _closure_check_stage(forward, markers, s, n, profile=derived)
+                assert want == got_closure == got_derived, (cfg.label, s, n)
                 if want:
                     markers.append(n)
                     break
+                rejected += 1
+    assert rejected == 4
 
 
 # --- algebraic laws (behavioral equality of forward images) -----------------------
@@ -1140,137 +1146,3 @@ def test_law_lift_is_functorial():
                 assert a == b
 
     run()
-
-
-def _markers_or_error(search, cfg, stages):
-    """The markers `search` finds, or its ResourceError's message and context."""
-    from wred.kernel import ResourceError
-
-    try:
-        return search(cfg, stages).markers
-    except ResourceError as e:
-        return str(e), e.context
-
-
-def _fresh_root_markers(cfg, stages):
-    """The DFS marker loop with a fresh root context for every candidate."""
-    from wred.combinators import _dfs_search, _symbolic_context
-    from wred.kernel import ResourceError
-
-    forward, markers = cfg.witness.forward, [0]
-    for s in range(stages):
-        start = max(markers[-1], s) + 1
-        for n in range(start, start + cfg.candidate_budget):
-            root = _symbolic_context(forward, cfg.c, markers, s, n, {})
-            if all(_dfs_search(root, i, cfg.width_budget) for i in range(s, -1, -1)):
-                markers.append(n)
-                break
-        else:
-            raise ResourceError(f"no marker within {cfg.candidate_budget} candidates at stage {s}",
-                                stage=s, first_candidate=start)
-    return MarkerSequence(markers)
-
-
-def test_dfs_engine_frontier_on_coh_interleave_is_resource_error():
-    # its forward reads instance bits, so the shared root display is
-    # interrupted by a _NeedBit and later levels resume it; the root kept
-    # from stage to stage gives the error a fresh root per candidate gives
-    from wred.catalog import SQUASH_CONFIGS
-    from wred.kernel import ResourceError
-
-    with pytest.raises(ResourceError, match="frontier exceeded 4096 at stage 10") as err:
-        squash_markers(_without_reads(SQUASH_CONFIGS["coh-interleave"]), 30)
-    assert err.value.context == {"stage": 10, "candidate": 11, "frontier": 4097}
-    assert _markers_or_error(_fresh_root_markers, _without_reads(SQUASH_CONFIGS["coh-interleave"]),
-                             30) == (str(err.value), err.value.context)
-
-
-def test_dfs_kept_root_matches_a_fresh_root_per_candidate(monkeypatch):
-    from wred import combinators
-    from wred.catalog import SQUASH_CONFIGS
-
-    cases = [(SQUASH_CONFIGS[name], 30, False) for name in ("projection-toy", "trivial-q-rt12")]
-    # their stages reject candidates, so the search also builds fresh roots
-    cases += [(_reading(SYNTHETIC_READS[name]), 8, True) for name in ("ahead-1", "constant")]
-    # a level built at an early stage first reads its string at position 3,
-    # beyond that stage's candidate, which a later stage's prefix covers
-    cases.append((_reading(lambda x: [(0, 2 * x)] if x >= 3 else []), 8, False))
-
-    def catching(ctx, x):
-        # catches the divergence of its read at odd x, so an accepted
-        # candidate can leave a stalled level, which drops the kept root
-        try:
-            return ctx.query(0, 2 * (x + 1) + 1)
-        except Diverge:
-            if x % 2 == 0:
-                raise
-            return 0
-
-    cases.append((lambda: synthetic_squash_config(None, catching), 8, True))
-    roots = []
-    build = combinators._symbolic_context
-
-    def counted(forward, c, markers, s, n, assignment):
-        roots.append(not assignment)
-        return build(forward, c, markers, s, n, assignment)
-
-    monkeypatch.setattr(combinators, "_symbolic_context", counted)
-    for make, stages, rebuilds in cases:
-        verdicts, built = [], []
-        for search in (squash_markers, _fresh_root_markers):
-            roots.clear()
-            verdicts.append(_markers_or_error(search, _without_reads(make), stages))
-            built.append(sum(roots))
-        assert verdicts[0] == verdicts[1]
-        assert (1 < built[0] < built[1]) if rebuilds else built == [1, stages]
-
-
-def test_dfs_kept_root_builds_one_root_and_sweeps_each_level_once(monkeypatch):
-    from wred import combinators
-    from wred.catalog import SQUASH_CONFIGS
-
-    roots, steps = [], [0]
-    build = combinators._symbolic_context
-
-    def counted(forward, c, markers, s, n, assignment):
-        roots.append(assignment)
-        return build(forward, c, markers, s, n, assignment)
-
-    monkeypatch.setattr(combinators, "_symbolic_context", counted)
-    cfg = _without_reads(SQUASH_CONFIGS["projection-toy"])
-    plain = cfg.witness.forward.step
-
-    def step(ctx, x):
-        steps[0] += 1
-        return plain(ctx, x)
-
-    cfg.witness.forward.step = step
-    squash_markers(cfg, 30)
-    # a fresh root per stage builds 30 roots and runs 9 455 forward steps;
-    # the kept root sweeps each level j once, to stage 29
-    assert roots == [{}] and steps[0] <= 900
-
-
-def test_dfs_shared_root_matches_a_fresh_display_per_level():
-    from wred.catalog import SQUASH_CONFIGS
-    from wred.combinators import _dfs_search, _symbolic_context
-    from wred.kernel import ResourceError
-
-    def verdict(run):
-        try:
-            return run()
-        except ResourceError as e:
-            return str(e), e.context
-
-    for name, stages in (("coh-interleave", 5), ("projection-toy", 5)):
-        cfg = _without_reads(SQUASH_CONFIGS[name])
-        forward, markers = cfg.witness.forward, [0]
-        for s in range(stages):
-            for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 3):
-                root = _symbolic_context(forward, cfg.c, markers, s, n, {})
-                for i in range(s, -1, -1):
-                    shared = verdict(lambda: _dfs_search(root, i, 64))
-                    fresh = verdict(lambda: _dfs_search(
-                        _symbolic_context(forward, cfg.c, markers, s, n, {}), i, 64))
-                    assert shared == fresh, (name, s, n, i)
-            markers.append(max(markers[-1], s) + 1)

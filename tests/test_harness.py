@@ -391,6 +391,39 @@ def test_cli_adversary_bad_params_are_input_errors(capsys, name, param):
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, param, read", [
+    ("ts1", "kk=3", "j, k, phi, psi"),
+    ("qwwkl-cutter", "P=1/3", "p, q, psi, phi, fuel"),
+    ("cm", "bogus=1", "phi"),
+], ids=["ts1-kk", "qwwkl-P", "cm-bogus"])
+def test_cli_adversary_unread_params_are_input_errors(tmp_path, capsys, name, param, read):
+    out = tmp_path / "log.csv"
+    assert main(["adversary", name, "--param", param, "--out", str(out)]) == 3
+    assert not out.exists()
+    key = param.split("=")[0]
+    assert capsys.readouterr().err == f"input error: {name} reads no --param {key}; it reads {read}\n"
+
+
+def test_cli_adversary_negative_fuel_is_input_error(tmp_path, capsys):
+    out = tmp_path / "log.csv"
+    assert main(["adversary", "qwwkl-cutter", "--param", "fuel=-5", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "input error: need fuel >= 0, got -5\n"
+
+
+def test_cli_adversary_params_name_what_each_adversary_reads(monkeypatch, capsys):
+    from wred import cli
+
+    read, param = [], cli._param
+    monkeypatch.setattr(cli, "_param", lambda params, key, *rest: read.append(key) or param(
+        params, key, *rest))
+    for name, keys in cli.ADVERSARY_PARAMS.items():
+        read.clear()
+        assert main(["adversary", name, "--stages", "1"]) == 0
+        assert sorted(read) == sorted(keys), name
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("name", ["qwwkl-cutter", "ts1", "delta2", "cm"])
 def test_cli_adversary_negative_stages_is_input_error(tmp_path, capsys, name):
     out = tmp_path / "log.csv"

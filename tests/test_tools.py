@@ -101,16 +101,15 @@ def test_squash_scaling_prints_both_parts_at_each_size(capsys):
     squash_scaling = _load("squash_scaling")
     assert squash_scaling.main(["--stages", "4,8", "--horizons", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["part", "config", "engine", "size", "wall_s", "forward_steps"]
+    assert lines[0].split() == ["part", "config", "size", "wall_s", "forward_steps"]
     rows = [line.split() for line in lines[1:]]
-    keys = [tuple(r[:4]) for r in rows]
-    want = []
-    for name in ("coh-interleave", "projection-toy", "trivial-q-rt12"):
-        engines = ("closure", "dfs") if name != "coh-interleave" else ("closure",)
-        want += [("markers", name, engine, size) for engine in engines for size in ("4", "8")]
-        want.append(("forward", name, "-", "3"))
+    keys = [tuple(r[:3]) for r in rows]
+    names, want = ("coh-interleave", "projection-toy", "trivial-q-rt12"), []
+    for name in names:
+        want += [("markers", name, size) for size in ("4", "8")]
+        want.append(("forward", name, "3"))
     assert keys == want
-    assert all(float(r[4]) >= 0 and int(r[5]) > 0 for r in rows)
-    steps = {key: int(r[5]) for key, r in zip(keys, rows)}
-    # the DFS engine keeps one root display: each level sweeps once, to the last stage
-    assert steps[("markers", "projection-toy", "dfs", "8")] == 8 * 8
+    assert all(float(r[3]) >= 0 and int(r[4]) > 0 for r in rows)
+    steps = {key: int(r[4]) for key, r in zip(keys, rows)}
+    # the marker search runs the forward step once per read-map position, to the last stage
+    assert all(steps[("markers", name, "8")] == 8 for name in names)

@@ -4,12 +4,10 @@
 
 For each squash config, prints one line per part and size:
 
-- `markers`: `squash_markers` at each stage count, on the read-closure
-  engine (`closure`) and, for the configs whose DFS search never
-  branches, on the DFS engine with the forward's read map stripped (`dfs`);
+- `markers`: `squash_markers` at each stage count;
 - `forward`: `squash_forward` at each horizon with count 4 and the
   instance `Point.from_seed(0)`, on markers through stage horizon + 6 as
-  `wred squash` computes them (not timed); its engine column is `-`.
+  `wred squash` computes them (not timed).
 
 `wall_s` is the part's wall time and `forward_steps` how many times the
 witness's forward step ran in it, its evaluations for the read map
@@ -30,16 +28,10 @@ from wred.catalog import SQUASH_CONFIGS  # noqa: E402
 from wred.combinators import squash_forward, squash_markers  # noqa: E402
 from wred.kernel import Point  # noqa: E402
 
-# the configs whose DFS marker search raises no _NeedBit, so it never branches
-DFS_CONFIGS = ("projection-toy", "trivial-q-rt12")
-
-
-def counted(name: str, engine: str):
-    """A fresh config of `name` for `engine`, and the list its forward step counts into."""
+def counted(name: str):
+    """A fresh config of `name`, and the list its forward step counts into."""
     cfg = SQUASH_CONFIGS[name]()
     forward, calls = cfg.witness.forward, [0]
-    if engine == "dfs":
-        forward.reads = None  # no read map: squash_markers uses the DFS engine
     plain = forward.step
 
     def step(ctx, x):
@@ -57,19 +49,18 @@ def timed(run) -> float:
 
 
 def rows(stages: list[int], horizons: list[int]):
-    """(part, config, engine, size, wall_s, forward_steps) for every measurement."""
+    """(part, config, size, wall_s, forward_steps) for every measurement."""
     for name in sorted(SQUASH_CONFIGS):
-        for engine in ("closure", "dfs") if name in DFS_CONFIGS else ("closure",):
-            for n in stages:
-                cfg, calls = counted(name, engine)
-                wall = timed(lambda: squash_markers(cfg, n))
-                yield "markers", name, engine, n, wall, calls[0]
+        for n in stages:
+            cfg, calls = counted(name)
+            wall = timed(lambda: squash_markers(cfg, n))
+            yield "markers", name, n, wall, calls[0]
         for h in horizons:
-            cfg, calls = counted(name, "closure")
+            cfg, calls = counted(name)
             markers = squash_markers(cfg, h + 6)
             calls[0] = 0
             wall = timed(lambda: squash_forward(cfg, markers, Point.from_seed(0), h, count=4))
-            yield "forward", name, "-", h, wall, calls[0]
+            yield "forward", name, h, wall, calls[0]
 
 
 def sizes(text: str) -> list[int]:
@@ -83,10 +74,9 @@ def main(argv=None) -> int:
     parser.add_argument("--horizons", type=sizes, default=[150, 300, 600, 1200],
                         help="comma-separated forward horizons")
     args = parser.parse_args(argv)
-    print(f"{'part':8s} {'config':16s} {'engine':8s} {'size':>6s} {'wall_s':>8s} "
-          f"{'forward_steps':>14s}")
-    for part, name, engine, size, wall, steps in rows(args.stages, args.horizons):
-        print(f"{part:8s} {name:16s} {engine:8s} {size:6d} {wall:8.3f} {steps:14d}", flush=True)
+    print(f"{'part':8s} {'config':16s} {'size':>6s} {'wall_s':>8s} {'forward_steps':>14s}")
+    for part, name, size, wall, steps in rows(args.stages, args.horizons):
+        print(f"{part:8s} {name:16s} {size:6d} {wall:8.3f} {steps:14d}", flush=True)
     return 0
 
 
