@@ -250,7 +250,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         raise InputError(f"need fuel >= 0, got {fuel}")
     tree = CutTree()
     log = StageLog()
-    acted: set[int] = set()
+    acted = 0  # the positions cut so far are 0 .. acted-1
     sweep = _ImageSweep(phi, fuel)
     mu_before = tree.measure()  # then the last stage's measure_after, the same tree
 
@@ -260,12 +260,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         n_s = sweep.height(cap)
         image = sweep.members(n_s)
         image_mu = Fraction(len(image), 2**n_s)
-        xs = []
-        probe = 0
-        while len(xs) < a:
-            if probe not in acted:
-                xs.append(probe)
-            probe += 1
+        xs = list(range(acted, acted + a))
 
         reason = None
         if image_mu < q:
@@ -298,7 +293,7 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
         alpha = min(t for t, c in votes.items() if c >= threshold)
         tree.constraints.append((s, tuple(xs), alpha))
         tree.height = s + 1
-        acted.update(xs)
+        acted += a
         mu_after = tree.measure()
         if mu_after != mu_before * (1 - Fraction(1, 2**a)):
             raise ContractError(f"cut bookkeeping broke the multiplicative identity at stage {s}: "

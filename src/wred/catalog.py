@@ -976,20 +976,14 @@ SQUASH_CONFIGS: dict[str, Callable[[], SquashConfig]] = {
 class CatalogEntry:
     """One catalog entry: its witness per grid point, and its own checks.
 
-    `checks` runs once per grid point.  An entry whose checks read
-    neither `params` nor `rng` may say so with `checks_read_grid=False`:
-    `run_entry` then calls them once and repeats their rows per grid
-    point.  A check that draws from `rng` must keep the default, since
-    one call instead of one per point would shift the stream for
-    everything after it.
+    `checks` runs once per `run_entry` call and is given the whole grid.
     """
 
     id: str
     build: Optional[Callable[..., Witness]]  # params -> Witness (None: construction)
     grid: list[dict] = field(default_factory=list)
-    checks: Optional[Callable] = None  # (params, rng, horizon, size) -> [SoundnessRow]
+    checks: Optional[Callable] = None  # (grid, rng, horizon, size) -> [SoundnessRow]
     description: str = ""
-    checks_read_grid: bool = True
 
     def witnesses(self):
         if self.build is None:
@@ -1002,35 +996,37 @@ def _rows(name, pairs):
             for check, ok, detail in pairs]
 
 
-def _coh_structural_checks(params, rng, horizon, size):
-    count = params.get("count", 2)
-    w = coh_interleave(count)
+def _coh_structural_checks(grid, rng, horizon, size):
     out = []
-    for trial in range(3):
-        if count == 2:
-            a, b = Point.from_seed(rng.getrandbits(32)), Point.from_seed(rng.getrandbits(32))
-            tape = interleave_tapes(a, b)
-            img = w.forward_image(tape)
-            ok = all(
-                family_column(img, 2 * i + parity).bit(t)
-                == family_column((a, b)[parity], i).bit(t)
-                for i in range(8) for t in range(16) for parity in (0, 1)
-            )
-            out.extend(_rows(w.label, [(f"columns#{trial}", ok, "interleaved columns equal inputs")]))
-        else:
-            fams = [Point.from_seed(rng.getrandbits(32)) for _ in range(3)]
-            pad = Point.zeros()
-            img = w.forward_image(family_tape(lambda i: fams[i] if i < 3 else pad))
-            ok = all(
-                family_column(img, cantor_pair(a, b)).bit(t)
-                == family_column(fams[a], b).bit(t)
-                for a in range(3) for b in range(3) for t in range(12)
-            )
-            out.extend(_rows(w.label, [(f"columns#{trial}", ok, "pairing-indexed columns equal inputs")]))
+    for params in grid:
+        count = params.get("count", 2)
+        w = coh_interleave(count)
+        for trial in range(3):
+            if count == 2:
+                a, b = Point.from_seed(rng.getrandbits(32)), Point.from_seed(rng.getrandbits(32))
+                tape = interleave_tapes(a, b)
+                img = w.forward_image(tape)
+                ok = all(
+                    family_column(img, 2 * i + parity).bit(t)
+                    == family_column((a, b)[parity], i).bit(t)
+                    for i in range(8) for t in range(16) for parity in (0, 1)
+                )
+                detail = "interleaved columns equal inputs"
+            else:
+                fams = [Point.from_seed(rng.getrandbits(32)) for _ in range(3)]
+                pad = Point.zeros()
+                img = w.forward_image(family_tape(lambda i: fams[i] if i < 3 else pad))
+                ok = all(
+                    family_column(img, cantor_pair(a, b)).bit(t)
+                    == family_column(fams[a], b).bit(t)
+                    for a in range(3) for b in range(3) for t in range(12)
+                )
+                detail = "pairing-indexed columns equal inputs"
+            out.extend(_rows(w.label, [(f"columns#{trial}", ok, detail)]))
     return out
 
 
-def _wkl_measure_checks(params, rng, horizon, size):
+def _wkl_measure_checks(grid, rng, horizon, size):
     no11, first1 = HAND_TREES["no-11"](), HAND_TREES["first-bit"](1)
     w = wkl_interleave(2)
     tape = interleave_tapes(tree_to_point(no11), tree_to_point(first1))
@@ -1047,10 +1043,10 @@ def _wkl_measure_checks(params, rng, horizon, size):
         Prefix(sig.bits[0::2]) in no11 and Prefix(sig.bits[1::2]) in first1 for sig in deep
     )
     rows.append(("paths-split", split_ok, f"{len(deep)} depth-8 nodes split into member prefixes"))
-    return _rows(w.label, rows)
+    return _rows(w.label, rows) * len(grid)
 
 
-def _seqwwkl_checks(params, rng, horizon, size):
+def _seqwwkl_checks(grid, rng, horizon, size):
     rows = []
     for label, tree in (
         ("full", HAND_TREES["full"]()),
@@ -1075,7 +1071,7 @@ def _seqwwkl_checks(params, rng, horizon, size):
     return _rows("WKL<=Seq(1/2-WWKL)", rows)
 
 
-def _blowup_checks(params, rng, horizon, size):
+def _blowup_checks(grid, rng, horizon, size):
     first1 = HAND_TREES["first-bit"](1)
     p, eps = Fraction(1, 2), Fraction(1, 10)
     blown = blowup_once(first1, p, eps, depth=8)
@@ -1103,9 +1099,9 @@ def _blowup_checks(params, rng, horizon, size):
 
 
 def _squash_checks(cfg_name):
-    def run(params, rng, horizon, size):
+    def run(grid, rng, horizon, size):
         cfg = SQUASH_CONFIGS[cfg_name]()
-        h = params.get("horizon", 16)
+        h = 16
         ms = squash_markers(cfg, h + 6)
         rows = [("markers", all(ms[s + 1] > s for s in range(len(ms) - 1)),
                  f"{ms.markers[:8]}... strictly above the stage")]
@@ -1125,7 +1121,7 @@ def _squash_checks(cfg_name):
     return run
 
 
-def _ts_step_checks(params, rng, horizon, size):
+def _ts_step_checks(grid, rng, horizon, size):
     from .oracle import SearchBudget, find_thin
 
     rows = []
@@ -1158,7 +1154,7 @@ def _ts_step_checks(params, rng, horizon, size):
     return _rows("ts_step", rows)
 
 
-def _ts_aca_checks(params, rng, horizon, size):
+def _ts_aca_checks(grid, rng, horizon, size):
     rows = []
     g_id = ts_aca_coloring(1, lambda z: z)
     all_zero = all(g_id.value(t) == 0 for t in itertools.combinations(range(8), 3))
@@ -1177,7 +1173,7 @@ def _ts_aca_checks(params, rng, horizon, size):
     return _rows("ts_aca", rows)
 
 
-def _ts_pigeonhole_checks(params, rng, horizon, size):
+def _ts_pigeonhole_checks(grid, rng, horizon, size):
     rows = []
     const = Coloring(1, 4, lambda t: 2, "const2")
     g = ts_pigeonhole_coloring(const)
@@ -1198,7 +1194,7 @@ def _ts_pigeonhole_checks(params, rng, horizon, size):
     return _rows("ts_pigeonhole", rows)
 
 
-def _ts33_checks(params, rng, horizon, size):
+def _ts33_checks(grid, rng, horizon, size):
     rows = []
     const = Coloring(2, 3, lambda t: 1, "const1")
     members, color, log = ts33_pipeline(const, horizon=12, size=4)
@@ -1218,7 +1214,7 @@ def _ts33_checks(params, rng, horizon, size):
     return _rows("ts33_pipeline", rows)
 
 
-def _cube_checks(params, rng, horizon, size):
+def _cube_checks(grid, rng, horizon, size):
     rows = []
     rows.append(("classes-8", len(cube_classes("none")) == 8, "no merge: all 8 patterns"))
     rows.append(("classes-7", len(cube_classes("transitive-pair")) == 7, "dual pair merged"))
@@ -1297,7 +1293,6 @@ _register(CatalogEntry(
     grid=[{"count": 2}, {"count": "omega"}],
     checks=_wkl_measure_checks,
     description="interleave trees bitwise; paths split exactly",
-    checks_read_grid=False,
 ))
 _register(CatalogEntry(
     id="ts_collapse",
@@ -1366,12 +1361,8 @@ for _name in SQUASH_CONFIGS:
 
 def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, size: int,
               fuel: int = DEFAULT_FUEL) -> list[SoundnessRow]:
-    """Generic soundness over the grid plus entry-specific checks.
-
-    The checks run once per grid point, in grid order.  For an entry with
-    `checks_read_grid=False` they run once, and their rows are repeated
-    per grid point, so the report is the one a call per point would give.
-    Nothing is kept from one call to the next.
+    """Generic soundness over the grid, then the entry's checks, called
+    once with the whole grid.  Nothing is kept from one call to the next.
     """
     if entry_id not in ENTRIES:
         raise InputError(f"unknown catalog entry {entry_id!r}; see `wred list`")
@@ -1381,10 +1372,5 @@ def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, siz
         per_arity = max(size, 4 * witness.source.params.get("n", 0))
         rows.extend(check_witness_soundness(witness, rng, samples, horizon, per_arity, fuel))
     if entry.checks is not None:
-        grid = entry.grid or [{}]
-        if entry.checks_read_grid:
-            for params in grid:
-                rows.extend(entry.checks(params, rng, horizon, size))
-        else:
-            rows.extend(entry.checks(grid[0], rng, horizon, size) * len(grid))
+        rows.extend(entry.checks(entry.grid or [{}], rng, horizon, size))
     return rows

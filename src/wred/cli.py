@@ -24,11 +24,12 @@ from .harness import (
     EXIT_PASS,
     EXIT_RESOURCE,
     SuiteConfig,
+    failure,
     load_instance,
     parse_document,
     run_suite,
 )
-from .kernel import ContractError, InputError, Point, ResourceError, identity_functional, pointwise
+from .kernel import InputError, Point, identity_functional, pointwise
 from .oracle import (
     SearchBudget,
     enumerate_paths,
@@ -59,14 +60,6 @@ TOY_GUESSERS = {
     "evens": lambda: Delta2Approx(
         rule=lambda e, i, b, s: 1 if (s >= 8 and b % 2 == 0) else 0,
         limit=lambda e, b: 1 if b % 2 == 0 else 0),
-}
-
-
-# the --param keys each adversary reads
-ADVERSARY_PARAMS = {
-    "qwwkl-cutter": ("p", "q", "psi", "phi", "fuel"), "ts1": ("j", "k", "phi", "psi"),
-    "delta2": ("k", "guesser"), "cm": ("phi",), "arb-bounds": ("phi", "q"),
-    "column-splitter": ("phi", "columns"),
 }
 
 
@@ -158,50 +151,69 @@ def cmd_squash(args) -> int:
     return EXIT_PASS
 
 
+def _qwwkl_cutter(a):
+    tree, log = qwwkl_cutter(a["phi"], a["psi"], a["p"], a["q"], stages=a["stages"],
+                             fuel=a["fuel"])
+    return log.to_csv(), f"# mu(T) = {tree.measure()}; digest {log.digest()}"
+
+
+def _ts1(a):
+    res = ts1_diagonalizer(a["phi"], a["psi"], a["j"], a["k"], stages=a["stages"])
+    return res.log.to_csv(), (f"# actions={len(res.log.action_stages())} "
+                              f"colors[:16]={res.colors[:16]}")
+
+
+def _delta2(a):
+    return delta2_diagonalizer(a["k"], a["guesser"], stages=a["stages"])[1].to_csv(), None
+
+
+def _cm(a):
+    return f"trigger: {cm_coloring(a['phi']).trigger or 'none'}\n", None
+
+
+def _arb_bounds(a):
+    res = rainbow_measure_coloring(a["phi"], a["q"])
+    lines = [f"cylinders: {len(res.cylinders)}", f"bound: {res.bound}"]
+    lines += [f"set: measure={cyl.measure} strings={len(cyl.strings)}" for cyl in res.cylinders]
+    return "\n".join(lines) + "\n", None
+
+
+def _column_splitter(a):
+    results = rrt_column_splitter(a["phi"], columns=a["columns"])
+    return "\n".join(f"column {j}: cylinders={len(r.cylinders)} bound={r.bound}"
+                     for j, r in enumerate(results)) + "\n", None
+
+
+# each adversary's run, which maps its parsed inputs (`stages` included) to
+# its text and an optional stderr note, and the --param keys it reads, in
+# parse order, each with its default and its reader (see `_param`)
+ADVERSARIES = {
+    "qwwkl-cutter": (_qwwkl_cutter, {
+        "p": ("1/2", Fraction), "q": ("3/4", Fraction), "psi": ("zero", TOY_BACKWARD),
+        "phi": ("identity", TOY_FORWARD), "fuel": (50_000, int)}),
+    "ts1": (_ts1, {"j": (2, int), "k": (3, int), "phi": ("embed23", TOY_FORWARD),
+                   "psi": ("echo", TOY_BACKWARD)}),
+    "delta2": (_delta2, {"k": (3, int), "guesser": ("evens", TOY_GUESSERS)}),
+    "cm": (_cm, {"phi": ("ones", TOY_FORWARD)}),
+    "arb-bounds": (_arb_bounds, {"phi": ("ones", TOY_FORWARD), "q": ("1/2", Fraction)}),
+    "column-splitter": (_column_splitter, {"phi": ("ones", TOY_FORWARD),
+                                           "columns": (2, int)}),
+}
+
+
 def cmd_adversary(args) -> int:
     if args.stages < 0:
         raise InputError(f"--stages must be >= 0, got {args.stages}")
     params, name = _parse_params(args.param), args.name
-    if name not in ADVERSARY_PARAMS:
-        raise InputError(f"unknown adversary {name!r}; known: {sorted(ADVERSARY_PARAMS)}")
-    unread = sorted(set(params) - set(ADVERSARY_PARAMS[name]))
+    if name not in ADVERSARIES:
+        raise InputError(f"unknown adversary {name!r}; known: {sorted(ADVERSARIES)}")
+    run, keys = ADVERSARIES[name]
+    unread = sorted(set(params) - set(keys))
     if unread:
         raise InputError(f"{name} reads no --param {', '.join(unread)}; "
-                         f"it reads {', '.join(ADVERSARY_PARAMS[name])}")
-    note = None  # a summary line for stderr
-    if name == "qwwkl-cutter":
-        p = _param(params, "p", "1/2", Fraction)
-        q = _param(params, "q", "3/4", Fraction)
-        psi = _param(params, "psi", "zero", TOY_BACKWARD)
-        phi = _param(params, "phi", "identity", TOY_FORWARD)
-        fuel = _param(params, "fuel", 50_000, int)
-        tree, log = qwwkl_cutter(phi, psi, p, q, stages=args.stages, fuel=fuel)
-        text, note = log.to_csv(), f"# mu(T) = {tree.measure()}; digest {log.digest()}"
-    elif name == "ts1":
-        j, k = _param(params, "j", 2, int), _param(params, "k", 3, int)
-        phi = _param(params, "phi", "embed23", TOY_FORWARD)
-        psi = _param(params, "psi", "echo", TOY_BACKWARD)
-        res = ts1_diagonalizer(phi, psi, j, k, stages=args.stages)
-        text = res.log.to_csv()
-        note = f"# actions={len(res.log.action_stages())} colors[:16]={res.colors[:16]}"
-    elif name == "delta2":
-        k = _param(params, "k", 3, int)
-        guesser = _param(params, "guesser", "evens", TOY_GUESSERS)
-        text = delta2_diagonalizer(k, guesser, stages=args.stages)[1].to_csv()
-    elif name == "cm":
-        res = cm_coloring(_param(params, "phi", "ones", TOY_FORWARD))
-        text = "trigger: " + (str(res.trigger) if res.trigger else "none") + "\n"
-    elif name == "arb-bounds":
-        phi = _param(params, "phi", "ones", TOY_FORWARD)
-        res = rainbow_measure_coloring(phi, _param(params, "q", "1/2", Fraction))
-        lines = [f"cylinders: {len(res.cylinders)}", f"bound: {res.bound}"]
-        lines += [f"set: measure={cyl.measure} strings={len(cyl.strings)}" for cyl in res.cylinders]
-        text = "\n".join(lines) + "\n"
-    else:  # column-splitter
-        phi = _param(params, "phi", "ones", TOY_FORWARD)
-        results = rrt_column_splitter(phi, columns=_param(params, "columns", 2, int))
-        text = "\n".join(f"column {j}: cylinders={len(r.cylinders)} bound={r.bound}"
-                         for j, r in enumerate(results)) + "\n"
+                         f"it reads {', '.join(keys)}")
+    inputs = {key: _param(params, key, default, read) for key, (default, read) in keys.items()}
+    text, note = run({**inputs, "stages": args.stages})
     _write(args.out, text)
     if note:
         print(note, file=sys.stderr)
@@ -304,13 +316,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except ResourceError as e:
-        print(f"resource error: {e} {e.context}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ContractError, RecursionError) as e:
-        print(f"contract error: {e}", file=sys.stderr)
-        return EXIT_CONTRACT
-
+    except Exception as e:
+        kind, text = failure(e)
+        print(f"{kind} error: {text}", file=sys.stderr)
+        return EXIT_RESOURCE if kind == "resource" else EXIT_CONTRACT
 
 if __name__ == "__main__":
     sys.exit(main())

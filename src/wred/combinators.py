@@ -591,8 +591,6 @@ class SquashConfig:
             raise InputError("squashing requires total problems")
         if self.witness.target.tolerance is None:
             raise InputError("squashing requires finite tolerance for the base problem")
-        if self.kind not in ("strong", "plain"):
-            raise InputError("witness kind must be strong or plain")
 
     @property
     def kind(self) -> str:

@@ -111,12 +111,13 @@ def parse_document(text: str) -> InstanceDocument:
 
 def load_instance(doc: InstanceDocument):
     """Resolve a document to a structured instance."""
+    if doc.representation == "rule":
+        rules = {"coloring": COLORING_RULES, "tree": TREE_RULES, "point": POINT_RULES}[doc.kind]
+        name = doc.params.get("rule", "")
+        if name not in rules:
+            raise InputError(f"unknown {doc.kind} rule {name!r}; known: {sorted(rules)}")
+        return rules[name](doc.params)
     if doc.kind == "coloring":
-        if doc.representation == "rule":
-            name = doc.params.get("rule", "")
-            if name not in COLORING_RULES:
-                raise InputError(f"unknown coloring rule {name!r}; known: {sorted(COLORING_RULES)}")
-            return COLORING_RULES[name](doc.params)
         arity = _int_param(doc.params, "arity", 1)
         if arity < 1:
             raise InputError(f"param arity: must be >= 1, got {arity}")
@@ -142,11 +143,6 @@ def load_instance(doc: InstanceDocument):
 
         return Coloring(arity, colors, rule, "table")
     if doc.kind == "tree":
-        if doc.representation == "rule":
-            name = doc.params.get("rule", "")
-            if name not in TREE_RULES:
-                raise InputError(f"unknown tree rule {name!r}; known: {sorted(TREE_RULES)}")
-            return TREE_RULES[name](doc.params)
         members = {tuple(e) for e in doc.entries} | {()}
         for m in members:
             if any(b not in (0, 1) for b in m):
@@ -155,11 +151,6 @@ def load_instance(doc: InstanceDocument):
                 raise InputError(f"table tree is not downward closed at {m}")
         return TreeByRule(lambda s: s.bits in members, "table-tree")
     # point
-    if doc.representation == "rule":
-        name = doc.params.get("rule", "")
-        if name not in POINT_RULES:
-            raise InputError(f"unknown point rule {name!r}; known: {sorted(POINT_RULES)}")
-        return POINT_RULES[name](doc.params)
     bits = [b for e in doc.entries for b in e]
     tail = _int_param(doc.params, "tail", 0)
     for b in [*bits, tail]:
@@ -235,12 +226,22 @@ class SuiteConfig:
     seed: int = 0
 
 
+def failure(e: Exception) -> tuple[str, str]:
+    """An exception as (kind, text): a ResourceError is a resource failure
+    with its context; any other exception is a contract failure, named by
+    its type unless it is a ContractError or a RecursionError."""
+    if isinstance(e, ResourceError):
+        return "resource", f"{e} {e.context}"
+    if isinstance(e, (ContractError, RecursionError)):
+        return "contract", str(e)
+    return "contract", f"{type(e).__name__}: {e}"
+
+
 def run_suite(selector: str, config: SuiteConfig) -> Report:
     """Generic soundness plus entry-specific invariants for the selection.
 
-    An entry that ends in a resource or a contract error becomes one
-    `error` row, and the run goes on with the next entry.  A RecursionError
-    counts as a contract error: no entry is meant to nest that deep.
+    An entry that ends in any exception but an InputError becomes one
+    `error` row (`harness.failure`), and the run goes on with the next entry.
     """
     if min(config.samples, config.fuel) < 0 or min(config.size, config.horizon) < 1:
         raise InputError(f"need samples and fuel >= 0 and size and horizon >= 1, got {config}")
@@ -256,11 +257,12 @@ def run_suite(selector: str, config: SuiteConfig) -> Report:
         try:
             rows = run_entry(entry_id, rng, config.samples, config.horizon, config.size,
                              config.fuel)
-        except (ResourceError, ContractError, RecursionError) as e:
-            detail = (f"resource: {e} {e.context}" if isinstance(e, ResourceError)
-                      else f"contract: {e}")
-            report.add(ReportRow(entry_id, entry_id, "run", "error", detail, config.seed,
-                                 config.horizon, config.fuel))
+        except InputError:
+            raise
+        except Exception as e:
+            kind, text = failure(e)
+            report.add(ReportRow(entry_id, entry_id, "run", "error", f"{kind}: {text}",
+                                 config.seed, config.horizon, config.fuel))
             continue
         for row in rows:
             report.add(ReportRow(row.case, entry_id, row.check, row.status, row.detail,

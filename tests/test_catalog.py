@@ -15,6 +15,7 @@ from wred.catalog import (
     _agreement_coloring,
     _distinct_count_coloring,
     _restrict_coloring,
+    _wkl_measure_checks,
     SQUASH_CONFIGS,
     assemble_path,
     blowup_once,
@@ -1033,45 +1034,40 @@ def test_entry_ids_stable():
 
 
 def test_run_entry_calls_a_grid_independent_check_once(monkeypatch):
+    """An entry's checks run once per run_entry call, given the whole grid."""
     calls = []
 
-    def checks(params, rng, horizon, size):
-        calls.append(params)
+    def checks(grid, rng, horizon, size):
+        calls.append(grid)
         return [SoundnessRow("probe", f"call{len(calls)}-{i}", PASS) for i in range(2)]
 
     grid = [{"x": 0}, {"x": 1}, {"x": 2}]
-    monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks,
-                                                       checks_read_grid=False))
-    rows = run_entry("probe", rng(), 1, 8, 2)
-    assert len(calls) == 1
-    assert [r.check for r in rows] == ["call1-0", "call1-1"] * 3
-    # a second run_entry call runs the check again: nothing is kept between calls
-    assert run_entry("probe", rng(), 1, 8, 2) == [
-        SoundnessRow("probe", f"call2-{i}", PASS) for i in range(2)] * 3
-    # the default calls it once per grid point, in grid order
-    calls.clear()
     monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, grid, checks))
     rows = run_entry("probe", rng(), 1, 8, 2)
-    assert calls == grid
-    assert [r.check for r in rows] == [f"call{c}-{i}" for c in (1, 2, 3) for i in range(2)]
+    assert calls == [grid]
+    assert [r.check for r in rows] == ["call1-0", "call1-1"]
+    # a second run_entry call runs the checks again: nothing is kept between calls
+    assert run_entry("probe", rng(), 1, 8, 2) == [
+        SoundnessRow("probe", f"call2-{i}", PASS) for i in range(2)]
+    assert calls == [grid, grid]
+    # an entry without a grid hands its checks the one empty grid point
+    monkeypatch.setitem(ENTRIES, "probe", CatalogEntry("probe", None, [], checks))
+    run_entry("probe", rng(), 1, 8, 2)
+    assert calls[-1] == [{}]
 
 
 def test_grid_independent_checks_read_neither_params_nor_rng():
-    """Every entry that declares checks_read_grid=False gets the same rows
-    at every grid point and leaves a fresh rng's state as it found it."""
-    declared = []
-    for entry in ENTRIES.values():
-        if entry.checks_read_grid:
-            continue
-        declared.append(entry.id)
-        seen = []
-        for params in entry.grid or [{}]:
-            r = rng()
-            before = r.getstate()
-            seen.append(entry.checks(params, r, 16, 4))
-            assert r.getstate() == before, (entry.id, params)
-        assert all(rows == seen[0] for rows in seen), entry.id
-    assert "wkl_interleave" in declared
+    """`_wkl_measure_checks` reads neither the grid points nor the rng: it
+    leaves a fresh rng's state as it found it and returns len(grid) equal
+    copies of its rows."""
+    entry = ENTRIES["wkl_interleave"]
+    assert entry.checks is _wkl_measure_checks and len(entry.grid) == 2
+    r = rng()
+    before = r.getstate()
+    rows = _wkl_measure_checks(entry.grid, r, 16, 4)
+    assert r.getstate() == before
+    once = _wkl_measure_checks([{}], rng(), 16, 4)
+    assert once and rows == once * len(entry.grid)
 
 
 def test_unknown_entry_rejected():

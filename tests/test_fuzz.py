@@ -1,15 +1,19 @@
 """Derandomized fuzzing of the input surfaces: instance documents, `wred
 oracle`, `wred squash --config` documents and `wred adversary --param`
 values.  Whatever the input, a document either loads or is an InputError,
-and the command ends in a documented exit code, with nothing escaping
-`main`.  Example counts keep the whole module to about 2 s."""
+and the command ends in a documented exit code, with no exception but an
+input, resource or contract error reaching `main`'s error arms.  Example
+counts keep the whole module to about 2 s."""
+
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from wred import cli
 from wred.catalog import SQUASH_CONFIGS
-from wred.cli import ORACLE_TASK_KINDS, main
-from wred.harness import load_instance, parse_document
-from wred.kernel import InputError
+from wred.cli import ORACLE_TASK_KINDS
+from wred.harness import failure, load_instance, parse_document
+from wred.kernel import ContractError, InputError, ResourceError
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -27,6 +31,20 @@ words = st.sampled_from(["", "x", "omega", "w", "1/2", "3/4", "1/0", "-1/2", "ze
 junk = st.text(alphabet=" :#=-/019abx\u00e9\t\x00", max_size=12)
 values = small_ints | words | junk
 int_args = st.sampled_from(["-1", "0", "1", "2", "4", "6", "x"])
+
+def _typed_failure(e):
+    """`harness.failure`, re-raising an exception of no documented type."""
+    if not isinstance(e, (ResourceError, ContractError, RecursionError)):
+        raise e
+    return failure(e)
+
+
+def main(argv) -> int:
+    """`cli.main`, where an unexpected exception escapes as a crash instead
+    of being reported as a contract error."""
+    with mock.patch.object(cli, "failure", _typed_failure):
+        return cli.main(argv)
+
 
 doc_lines = st.one_of(
     st.sampled_from(["kind: coloring", "kind: tree", "kind: point", "kind: x",

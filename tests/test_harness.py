@@ -10,11 +10,12 @@ from wred.harness import (
     Report,
     ReportRow,
     SuiteConfig,
+    failure,
     load_instance,
     parse_document,
     run_suite,
 )
-from wred.kernel import ContractError, InputError, Prefix
+from wred.kernel import ContractError, InputError, Prefix, ResourceError
 from wred.problems import Coloring, measure_at_level
 
 
@@ -177,6 +178,57 @@ def test_cli_recursion_error_is_one_contract_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "contract error: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("error, kind, text", [
+    (ResourceError("out of fuel", position=3), "resource", "out of fuel {'position': 3}"),
+    (ContractError("witness broke an invariant"), "contract", "witness broke an invariant"),
+    (RecursionError("maximum recursion depth exceeded"), "contract",
+     "maximum recursion depth exceeded"),
+    (TypeError("boom"), "contract", "TypeError: boom"),
+], ids=["resource", "contract", "recursion", "other"])
+def test_failure_classifies_an_exception(error, kind, text):
+    assert failure(error) == (kind, text)
+
+
+def test_an_unexpected_exception_in_a_step_breaks_only_its_entry(monkeypatch, tmp_path, capsys):
+    """A TypeError in rt_product's forward step is one `contract:` error row:
+    `verify all` still reports every other entry's rows, and `wred verify`
+    writes one stderr line and exits 4."""
+    from dataclasses import replace
+
+    from wred.catalog import ENTRIES
+    from wred.kernel import pointwise
+
+    def boom(ctx, x):
+        raise TypeError("boom")
+
+    reference = run_suite("all", SuiteConfig(samples=1))
+    entry = ENTRIES["rt_product"]
+    build = entry.build
+    monkeypatch.setattr(entry, "build", lambda **params: replace(
+        build(**params), forward=pointwise(1, boom, "boom")))
+    expected = Report([r for r in reference.rows if r.entry != "rt_product"] + [ReportRow(
+        "rt_product", "rt_product", "run", "error", "contract: TypeError: boom", 0, 16, 4096)])
+    out = tmp_path / "report.csv"
+    assert main(["verify", "all", "--samples", "1", "--out", str(out)]) == 4
+    assert out.read_text() == expected.to_csv()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("# all: ") and "error=1" in err
+    assert "traceback" not in err.lower()
+
+
+def test_cli_unexpected_exception_is_one_contract_line(monkeypatch, capsys):
+    from wred import cli
+
+    def broken(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "squash_markers", broken)
+    assert main(["squash", "--config", "projection-toy"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contract error: TypeError: boom\n"
 
 
 def test_report_deterministic_bytes():
@@ -412,15 +464,26 @@ def test_cli_adversary_negative_fuel_is_input_error(tmp_path, capsys):
 
 
 def test_cli_adversary_params_name_what_each_adversary_reads(monkeypatch, capsys):
+    """Each adversary's declared --param keys are parsed in their declared
+    order, and its run reads every one of them."""
     from wred import cli
 
-    read, param = [], cli._param
-    monkeypatch.setattr(cli, "_param", lambda params, key, *rest: read.append(key) or param(
+    parsed, param = [], cli._param
+    monkeypatch.setattr(cli, "_param", lambda params, key, *rest: parsed.append(key) or param(
         params, key, *rest))
-    for name, keys in cli.ADVERSARY_PARAMS.items():
-        read.clear()
+    used = []
+
+    class Inputs(dict):
+        def __getitem__(self, key):
+            used.append(key)
+            return super().__getitem__(key)
+
+    for name, (run, keys) in list(cli.ADVERSARIES.items()):
+        parsed.clear(), used.clear()
+        monkeypatch.setitem(cli.ADVERSARIES, name, (lambda a, run=run: run(Inputs(a)), keys))
         assert main(["adversary", name, "--stages", "1"]) == 0
-        assert sorted(read) == sorted(keys), name
+        assert parsed == list(keys), name
+        assert set(used) - {"stages"} == set(keys), name
     capsys.readouterr()
 
 

@@ -194,7 +194,7 @@ def test_every_dataclass_field_is_read():
 
 # callback signatures that the caller fixes, so a callback may leave a parameter unread
 CALLBACKS = {
-    ("params", "rng", "horizon", "size"),  # a catalog entry's checks
+    ("grid", "rng", "horizon", "size"),  # a catalog entry's checks
     ("instance", "sol_tape", "horizon", "size"),  # a ProblemSpec's verify closure
     ("instance", "budget"),  # a ProblemSpec's brute closure
     ("ctx", "x"),  # a Functional's step
