@@ -29,7 +29,6 @@ from .problems import (
     Verdict,
     coloring_from_tape,
     coloring_to_point,
-    lookup,
     measure_at_level,
     verify_homogeneous_at,
     verify_path_at,

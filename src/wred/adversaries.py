@@ -9,7 +9,9 @@ identities the constructions promise are asserted, not assumed.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -82,10 +84,11 @@ class StageLog:
         return [r for r in self.records if r.case == "2" or r.case == "action"]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.HEADER)]
-        for r in self.records:
-            lines.append(",".join(str(c) for c in r.as_row()))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(self.HEADER)
+        out.writerows(r.as_row() for r in self.records)
+        return buf.getvalue()
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_csv().encode()).hexdigest()

@@ -92,7 +92,7 @@ def rt_color_embed(n: int, j: int, k: int) -> Witness:
         return color_bit(x, w_k, lambda r: read_color(ctx.tape(0), j, r))
 
     forward = oblivious(pointwise(1, fstep, f"embed{j}->{k}"))
-    return Witness(rt_spec(n, j), rt_spec(n, k), forward, identity_functional(), "strong",
+    return Witness(rt_spec(n, j), rt_spec(n, k), forward, identity_functional(),
                    label=f"RT^{n}_{j}<=RT^{n}_{k}")
 
 
@@ -125,7 +125,7 @@ def rt_arity_lift(m: int, n: int, k: int) -> Witness:
         return 1
 
     backward = identity_functional() if need == 0 else pointwise(1, bstep, f"drop-top-{need}")
-    return Witness(rt_spec(m, k), rt_spec(n, k), forward, backward, "strong",
+    return Witness(rt_spec(m, k), rt_spec(n, k), forward, backward,
                    label=f"RT^{m}_{k}<=RT^{n}_{k}", solve_slack=need)
 
 
@@ -141,7 +141,7 @@ def rt_product(n: int, j: int, k: int) -> Witness:
                          + j * read_color(odd_part(a), k, r))
 
     forward = oblivious(pointwise(1, fstep, f"pair{j}x{k}"))
-    return Witness(source, target, forward, _dup_backward(), "strong",
+    return Witness(source, target, forward, _dup_backward(),
                    label=f"<RT^{n}_{j},RT^{n}_{k}><=RT^{n}_{j * k}")
 
 
@@ -181,7 +181,7 @@ def coh_interleave(count) -> Witness:
             return ctx.query(0, t)
 
         backward = oblivious(pointwise(1, bstep, "spread"))
-    return Witness(source, c, forward, backward, "strong", label=label)
+    return Witness(source, c, forward, backward, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def wkl_interleave(count) -> Witness:
 
     forward = pointwise(1, in_s, "wkl-interleave")
     target = wkl_spec(path_depth=8 if count == 2 else 12)
-    return Witness(source, target, forward, identity_functional(), "strong", label=label)
+    return Witness(source, target, forward, identity_functional(), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def ts_collapse(n: int, j: int, k) -> Witness:
     if k is not None:  # omega reads unary as far as the first 0: value-dependent
         oblivious(forward)
     kname = "w" if k is None else k
-    return Witness(source, target, forward, identity_functional(), "strong",
+    return Witness(source, target, forward, identity_functional(),
                    label=f"TS^{n}_{kname}<=TS^{n}_{j}")
 
 
@@ -457,8 +457,7 @@ def wkl_from_seqwwkl_witness() -> Witness:
         return b
 
     backward = pointwise(1, bstep, "assemble-path")
-    return Witness(wkl_spec(path_depth=3), target, forward, backward, "strong",
-                   label="WKL<=Seq(1/2-WWKL)")
+    return Witness(wkl_spec(path_depth=3), target, forward, backward, label="WKL<=Seq(1/2-WWKL)")
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +940,7 @@ def _snd_forward():
 
 def _projection_config(p: ProblemSpec, label: str) -> SquashConfig:
     """Q trivial over P: the forward projects the pair <A, B> to its P half B."""
-    w = Witness(parallel_product(triv_spec(), p), p, _snd_forward(), _dup_backward(), "strong",
+    w = Witness(parallel_product(triv_spec(), p), p, _snd_forward(), _dup_backward(),
                 label=f"<TRIV,{p.name}><={p.name}")
     return SquashConfig(q_spec=triv_spec(), witness=w, label=label)
 
@@ -985,10 +984,10 @@ class CatalogEntry:
     checks: Optional[Callable] = None  # (grid, rng, horizon, size) -> [SoundnessRow]
     description: str = ""
 
-    def witnesses(self):
+    def witnesses(self) -> list[Witness]:
         if self.build is None:
             return []
-        return [(params, self.build(**params)) for params in (self.grid or [{}])]
+        return [self.build(**params) for params in (self.grid or [{}])]
 
 
 def _rows(name, pairs):
@@ -1254,109 +1253,104 @@ def _cube_checks(grid, rng, horizon, size):
     return _rows("ts3_cube", rows)
 
 
-ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry):
-    ENTRIES[entry.id] = entry
-
-
-_register(CatalogEntry(
-    id="rt_color_embed",
-    build=lambda n, j, k: rt_color_embed(n, j, k),
-    grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 5}, {"n": 1, "j": 3, "k": 4},
-          {"n": 2, "j": 2, "k": 3}],
-    description="view a j-coloring as a k-coloring, identity both ways",
-))
-_register(CatalogEntry(
-    id="rt_arity_lift",
-    build=lambda m, n, k: rt_arity_lift(m, n, k),
-    grid=[{"m": 1, "n": 2, "k": 2}, {"m": 1, "n": 2, "k": 3}],
-    description="color long tuples by their leading entries",
-))
-_register(CatalogEntry(
-    id="rt_product",
-    build=lambda n, j, k: rt_product(n, j, k),
-    grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 2}],
-    description="solve two Ramsey instances with one jk-coloring",
-))
-_register(CatalogEntry(
-    id="coh_interleave",
-    build=lambda count=2: coh_interleave(count),
-    grid=[{"count": 2}, {"count": "omega"}],
-    checks=_coh_structural_checks,
-    description="interleave set families; cohesive sets pass through",
-))
-_register(CatalogEntry(
-    id="wkl_interleave",
-    build=lambda count=2: wkl_interleave(count),
-    grid=[{"count": 2}, {"count": "omega"}],
-    checks=_wkl_measure_checks,
-    description="interleave trees bitwise; paths split exactly",
-))
-_register(CatalogEntry(
-    id="ts_collapse",
-    build=lambda n, j, k: ts_collapse(n, j, k),
-    grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 4}, {"n": 1, "j": 3, "k": 4},
-          {"n": 1, "j": 2, "k": None}],
-    description="collapse high colors; omitted color passes through",
-))
-_register(CatalogEntry(
-    id="wkl_from_seqwwkl",
-    build=lambda: wkl_from_seqwwkl_witness(),
-    grid=[{}],
-    checks=_seqwwkl_checks,
-    description="tracking trees of measure 1 or 1/2 recover a path",
-))
-_register(CatalogEntry(
-    id="fanout_identity",
-    build=lambda s=2: fanout_rt(rt_color_embed(1, 2, 2), s),
-    grid=[{"s": 1}, {"s": 2}],
-    description="digit fan-out of the identity witness",
-))
-_register(CatalogEntry(
-    id="blowup_tree",
-    build=None,
-    checks=_blowup_checks,
-    description="glue shifted copies to raise tree measure",
-))
-_register(CatalogEntry(
-    id="ts_step",
-    build=None,
-    checks=_ts_step_checks,
-    description="group pivot blocks; extract a thin set for the next digit",
-))
-_register(CatalogEntry(
-    id="ts_aca",
-    build=None,
-    checks=_ts_aca_checks,
-    description="interval-hitting bits decide range membership",
-))
-_register(CatalogEntry(
-    id="ts_pigeonhole",
-    build=None,
-    checks=_ts_pigeonhole_checks,
-    description="order-comparison pairs stabilize a bounded coloring",
-))
-_register(CatalogEntry(
-    id="ts33_pipeline",
-    build=None,
-    checks=_ts33_checks,
-    description="staged homogeneous set from thin-set oracles",
-))
-_register(CatalogEntry(
-    id="ts3_cube",
-    build=None,
-    checks=_cube_checks,
-    description="triple patterns dispatch to order-theoretic sub-solvers",
-))
-for _name in SQUASH_CONFIGS:
-    _register(CatalogEntry(
-        id=f"squash_{_name.replace('-', '_')}",
+# every entry, by id; the squash entries last, one per squash config
+ENTRIES: dict[str, CatalogEntry] = {e.id: e for e in [
+    CatalogEntry(
+        id="rt_color_embed",
+        build=rt_color_embed,
+        grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 5}, {"n": 1, "j": 3, "k": 4},
+              {"n": 2, "j": 2, "k": 3}],
+        description="view a j-coloring as a k-coloring, identity both ways",
+    ),
+    CatalogEntry(
+        id="rt_arity_lift",
+        build=rt_arity_lift,
+        grid=[{"m": 1, "n": 2, "k": 2}, {"m": 1, "n": 2, "k": 3}],
+        description="color long tuples by their leading entries",
+    ),
+    CatalogEntry(
+        id="rt_product",
+        build=rt_product,
+        grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 2}],
+        description="solve two Ramsey instances with one jk-coloring",
+    ),
+    CatalogEntry(
+        id="coh_interleave",
+        build=coh_interleave,
+        grid=[{"count": 2}, {"count": "omega"}],
+        checks=_coh_structural_checks,
+        description="interleave set families; cohesive sets pass through",
+    ),
+    CatalogEntry(
+        id="wkl_interleave",
+        build=wkl_interleave,
+        grid=[{"count": 2}, {"count": "omega"}],
+        checks=_wkl_measure_checks,
+        description="interleave trees bitwise; paths split exactly",
+    ),
+    CatalogEntry(
+        id="ts_collapse",
+        build=ts_collapse,
+        grid=[{"n": 1, "j": 2, "k": 3}, {"n": 1, "j": 2, "k": 4}, {"n": 1, "j": 3, "k": 4},
+              {"n": 1, "j": 2, "k": None}],
+        description="collapse high colors; omitted color passes through",
+    ),
+    CatalogEntry(
+        id="wkl_from_seqwwkl",
+        build=wkl_from_seqwwkl_witness,
+        grid=[{}],
+        checks=_seqwwkl_checks,
+        description="tracking trees of measure 1 or 1/2 recover a path",
+    ),
+    CatalogEntry(
+        id="fanout_identity",
+        build=lambda s: fanout_rt(rt_color_embed(1, 2, 2), s),
+        grid=[{"s": 1}, {"s": 2}],
+        description="digit fan-out of the identity witness",
+    ),
+    CatalogEntry(
+        id="blowup_tree",
         build=None,
-        checks=_squash_checks(_name),
-        description=f"squashing run for the {_name} configuration",
-    ))
+        checks=_blowup_checks,
+        description="glue shifted copies to raise tree measure",
+    ),
+    CatalogEntry(
+        id="ts_step",
+        build=None,
+        checks=_ts_step_checks,
+        description="group pivot blocks; extract a thin set for the next digit",
+    ),
+    CatalogEntry(
+        id="ts_aca",
+        build=None,
+        checks=_ts_aca_checks,
+        description="interval-hitting bits decide range membership",
+    ),
+    CatalogEntry(
+        id="ts_pigeonhole",
+        build=None,
+        checks=_ts_pigeonhole_checks,
+        description="order-comparison pairs stabilize a bounded coloring",
+    ),
+    CatalogEntry(
+        id="ts33_pipeline",
+        build=None,
+        checks=_ts33_checks,
+        description="staged homogeneous set from thin-set oracles",
+    ),
+    CatalogEntry(
+        id="ts3_cube",
+        build=None,
+        checks=_cube_checks,
+        description="triple patterns dispatch to order-theoretic sub-solvers",
+    ),
+    *(CatalogEntry(
+        id=f"squash_{name.replace('-', '_')}",
+        build=None,
+        checks=_squash_checks(name),
+        description=f"squashing run for the {name} configuration",
+    ) for name in SQUASH_CONFIGS),
+]}
 
 
 def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, size: int,
@@ -1368,7 +1362,7 @@ def run_entry(entry_id: str, rng: random.Random, samples: int, horizon: int, siz
         raise InputError(f"unknown catalog entry {entry_id!r}; see `wred list`")
     entry = ENTRIES[entry_id]
     rows: list[SoundnessRow] = []
-    for params, witness in entry.witnesses():
+    for witness in entry.witnesses():
         per_arity = max(size, 4 * witness.source.params.get("n", 0))
         rows.extend(check_witness_soundness(witness, rng, samples, horizon, per_arity, fuel))
     if entry.checks is not None:

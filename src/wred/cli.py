@@ -69,11 +69,14 @@ def _spin(ctx, x):
 
 
 def _write(path, text: str) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write the --out file: {e}") from None
 
 
 def _parse_params(pairs) -> dict:
@@ -220,15 +223,17 @@ def cmd_adversary(args) -> int:
     return EXIT_PASS
 
 
-# the document kind each oracle task searches
-ORACLE_TASK_KINDS = {"homogeneous": "coloring", "thin": "coloring", "rainbow": "coloring",
-                     "min-homogeneous": "coloring", "paths": "tree"}
+# each oracle task's document kind and its search (the tree task enumerates paths)
+ORACLE_TASKS = {"homogeneous": ("coloring", find_homogeneous), "thin": ("coloring", find_thin),
+                "rainbow": ("coloring", find_rainbow),
+                "min-homogeneous": ("coloring", find_min_homogeneous),
+                "paths": ("tree", enumerate_paths)}
 
 
 def cmd_oracle(args) -> int:
-    kind = ORACLE_TASK_KINDS.get(args.task)
-    if kind is None:
-        raise InputError(f"unknown oracle task {args.task!r}; known: {sorted(ORACLE_TASK_KINDS)}")
+    if args.task not in ORACLE_TASKS:
+        raise InputError(f"unknown oracle task {args.task!r}; known: {sorted(ORACLE_TASKS)}")
+    kind, search = ORACLE_TASKS[args.task]
     try:
         with open(args.input) as fh:
             text = fh.read()
@@ -238,16 +243,8 @@ def cmd_oracle(args) -> int:
     if doc.kind != kind:
         raise InputError(f"oracle {args.task} needs a {kind} document, got a {doc.kind} document")
     loaded = load_instance(doc)
-    budget = SearchBudget(horizon=args.horizon, size=args.size)
     if kind == "coloring":
-        if args.task == "homogeneous":
-            res = find_homogeneous(loaded, budget)
-        elif args.task == "thin":
-            res = find_thin(loaded, budget)
-        elif args.task == "rainbow":
-            res = find_rainbow(loaded, budget)
-        else:
-            res = find_min_homogeneous(loaded, budget)
+        res = search(loaded, SearchBudget(horizon=args.horizon, size=args.size))
         if res.found:
             omit = "" if res.omitted is None else f" omitted={res.omitted}"
             print(f"found ({res.mode}): {' '.join(map(str, res.members))}{omit}")
@@ -255,7 +252,7 @@ def cmd_oracle(args) -> int:
         print("inconclusive: node budget exhausted" if res.inconclusive
               else "none: absence certified")
         return EXIT_RESOURCE if res.inconclusive else EXIT_PASS
-    for m in enumerate_paths(loaded, args.depth):
+    for m in search(loaded, args.depth):
         print("".join(str(b) for b in m.bits))
     return EXIT_PASS
 

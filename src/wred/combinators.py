@@ -81,38 +81,39 @@ from .problems import (
 class Witness:
     """A claimed reduction source <= target via (forward, backward).
 
-    solve_slack asks the soundness suite for target solutions that many
-    elements larger than the source check needs; reductions that spend
-    boundary elements in transport (e.g. arity lifts) declare it.
+    The backward's arity is the kind: 1 reads the solution alone (strong),
+    2 reads the instance, then the solution (plain).  solve_slack asks the
+    soundness suite for target solutions that many elements larger than
+    the source check needs; reductions that spend boundary elements in
+    transport (e.g. arity lifts) declare it.
     """
 
     source: ProblemSpec
     target: ProblemSpec
     forward: Functional
     backward: Functional
-    kind: str  # 'strong' | 'plain'
     label: str = ""
     solve_slack: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("strong", "plain"):
-            raise InputError(f"witness kind {self.kind!r}")
         if self.forward.arity != 1:
             raise InputError("forward functional must read exactly the instance tape")
-        want = 1 if self.kind == "strong" else 2
-        if self.backward.arity != want:
-            raise InputError(
-                f"{self.kind} backward must have arity {want}, got {self.backward.arity}"
-            )
+        if self.backward.arity not in (1, 2):
+            raise InputError(f"backward must have arity 1 (strong) or 2 (plain), "
+                             f"got {self.backward.arity}")
         if not self.label:
             self.label = f"{self.source.name}<={self.target.name}"
+
+    @property
+    def kind(self) -> str:
+        return "strong" if self.backward.arity == 1 else "plain"
 
     def forward_image(self, instance_tape, fuel: int = DEFAULT_FUEL):
         return FunctionalTape(self.forward, [instance_tape], fuel)
 
     def backward_oracles(self, instance, solution) -> list:
         """The backward's oracles: the solution, after the instance when plain."""
-        return [solution] if self.kind == "strong" else [instance, solution]
+        return [solution] if self.backward.arity == 1 else [instance, solution]
 
     def pull_back(self, instance_tape, solution_tape, fuel: int = DEFAULT_FUEL):
         return FunctionalTape(self.backward, self.backward_oracles(instance_tape, solution_tape),
@@ -136,8 +137,6 @@ def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: i
 
     budget = SearchBudget(horizon=horizon, size=size + w.solve_slack)
     rows: list[SoundnessRow] = []
-    if w.source.sample_instance is None:
-        return [SoundnessRow(w.label, "check", INCONCLUSIVE, "source has no sampler")]
     for i in range(samples):
         case = f"{w.label}#{i}"
         a_tape = w.source.sample_instance(rng)
@@ -150,9 +149,6 @@ def check_witness_soundness(w: Witness, rng, samples: int, horizon: int, size: i
             fwd = verdict_inconclusive(f"forward image diverged ({d.reason})")
         rows.append(SoundnessRow(case, "forward", fwd.status, fwd.detail))
         if not fwd.ok:
-            continue
-        if w.target.brute_solution_tapes is None:
-            rows.append(SoundnessRow(case, "backward", INCONCLUSIVE, "no target solver"))
             continue
         try:
             sols = w.target.brute_solution_tapes(tgt_inst, budget)
@@ -208,8 +204,6 @@ def parallel_product(p: ProblemSpec, q: ProblemSpec) -> ProblemSpec:
         return interleave_tapes(p.sample_instance(rng), q.sample_instance(rng))
 
     def brute(inst, budget):
-        if p.brute_solution_tapes is None or q.brute_solution_tapes is None:
-            return []
         sa = p.brute_solution_tapes(inst[0], budget)
         sb = q.brute_solution_tapes(inst[1], budget)
         return [interleave_tapes(sa[0], sb[0])] if sa and sb else []
@@ -224,9 +218,9 @@ def parallel_product(p: ProblemSpec, q: ProblemSpec) -> ProblemSpec:
         is_total=p.is_total and q.is_total,
         decode=decode,
         verify_at=verify,
-        tolerance=tol,
-        sample_instance=sample if p.sample_instance and q.sample_instance else None,
+        sample_instance=sample,
         brute_solution_tapes=brute,
+        tolerance=tol,
         params={"left": p.name, "right": q.name},
         validate_instance=validate,
     )
@@ -244,7 +238,6 @@ def combine_verdicts(*vs: Verdict) -> Verdict:
 
 def witness_parallel(w1: Witness, w2: Witness) -> Witness:
     """<P,P'> <= <Q,Q'> from P <= Q and P' <= Q' (test_parallel_identity_pair_sound)."""
-    kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
     def fstep(ctx: EvalContext, x: int) -> int:
         q, r = divmod(x, 2)
@@ -270,7 +263,6 @@ def witness_parallel(w1: Witness, w2: Witness) -> Witness:
         target=parallel_product(w1.target, w2.target),
         forward=forward,
         backward=backward,
-        kind=kind,
         label=f"<{w1.label} || {w2.label}>",
     )
 
@@ -308,15 +300,14 @@ def alternative_product(specs: list[ProblemSpec]) -> ProblemSpec:
 
     def brute(inst, budget):
         t, payload = inst
-        solver = specs[t].brute_solution_tapes
-        return solver(payload, budget) if solver else []
+        return specs[t].brute_solution_tapes(payload, budget)
 
     return ProblemSpec(
         name="[%s]" % ",".join(s.name for s in specs),
         is_total=False,  # tags beyond range do not decode
         decode=decode,
         verify_at=verify,
-        sample_instance=sample if all(s.sample_instance for s in specs) else None,
+        sample_instance=sample,
         brute_solution_tapes=brute,
         params={"components": [s.name for s in specs]},
         validate_instance=validate,
@@ -340,7 +331,7 @@ def alternative_embed(specs: list[ProblemSpec], i: int) -> Witness:
         return tag.bit(q) if r == 0 else ctx.query(0, q)
 
     forward = oblivious(pointwise(1, fstep, f"tag{i}"))
-    return Witness(specs[i], alternative_product(specs), forward, identity_functional(), "strong",
+    return Witness(specs[i], alternative_product(specs), forward, identity_functional(),
                    label=f"{specs[i].name}<=[alt]")
 
 
@@ -352,7 +343,6 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
     """Transitivity: from P <= Q and Q <= R build P <= R (test_law_composition_associative)."""
     if w1.target.name != w2.source.name:
         raise InputError(f"cannot compose {w1.label} with {w2.label}: middle problems differ")
-    kind = "strong" if w1.kind == w2.kind == "strong" else "plain"
 
     forward = compose_functionals(w2.forward, w1.forward)
     arity = max(w1.backward.arity, w2.backward.arity)
@@ -365,8 +355,7 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
         return ctx.run(w1.backward, w1.backward_oracles(a, t), x)
 
     backward = pointwise(arity, bstep, "compose-backward")
-    return Witness(w1.source, w2.target, forward, backward, kind,
-                   label=f"{w1.label} ; {w2.label}")
+    return Witness(w1.source, w2.target, forward, backward, label=f"{w1.label} ; {w2.label}")
 
 
 def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional) -> ProblemSpec:
@@ -393,13 +382,8 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
             return verdict_inconclusive(f"glue diverged at horizon ({d.reason})")
         return combine_verdicts(vb, vc)
 
-    def sample(rng):
-        return p.sample_instance(rng)
-
     def brute(inst, budget):
         inst_tape, p_inst = inst
-        if p.brute_solution_tapes is None or q.brute_solution_tapes is None:
-            return []
         bs = p.brute_solution_tapes(p_inst, budget)
         if not bs:
             return []
@@ -412,7 +396,7 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         is_total=p.is_total,
         decode=decode,
         verify_at=verify,
-        sample_instance=sample if p.sample_instance else None,
+        sample_instance=p.sample_instance,
         brute_solution_tapes=brute,
         params={"outer": q.name, "inner": p.name},
     )
@@ -469,8 +453,8 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
         is_total=p.is_total,
         decode=decode,
         verify_at=verify,
-        sample_instance=sample if p.sample_instance else None,
-        brute_solution_tapes=brute if p.brute_solution_tapes else None,
+        sample_instance=sample,
+        brute_solution_tapes=brute,
         params={"component": p.name, "columns": columns},
         validate_instance=validate,
     )
@@ -493,8 +477,7 @@ def lift_seq(w: Witness) -> Witness:
         return ctx.run(w.backward, cols, t)
 
     backward = pointwise(w.backward.arity, bstep, "seq-backward")
-    return Witness(seq(w.source), seq(w.target), forward, backward,
-                   w.kind, label=f"Seq[{w.label}]")
+    return Witness(seq(w.source), seq(w.target), forward, backward, label=f"Seq[{w.label}]")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +528,7 @@ def iterate_finite(w: Witness, n: int) -> Witness:
         return pulled(ctx, n - 2).bit(2 * t + 1) if n > 1 else ctx.query(w.backward.arity - 1, t)
 
     backward = pointwise(w.backward.arity, bstep, f"iter{n}-backward")
-    return Witness(finite_power(w.target, n), p, forward, backward, w.kind,
+    return Witness(finite_power(w.target, n), p, forward, backward,
                    label=f"{p.name}^{n}<={p.name}")
 
 
@@ -591,10 +574,6 @@ class SquashConfig:
             raise InputError("squashing requires total problems")
         if self.witness.target.tolerance is None:
             raise InputError("squashing requires finite tolerance for the base problem")
-
-    @property
-    def kind(self) -> str:
-        return self.witness.kind
 
     def read_profile(self) -> "_ReadProfile":
         """The forward's read-map profile, which the marker search and the
@@ -888,7 +867,7 @@ def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: 
     witnesses also read the pair instance <A_i, B_{i+1}>: they need the family
     (test_squash_backward_chain_and_mutation).
     """
-    if cfg.kind == "plain" and a_family_tape is None:
+    if cfg.witness.kind == "plain" and a_family_tape is None:
         raise InputError("plain squash backward needs the instance family tape")
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
@@ -904,7 +883,7 @@ def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:
     _check_row(markers, columns)
     return Witness(seq(cfg.q_spec, columns), cfg.witness.target,
                    _squash_table(cfg, markers, range(1)), _squash_unravel(cfg, markers, columns),
-                   cfg.kind, label=f"Seq{cfg.q_spec.name}<={cfg.witness.target.name} ({cfg.label})")
+                   label=f"Seq{cfg.q_spec.name}<={cfg.witness.target.name} ({cfg.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -920,11 +899,11 @@ def fanout_rt(w: Witness, s: int) -> Witness:
 
     The instance is split into s digit colorings (base k), each pushed
     through the forward functional, and the images are merged in base j;
-    the backward applies the original backward once to the merged
-    solution.  Strongness is required: the single backward application
-    must simultaneously serve every digit.
+    the backward is the original one, applied once to the merged solution.
+    Strongness is required: the single backward application must
+    simultaneously serve every digit.
     """
-    if w.kind != "strong":
+    if w.backward.arity != 1:
         raise InputError("fan-out needs a strong witness: the backward must not "
                          "depend on which digit coloring it is answering for")
     if s < 1:
@@ -951,7 +930,5 @@ def fanout_rt(w: Witness, s: int) -> Witness:
         return color_bit(x, w_js, color)
 
     forward = pointwise(1, fstep, f"fanout{s}({w.forward.label})")
-    backward = pointwise(1, lambda ctx, x: ctx.run(w.backward, [ctx.tape(0)], x),
-                         f"fanout{s}-backward")
-    return Witness(source, target, forward, backward, "strong",
+    return Witness(source, target, forward, w.backward,
                    label=f"RT^{n}_{k**s}<=RT^{n}_{j**s} (fanout {w.label})")

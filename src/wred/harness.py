@@ -7,6 +7,8 @@ stable row order, so identical invocations are byte-identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -188,17 +190,12 @@ class Report:
         return sorted(self.rows, key=lambda r: (r.entry, r.case_id, r.check))
 
     def to_csv(self) -> str:
-        def esc(v: str) -> str:
-            s = str(v)
-            if any(c in s for c in ",\"\n"):
-                return '"' + s.replace('"', '""') + '"'
-            return s
-
-        lines = [",".join(self.HEADER)]
-        for r in self.sorted_rows():
-            lines.append(",".join(esc(v) for v in (
-                r.case_id, r.entry, r.check, r.status, r.detail, r.seed, r.horizon, r.fuel)))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(self.HEADER)
+        out.writerows((r.case_id, r.entry, r.check, r.status, r.detail, r.seed, r.horizon, r.fuel)
+                      for r in self.sorted_rows())
+        return buf.getvalue()
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

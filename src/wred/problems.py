@@ -1,4 +1,4 @@
-"""Problem registry: instance codecs, verifiers, totality, tolerance.
+"""Problems: instance codecs, verifiers, samplers, solvers, tolerance.
 
 A problem is an instance/solution pair over Cantor space: `decode` turns
 a tape into a structured instance, `verify_at` judges a candidate
@@ -532,9 +532,9 @@ class ProblemSpec:
     is_total: bool
     decode: Callable
     verify_at: Callable  # (instance, solution tape, horizon, size) -> Verdict
+    sample_instance: Callable  # rng -> tape
+    brute_solution_tapes: Callable  # (instance, budget) -> [tape]
     tolerance: Optional[Callable] = None  # (solution tape, m) -> tape
-    sample_instance: Optional[Callable] = None  # rng -> tape
-    brute_solution_tapes: Optional[Callable] = None  # (instance, budget) -> [tape]
     params: dict = field(default_factory=dict)
     validate_instance: Optional[Callable] = None  # (instance, horizon) -> Verdict
 
@@ -696,7 +696,11 @@ def ts_spec(n: int, k: Optional[int]) -> ProblemSpec:
 
 
 def rrt_spec(n: int, k: int) -> ProblemSpec:
-    """Rainbow Ramsey: instances are k-bounded omega-colorings (non-total)."""
+    """Rainbow Ramsey: instances are k-bounded omega-colorings (non-total).
+
+    No catalog witness uses it; its solver is checked by
+    test_brute_solution_tape_reads_the_members_a_total_set_tape_reads.
+    """
 
     def decode(tape):
         return coloring_from_tape(tape, n, None, f"RRT^{n}_{k} instance")
@@ -839,28 +843,3 @@ def coh_spec() -> ProblemSpec:
         params={},
     )
 
-
-_REGISTRY: dict[str, Callable[[], ProblemSpec]] = {}
-
-
-def register(name: str, factory: Callable[[], ProblemSpec]) -> None:
-    _REGISTRY[name] = factory
-
-
-def lookup(name: str) -> ProblemSpec:
-    """The registered problem called name; an unknown name is an InputError
-    that lists the known ones (test_registry_lists_and_looks_up)."""
-    if name not in _REGISTRY:
-        raise InputError(f"unknown problem {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name]()
-
-
-for _n in (1, 2, 3):
-    for _k in (2, 3, 4):
-        register(f"RT^{_n}_{_k}", lambda n=_n, k=_k: rt_spec(n, k))
-        register(f"TS^{_n}_{_k}", lambda n=_n, k=_k: ts_spec(n, k))
-    register(f"TS^{_n}_w", lambda n=_n: ts_spec(n, None))
-register("RRT^2_2", lambda: rrt_spec(2, 2))
-register("WKL", wkl_spec)
-register("WWKL", wwkl_spec)
-register("COH", coh_spec)

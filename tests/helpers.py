@@ -113,5 +113,5 @@ def echo_pair_witness() -> Witness:
         return ctx.query(0, 2 * u + 1)
 
     backward = oblivious(pointwise(1, bstep, "echo-pair-split"))
-    return Witness(parallel_product(e, e), e, identity_functional(), backward, "strong",
+    return Witness(parallel_product(e, e), e, identity_functional(), backward,
                    label="<ECHO,ECHO><=ECHO")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -422,7 +424,7 @@ def test_cutter_backward_may_read_the_tree_approximation():
 
 
 # regression pins: the logs are replayable, so drift means semantics moved
-TS1_LOG_DIGEST = "b33bad1d0f55252b5c2ae4d012f4f2319b2ee8995d5b93e506f5151c09931854"
+TS1_LOG_DIGEST = "8c97abca042b5bb62271d46fce7408140cb3f74c3633c113fc7e1eb9a5fb479e"
 DELTA2_LOG_DIGEST = "4ef4c767c65377df7d2d5f7e753225d7d604fe1fb93768cb3e8749aa44c7aa79"
 
 
@@ -436,6 +438,25 @@ def test_delta2_log_digest_pinned():
                      limit=lambda e, b: 1 if b % 2 == 0 else 0)
     _, log = delta2_diagonalizer(3, g, stages=32)
     assert log.digest() == DELTA2_LOG_DIGEST
+
+
+def test_every_log_reads_back_with_one_field_per_column():
+    # a detail may hold a comma (ts1's "F_0=(0,) x=0 kills color 0"): the CSV quotes it
+    from wred.cli import TOY_BACKWARD, TOY_FORWARD, TOY_GUESSERS
+
+    logs = [delta2_diagonalizer(3, TOY_GUESSERS[g](), stages=6)[1] for g in TOY_GUESSERS]
+    for psi in TOY_BACKWARD:
+        logs.append(qwwkl_cutter(TOY_FORWARD["identity"](), TOY_BACKWARD[psi](), Fraction(1, 2),
+                                 Fraction(3, 4), stages=6, fuel=5_000)[1])
+        logs.append(ts1_diagonalizer(TOY_FORWARD["embed23"](), TOY_BACKWARD[psi](), 2, 3,
+                                     stages=6).log)
+    for log in logs:
+        rows = list(csv.reader(io.StringIO(log.to_csv())))
+        assert rows[0] == list(StageLog.HEADER)
+        assert len(rows) == len(log.records) + 1
+        assert all(len(row) == len(StageLog.HEADER) for row in rows)
+        assert [row[2] for row in rows[1:]] == [r.detail for r in log.records]
+    assert any("," in r.detail for log in logs for r in log.records)
 
 
 def test_check_defeats_needs_declared_limit():

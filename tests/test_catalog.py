@@ -940,7 +940,7 @@ def _xor_plain_squash_config():
     fwd = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x) ^ ctx.query(0, 2 * x + 1),
                               "xor"))
     back = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "inst-xor-sol")
-    w = Witness(parallel_product(t, t), t, fwd, back, "plain", label="xor-plain")
+    w = Witness(parallel_product(t, t), t, fwd, back, label="xor-plain")
     return SquashConfig(q_spec=t, witness=w, label="xor-plain")
 
 
@@ -1119,7 +1119,7 @@ def test_catalog_functionals_honor_kernel_contracts():
 
     # the forward and the backward of every catalog witness and of the
     # composites the combinators build, deep enough for nested tapes
-    composites = [w for e in ENTRIES.values() for _, w in e.witnesses()] + [
+    composites = [w for e in ENTRIES.values() for w in e.witnesses()] + [
         compose_witness(rt_color_embed(1, 2, 3), rt_color_embed(1, 3, 4)),
         iterate_finite(echo_pair_witness(), 2),
         iterate_finite(echo_pair_witness(), 3),

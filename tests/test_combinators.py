@@ -54,7 +54,7 @@ from helpers import (
 
 
 def identity_witness(spec):
-    return Witness(spec, spec, identity_functional(), identity_functional(), "strong",
+    return Witness(spec, spec, identity_functional(), identity_functional(),
                    label=f"id[{spec.name}]")
 
 
@@ -66,10 +66,14 @@ def rng():
 
 
 def test_witness_arity_checked_structurally():
+    # the backward's arity is the kind: 1 is strong, 2 is plain, no other arity is a witness
     spec = triv_spec()
-    with pytest.raises(InputError):
-        Witness(spec, spec, identity_functional(), projection_functional(1), "strong")
-    Witness(spec, spec, identity_functional(), projection_functional(1, arity=2), "plain")
+    assert Witness(spec, spec, identity_functional(), projection_functional(0, 1)).kind == "strong"
+    assert Witness(spec, spec, identity_functional(), projection_functional(1)).kind == "plain"
+    with pytest.raises(InputError, match="got 3"):
+        Witness(spec, spec, identity_functional(), projection_functional(1, arity=3))
+    with pytest.raises(InputError, match="forward"):
+        Witness(spec, spec, projection_functional(1), identity_functional())
 
 
 def test_identity_witness_sound_on_rt():
@@ -102,7 +106,7 @@ def test_parallel_components_roundtrip():
 def test_parallel_kind_mismatch_downgrades():
     strong = identity_witness(triv_spec())
     plain = Witness(triv_spec(), triv_spec(), identity_functional(),
-                    projection_functional(1, arity=2), "plain")
+                    projection_functional(1, arity=2))
     assert witness_parallel(strong, plain).kind == "plain"
     assert witness_parallel(strong, strong).kind == "strong"
 
@@ -115,8 +119,8 @@ def test_mixed_kind_backwards_read_the_right_oracles():
     flip = pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip")
     shift = pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "shift")
     xor = pointwise(2, lambda ctx, x: ctx.query(0, x) ^ ctx.query(1, x), "xor")
-    strong = Witness(spec, spec, flip, shift, "strong")
-    plain = Witness(spec, spec, identity_functional(), xor, "plain")
+    strong = Witness(spec, spec, flip, shift)
+    plain = Witness(spec, spec, identity_functional(), xor)
     a, u = Point.from_seed(11), Point.from_seed(12)
     cases = [
         (compose_witness(strong, plain), lambda x: 1 ^ a.bit(x + 1) ^ u.bit(x + 1)),
@@ -178,8 +182,7 @@ def test_compose_identity_identity():
 def test_compose_kind_algebra():
     spec = triv_spec()
     strong = identity_witness(spec)
-    plain = Witness(spec, spec, identity_functional(), projection_functional(1, arity=2),
-                    "plain")
+    plain = Witness(spec, spec, identity_functional(), projection_functional(1, arity=2))
     assert compose_witness(strong, strong).kind == "strong"
     assert compose_witness(strong, plain).kind == "plain"
     assert compose_witness(plain, strong).kind == "plain"
@@ -193,7 +196,7 @@ def test_compose_spec_mismatch_rejected():
 def test_compose_plain_backward_sound():
     spec = rt_spec(1, 2)
     plain = Witness(spec, spec, identity_functional(), projection_functional(1, arity=2),
-                    "plain", label="plain-id")
+                    label="plain-id")
     w = compose_witness(plain, plain)
     rows = check_witness_soundness(w, rng(), 10, 16, 4)
     assert not soundness_failures(rows)
@@ -210,14 +213,13 @@ def test_nested_work_is_charged_to_the_callers_fuel():
         ctx.tick(300)
         return ctx.query(0, x)
 
-    def heavy_witness(source, target, kind="strong"):
-        arity = 1 if kind == "strong" else 2  # a plain backward reads the instance
+    def heavy_witness(source, target, arity=1):  # a plain backward (arity 2) reads the instance
         return Witness(source, target, pointwise(1, heavy, "heavy"),
-                       pointwise(arity, heavy, "heavy"), kind)
+                       pointwise(arity, heavy, "heavy"))
 
-    def heavy_squash(kind):
-        w = heavy_witness(parallel_product(e, e), e, kind)
-        return squash(SquashConfig(q_spec=e, witness=w, label=f"heavy-{kind}"), 6)
+    def heavy_squash(arity):
+        w = heavy_witness(parallel_product(e, e), e, arity)
+        return squash(SquashConfig(q_spec=e, witness=w, label=f"heavy-{w.kind}"), 6)
 
     e, rt = echo_spec(), rt_spec(1, 2)
     composites = [
@@ -226,8 +228,8 @@ def test_nested_work_is_charged_to_the_callers_fuel():
         lift_seq(heavy_witness(e, e)),
         iterate_finite(heavy_witness(parallel_product(e, e), e), 2),
         fanout_rt(heavy_witness(rt, rt), 2),
-        heavy_squash("strong"),
-        heavy_squash("plain"),
+        heavy_squash(1),
+        heavy_squash(2),
     ]
     for w in composites:
         for f in (w.forward, w.backward):
@@ -289,7 +291,7 @@ def test_lift_identity_is_columnwise_identity():
 def test_lift_forward_is_phi_per_column():
     flip = oblivious(pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip"))
     spec = triv_spec()
-    w = lift_seq(Witness(spec, spec, flip, identity_functional(), "strong"))
+    w = lift_seq(Witness(spec, spec, flip, identity_functional()))
     fam = Point.from_seed(5)
     img = w.forward_image(fam)
     for i in range(4):
@@ -300,8 +302,7 @@ def test_lift_forward_is_phi_per_column():
 
 def test_lift_preserves_kind():
     spec = triv_spec()
-    plain = Witness(spec, spec, identity_functional(), projection_functional(1, arity=2),
-                    "plain")
+    plain = Witness(spec, spec, identity_functional(), projection_functional(1, arity=2))
     assert lift_seq(plain).kind == "plain"
     assert lift_seq(identity_witness(spec)).kind == "strong"
 
@@ -331,7 +332,7 @@ def test_iterate_nesting_puts_first_instance_outermost():
     # forward that projects the LEFT component: the n-fold nesting collapses to A_0
     spec = triv_spec()
     left = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x), "left"))
-    w = Witness(parallel_product(spec, spec), spec, left, identity_functional(), "strong")
+    w = Witness(parallel_product(spec, spec), spec, left, identity_functional())
     it = iterate_finite(w, 4)
     fam = Point.from_seed(31)
     img = it.forward_image(fam)
@@ -371,7 +372,7 @@ def projection_squash_config():
     t = triv_spec()
     fwd = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, 2 * x + 1), "snd"))
     back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
-    w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="<TRIV,TRIV><=TRIV")
+    w = Witness(parallel_product(t, t), t, fwd, back, label="<TRIV,TRIV><=TRIV")
     return SquashConfig(q_spec=t, witness=w, label="projection")
 
 
@@ -563,7 +564,7 @@ def synthetic_squash_config(reads, step=lambda ctx, x: 0):
     t = triv_spec()
     fwd = Functional(1, step, "synthetic", reads)
     back = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x // 2), "dup"))
-    w = Witness(parallel_product(t, t), t, fwd, back, "strong", label="synthetic")
+    w = Witness(parallel_product(t, t), t, fwd, back, label="synthetic")
     return SquashConfig(q_spec=t, witness=w, label="synthetic")
 
 
@@ -920,8 +921,7 @@ def test_digit_split_example():
 
 def test_fanout_refuses_plain():
     spec2, spec2b = rt_spec(1, 2), rt_spec(1, 2)
-    plain = Witness(spec2, spec2b, identity_functional(), projection_functional(1, arity=2),
-                    "plain")
+    plain = Witness(spec2, spec2b, identity_functional(), projection_functional(1, arity=2))
     with pytest.raises(InputError, match="strong"):
         fanout_rt(plain, 2)
 
@@ -961,7 +961,7 @@ def test_squash_markers_never_converging_forward_is_resource_error():
     t = triv_spec()
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, spin, "spin"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
-                                                      "dup"), "strong")
+                                                      "dup"))
     cfg = SquashConfig(q_spec=t, witness=w, candidate_budget=4)
     with pytest.raises(ResourceError, match="read map of spin diverged at position 0") as exc:
         squash_markers(cfg, 2)
@@ -982,7 +982,7 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
     t = triv_spec()
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, xor_all, "xor"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
-                                                        "dup"), "strong")
+                                                        "dup"))
     cfg = SquashConfig(q_spec=t, witness=w, width_budget=8, candidate_budget=4)
     with pytest.raises(ResourceError, match="read map of xor exceeded 8 branches at position 3") \
             as exc:
@@ -1066,13 +1066,13 @@ def test_marker_engines_agree_with_literal_enumeration():
 def _flip_witness():
     spec = triv_spec()
     flip = oblivious(pointwise(1, lambda ctx, x: 1 - ctx.query(0, x), "flip"))
-    return Witness(spec, spec, flip, identity_functional(), "strong", label="flip")
+    return Witness(spec, spec, flip, identity_functional(), label="flip")
 
 
 def _shift_witness():
     spec = triv_spec()
     shift = oblivious(pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "shift"))
-    return Witness(spec, spec, shift, identity_functional(), "strong", label="shift")
+    return Witness(spec, spec, shift, identity_functional(), label="shift")
 
 
 def _image_bits(w, tape, n=20):

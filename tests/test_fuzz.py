@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wred import cli
 from wred.catalog import SQUASH_CONFIGS
-from wred.cli import ORACLE_TASK_KINDS
+from wred.cli import ORACLE_TASKS
 from wred.harness import failure, load_instance, parse_document
 from wred.kernel import ContractError, InputError, ResourceError
 
@@ -77,7 +77,7 @@ def test_documents_load_or_are_input_errors(text):
 
 @settings(FUZZ, max_examples=60)
 @example(NEGATIVE_ARITY_TABLE, "homogeneous", "16", "4", "6")
-@given(documents, st.sampled_from(sorted(ORACLE_TASK_KINDS) + ["x"]), int_args, int_args,
+@given(documents, st.sampled_from(sorted(ORACLE_TASKS) + ["x"]), int_args, int_args,
        int_args)
 def test_cli_oracle_exits_with_a_documented_code(tmp_path, text, task, horizon, size, depth):
     doc = tmp_path / "instance.doc"

@@ -456,6 +456,20 @@ def test_cli_adversary_unread_params_are_input_errors(tmp_path, capsys, name, pa
     assert capsys.readouterr().err == f"input error: {name} reads no --param {key}; it reads {read}\n"
 
 
+def test_cli_adversary_out_directory_is_input_error(tmp_path, capsys):
+    assert main(["adversary", "cm", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write the --out file: ") and err.count("\n") == 1
+
+
+def test_cli_verify_out_in_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    assert main(["verify", "rt_product", "--samples", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write the --out file: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_cli_adversary_negative_fuel_is_input_error(tmp_path, capsys):
     out = tmp_path / "log.csv"
     assert main(["adversary", "qwwkl-cutter", "--param", "fuel=-5", "--out", str(out)]) == 3

@@ -18,7 +18,6 @@ from wred.problems import (
     level_measures,
     level_members,
     leftmost_path_point,
-    lookup,
     measure_at_level,
     rrt_spec,
     rt_spec,
@@ -608,17 +607,6 @@ def test_thin_tape_rejects_out_of_range():
     tape = thin_solution_tape(Point.from_set({1}), 4)
     with pytest.raises(InputError):
         thin_solution_from_tape(tape, 3, 8)
-
-
-# --- registry -----------------------------------------------------------------
-
-
-def test_registry_lists_and_looks_up():
-    with pytest.raises(InputError) as err:
-        lookup("nope")
-    assert all(repr(name) in str(err.value) for name in ("RT^2_2", "WKL", "COH"))
-    spec = lookup("RT^1_2")
-    assert spec.is_total and spec.tolerance is not None
 
 
 def test_rt_spec_sample_verify_cycle():

@@ -47,7 +47,7 @@ KEPT = {
     "combinators.witness_parallel": "test_parallel_identity_pair_sound",
     "kernel.check_downward_closure": "test_catalog_functionals_honor_kernel_contracts",
     "kernel.check_use_soundness": "test_catalog_functionals_honor_kernel_contracts",
-    "problems.lookup": "test_registry_lists_and_looks_up",
+    "problems.rrt_spec": "test_brute_solution_tape_reads_the_members_a_total_set_tape_reads",
     "adversaries.CylinderSet.overlaps": "criterion 8",
     "harness.InstanceDocument.to_text": "test_coloring_table_roundtrip",
     "kernel.Point.from_set": "test_tolerance_rt_examples",

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -113,3 +114,22 @@ def test_squash_scaling_prints_both_parts_at_each_size(capsys):
     steps = {key: int(r[4]) for key, r in zip(keys, rows)}
     # the marker search runs the forward step once per read-map position, to the last stage
     assert all(steps[("markers", name, "8")] == 8 for name in names)
+
+
+def test_fingerprint_repeats_and_names_the_keys_that_differ(capsys, monkeypatch):
+    fingerprint = _load("fingerprint")
+    root = TOOLS.parent
+    first = fingerprint.fingerprint(root, "tiny")
+    assert fingerprint.main(["--size", "tiny", str(root)]) == 0
+    assert json.loads(capsys.readouterr().out) == first
+    assert {"verify all --seed 0 --samples 1", "verify all --seed 3 --samples 1",
+            "squash --config projection-toy --horizon 20", "adversary cm --stages 4",
+            "adversary ts1 --param psi=spin --stages 4"} <= set(first)
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in first.values())
+    # two checkouts: each key whose digests differ, null where one side lacks it
+    prints = {"a": {"same": "1", "moved": "2", "gone": "3"}, "b": {"same": "1", "moved": "4"}}
+    monkeypatch.setattr(fingerprint, "fingerprint", lambda checkout, size: prints[checkout.name])
+    assert fingerprint.main(["a", "b"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"gone": ["3", None], "moved": ["2", "4"]}
+    assert fingerprint.main(["a", "a"]) == 0
+    assert json.loads(capsys.readouterr().out) == {}
