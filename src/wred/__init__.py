@@ -49,7 +49,6 @@ from .combinators import (
     parallel_product,
     seq,
     squash,
-    squash_backward,
     squash_forward,
     squash_markers,
     witness_parallel,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .adversaries import (
@@ -29,7 +30,7 @@ from .harness import (
     parse_document,
     run_suite,
 )
-from .kernel import InputError, Point, identity_functional, pointwise
+from .kernel import DEFAULT_FUEL, InputError, Point, identity_functional, pointwise
 from .oracle import (
     SearchBudget,
     enumerate_paths,
@@ -50,6 +51,7 @@ TOY_FORWARD = {
 
 TOY_BACKWARD = {
     "zero": lambda: pointwise(1, lambda ctx, x: 0, "zero"),
+    "one": lambda: pointwise(1, lambda ctx, x: 1, "one"),
     "echo": lambda: pointwise(1, lambda ctx, x: ctx.query(0, x), "echo"),
     "echo-shift": lambda: pointwise(1, lambda ctx, x: ctx.query(0, x + 1), "echo+1"),
     "spin": lambda: pointwise(1, _spin, "spin"),
@@ -114,8 +116,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SuiteConfig(samples=args.samples, horizon=args.horizon, size=args.size,
-                         fuel=args.fuel, seed=args.seed)
+    config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     report = run_suite(args.entry, config)
     _write(args.out, report.to_csv())
     counts = report.counts()
@@ -193,7 +194,7 @@ def _column_splitter(a):
 ADVERSARIES = {
     "qwwkl-cutter": (_qwwkl_cutter, {
         "p": ("1/2", Fraction), "q": ("3/4", Fraction), "psi": ("zero", TOY_BACKWARD),
-        "phi": ("identity", TOY_FORWARD), "fuel": (50_000, int)}),
+        "phi": ("identity", TOY_FORWARD), "fuel": (DEFAULT_FUEL, int)}),
     "ts1": (_ts1, {"j": (2, int), "k": (3, int), "phi": ("embed23", TOY_FORWARD),
                    "psi": ("echo", TOY_BACKWARD)}),
     "delta2": (_delta2, {"k": (3, int), "guesser": ("evens", TOY_GUESSERS)}),
@@ -272,11 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the soundness suite for an entry")
     v.add_argument("entry")
-    v.add_argument("--samples", type=int, default=25)
-    v.add_argument("--horizon", type=int, default=16)
-    v.add_argument("--size", type=int, default=4)
-    v.add_argument("--fuel", type=int, default=4096)
-    v.add_argument("--seed", type=int, default=0)
+    for f in fields(SuiteConfig):  # --samples --horizon --size --fuel --seed
+        v.add_argument(f"--{f.name}", type=int, default=f.default)
     v.add_argument("--out", default="")
     v.set_defaults(fn=cmd_verify)
 
@@ -299,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force searches over a document")
     o.add_argument("task")
     o.add_argument("--input", required=True)
-    o.add_argument("--horizon", type=int, default=16)
-    o.add_argument("--size", type=int, default=4)
+    o.add_argument("--horizon", type=int, default=SearchBudget.horizon)
+    o.add_argument("--size", type=int, default=SearchBudget.size)
     o.add_argument("--depth", type=int, default=6)
     o.set_defaults(fn=cmd_oracle)
     return top

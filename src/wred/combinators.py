@@ -178,7 +178,6 @@ def triv_spec() -> ProblemSpec:
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=lambda inst, budget: [Point.ones()],
-        params={},
     )
 
 
@@ -221,7 +220,6 @@ def parallel_product(p: ProblemSpec, q: ProblemSpec) -> ProblemSpec:
         sample_instance=sample,
         brute_solution_tapes=brute,
         tolerance=tol,
-        params={"left": p.name, "right": q.name},
         validate_instance=validate,
     )
 
@@ -309,7 +307,6 @@ def alternative_product(specs: list[ProblemSpec]) -> ProblemSpec:
         verify_at=verify,
         sample_instance=sample,
         brute_solution_tapes=brute,
-        params={"components": [s.name for s in specs]},
         validate_instance=validate,
     )
 
@@ -398,7 +395,6 @@ def compositional_product(q: ProblemSpec, p: ProblemSpec, theta_glue: Functional
         verify_at=verify,
         sample_instance=p.sample_instance,
         brute_solution_tapes=brute,
-        params={"outer": q.name, "inner": p.name},
     )
 
 
@@ -455,7 +451,6 @@ def seq(p: ProblemSpec, columns: int = 4) -> ProblemSpec:
         verify_at=verify,
         sample_instance=sample,
         brute_solution_tapes=brute,
-        params={"component": p.name, "columns": columns},
         validate_instance=validate,
     )
 
@@ -557,15 +552,17 @@ class MarkerSequence:
         return len(self.markers)
 
 
+WIDTH_BUDGET = 4096  # branches per position when a forward's read map is derived
+CANDIDATE_BUDGET = 64  # marker candidates tried per stage
+
+
 @dataclass
 class SquashConfig:
-    """Hypotheses of the squashing construction, checked on entry."""
+    """Hypotheses of the squashing construction, checked on entry.  The
+    displays' C is 0^omega in every config."""
 
     q_spec: ProblemSpec
     witness: Witness  # <Q,P> <= P; P is its target
-    c: Point = field(default_factory=Point.zeros, init=False)  # C of the displays
-    width_budget: int = 4096  # branches per position when the forward's read map is derived
-    candidate_budget: int = 64
     label: str = "squash"
     _profile: Optional["_ReadProfile"] = field(default=None, init=False, repr=False, compare=False)
 
@@ -578,11 +575,11 @@ class SquashConfig:
     def read_profile(self) -> "_ReadProfile":
         """The forward's read-map profile, which the marker search and the
         forward table share.  A forward without a map gets one derived by
-        `branching_reads`, at most `width_budget` branches per position."""
+        `branching_reads`, at most `WIDTH_BUDGET` branches per position."""
         forward = self.witness.forward
         source = forward.reads or forward
         if self._profile is None or self._profile.source is not source:
-            reads = forward.reads or branching_reads(forward, self.width_budget)
+            reads = forward.reads or branching_reads(forward, WIDTH_BUDGET)
             self._profile = _ReadProfile(reads, source)
         return self._profile
 
@@ -593,7 +590,8 @@ class _Display:
     Each level T_j runs the witness's arity-1 forward Phi on the pair tape
     <sigma_j, V_{j+1}> (sigma_j on the even bits, V_{j+1} on the odd
     ones), one `RuleTape` whose odd positions read `tail_bit`: V_{j+1} is
-    C below m_{j+1} and T_{j+1} from there on.  At stage x the display ends
+    C = 0^omega below m_{j+1} and T_{j+1} from there on.  sigma_j is
+    column j of the context's family tape.  At stage x the display ends
     at V_{x+1} = C|m_{x+1}, so V_i(x) read at stage x is B_i(x) of the
     stagewise definition.  A bit converged at one stage is the same at
     every later one (the later chain only extends the earlier one's
@@ -603,30 +601,28 @@ class _Display:
     there (key j), so each level's work is charged to the position of the
     context's sweep that filled it.  The context owns the display, and the
     display refers to it weakly, so dropping the context frees both at once.
-    A read first fills what the read map (`profile`) says it needs (`fill`);
-    a level bit still missing when read is one the map missed.
+    A read first fills what the config's read profile says it needs
+    (`fill`); a level bit still missing when read is one the map missed.
     """
 
-    def __init__(self, ctx: EvalContext, forward: Functional, c, markers, sigma_tapes,
-                 profile: _ReadProfile):
-        self.ctx, self.forward, self.c, self.markers = weakref.proxy(ctx), forward, c, markers
-        self.sigma_tapes = sigma_tapes  # level -> tape
-        self.stage, self.profile = 0, profile
+    def __init__(self, ctx: EvalContext, cfg: SquashConfig, markers):
+        self.ctx, self.family, self.markers = weakref.proxy(ctx), ctx.tape(0), markers
+        self.forward, self.profile, self.stage = cfg.witness.forward, cfg.read_profile(), 0
         ctx.scratch["display"] = self
 
     def level(self, j: int) -> FunctionalTape:
         t = self.ctx.scratch.get(j)
         if t is None:  # one rule: a V_{j+1} tape of its own costs a call per odd read
-            sigma, tail = self.sigma_tapes(j), self.tail_bit
+            sigma, tail = family_column(self.family, j), self.tail_bit
             t = self.ctx.apply(self.forward, [RuleTape(
                 lambda p: tail(j + 1, p >> 1) if p & 1 else sigma.bit(p >> 1))], j)
         return t
 
     def tail_bit(self, j: int, q: int) -> int:
-        """V_j(q) at the current stage: C(q) below m_j, T_j(q) from there on;
-        a divergence of the chain raises Diverge."""
+        """V_j(q) at the current stage: C(q) = 0 below m_j, T_j(q) from there
+        on; a divergence of the chain raises Diverge."""
         if q < self.markers[j]:
-            return self.c.bit(q)
+            return 0
         if j > self.stage:
             raise Diverge("gap", q)
         t = self.ctx.scratch.get(j) or self.level(j)
@@ -679,8 +675,8 @@ class _ReadProfile:
             top1.append(m[1])
 
 
-def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budget: int = 1 << 20,
-                         profile: Optional[_ReadProfile] = None) -> bool:
+def _closure_check_stage(profile: _ReadProfile, markers, s: int, n: int,
+                         node_budget: int = 1 << 20) -> bool:
     """The read-closure marker check of one stage and candidate.
 
     Level j runs the arity-1 forward on the pair tape <sigma_j, V_{j+1}>,
@@ -697,10 +693,9 @@ def _closure_check_stage(forward: Functional, markers, s: int, n: int, node_budg
     the furthest read of level j's demand if it reaches m_{j+1}; beyond
     its demand a level's limit cannot matter.  The demands are computed
     going up and the limits going down, each a lookup in the prefix maxima
-    of `profile`.  More than node_budget demanded (level, position) pairs
-    at or above the level's marker is a ResourceError.
+    of `profile`, the forward's.  More than node_budget demanded (level,
+    position) pairs at or above the level's marker is a ResourceError.
     """
-    profile = profile or _ReadProfile(forward.reads)
     top0, top1 = profile.top
     demand = [s]
     d, nodes = s, s + 1
@@ -736,14 +731,14 @@ def squash_markers(cfg: SquashConfig, stages: int) -> MarkerSequence:
     forward on the pair tape <sigma_j, V_{j+1}>, decided from the
     config's read profile (`_closure_check_stage`).
     """
-    forward, profile, markers = cfg.witness.forward, cfg.read_profile(), [0]
+    profile, markers = cfg.read_profile(), [0]
     for s in range(stages):
         start = max(markers[-1], s) + 1
-        found = next((n for n in range(start, start + cfg.candidate_budget)
-                      if _closure_check_stage(forward, markers, s, n, profile=profile)), None)
+        found = next((n for n in range(start, start + CANDIDATE_BUDGET)
+                      if _closure_check_stage(profile, markers, s, n)), None)
         if found is None:
             raise ResourceError(
-                f"no marker within {cfg.candidate_budget} candidates at stage {s}",
+                f"no marker within {CANDIDATE_BUDGET} candidates at stage {s}",
                 stage=s, first_candidate=start,
             )
         markers.append(found)
@@ -764,9 +759,7 @@ def _squash_table(cfg: SquashConfig, markers, rows: range) -> Functional:
         x, k = divmod(p, width)
         if x + 1 >= len(markers):
             raise Diverge("gap", p)
-        display = ctx.scratch.get("display") or _Display(
-            ctx, cfg.witness.forward, cfg.c, markers, lambda j, a=ctx.tape(0): family_column(a, j),
-            cfg.read_profile())
+        display = ctx.scratch.get("display") or _Display(ctx, cfg, markers)
         display.stage = x  # B_i(x) is V_i(x) at stage x
         i = rows[k]
         display.fill(i, x)  # seeded per read: its work is charged to this position
@@ -785,12 +778,12 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
     """Materialize B_0..B_count, check the structural identity exactly and
     return the rows: table[i][x] = B_i(x) for x < horizon + 4.
 
-    B_i(x) is the stagewise value: at stage x, v_{x+1} = C|m_{x+1} and
-    v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0, and B_i(x) =
-    v_i(x).  The rows are one `FunctionalTape` of the stage-major table of
-    B_0..B_count, so one display serves them all; rows i > x are C(x),
-    since m_i >= i.  The sweep's first divergence is a ResourceError
-    naming its row and stage.
+    B_i(x) is the stagewise value, with C = 0^omega: at stage x, v_{x+1} =
+    C|m_{x+1} and v_j = (C|m_j)^Phi(<A_j, v_{j+1}>) for j = x down to 0,
+    and B_i(x) = v_i(x).  The rows are one `FunctionalTape` of the
+    stage-major table of B_0..B_count, so one display serves them all;
+    rows i > x are C(x), since m_i >= i.  The sweep's first divergence is
+    a ResourceError naming its row and stage.
 
     The identity B_i(x) = C(x) for x < m_i and B_i(x) = Phi(<A_i,
     B_{i+1}>)(x) for m_i <= x < horizon is then recomputed against the
@@ -816,7 +809,7 @@ def squash_forward(cfg: SquashConfig, markers: MarkerSequence, a_family_tape,
         check = cfg.witness.forward_image(pair)
         for x in range(horizon):
             if x < markers[i]:
-                want = cfg.c.bit(x)
+                want = 0  # C(x)
             else:
                 try:
                     want = check.bit(x)
@@ -838,9 +831,9 @@ def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
     def step(ctx, x):
         i, t = cantor_unpair(x)
         if i >= columns:
-            # the desk-scale SeqQ tracks `columns` columns (reported in the
-            # source params); chains for deeper columns would read the
-            # solution at positions ~2^i t, beyond any finite marker supply
+            # the desk-scale SeqQ verifies `columns` columns; chains for
+            # deeper columns would read the solution at positions ~2^i t,
+            # beyond any finite marker supply
             return 0
         if ("pulled", 0) not in ctx.scratch:  # one unravel per sweep serves every column
             *family, cur = (ctx.tape(k) for k in range(w.backward.arity))  # family when plain
@@ -855,26 +848,6 @@ def _squash_unravel(cfg: SquashConfig, markers, columns: int) -> Functional:
         return ctx.scratch[("pulled", i)].bit(2 * t)
 
     return pointwise(w.backward.arity, step, f"{cfg.label}-backward")
-
-
-def squash_backward(cfg: SquashConfig, markers: MarkerSequence, t0_tape, count: int,
-                    a_family_tape=None) -> list:
-    """Unravel a solution of B_0 into solutions S_0..S_{count-1}.
-
-    The columns of one sweep of the squash backward, which alternates the
-    tolerance operator (to absorb the finite error below each marker) with
-    the witness's backward (to split off one solution per level).  Plain
-    witnesses also read the pair instance <A_i, B_{i+1}>: they need the family
-    (test_squash_backward_chain_and_mutation).
-    """
-    if cfg.witness.kind == "plain" and a_family_tape is None:
-        raise InputError("plain squash backward needs the instance family tape")
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
-    _check_row(markers, count)
-    merged = FunctionalTape(_squash_unravel(cfg, markers, count),
-                            cfg.witness.backward_oracles(a_family_tape, t0_tape), DEFAULT_FUEL)
-    return [family_column(merged, i) for i in range(count)]
 
 
 def squash(cfg: SquashConfig, stages: int, columns: int = 4) -> Witness:

@@ -782,7 +782,6 @@ def wkl_spec(path_depth: int = 12) -> ProblemSpec:
         verify_at=verify,
         sample_instance=_tree_sampler,
         brute_solution_tapes=brute,
-        params={},
         validate_instance=_validate_tree(None, path_depth),
     )
 
@@ -818,7 +817,6 @@ def wwkl_spec(q: Optional[Fraction] = None, path_depth: int = 10,
         verify_at=verify,
         sample_instance=base.sample_instance,
         brute_solution_tapes=brute,
-        params={"q": q},
         validate_instance=_validate_tree(q, path_depth),
     )
 
@@ -840,6 +838,5 @@ def coh_spec() -> ProblemSpec:
         tolerance=lambda tape, m: tape,
         sample_instance=lambda rng: Point.from_seed(rng.getrandbits(32)),
         brute_solution_tapes=brute,
-        params={},
     )
 

@@ -471,7 +471,19 @@ QWWKL_LONG_DIGESTS = {
     "zero": "3d56428d5caa5f747c23e7a2d71a2fc41943ee70d33b5addcb7b6ffef52334c0",
     "echo": "3d56428d5caa5f747c23e7a2d71a2fc41943ee70d33b5addcb7b6ffef52334c0",
     "echo-shift": "0b89126c7bfe58ad1c9029fba5a146778b1941983c55eccb9e2d722f4be5ccc9",
+    "one": "6dd0b69dac36eb8439479f2d26c8eebebc19ab9bbdeb8be4b6bf5e8470b7a82e",
 }
+
+
+def test_cutter_one_backward_votes_for_ones():
+    # the other toy backwards all pick alpha = 000, so their logs can agree
+    from wred.cli import TOY_BACKWARD, TOY_FORWARD
+
+    for stages in (32, 160):
+        _, log = qwwkl_cutter(TOY_FORWARD["identity"](), TOY_BACKWARD["one"](),
+                              Fraction(1, 2), Fraction(3, 4), stages=stages)
+        alphas = [r.alpha for r in log.records if r.case == "2"]
+        assert alphas == [(1, 1, 1)] * 3, stages
 
 
 def test_cutter_long_run_digests_pinned():

@@ -923,15 +923,11 @@ def test_coh_squash_markers_and_identity():
 def test_squash_backward_coh_reproduces_columns():
     # Theta is the identity for COH: the unraveled chain's bookkeeping
     # keeps handing the same cohesive set to every column
-    from wred.combinators import squash_backward
-
-    cfg = squash_config_coh()
-    ms = squash_markers(cfg, 24)
     t0 = Point.from_seed(77)
-    sols = squash_backward(cfg, ms, t0, 3)
-    for i, s in enumerate(sols):
-        expect = [t0.bit(x) for x in range(12)]
-        assert [s.bit(x) for x in range(12)] == expect
+    sols = squash(squash_config_coh(), 24, 3).pull_back(None, t0)
+    expect = [t0.bit(x) for x in range(12)]
+    for i in range(3):
+        assert [family_column(sols, i).bit(x) for x in range(12)] == expect, i
 
 
 def _xor_plain_squash_config():
@@ -947,8 +943,6 @@ def _xor_plain_squash_config():
 def test_plain_squash_backward_reads_the_pair_instance():
     # TRIV's tolerance is the identity, so the unravel is P_i = <A_i, B_{i+1}>
     # xor R_i with R_0 = T and R_{i+1} the odd half of P_i; S_i is the even half
-    from wred.combinators import squash_backward, squash_forward
-
     cfg = _xor_plain_squash_config()
     ms = squash_markers(cfg, 40)
     assert ms.markers == list(range(41))
@@ -968,11 +962,9 @@ def test_plain_squash_backward_reads_the_pair_instance():
     ]
     row = squash_forward(cfg, ms, fam, 30, count=1)[1]
     assert row[:30] == [b(1, x) for x in range(30)]
-    cols = squash_backward(cfg, ms, sol, 3, a_family_tape=fam)
     pulled = squash(cfg, 40, 3).pull_back(fam, sol)
     for i in range(3):
         expect = [want[i](u) for u in range(8)]
-        assert [cols[i].bit(u) for u in range(8)] == expect, i
         assert [family_column(pulled, i).bit(u) for u in range(8)] == expect, i
 
     # the row tapes the backward reads are charged to its caller: with a

@@ -23,7 +23,6 @@ from wred.combinators import (
     parallel_product,
     seq,
     squash,
-    squash_backward,
     squash_forward,
     squash_markers,
     triv_spec,
@@ -494,7 +493,7 @@ def test_squash_forward_identity_checked_exactly():
     table = squash_forward(cfg, ms, fam, horizon, count=4)
     for i in range(5):
         for x in range(ms[i]):
-            assert table[i][x] == cfg.c.bit(x)
+            assert table[i][x] == 0  # C = 0^omega below the marker
 
 
 def test_squash_forward_projection_all_zeros():
@@ -506,20 +505,21 @@ def test_squash_forward_projection_all_zeros():
 
 def test_squash_backward_chain_and_mutation():
     cfg = echo_squash_config()
-    ms = squash_markers(cfg, 90)  # deep: column i of the chain reads B_0 at ~2^(i+1) h
+    w = squash(cfg, 90, 3)  # deep: column i of the chain reads B_0 at ~2^(i+1) h
     fam = Point.from_seed(314)
-    b0 = squash(cfg, 90).forward_image(fam)
+    b0 = w.forward_image(fam)
     t0 = interleave_tapes(b0, Point.zeros())  # honest solution <0, B_0>
-    sols = squash_backward(cfg, ms, t0, 3, a_family_tape=fam)
+    sols = w.pull_back(fam, t0)
     e = cfg.q_spec
-    for i, s in enumerate(sols):
-        assert e.verify_at(family_column(fam, i), s, 8, 2).ok, f"column {i}"
+    for i in range(3):
+        assert e.verify_at(family_column(fam, i), family_column(sols, i), 8, 2).ok, f"column {i}"
     # corrupt the solution tail: some recovered column must fail
     bad = interleave_tapes(
         Point(lambda p: 1 - b0.bit(p), "corrupt"), Point.zeros()
     )
-    bad_sols = squash_backward(cfg, ms, bad, 3, a_family_tape=fam)
-    verdicts = [e.verify_at(family_column(fam, i), s, 8, 2) for i, s in enumerate(bad_sols)]
+    bad_sols = w.pull_back(fam, bad)
+    verdicts = [e.verify_at(family_column(fam, i), family_column(bad_sols, i), 8, 2)
+                for i in range(3)]
     assert any(v.failed for v in verdicts)
 
 
@@ -646,7 +646,7 @@ def reference_closure_check(forward, markers, s, n):
 
 def test_closure_engine_matches_recursive_reference():
     from wred.catalog import squash_config_coh
-    from wred.combinators import _closure_check_stage, _ReadProfile
+    from wred.combinators import CANDIDATE_BUDGET, _closure_check_stage, _ReadProfile
     from wred.kernel import ResourceError
 
     configs = [synthetic_squash_config(r) for r in SYNTHETIC_READS.values()]
@@ -659,15 +659,16 @@ def test_closure_engine_matches_recursive_reference():
             start = max(markers[-1], s) + 1
             for n in range(start, start + 4):
                 want = reference_closure_check(forward, markers, s, n)
-                assert _closure_check_stage(forward, markers, s, n, profile=profile) == want
-                assert _closure_check_stage(forward, markers, s, n) == want
-            found = next((n for n in range(start, start + cfg.candidate_budget)
+                assert _closure_check_stage(profile, markers, s, n) == want
+                assert _closure_check_stage(_ReadProfile(forward.reads), markers, s, n) == want
+            found = next((n for n in range(start, start + CANDIDATE_BUDGET)
                           if reference_closure_check(forward, markers, s, n)), None)
             if found is None:
                 break
             markers.append(found)
     with pytest.raises(ResourceError) as exc:
-        _closure_check_stage(configs[0].witness.forward, [0, 2, 4], 2, 6, node_budget=5)
+        _closure_check_stage(_ReadProfile(configs[0].witness.forward.reads), [0, 2, 4], 2, 6,
+                             node_budget=5)
     assert exc.value.context == {"stage": 2, "candidate": 6}
 
 
@@ -712,7 +713,7 @@ def _verdict_or_error(check, *args, **kwargs):
 
 def test_lean_closure_check_matches_the_loop_it_replaced():
     from wred.catalog import SQUASH_CONFIGS
-    from wred.combinators import _closure_check_stage, _ReadProfile
+    from wred.combinators import CANDIDATE_BUDGET, _closure_check_stage, _ReadProfile
 
     configs = [synthetic_squash_config(r) for r in SYNTHETIC_READS.values()]
     configs += [SQUASH_CONFIGS[name]() for name in sorted(SQUASH_CONFIGS)]
@@ -725,14 +726,14 @@ def test_lean_closure_check_matches_the_loop_it_replaced():
             start = max(markers[-1], s) + 1
             for n in range(start, start + 4):
                 want = _closure_loop_reference(forward, markers, s, n)
-                assert _closure_check_stage(forward, markers, s, n) == want
-                assert _closure_check_stage(forward, markers, s, n, profile=shared) == want
+                assert _closure_check_stage(_ReadProfile(forward.reads), markers, s, n) == want
+                assert _closure_check_stage(shared, markers, s, n) == want
                 for budget in range(1, 65):
                     want = _verdict_or_error(_closure_loop_reference, forward, markers, s, n, budget)
                     budgets_failed += isinstance(want, tuple)
-                    assert _verdict_or_error(_closure_check_stage, forward, markers, s, n,
-                                             budget) == want, (cfg.label, s, n, budget)
-            found = next((n for n in range(start, start + cfg.candidate_budget)
+                    assert _verdict_or_error(_closure_check_stage, _ReadProfile(forward.reads),
+                                             markers, s, n, budget) == want, (cfg.label, s, n, budget)
+            found = next((n for n in range(start, start + CANDIDATE_BUDGET)
                           if _closure_loop_reference(forward, markers, s, n)), None)
             if found is None:
                 break
@@ -864,8 +865,7 @@ def test_squash_readers_reject_bad_rows_and_counts():
         lambda: squash_forward(cfg, ms, fam, -1, count=2),
         lambda: squash_forward(cfg, ms, fam, 4, count=-1),
         lambda: squash_forward(cfg, ms, fam, 4, count=13),  # B_13 needs m_13
-        lambda: squash_backward(cfg, ms, fam, -1),
-        lambda: squash_backward(cfg, ms, fam, 13),
+        lambda: squash(cfg, 12, -1),
         lambda: squash(cfg, 12, 13),
     ]
     for call in bad:
@@ -873,7 +873,8 @@ def test_squash_readers_reject_bad_rows_and_counts():
             call()
     assert len(squash_forward(cfg, ms, fam, 4, count=12)) == 13
     assert squash_forward(cfg, ms, fam, 8, count=12)[12][11] == 0
-    assert len(squash_backward(cfg, ms, fam, 12)) == 12
+    # m_12 is the last marker, so 12 columns are the most; "dup" hands T to each
+    assert family_column(squash(cfg, 12, 12).pull_back(fam, fam), 11).bit(0) == fam.bit(0)
 
 
 def test_squash_forward_markers_too_small_diverge_at_the_stage():
@@ -951,7 +952,8 @@ def test_combine_verdicts_order():
     assert combine_verdicts(Verdict(PASS), Verdict(PASS)).ok
 
 
-def test_squash_markers_never_converging_forward_is_resource_error():
+def test_squash_markers_never_converging_forward_is_resource_error(monkeypatch):
+    from wred import combinators
     from wred.kernel import ResourceError
 
     def spin(ctx, x):
@@ -962,13 +964,15 @@ def test_squash_markers_never_converging_forward_is_resource_error():
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, spin, "spin"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                       "dup"))
-    cfg = SquashConfig(q_spec=t, witness=w, candidate_budget=4)
+    cfg = SquashConfig(q_spec=t, witness=w)
+    monkeypatch.setattr(combinators, "CANDIDATE_BUDGET", 4)
     with pytest.raises(ResourceError, match="read map of spin diverged at position 0") as exc:
         squash_markers(cfg, 2)
     assert exc.value.context == {"position": 0, "reason": "fuel"}
 
 
-def test_squash_marker_dfs_width_budget_is_resource_error():
+def test_squash_marker_dfs_width_budget_is_resource_error(monkeypatch):
+    from wred import combinators
     from wred.kernel import ResourceError
 
     # a forward with no declared reads whose step reads x + 1 cells: deriving
@@ -983,7 +987,9 @@ def test_squash_marker_dfs_width_budget_is_resource_error():
     w = Witness(parallel_product(triv_spec(), triv_spec()), triv_spec(),
                 pointwise(1, xor_all, "xor"), pointwise(1, lambda ctx, x: ctx.query(0, x // 2),
                                                         "dup"))
-    cfg = SquashConfig(q_spec=t, witness=w, width_budget=8, candidate_budget=4)
+    cfg = SquashConfig(q_spec=t, witness=w)
+    monkeypatch.setattr(combinators, "WIDTH_BUDGET", 8)
+    monkeypatch.setattr(combinators, "CANDIDATE_BUDGET", 4)
     with pytest.raises(ResourceError, match="read map of xor exceeded 8 branches at position 3") \
             as exc:
         squash_markers(cfg, 6)
@@ -1049,9 +1055,9 @@ def test_marker_engines_agree_with_literal_enumeration():
         markers = [0]
         for s in range(stages):
             for n in range(max(markers[-1], s) + 1, max(markers[-1], s) + 4):
-                want = brute(forward, cfg.c, markers, s, n)
-                got_closure = _closure_check_stage(forward, markers, s, n)
-                got_derived = _closure_check_stage(forward, markers, s, n, profile=derived)
+                want = brute(forward, Point.zeros(), markers, s, n)
+                got_closure = _closure_check_stage(_ReadProfile(forward.reads), markers, s, n)
+                got_derived = _closure_check_stage(derived, markers, s, n)
                 assert want == got_closure == got_derived, (cfg.label, s, n)
                 if want:
                     markers.append(n)

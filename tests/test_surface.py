@@ -43,7 +43,6 @@ KEPT = {
     "combinators.compositional_product": "test_compositional_product_projection_glue",
     "combinators.iterate_finite": "test_iterate_soundness_suite",
     "combinators.lift_seq": "test_law_lift_is_functorial",
-    "combinators.squash_backward": "test_squash_backward_chain_and_mutation",
     "combinators.witness_parallel": "test_parallel_identity_pair_sound",
     "kernel.check_downward_closure": "test_catalog_functionals_honor_kernel_contracts",
     "kernel.check_use_soundness": "test_catalog_functionals_honor_kernel_contracts",

@@ -124,7 +124,8 @@ def test_fingerprint_repeats_and_names_the_keys_that_differ(capsys, monkeypatch)
     assert json.loads(capsys.readouterr().out) == first
     assert {"verify all --seed 0 --samples 1", "verify all --seed 3 --samples 1",
             "squash --config projection-toy --horizon 20", "adversary cm --stages 4",
-            "adversary ts1 --param psi=spin --stages 4"} <= set(first)
+            "adversary ts1 --param psi=spin --stages 4", "oracle rainbow --input <coloring>",
+            "oracle paths --input <tree> --depth 3"} <= set(first)
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in first.values())
     # two checkouts: each key whose digests differ, null where one side lacks it
     prints = {"a": {"same": "1", "moved": "2", "gone": "3"}, "b": {"same": "1", "moved": "4"}}

@@ -11,7 +11,10 @@ digest covers the exit code, stdout and stderr of that run.  The runs:
 * `wred verify all` at seeds 0 and 3;
 * `wred squash` on each squash config at horizons 300 and 1200;
 * each `wred adversary` with its defaults, and `qwwkl-cutter` and `ts1`
-  with each toy backward (`--param psi=...`).
+  with each toy backward (`--param psi=...`);
+* each `wred oracle` task on the coloring or tree document of `DOCUMENTS`,
+  written to a temporary directory; the key names the document
+  (`--input <tree>`), not its path.
 
 The configs, adversaries and toy backwards are the checkout's own.  Each
 checkout runs in a fresh interpreter that imports `wred` from its `src/`.
@@ -28,6 +31,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -37,6 +41,16 @@ SIZES = {
     "tiny": {"verify": ["--samples", "1"], "horizons": (20,), "adversary": ["--stages", "4"]},
 }
 
+# the oracle tasks' documents: a pair coloring by the minimum mod 3, and a
+# finite tree whose paths end at depth 3
+DOCUMENTS = {
+    "coloring": ("wred-instance v1\nkind: coloring\nrepresentation: rule\n"
+                 "param rule: mod-min\nparam arity: 2\nparam colors: 3\n"),
+    "tree": ("wred-instance v1\nkind: tree\nrepresentation: table\n"
+             + "".join(f"entry: {e}\n" for e in
+                       ("0", "1", "0 1", "1 0", "1 1", "0 1 0", "1 0 1", "1 1 0"))),
+}
+
 # the child interpreter's program; its argv is [-c, src, size, tools]
 CHILD = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[3]]; import fingerprint; "
          "fingerprint.emit(sys.argv[1], sys.argv[2])")
@@ -44,7 +58,7 @@ CHILD = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[3]]; import fingerpr
 
 def commands(size: str) -> list[list[str]]:
     from wred.catalog import SQUASH_CONFIGS
-    from wred.cli import ADVERSARIES, TOY_BACKWARD
+    from wred.cli import ADVERSARIES, ORACLE_TASKS, TOY_BACKWARD
 
     s = SIZES[size]
     runs = [["verify", "all", "--seed", str(seed), *s["verify"]] for seed in (0, 3)]
@@ -55,6 +69,10 @@ def commands(size: str) -> list[list[str]]:
         if name in ("qwwkl-cutter", "ts1"):
             runs += [["adversary", name, "--param", f"psi={psi}", *s["adversary"]]
                      for psi in sorted(TOY_BACKWARD)]
+    for task in sorted(ORACLE_TASKS):
+        kind = ORACLE_TASKS[task][0]
+        runs.append(["oracle", task, "--input", f"<{kind}>",
+                     *(["--depth", "3"] if kind == "tree" else [])])
     return runs
 
 
@@ -66,12 +84,17 @@ def emit(src: str, size: str) -> None:
     if not Path(wred.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"wred was imported from {wred.__file__}, not from {src}")
     digests = {}
-    for argv in commands(size):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
-        digests[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {}
+        for kind, text in DOCUMENTS.items():
+            inputs[f"<{kind}>"] = path = str(Path(tmp) / f"{kind}.txt")
+            Path(path).write_text(text)
+        for argv in commands(size):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([inputs.get(a, a) for a in argv])
+            text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+            digests[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
     print(json.dumps(digests, indent=1, sort_keys=True))
 
 
