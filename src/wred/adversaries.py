@@ -14,9 +14,8 @@ import hashlib
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .kernel import (
     DEFAULT_FUEL,
@@ -43,8 +42,7 @@ from .problems import (
 # stage logs
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     stage: int
     case: str
     detail: str = ""
@@ -68,12 +66,12 @@ class StageRecord:
         )
 
 
-@dataclass
 class StageLog:
-    records: list[StageRecord] = field(default_factory=list)
-
     HEADER = ("stage", "case", "detail", "acted_for", "alpha",
               "measure_before", "measure_after", "image_measure")
+
+    def __init__(self, records: Optional[list[StageRecord]] = None):
+        self.records = [] if records is None else records
 
     def add(self, rec: StageRecord) -> None:
         if self.records and rec.stage < self.records[-1].stage:
@@ -98,7 +96,6 @@ class StageLog:
 # the q-WWKL measure cutter
 
 
-@dataclass
 class CutTree:
     """A leveled tree given by disjoint-support pattern exclusions.
 
@@ -114,11 +111,12 @@ class CutTree:
     set for each x in xs, pat only where alpha is 1.
     """
 
-    height: int = 0
-    constraints: list = field(default_factory=list)  # (stage, xs, alpha)
-    _masks: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _support: int = field(default=0, init=False, repr=False, compare=False)  # bit x: x is cut on
-    _shared: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, height: int = 0, constraints: Optional[list] = None):
+        self.height = height
+        self.constraints = [] if constraints is None else constraints  # (stage, xs, alpha)
+        self._masks: list = []
+        self._support = 0  # bit x: x is cut on
+        self._shared: Optional[int] = None
 
     def __contains__(self, sigma: Prefix) -> bool:
         return self.index_member(string_index(sigma))
@@ -312,13 +310,16 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
 # the thin-set color invalidation game
 
 
-@dataclass
 class TS1Result:
-    colors: list[int]  # f(0), f(1), ...
-    invalidated: list[int]
-    log: StageLog
-    assembled: Optional[list[int]] = None  # T within the horizon
-    assembled_colors: Optional[set] = None
+    def __init__(self, colors: list[int],  # f(0), f(1), ...
+                 invalidated: list[int], log: StageLog,
+                 assembled: Optional[list[int]] = None,  # T within the horizon
+                 assembled_colors: Optional[set] = None):
+        self.colors = colors
+        self.invalidated = invalidated
+        self.log = log
+        self.assembled = assembled
+        self.assembled_colors = assembled_colors
 
 
 def _canonical_set(index: int) -> tuple:
@@ -455,12 +456,13 @@ def ts1_backward_sample(psi: Functional, members, horizon: int,
 # the limit-guess color cycler
 
 
-@dataclass
 class Delta2Approx:
     """A total guesser g(e, i, b, s) -> {0,1} with optional declared limits."""
 
-    rule: Callable[[int, int, int, int], int]
-    limit: Optional[Callable[[int, int], int]] = None  # declared lim_s g(e,i,b,s)
+    def __init__(self, rule: Callable[[int, int, int, int], int],
+                 limit: Optional[Callable[[int, int], int]] = None):  # declared lim_s g(e,i,b,s)
+        self.rule = rule
+        self.limit = limit
 
 
 def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Coloring], StageLog]:
@@ -537,10 +539,11 @@ def check_defeats(colorings: list[Coloring], g: Delta2Approx, e: int,
 # rainbow adversaries
 
 
-@dataclass
 class CMResult:
-    coloring: Coloring
-    trigger: Optional[tuple] = None  # (x, y, sigma, stage)
+    def __init__(self, coloring: Coloring,
+                 trigger: Optional[tuple] = None):  # (x, y, sigma, stage)
+        self.coloring = coloring
+        self.trigger = trigger
 
     def excluded_pair(self):
         return self.trigger
@@ -607,11 +610,12 @@ def cm_coloring(phi: Functional) -> CMResult:
     return CMResult(_glued({}, "cm-untriggered"))
 
 
-@dataclass
 class CylinderSet:
-    strings: tuple
-    measure: Fraction
-    used: tuple  # (x, y) per string, in order
+    def __init__(self, strings: tuple, measure: Fraction,
+                 used: tuple):  # (x, y) per string, in order
+        self.strings = strings
+        self.measure = measure
+        self.used = used
 
     def overlaps(self, other: "CylinderSet") -> bool:
         """Whether a string of one set is comparable with one of the other;
@@ -623,12 +627,14 @@ class CylinderSet:
         return False
 
 
-@dataclass
 class ArbBoundsResult:
-    coloring: Coloring
-    cylinders: list[CylinderSet]
-    bound: int  # the coloring is bound-bounded
-    triggers: list[int]  # discovery stage per cylinder set
+    def __init__(self, coloring: Coloring, cylinders: list[CylinderSet],
+                 bound: int,  # the coloring is bound-bounded
+                 triggers: list[int]):  # discovery stage per cylinder set
+        self.coloring = coloring
+        self.cylinders = cylinders
+        self.bound = bound
+        self.triggers = triggers
 
 
 def rainbow_measure_coloring(phi: Functional, q: Fraction) -> ArbBoundsResult:

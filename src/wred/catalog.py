@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -464,11 +463,13 @@ def wkl_from_seqwwkl_witness() -> Witness:
 # measure blow-up
 
 
-@dataclass
 class Blowup:
-    tree: TreeByRule
-    path_map: object  # Functional sending S-paths to T-paths
-    shifts: list[Prefix]  # the minimal non-members glued over
+    def __init__(self, tree: TreeByRule,
+                 path_map: object,  # Functional sending S-paths to T-paths
+                 shifts: list[Prefix]):  # the minimal non-members glued over
+        self.tree = tree
+        self.path_map = path_map
+        self.shifts = shifts
 
 
 def _identity_blowup(t: TreeByRule) -> Blowup:
@@ -971,18 +972,22 @@ SQUASH_CONFIGS: dict[str, Callable[[], SquashConfig]] = {
 # the entry registry
 
 
-@dataclass
 class CatalogEntry:
     """One catalog entry: its witness per grid point, and its own checks.
 
     `checks` runs once per `run_entry` call and is given the whole grid.
     """
 
-    id: str
-    build: Optional[Callable[..., Witness]]  # params -> Witness (None: construction)
-    grid: list[dict] = field(default_factory=list)
-    checks: Optional[Callable] = None  # (grid, rng, horizon, size) -> [SoundnessRow]
-    description: str = ""
+    def __init__(self, id: str,
+                 build: Optional[Callable[..., Witness]],  # params -> Witness (None: construction)
+                 grid: Optional[list[dict]] = None,
+                 checks: Optional[Callable] = None,  # (grid, rng, horizon, size) -> [SoundnessRow]
+                 description: str = ""):
+        self.id = id
+        self.build = build
+        self.grid = [] if grid is None else grid
+        self.checks = checks
+        self.description = description
 
     def witnesses(self) -> list[Witness]:
         if self.build is None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .adversaries import (
@@ -116,7 +115,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+    config = SuiteConfig(**{name: getattr(args, name) for name in SuiteConfig._fields})
     report = run_suite(args.entry, config)
     _write(args.out, report.to_csv())
     counts = report.counts()
@@ -273,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the soundness suite for an entry")
     v.add_argument("entry")
-    for f in fields(SuiteConfig):  # --samples --horizon --size --fuel --seed
-        v.add_argument(f"--{f.name}", type=int, default=f.default)
+    # --samples --horizon --size --fuel --seed
+    for name, default in SuiteConfig._field_defaults.items():
+        v.add_argument(f"--{name}", type=int, default=default)
     v.add_argument("--out", default="")
     v.set_defaults(fn=cmd_verify)
 
@@ -297,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force searches over a document")
     o.add_argument("task")
     o.add_argument("--input", required=True)
-    o.add_argument("--horizon", type=int, default=SearchBudget.horizon)
-    o.add_argument("--size", type=int, default=SearchBudget.size)
+    budget = SearchBudget()
+    o.add_argument("--horizon", type=int, default=budget.horizon)
+    o.add_argument("--size", type=int, default=budget.size)
     o.add_argument("--depth", type=int, default=6)
     o.set_defaults(fn=cmd_oracle)
     return top

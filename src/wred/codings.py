@@ -11,7 +11,6 @@ constructions; nothing else in the package calls them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .kernel import InputError
@@ -24,7 +23,6 @@ TEST_DOMAIN = 24  # the predicates' audits quantify over [0, TEST_DOMAIN)
 # bounded alternating predicates (the jump coding)
 
 
-@dataclass
 class BoundedPredicate:
     """phi(i, x_0..x_{n-1}) with declared ground truth on a test domain.
 
@@ -33,10 +31,12 @@ class BoundedPredicate:
     quantification over [0, TEST_DOMAIN).
     """
 
-    rule: Callable
-    depth: int
-    truth: Callable[[int], int]
-    label: str = "predicate"
+    def __init__(self, rule: Callable, depth: int, truth: Callable[[int], int],
+                 label: str = "predicate"):
+        self.rule = rule
+        self.depth = depth
+        self.truth = truth
+        self.label = label
 
 
 def _alternating(pred: BoundedPredicate, i: int, chosen: tuple, bound_list) -> bool:
@@ -150,7 +150,6 @@ def jump_decode(pred: BoundedPredicate, families: Callable[[int], Coloring],
 # limit predicates (the Kummer coding)
 
 
-@dataclass
 class LimitPredicate:
     """h(i, y_0..y_{n-1}) whose iterated limit is a declared set D.
 
@@ -159,11 +158,13 @@ class LimitPredicate:
     checks the declaration on the test domain.
     """
 
-    rule: Callable
-    depth: int
-    limit: Callable[[int], int]
-    bound: Callable[[int], int]
-    label: str = "limit-predicate"
+    def __init__(self, rule: Callable, depth: int, limit: Callable[[int], int],
+                 bound: Callable[[int], int], label: str = "limit-predicate"):
+        self.rule = rule
+        self.depth = depth
+        self.limit = limit
+        self.bound = bound
+        self.label = label
 
 
 def audit_limit(pred: LimitPredicate, indices) -> list[int]:
@@ -285,15 +286,17 @@ def seq_ts1_omega_solver(columns: Callable[[int], Coloring], count: int, size: i
 # limit lift (arity bump through stable approximations)
 
 
-@dataclass
 class StableApprox:
     """f_i(xs, s) with a declared stabilization bound on the test domain."""
 
-    rule: Callable  # (i, xs tuple, s) -> color
-    arity: int  # of the limit coloring
-    colors: int
-    stab: int
-    label: str = "approx"
+    def __init__(self, rule: Callable,  # (i, xs tuple, s) -> color
+                 arity: int,  # of the limit coloring
+                 colors: int, stab: int, label: str = "approx"):
+        self.rule = rule
+        self.arity = arity
+        self.colors = colors
+        self.stab = stab
+        self.label = label
 
     def limit_coloring(self, i: int) -> Coloring:
         return Coloring(self.arity, self.colors,

@@ -28,8 +28,7 @@ import functools
 import random
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import (
     DEFAULT_FUEL,
@@ -77,7 +76,6 @@ from .problems import (
 # witnesses
 
 
-@dataclass
 class Witness:
     """A claimed reduction source <= target via (forward, backward).
 
@@ -88,14 +86,14 @@ class Witness:
     transport (e.g. arity lifts) declare it.
     """
 
-    source: ProblemSpec
-    target: ProblemSpec
-    forward: Functional
-    backward: Functional
-    label: str = ""
-    solve_slack: int = 0
-
-    def __post_init__(self):
+    def __init__(self, source: ProblemSpec, target: ProblemSpec, forward: Functional,
+                 backward: Functional, label: str = "", solve_slack: int = 0):
+        self.source = source
+        self.target = target
+        self.forward = forward
+        self.backward = backward
+        self.label = label
+        self.solve_slack = solve_slack
         if self.forward.arity != 1:
             raise InputError("forward functional must read exactly the instance tape")
         if self.backward.arity not in (1, 2):
@@ -120,8 +118,7 @@ class Witness:
                               fuel)
 
 
-@dataclass
-class SoundnessRow:
+class SoundnessRow(NamedTuple):
     """One verify row.  `check` is kept whole, since names may hold a '/'."""
 
     case: str
@@ -531,12 +528,9 @@ def iterate_finite(w: Witness, n: int) -> Witness:
 # the squashing engine
 
 
-@dataclass
 class MarkerSequence:
-    markers: list[int]
-
-    def __post_init__(self):
-        m = self.markers
+    def __init__(self, markers: list[int]):
+        self.markers = m = markers
         if not m or m[0] != 0:
             raise InputError("marker sequence must start at 0")
         for s in range(1, len(m)):
@@ -556,17 +550,16 @@ WIDTH_BUDGET = 4096  # branches per position when a forward's read map is derive
 CANDIDATE_BUDGET = 64  # marker candidates tried per stage
 
 
-@dataclass
 class SquashConfig:
     """Hypotheses of the squashing construction, checked on entry.  The
     displays' C is 0^omega in every config."""
 
-    q_spec: ProblemSpec
-    witness: Witness  # <Q,P> <= P; P is its target
-    label: str = "squash"
-    _profile: Optional["_ReadProfile"] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, q_spec: ProblemSpec, witness: Witness,  # <Q,P> <= P; P is its target
+                 label: str = "squash"):
+        self.q_spec = q_spec
+        self.witness = witness
+        self.label = label
+        self._profile: Optional[_ReadProfile] = None
         if not (self.q_spec.is_total and self.witness.target.is_total):
             raise InputError("squashing requires total problems")
         if self.witness.target.tolerance is None:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import ENTRIES, run_entry
 from .kernel import ContractError, InputError, Point, ResourceError
@@ -60,12 +59,15 @@ TREE_RULES: dict[str, Callable] = {
 }
 
 
-@dataclass
 class InstanceDocument:
-    kind: str  # coloring | tree | point
-    representation: str  # table | rule
-    params: dict = field(default_factory=dict)
-    entries: list = field(default_factory=list)  # table payload
+    def __init__(self, kind: str,  # coloring | tree | point
+                 representation: str,  # table | rule
+                 params: Optional[dict] = None,
+                 entries: Optional[list] = None):  # table payload
+        self.kind = kind
+        self.representation = representation
+        self.params = {} if params is None else params
+        self.entries = [] if entries is None else entries
 
     def to_text(self) -> str:
         """The document as text, the inverse of `parse_document`
@@ -165,8 +167,7 @@ def load_instance(doc: InstanceDocument):
 # reports
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     case_id: str
     entry: str
     check: str
@@ -177,11 +178,9 @@ class ReportRow:
     fuel: int
 
 
-@dataclass
 class Report:
-    rows: list[ReportRow] = field(default_factory=list)
-
-    HEADER = ("case_id", "entry", "check", "status", "detail", "seed", "horizon", "fuel")
+    def __init__(self, rows: Optional[list[ReportRow]] = None):
+        self.rows = [] if rows is None else rows
 
     def add(self, row: ReportRow) -> None:
         self.rows.append(row)
@@ -192,9 +191,8 @@ class Report:
     def to_csv(self) -> str:
         buf = io.StringIO()
         out = csv.writer(buf, lineterminator="\n")
-        out.writerow(self.HEADER)
-        out.writerows((r.case_id, r.entry, r.check, r.status, r.detail, r.seed, r.horizon, r.fuel)
-                      for r in self.sorted_rows())
+        out.writerow(ReportRow._fields)
+        out.writerows(self.sorted_rows())
         return buf.getvalue()
 
     def counts(self) -> dict[str, int]:
@@ -214,8 +212,7 @@ class Report:
         return worst
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     samples: int = 25
     horizon: int = 16
     size: int = 4

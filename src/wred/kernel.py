@@ -22,8 +22,8 @@ of its ticks is charged to the root position that forced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional, Sequence
 
 
 class WredError(Exception):
@@ -398,7 +398,6 @@ class CtxTape(EvalContext):
         return self.query(self.idx, pos)
 
 
-@dataclass
 class Functional:
     """A monotone oracle machine: (query interface, position) -> bit.
 
@@ -411,17 +410,19 @@ class Functional:
     None) is given one by `branching_reads`.
     """
 
-    arity: int
-    step: Callable[[EvalContext, int], int]
-    label: str = "functional"
-    reads: Optional[Callable[[int], list[tuple[int, int]]]] = None
+    def __init__(self, arity: int, step: Callable[[EvalContext, int], int],
+                 label: str = "functional",
+                 reads: Optional[Callable[[int], list[tuple[int, int]]]] = None):
+        self.arity = arity
+        self.step = step
+        self.label = label
+        self.reads = reads
 
     def __repr__(self):
         return f"Functional({self.label}/{self.arity})"
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     """Result of one evaluation: converged with value+use, or diverged.
 
     `steps` totals the converged positions.  `use` is the sweep's: when
@@ -430,7 +431,7 @@ class EvalOutcome:
 
     status: str  # 'converged' | 'diverged'
     value: Optional[int] = None
-    use: dict = field(default_factory=dict)
+    use: dict = MappingProxyType({})  # read-only: a NamedTuple default is shared
     steps: int = 0
     reason: str = ""  # 'fuel' | 'gap' when diverged
     position: Optional[int] = None  # where the sweep stalled

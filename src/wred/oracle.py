@@ -12,26 +12,22 @@ reads an old color only to compare against it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import InputError, Prefix
 from .problems import Coloring, TreeByRule, level_members
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    horizon: int = 16
-    size: int = 4
-    node_limit: int = 200_000
-
-    def __post_init__(self):
+    def __init__(self, horizon: int = 16, size: int = 4, node_limit: int = 200_000):
+        self.horizon = horizon
+        self.size = size
+        self.node_limit = node_limit
         if self.horizon <= 0 or self.size <= 0 or self.node_limit <= 0:
             raise InputError("budget limits must be positive")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     members: tuple = ()
     omitted: Optional[int] = None
     mode: str = "exhaustive"  # 'greedy' | 'exhaustive'
@@ -165,8 +161,7 @@ def enumerate_paths(tree: TreeByRule, depth: int) -> list[Prefix]:
 STRUCTURAL_PROPERTIES = ("transitive", "semi-transitive", "semi-hereditary", "semi-trivial")
 
 
-@dataclass(frozen=True)
-class StructuralVerdict:
+class StructuralVerdict(NamedTuple):
     holds: bool
     witness: Optional[tuple] = None
     detail: str = ""

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .kernel import (
     ContractError,
@@ -41,8 +40,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     detail: str = ""
 
@@ -71,7 +69,6 @@ def verdict_inconclusive(detail: str) -> Verdict:
 # colorings
 
 
-@dataclass
 class Coloring:
     """An arity-n coloring with k colors (colors=None means omega).
 
@@ -83,13 +80,13 @@ class Coloring:
     ledger must charge again stays a `kernel.RuleTape`.
     """
 
-    arity: int
-    colors: Optional[int]
-    rule: Callable[[tuple[int, ...]], int]
-    label: str = "coloring"
-    memo: dict[tuple[int, ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, arity: int, colors: Optional[int], rule: Callable[[tuple[int, ...]], int],
+                 label: str = "coloring"):
+        self.arity = arity
+        self.colors = colors
+        self.rule = rule
+        self.label = label
+        self.memo: dict[tuple[int, ...], int] = {}
 
     def value(self, xs) -> int:
         t = xs if type(xs) is tuple else tuple(xs)
@@ -214,7 +211,6 @@ def index_string(idx: int) -> Prefix:
     return Prefix(index_bits(idx))
 
 
-@dataclass
 class TreeByRule:
     """A subtree of 2^{<omega} given by a membership rule.
 
@@ -225,11 +221,10 @@ class TreeByRule:
     `level_members`.
     """
 
-    member: Callable[[Prefix], bool]
-    label: str = "tree"
-    index_member: Optional[Callable[[int], bool]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, member: Callable[[Prefix], bool], label: str = "tree"):
+        self.member = member
+        self.label = label
+        self.index_member: Optional[Callable[[int], bool]] = None
 
     def __contains__(self, sigma: Prefix) -> bool:
         return bool(self.member(sigma))
@@ -414,8 +409,7 @@ def leftmost_path_point(t: TreeByRule, depth: int) -> Point:
 # solutions as tapes
 
 
-@dataclass(frozen=True)
-class ThinSolution:
+class ThinSolution(NamedTuple):
     members: frozenset
     omitted: int
 
@@ -524,19 +518,25 @@ def tolerance_thin_tape(tape, m: int, n: int):
 # problem specs
 
 
-@dataclass
 class ProblemSpec:
     """A named Pi^1_2 problem at desk scale."""
 
-    name: str
-    is_total: bool
-    decode: Callable
-    verify_at: Callable  # (instance, solution tape, horizon, size) -> Verdict
-    sample_instance: Callable  # rng -> tape
-    brute_solution_tapes: Callable  # (instance, budget) -> [tape]
-    tolerance: Optional[Callable] = None  # (solution tape, m) -> tape
-    params: dict = field(default_factory=dict)
-    validate_instance: Optional[Callable] = None  # (instance, horizon) -> Verdict
+    def __init__(self, name: str, is_total: bool, decode: Callable,
+                 verify_at: Callable,  # (instance, solution tape, horizon, size) -> Verdict
+                 sample_instance: Callable,  # rng -> tape
+                 brute_solution_tapes: Callable,  # (instance, budget) -> [tape]
+                 tolerance: Optional[Callable] = None,  # (solution tape, m) -> tape
+                 params: Optional[dict] = None,
+                 validate_instance: Optional[Callable] = None):  # (instance, horizon) -> Verdict
+        self.name = name
+        self.is_total = is_total
+        self.decode = decode
+        self.verify_at = verify_at
+        self.sample_instance = sample_instance
+        self.brute_solution_tapes = brute_solution_tapes
+        self.tolerance = tolerance
+        self.params = {} if params is None else params
+        self.validate_instance = validate_instance
 
     def __repr__(self):
         return f"ProblemSpec({self.name})"

@@ -486,6 +486,19 @@ def test_cutter_one_backward_votes_for_ones():
         assert alphas == [(1, 1, 1)] * 3, stages
 
 
+def test_ts1_backwards_total_from_the_start_never_act():
+    """ts1 makes x eligible only where the backward still diverges on the
+    anchors so far, so `psi=zero` and `psi=one` (README's CLI section) act
+    at no stage, at any stage count, and give one log; `psi=echo` acts."""
+    from wred.cli import TOY_BACKWARD, TOY_FORWARD
+
+    logs = {psi: ts1_diagonalizer(TOY_FORWARD["embed23"](), TOY_BACKWARD[psi](), 2, 3,
+                                  stages=8).log for psi in ("zero", "one", "echo")}
+    assert logs["zero"].action_stages() == logs["one"].action_stages() == []
+    assert logs["zero"].digest() == logs["one"].digest()
+    assert logs["echo"].action_stages()
+
+
 def test_cutter_long_run_digests_pinned():
     from wred.cli import TOY_BACKWARD, TOY_FORWARD
 

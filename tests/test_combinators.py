@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import random
@@ -387,14 +386,15 @@ def test_marker_sequence_invariants_enforced():
 
 def test_squash_requires_total_and_tolerant():
     e = echo_spec()
+    w = echo_pair_witness()
     nt = rt_spec(1, 2)
     nt.is_total = False
     with pytest.raises(InputError):
-        SquashConfig(q_spec=e, witness=dataclasses.replace(echo_pair_witness(), target=nt))
+        SquashConfig(q_spec=e, witness=Witness(w.source, nt, w.forward, w.backward, w.label))
     no_tol = echo_spec()
     no_tol.tolerance = None
     with pytest.raises(InputError):
-        SquashConfig(q_spec=e, witness=dataclasses.replace(echo_pair_witness(), target=no_tol))
+        SquashConfig(q_spec=e, witness=Witness(w.source, no_tol, w.forward, w.backward, w.label))
 
 
 def test_projection_markers_match_hand_simulation():

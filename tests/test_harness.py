@@ -195,9 +195,8 @@ def test_an_unexpected_exception_in_a_step_breaks_only_its_entry(monkeypatch, tm
     """A TypeError in rt_product's forward step is one `contract:` error row:
     `verify all` still reports every other entry's rows, and `wred verify`
     writes one stderr line and exits 4."""
-    from dataclasses import replace
-
     from wred.catalog import ENTRIES
+    from wred.combinators import Witness
     from wred.kernel import pointwise
 
     def boom(ctx, x):
@@ -206,8 +205,13 @@ def test_an_unexpected_exception_in_a_step_breaks_only_its_entry(monkeypatch, tm
     reference = run_suite("all", SuiteConfig(samples=1))
     entry = ENTRIES["rt_product"]
     build = entry.build
-    monkeypatch.setattr(entry, "build", lambda **params: replace(
-        build(**params), forward=pointwise(1, boom, "boom")))
+
+    def broken_build(**params):
+        w = build(**params)
+        return Witness(w.source, w.target, pointwise(1, boom, "boom"), w.backward, w.label,
+                       w.solve_slack)
+
+    monkeypatch.setattr(entry, "build", broken_build)
     expected = Report([r for r in reference.rows if r.entry != "rt_product"] + [ReportRow(
         "rt_product", "rt_product", "run", "error", "contract: TypeError: boom", 0, 16, 4096)])
     out = tmp_path / "report.csv"

@@ -6,8 +6,10 @@ own definition and the re-exports of `wred/__init__.py`), `bench/` or
 it, and its docstring says which.  The same holds for a public method of a
 public class that no such code calls through an attribute.
 
-Every field of a package dataclass is read as an attribute in the package,
-`bench/` or `tools/`, or only tests read it and `READ_BY_TESTS` names one.
+Every field of a package class (a `NamedTuple`'s fields, any other class's
+attributes that its `__init__` sets on self) is read as an attribute in the
+package, `bench/` or `tools/`, or only tests read it and `READ_BY_TESTS`
+names one.
 Every parameter of a package function (`def`, not lambda) is read in its
 body, unless the function is a callback whose signature its caller fixes.
 
@@ -17,10 +19,15 @@ out: its setup probe imports modules only to time the import.
 
 One tape algebra: only the classes in `TAPE_CLASSES` define `bit`; every
 view of other tapes is a `kernel.RuleTape` over a rule.
+
+Importing the package loads neither `dataclasses` nor `inspect`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,7 +165,7 @@ def test_every_uncalled_public_name_has_a_reason():
         assert check in doc, f"{qualified}: its docstring does not name {check!r}"
 
 
-# module.Class.field -> a test that reads it, for the dataclass fields only tests read
+# module.Class.field -> a test that reads it, for the fields only tests read
 READ_BY_TESTS = {
     "adversaries.ArbBoundsResult.coloring": "test_arb_bounds_coloring_is_bounded",
     "adversaries.ArbBoundsResult.triggers": "test_arb_bounds_exclusion",
@@ -167,19 +174,25 @@ READ_BY_TESTS = {
 }
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in cls.decorator_list)
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """A NamedTuple's annotated fields; for any other class, the attributes
+    its `__init__` sets on self."""
+    if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
+        return {st.target.id for st in cls.body
+                if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)}
+    return {node.attr for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     modules = _modules()
     read = _read_attributes([*modules.values(), *_outside()])
-    unread = {f"{mod}.{cls.name}.{st.target.id}" for mod, tree in modules.items()
-              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-              for st in cls.body if isinstance(st, ast.AnnAssign)
-              and isinstance(st.target, ast.Name) and st.target.id not in read}
+    unread = {f"{mod}.{cls.name}.{name}" for mod, tree in modules.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for name in _fields(cls) if name not in read}
     assert unread == set(READ_BY_TESTS), (
         f"fields nothing reads: {sorted(unread - set(READ_BY_TESTS))}; "
         f"listed but read or gone: {sorted(set(READ_BY_TESTS) - unread)}")
@@ -257,3 +270,15 @@ def test_readme_api_example_runs():
     section = text.split("## A taste of the API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """Every `wred` run and the benchmark's setup probe pay for the import.
+    A `@dataclass` execs generated source per class, and `dataclasses`
+    pulls in `inspect`, `ast`, `dis` and `tokenize`; records are
+    `NamedTuple`s and plain classes instead.  `-S` keeps site hooks out."""
+    probe = ("import sys, wred, wred.catalog, wred.harness, wred.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert done.stdout.strip() == "[]"
