@@ -217,9 +217,8 @@ class _ImageSweep:
         self.levels: list[list[int]] = [[0]]  # members of each image level, by index
 
     def advance(self, oracle, upto_index: int) -> None:
-        tape = FunctionalTape(self.phi, [oracle], self.fuel)
-        tape._bits = self.bits  # the sweep continues where the last advance ended
-        _converged(tape, upto_index)
+        # the sweep continues where the last advance ended
+        _converged(FunctionalTape(self.phi, [oracle], self.fuel, bits=self.bits), upto_index)
 
     def height(self, cap: int) -> int:
         n = 0

@@ -304,6 +304,30 @@ def family_column(t, i: int) -> RuleTape:
 DEFAULT_FUEL = 50_000
 
 
+class Work:
+    """Work done in this process, counted where it is charged.
+
+    - `steps`: fuel steps, the sum of every root `FunctionalTape`'s
+      `steps` (so of `EvalOutcome.steps`); a parked tape's are its root's.
+      A query is one step.
+    - `rule_runs`: `Coloring.value` calls that missed its memo.
+    - `nodes`: search nodes `oracle._dfs_extend` spent against its node
+      limit, in every search, found or not (not `find_rainbow`'s greedy pass).
+    - `stalls`: `FunctionalTape` sweeps that ended for lack of fuel; a stall
+      is terminal, so a tape counts at most once.
+
+    Each count only grows; take a delta around the work to measure.
+    """
+
+    __slots__ = ("steps", "rule_runs", "nodes", "stalls")
+
+    def __init__(self):
+        self.steps = self.rule_runs = self.nodes = self.stalls = 0
+
+
+WORK = Work()
+
+
 class Ledger:
     """The steps one root position has spent and the fuel that bounds them:
     a root context's own, shared by every context nested in it.  Only a
@@ -441,13 +465,6 @@ class EvalOutcome(NamedTuple):
         return self.status == "converged"
 
 
-def _run_step(func: Functional, ctx: EvalContext, x: int) -> int:
-    """One root position of a sweep in ctx: the ledger restarts; raises
-    Diverge.  `FunctionalTape.bit` runs the same position inline."""
-    ctx.ledger.steps = 0
-    return _step(func, ctx, x)
-
-
 def _step(func: Functional, ctx: EvalContext, x: int) -> int:
     """One position on ctx's ledger, which it does not restart: the entry
     charge (fuel 0 always diverges), then the step."""
@@ -485,17 +502,19 @@ class FunctionalTape:
     positions.  A divergence is terminal: the tape can never answer at or
     beyond the stalled position.  A tape parked on a caller's `ledger`
     (`EvalContext.apply`) charges the caller's position; its `steps` stay 0.
+    `bits`, when given, are bits of func on these tapes that have already
+    converged: the sweep continues after them and extends that list.
     """
 
     def __init__(self, func: Functional, tapes, fuel: Optional[int],
-                 ledger: Optional[Ledger] = None):
+                 ledger: Optional[Ledger] = None, bits: Optional[list[int]] = None):
         if len(tapes) != func.arity:
             raise InputError(f"{func.label}: expected {func.arity} oracles, got {len(tapes)}")
         self.func = func
         self.ctx = EvalContext(tapes, ledger or Ledger(fuel))
         self.parked = ledger is not None  # on a caller's ledger, which it never restarts
         self.steps = 0
-        self._bits: list[int] = []
+        self._bits: list[int] = [] if bits is None else bits
         self._stalled: Optional[str] = None  # the reason of a terminal stall
 
     def ready(self, pos: int) -> bool:
@@ -511,11 +530,11 @@ class FunctionalTape:
         if self._stalled is not None:
             raise Diverge(self._stalled, len(bits))
         ctx, step, led, parked = self.ctx, self.func.step, self.ctx.ledger, self.parked
+        spent = 0  # the steps of the positions this call converges, a root's only
         try:
             for x in range(len(bits), pos + 1):
-                # one position, as _run_step runs it for a root and _step for
-                # a parked tape: a root's steps restart, the entry charge
-                # (fuel 0 always diverges), then the step
+                # one position, as _step runs it, but a root's steps restart
+                # first: the entry charge (fuel 0 always diverges), then the step
                 led.steps = led.steps + 1 if parked else 1
                 if led.steps > led.fuel:
                     raise Diverge("fuel")
@@ -523,11 +542,15 @@ class FunctionalTape:
                 if v not in (0, 1):
                     raise ContractError(f"{self.func.label}: step returned non-bit {v!r} at {x}")
                 if not parked:
-                    self.steps += led.steps
+                    spent += led.steps
                 bits.append(v)
             return bits[pos]
         except Diverge as d:
             self._stalled = d.reason
+            WORK.stalls += d.reason == "fuel"
+        finally:
+            self.steps += spent
+            WORK.steps += spent
         # raised outside the handler, so it holds no traceback of the stall
         raise Diverge(self._stalled, len(bits))
 
@@ -590,7 +613,7 @@ def _branch_reads(func: Functional, x: int, fixed: dict) -> list[tuple[int, int]
     cells: list[tuple[int, int]] = []
     oracles = [Point(lambda p, t=t: cells.append((t, p)) or fixed.get((t, p), 0), "recorder")
                for t in range(func.arity)]
-    _run_step(func, EvalContext(oracles, Ledger(DEFAULT_FUEL)), x)
+    _step(func, EvalContext(oracles, Ledger(DEFAULT_FUEL)), x)
     return cells
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .kernel import InputError, Prefix
+from .kernel import WORK, InputError, Prefix
 from .problems import Coloring, TreeByRule, level_members
 
 
@@ -31,7 +31,7 @@ class SearchResult(NamedTuple):
     members: tuple = ()
     omitted: Optional[int] = None
     mode: str = "exhaustive"  # 'greedy' | 'exhaustive'
-    nodes: int = 0
+    nodes: int = 0  # the returned search's alone: a failed find_thin color's are in kernel.WORK only
     exhausted: bool = False  # node limit hit: absence is NOT certified
 
     @property
@@ -64,7 +64,10 @@ def _dfs_extend(consistent, budget: SearchBudget) -> SearchResult:
         elif chosen:
             x = chosen.pop() + 1
         else:
-            return SearchResult(mode="exhaustive", nodes=nodes, exhausted=nodes > limit)
+            break
+    WORK.nodes += nodes
+    if len(chosen) < size:
+        return SearchResult(mode="exhaustive", nodes=nodes, exhausted=nodes > limit)
     return SearchResult(tuple(chosen), mode="exhaustive", nodes=nodes)
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .kernel import (
+    WORK,
     ContractError,
     Diverge,
     InputError,
@@ -93,6 +94,7 @@ class Coloring:
         v = self.memo.get(t)
         if v is not None:
             return v
+        WORK.rule_runs += 1
         if len(t) != self.arity or not all(map(operator.lt, t, t[1:])):
             raise InputError(f"{self.label}: {t} is not an increasing {self.arity}-tuple")
         v = self.rule(t)

@@ -602,7 +602,7 @@ def test_image_sweep_one_context_per_advance_matches_fresh_contexts():
     # must be those of a fresh context per position, also across a gap
     # that ends an advance and is filled before the next one
     from wred import adversaries
-    from wred.kernel import (DEFAULT_FUEL, EvalContext, Ledger, RuleTape, _run_step,
+    from wred.kernel import (DEFAULT_FUEL, EvalContext, Ledger, RuleTape, _step,
                              compose_functionals)
 
     inner = pointwise(1, lambda ctx, x: ctx.query(0, x) ^ ctx.query(0, x // 2), "mix")
@@ -624,7 +624,7 @@ def test_image_sweep_one_context_per_advance_matches_fresh_contexts():
         want = []
         for x in range(61):
             try:
-                want.append(_run_step(phi, EvalContext([oracle], Ledger(DEFAULT_FUEL)), x))
+                want.append(_step(phi, EvalContext([oracle], Ledger(DEFAULT_FUEL)), x))
             except Diverge:
                 break
         assert len(sweep.bits) == min(61, len(known) - 2), len(known)  # the gap ended it

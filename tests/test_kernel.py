@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wred.kernel import (
+    WORK,
     ContractError,
     Diverge,
     EvalContext,
@@ -33,7 +34,6 @@ from wred.kernel import (
     pointwise,
     rank_tuple,
     tuple_rank,
-    _run_step,
     _step,
     _truncated,
 )
@@ -372,13 +372,15 @@ def test_negative_positions_are_input_errors():
 PARITY = pointwise(1, lambda ctx, x: sum(ctx.query(0, i) for i in range(x + 1)) % 2, "parity")
 
 
-def _read_by_run_step(func, tapes, fuel, pos):
-    """A FunctionalTape read of pos, as _run_step position by position."""
+def _read_by_step(func, tapes, fuel, pos):
+    """A FunctionalTape read of pos, as _step position by position, each
+    a root position that restarts the ledger."""
     ctx = EvalContext(tapes, Ledger(fuel))
     steps = 0
     for x in range(pos + 1):
+        ctx.ledger.steps = 0
         try:
-            v = _run_step(func, ctx, x)
+            v = _step(func, ctx, x)
         except Diverge as d:
             return "diverged", d.reason, x, steps, ctx.use
         steps += ctx.ledger.steps
@@ -399,13 +401,13 @@ def _read_by_tape(func, tapes, fuel, pos):
 def test_tape_sweep_agrees_with_run_step_at_the_fuel_edges(pos, fuel):
     # position 4 needs 6: fuel 6 converges through it, fuel 5 stalls there
     tapes = [Point.from_seed(3)]
-    assert _read_by_tape(PARITY, tapes, fuel, pos) == _read_by_run_step(PARITY, tapes, fuel, pos)
+    assert _read_by_tape(PARITY, tapes, fuel, pos) == _read_by_step(PARITY, tapes, fuel, pos)
 
 
 def test_tape_sweep_agrees_with_run_step_on_a_gap():
     tapes = [Prefix((1, 0, 1))]
     got = _read_by_tape(PARITY, tapes, 50, 5)
-    assert got == _read_by_run_step(PARITY, tapes, 50, 5)
+    assert got == _read_by_step(PARITY, tapes, 50, 5)
     assert got[:3] == ("diverged", "gap", 3)
 
 
@@ -441,10 +443,9 @@ def test_parked_tape_agrees_with_run_step_on_the_callers_ledger(fuel):
 
 def test_non_bit_step_raises_the_same_contract_error():
     count = pointwise(1, lambda ctx, x: x, "count")
-    ctx = EvalContext([Point.ones()], Ledger(50))
     with pytest.raises(ContractError) as want:
         for x in range(4):
-            _run_step(count, ctx, x)
+            _step(count, EvalContext([Point.ones()], Ledger(50)), x)
     tape = FunctionalTape(count, [Point.ones()], 50)
     with pytest.raises(ContractError) as got:
         tape.bit(3)
@@ -508,3 +509,59 @@ def test_dropping_a_swept_composite_frees_its_context():
     finally:
         if enabled:
             gc.enable()
+
+
+# --- the work record ----------------------------------------------------------
+
+
+def _work():
+    return WORK.steps, WORK.rule_runs, WORK.nodes, WORK.stalls
+
+
+def _added(before):
+    return tuple(b - a for a, b in zip(before, _work()))
+
+
+def test_work_counts_the_fuel_steps_of_a_sweep_by_hand():
+    # a position costs its entry charge and one query: 2 steps, so 8 through position 3
+    before = _work()
+    out = evaluate(identity_functional(), [Point.zeros()], 3, 50)
+    assert out.steps == 8 and _added(before) == (8, 0, 0, 0)
+    tape = FunctionalTape(identity_functional(), [Point.zeros()], 50)
+    before = _work()
+    tape.bit(3)
+    tape.bit(2)  # already materialized: no work
+    assert _added(before) == (tape.steps, 0, 0, 0) == (8, 0, 0, 0)
+
+
+def test_work_counts_a_parked_tape_in_its_root_only():
+    # a position costs the root's entry charge, the nested run's entry charge
+    # and its query of the parked tape, whose position costs its own entry
+    # charge, its query and the view's query of the root's oracle: 6 steps
+    tape = FunctionalTape(compose_functionals(identity_functional(), identity_functional()),
+                          [Point.from_seed(6)], 50)
+    before = _work()
+    tape.bit(3)
+    assert tape.steps == 4 * 6 and tape.ctx.scratch["inner"].steps == 0
+    assert _added(before) == (tape.steps, 0, 0, 0)
+
+
+def test_work_counts_one_rule_run_per_distinct_valid_tuple():
+    from wred.problems import Coloring
+
+    f = Coloring(2, 3, lambda t: sum(t) % 3)
+    before = _work()
+    reads = [(0, 1), (0, 2), (0, 1), (1, 2), (0, 2), (1, 2)]
+    assert [f.value(t) for t in reads] == [1, 2, 1, 0, 2, 0]
+    assert _added(before) == (0, len(set(reads)), 0, 0)
+
+
+def test_work_counts_the_nodes_of_a_search():
+    from wred.oracle import SearchBudget, find_homogeneous
+    from wred.problems import Coloring
+
+    f = Coloring(2, 2, lambda t: (t[0] + t[1]) % 2)
+    before = _work()
+    res = find_homogeneous(f, SearchBudget(horizon=12, size=4))
+    assert res.found and res.nodes > 0
+    assert _added(before)[2] == res.nodes
