@@ -244,6 +244,14 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
     tree: the measure multiplies by precisely 1 - 2^-a each time, and the
     log certifies it; a cut that does not is a ContractError.  Image
     levels are read no deeper than 12.
+
+    A converged vote rests only on tau's bits below the backward's use
+    (the kernel's promise that `check_use_soundness` tests), and the tree
+    is fixed within a stage.  The image is in index order, so the strings
+    right after tau that share those bits, the leading 1 and first `used`
+    bits of tau + 1, take its vote without a run.  A backward that reads
+    nothing of tau (`zero`) runs once per stage that votes; one that reads
+    through the level's last bit (`echo`) still runs once per string.
     """
     a = least_cut_width(p, q)
     if fuel < 0:
@@ -273,12 +281,17 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             # approximation; queries into the unfixed region diverge and
             # the stage is simply retried once more of the tree is fixed
             tapes_extra = [] if psi.arity == 1 else [tree]
+            used, head = 0, -1  # the last converged run's use and (tau + 1) >> (n_s - used)
             for tau in image:
-                backward = FunctionalTape(psi, [index_string(tau)] + tapes_extra, fuel)
-                vals = tuple(_converged(backward, x) for x in xs)
-                if None in vals:
-                    reason = f"backward diverged on a level-{n_s} string at {xs[vals.index(None)]}"
-                    break
+                if (tau + 1) >> (n_s - used) != head:
+                    backward = FunctionalTape(psi, [index_string(tau)] + tapes_extra, fuel)
+                    vals = tuple(_converged(backward, x) for x in xs)
+                    if None in vals:
+                        reason = (f"backward diverged on a level-{n_s} string at "
+                                  f"{xs[vals.index(None)]}")
+                        break
+                    used = backward.ctx.use.get(0, -1) + 1
+                    head = (tau + 1) >> (n_s - used)
                 votes[vals] = votes.get(vals, 0) + 1
 
         if reason is not None:
@@ -480,39 +493,59 @@ def delta2_diagonalizer(k: int, g: Delta2Approx, stages: int) -> tuple[list[Colo
     reading b = 0, 1, ... would have seen all k colors: no cell is read
     that such a scan would skip.  The color whose first occurrence is
     latest is the one whose position list became non-empty last.
+
+    Columns run only as far as they are read.  The log needs f_i(i), so
+    column i is scanned through stage i; a coloring's first read scans
+    its column on through stage stages - 1.  Each column's scan resumes
+    where it stopped, so no cell is read twice.
     """
     if k < 2:
         raise InputError("need at least 2 colors")
     rule = g.rule
-    log = StageLog()
-    tables: list[list[int]] = []
-    for i in range(stages):
+
+    def column(i: int):
+        """Column i's scan and its coloring rule: extend(t) runs the stages
+        up to t and returns stage t's case and color; value finishes the
+        scan before its first read of the column."""
         f_i: list[int] = []
         at: list[list[int]] = [[] for _ in range(k)]  # color -> its positions in f_i
         newest = 0  # the color whose first occurrence is latest
-        for s in range(stages):
-            for choice, positions in enumerate(at):
-                for b in positions:
-                    if rule(i, i, b, s) == 1:
+
+        def extend(through: int) -> tuple[str, int]:
+            nonlocal newest
+            for s in range(len(f_i), through + 1):
+                for choice, positions in enumerate(at):
+                    for b in positions:
+                        if rule(i, i, b, s) == 1:
+                            break
+                    else:
+                        case = "1"
                         break
                 else:
-                    case = "1"
-                    break
-            else:
-                choice = newest
-                case = "2"
-            if not at[choice]:
-                newest = choice
-            at[choice].append(s)
-            f_i.append(choice)
-            if i == s:
-                log.add(StageRecord(s, case, f"f_{i}({s}) = {choice}"))
-        tables.append(f_i)
-    colorings = [
-        Coloring(1, k, lambda t, tb=tuple(tab): tb[t[0]] if t[0] < len(tb) else 0,
-                 f"diag[{i}]")
-        for i, tab in enumerate(tables)
-    ]
+                    choice = newest
+                    case = "2"
+                if not at[choice]:
+                    newest = choice
+                at[choice].append(s)
+                f_i.append(choice)
+            return case, choice
+
+        def value(t: tuple[int]) -> int:
+            if t[0] >= stages:
+                return 0
+            if len(f_i) < stages:
+                extend(stages - 1)
+            return f_i[t[0]]
+
+        return extend, value
+
+    log = StageLog()
+    colorings = []
+    for i in range(stages):
+        extend, value = column(i)
+        case, choice = extend(i)
+        log.add(StageRecord(i, case, f"f_{i}({i}) = {choice}"))
+        colorings.append(Coloring(1, k, value, f"diag[{i}]"))
     return colorings, log
 
 

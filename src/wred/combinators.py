@@ -688,29 +688,49 @@ def _closure_check_stage(profile: _ReadProfile, markers, s: int, n: int,
     going up and the limits going down, each a lookup in the prefix maxima
     of `profile`, the forward's.  More than node_budget demanded (level,
     position) pairs at or above the level's marker is a ResourceError.
+
+    The prefix maxima are nondecreasing, so a sigma read at q >= n first
+    comes at b0 = bisect_left(top0, n) on every level: within a level's
+    demand (end = demand + 1) that is min(b0, end), and as the level's
+    limit past its demand does not matter, b0 serves.  A V read at
+    q >= lim comes within the demand only when top1[end - 1] >= lim, and
+    only then is top1 bisected.
     """
     top0, top1 = profile.top
     demand = [s]
     d, nodes = s, s + 1
+    if s and nodes > node_budget:
+        raise ResourceError(f"marker closure exceeded {node_budget} nodes", stage=s, candidate=n)
+    have = len(top1)
     for j in range(1, s + 1):
-        if d >= len(top1):
+        if d >= have:
             profile.extend(d)
+            have = d + 1
         q, m = top1[d], markers[j]
         d = q if q >= m and q > s else s
         if d >= m:
             nodes += d - m + 1
-        if nodes > node_budget:
-            raise ResourceError(f"marker closure exceeded {node_budget} nodes", stage=s, candidate=n)
+            if nodes > node_budget:
+                raise ResourceError(f"marker closure exceeded {node_budget} nodes",
+                                    stage=s, candidate=n)
         demand.append(d)
-    if d >= len(top1):
+    if d >= have:
         profile.extend(d)
+    b0 = bisect_left(top0, n)
+    if b0 <= s:
+        return False
     lim = n
     for j in range(s, -1, -1):
         end = demand[j] + 1
-        first_bad = min(bisect_left(top0, n, 0, end), bisect_left(top1, lim, 0, end))
-        if first_bad <= s:
-            return False
-        lim = max(markers[j], first_bad)
+        first_bad = b0
+        if top1[end - 1] >= lim:
+            bad1 = bisect_left(top1, lim, 0, end)
+            if bad1 <= s:
+                return False
+            if bad1 < first_bad:
+                first_bad = bad1
+        m = markers[j]
+        lim = m if m > first_bad else first_bad
     return True
 
 

@@ -841,3 +841,129 @@ def test_delta2_log_and_tables_pinned():
         tables = [[c.value((x,)) for x in range(stages)] for c in colorings]
         got = hashlib.sha256((log.to_csv() + repr(tables)).encode()).hexdigest()
         assert got == digest, (k, guesser, stages)
+
+
+def _recorded_evens():
+    """delta2_diagonalizer's colorings at (3, evens, 128), the cells (i, b, s)
+    its guesser read, and the guesser."""
+    from wred.cli import TOY_GUESSERS
+
+    evens = TOY_GUESSERS["evens"]().rule
+    calls = []
+
+    def recorded(e, i, b, s):
+        calls.append((i, b, s))
+        return evens(e, i, b, s)
+
+    colorings, _ = delta2_diagonalizer(3, Delta2Approx(rule=recorded), stages=128)
+    return colorings, calls, evens
+
+
+def test_delta2_log_scans_each_column_through_its_own_stage():
+    _, calls, _ = _recorded_evens()
+    assert all(s <= i for i, _, s in calls)
+    assert len(calls) == len(set(calls)) == 31768  # every column read: 64 256
+
+
+def test_delta2_first_read_completes_the_column_and_no_cell_is_read_twice():
+    colorings, calls, evens = _recorded_evens()
+    logged = len(calls)
+    colorings[2].value((5,))
+    completed = calls[logged:]
+    assert {i for i, _, _ in completed} == {2} and min(s for *_, s in completed) == 3
+    assert len(calls) == 32267
+    tables = [[c.value((x,)) for x in range(128)] for c in colorings]
+    assert tables == reference_delta2_tables(3, evens, 128)[0]
+    assert [c for c in calls[logged:] if c[0] == 2] == completed  # column 2 was complete
+    assert len(calls) == len(set(calls)) == 64256
+
+
+def _counting(psi):
+    """psi as a fresh functional, and the list its runs count into: a run
+    sweeps from position 0, so it steps position 0 once."""
+    runs = [0]
+
+    def step(ctx, x):
+        runs[0] += x == 0
+        return psi.step(ctx, x)
+
+    return pointwise(psi.arity, step, psi.label), runs
+
+
+def test_cutter_reuses_a_vote_over_the_strings_that_share_its_use():
+    # zero reads nothing of tau, so one run votes for the whole level at
+    # each of the 3 case-2 stages; echo reads through the level's last bit
+    from wred.cli import TOY_BACKWARD, TOY_FORWARD
+
+    runs = {}
+    for name in ("zero", "echo"):
+        psi, runs[name] = _counting(TOY_BACKWARD[name]())
+        tree, log = qwwkl_cutter(TOY_FORWARD["identity"](), psi, Fraction(1, 2),
+                                 Fraction(3, 4), stages=64)
+        assert tree.measure() == Fraction(343, 512) and len(log.action_stages()) == 3
+    assert runs == {"zero": [3], "echo": [456]}
+
+
+def _cutter_running_every_tau(phi, psi, p, q, stages):
+    """`qwwkl_cutter` with a fresh backward run for every image string."""
+    from wred.adversaries import CutTree, _converged, _ImageSweep
+    from wred.kernel import DEFAULT_FUEL as fuel, FunctionalTape
+
+    a, tree, log, acted = least_cut_width(p, q), CutTree(), StageLog(), 0
+    sweep, mu_before = _ImageSweep(phi, fuel), tree.measure()
+    for s in range(stages):
+        cap = min(s, 12)
+        sweep.advance(tree, 2 ** (cap + 1) - 2)
+        n_s = sweep.height(cap)
+        image = sweep.members(n_s)
+        image_mu = Fraction(len(image), 2**n_s)
+        xs = list(range(acted, acted + a))
+        reason = None
+        if image_mu < q:
+            reason = f"image level {n_s} below q"
+        if reason is None and xs[-1] >= s:
+            reason = f"x_{a - 1} = {xs[-1]} not below the stage"
+        votes = {}
+        for tau in image if reason is None else ():
+            backward = FunctionalTape(psi, [index_string(tau)], fuel)
+            vals = tuple(_converged(backward, x) for x in xs)
+            if None in vals:
+                reason = f"backward diverged on a level-{n_s} string at {xs[vals.index(None)]}"
+                break
+            votes[vals] = votes.get(vals, 0) + 1
+        tree.height = s + 1
+        if reason is not None:
+            mu_after = tree.measure()
+            log.add(StageRecord(s, "1", reason, measure_before=mu_before,
+                                measure_after=mu_after, image_measure=image_mu))
+        else:
+            alpha = min(t for t, c in votes.items() if c >= Fraction(len(image), 2**a))
+            tree.constraints.append((s, tuple(xs), alpha))
+            acted += a
+            mu_after = tree.measure()
+            log.add(StageRecord(s, "2", f"acted with image count {len(image)} at level {n_s}",
+                                acted_for=tuple(xs), alpha=alpha, measure_before=mu_before,
+                                measure_after=mu_after, image_measure=image_mu))
+        mu_before = mu_after
+    return tree, log
+
+
+def test_cutter_vote_reuse_matches_a_run_per_string_on_a_value_dependent_backward():
+    # reads position 1 of tau only when position 0 is 1, so a run's use
+    # depends on tau, and position 4 after 11, which diverges on short levels
+    def step(ctx, x):
+        if not ctx.query(0, 0):
+            return (x >> 1) & 1
+        return ctx.query(0, 4) if ctx.query(0, 1) else x & 1
+
+    from wred.cli import TOY_FORWARD
+
+    results = []
+    for cutter in (qwwkl_cutter, _cutter_running_every_tau):
+        psi, runs = _counting(pointwise(1, step, "first-two"))
+        tree, log = cutter(TOY_FORWARD["identity"](), psi, Fraction(1, 2), Fraction(3, 4), 64)
+        results.append((tree.constraints, log.to_csv(), runs[0]))
+    (got_cuts, got_log, reused), (want_cuts, want_log, every) = results
+    assert got_log == want_log and got_cuts == want_cuts
+    assert "backward diverged" in got_log and len(want_cuts) == 3
+    assert reused < every and (reused, every) == (36, 500)

@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wred.combinators import (
     MarkerSequence,
@@ -739,6 +740,37 @@ def test_lean_closure_check_matches_the_loop_it_replaced():
                 break
             markers.append(found)
     assert budgets_failed > 1000  # the budgets end many checks, at many stages
+
+
+affine = st.tuples(st.integers(0, 2), st.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(affine, st.one_of(affine, st.integers(0, 6)))
+def test_lean_closure_check_matches_the_loop_on_generated_read_maps(sigma, v):
+    """A_i read at a*x + b, and B_{i+1} at c*x + d or at a constant e."""
+    from wred.combinators import CANDIDATE_BUDGET, _closure_check_stage, _ReadProfile
+
+    (a, b), (c, d) = sigma, v if isinstance(v, tuple) else (0, v)
+    forward = Functional(1, lambda ctx, x: 0, "affine",
+                         lambda x: [(0, 2 * (a * x + b)), (0, 2 * (c * x + d) + 1)])
+    shared = _ReadProfile(forward.reads)
+    markers = [0]
+    for s in range(10):
+        start = max(markers[-1], s) + 1
+        for n in range(start, start + 4):
+            for budget in (1, 8, 64, 1 << 20):
+                want = _verdict_or_error(_closure_loop_reference, forward, markers, s, n, budget)
+                for profile in (shared, _ReadProfile(forward.reads)):
+                    assert _verdict_or_error(_closure_check_stage, profile, markers, s, n,
+                                             budget) == want, (s, n, budget)
+        for n in range(start, start + CANDIDATE_BUDGET):
+            verdict = _verdict_or_error(_closure_loop_reference, forward, markers, s, n)
+            if verdict is not False:
+                break
+        if verdict is not True:  # no marker, or the budget ended the search
+            break
+        markers.append(n)
 
 
 def _table_charges(cfg, markers, stages, fuel=DEFAULT_FUEL, width=5):
