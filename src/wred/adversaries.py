@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -25,6 +26,7 @@ from .kernel import (
     FunctionalTape,
     InputError,
     Prefix,
+    RuleTape,
     cantor_pair,
     pointwise,
 )
@@ -32,7 +34,6 @@ from .problems import (
     Coloring,
     color_bit,
     color_block_width,
-    index_string,
     read_color,
     string_index,
 )
@@ -175,6 +176,19 @@ class CutTree:
         return Fraction(self.level_count(self.height), 2**self.height)
 
 
+def _string_tape(v: int, n: int) -> RuleTape:
+    """The string with index v - 1, of length n, as a tape that reads as
+    `index_string(v - 1)` does: its bits, then a gap.  It keeps v, not a
+    tuple of the bits."""
+
+    def bit(pos: int) -> int:
+        if pos < n:
+            return v >> (n - 1 - pos) & 1
+        raise Diverge("gap", pos)
+
+    return RuleTape(bit)
+
+
 def _converged(tape: FunctionalTape, x: int) -> Optional[int]:
     """The tape's bit at x, or None when its sweep stalls at or below x."""
     try:
@@ -245,13 +259,16 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
     log certifies it; a cut that does not is a ContractError.  Image
     levels are read no deeper than 12.
 
-    A converged vote rests only on tau's bits below the backward's use
-    (the kernel's promise that `check_use_soundness` tests), and the tree
-    is fixed within a stage.  The image is in index order, so the strings
-    right after tau that share those bits, the leading 1 and first `used`
-    bits of tau + 1, take its vote without a run.  A backward that reads
-    nothing of tau (`zero`) runs once per stage that votes; one that reads
-    through the level's last bit (`echo`) still runs once per string.
+    A converged backward bit rests only on tau's bits below the sweep's
+    use through it (the kernel's promise that `check_use_soundness`
+    tests), and the tree is fixed within a stage.  So the bits of the last
+    run whose use stays below the first bit where tau differs from that
+    run's string hold for tau too: the run for tau continues after them on
+    a fresh tape, as `_ImageSweep` continues its sweep, and when they reach
+    the last of xs, tau takes their vote without a run.  A backward that
+    reads nothing of tau (`zero`) runs once per stage that votes; one that
+    reads through the level's last bit (`echo`) runs once per string, and
+    steps the positions from the first differing bit on.
     """
     a = least_cut_width(p, q)
     if fuel < 0:
@@ -281,17 +298,31 @@ def qwwkl_cutter(phi: Functional, psi: Functional, p: Fraction, q: Fraction,
             # approximation; queries into the unfixed region diverge and
             # the stage is simply retried once more of the tree is fixed
             tapes_extra = [] if psi.arity == 1 else [tree]
-            used, head = 0, -1  # the last converged run's use and (tau + 1) >> (n_s - used)
+            last = xs[-1]
+            outs: list[int] = []  # the last run's bits at 0 .. last
+            uses: list[int] = []  # its use of tau through each of them, nondecreasing
+            ran = 0  # (tau + 1) of the last run's string; 0 before the first run
             for tau in image:
-                if (tau + 1) >> (n_s - used) != head:
-                    backward = FunctionalTape(psi, [index_string(tau)] + tapes_extra, fuel)
-                    vals = tuple(_converged(backward, x) for x in xs)
-                    if None in vals:
+                # the strings agree below `same`, so do the bits that read only there
+                same = n_s - ((tau + 1) ^ ran).bit_length()
+                keep = bisect_left(uses, same)
+                if keep <= last:
+                    ran = tau + 1
+                    outs, uses = outs[:keep], uses[:keep]
+                    backward = FunctionalTape(psi, [_string_tape(ran, n_s)] + tapes_extra, fuel,
+                                              bits=outs)
+                    use, u = backward.ctx.use, uses[-1] if keep else -1
+                    try:
+                        for y in range(keep, last + 1):
+                            backward.bit(y)
+                            if use.get(0, -1) > u:
+                                u = use[0]
+                            uses.append(u)
+                    except Diverge:
                         reason = (f"backward diverged on a level-{n_s} string at "
-                                  f"{xs[vals.index(None)]}")
+                                  f"{xs[max(0, len(outs) - xs[0])]}")
                         break
-                    used = backward.ctx.use.get(0, -1) + 1
-                    head = (tau + 1) >> (n_s - used)
+                    vals = tuple(outs[xs[0]:])
                 votes[vals] = votes.get(vals, 0) + 1
 
         if reason is not None:

@@ -21,6 +21,7 @@ from wred.adversaries import (
     ts1_backward_sample,
     ts1_diagonalizer,
     _fresh_double_one,
+    _string_tape,
 )
 from wred.kernel import (ContractError, Diverge, InputError, Point, Prefix, cantor_pair, evaluate,
                          oblivious, pointwise)
@@ -879,29 +880,35 @@ def test_delta2_first_read_completes_the_column_and_no_cell_is_read_twice():
 
 
 def _counting(psi):
-    """psi as a fresh functional, and the list its runs count into: a run
-    sweeps from position 0, so it steps position 0 once."""
-    runs = [0]
+    """psi as a fresh functional, and [runs, steps] it counts into: a run
+    is one backward tape, so a step on another context than the last
+    step's starts one."""
+    counts, last = [0, 0], [None]
 
     def step(ctx, x):
-        runs[0] += x == 0
+        if ctx is not last[0]:
+            counts[0], last[0] = counts[0] + 1, ctx
+        counts[1] += 1
         return psi.step(ctx, x)
 
-    return pointwise(psi.arity, step, psi.label), runs
+    return pointwise(psi.arity, step, psi.label), counts
 
 
 def test_cutter_reuses_a_vote_over_the_strings_that_share_its_use():
     # zero reads nothing of tau, so one run votes for the whole level at
-    # each of the 3 case-2 stages; echo reads through the level's last bit
+    # each of the 3 case-2 stages; echo reads through the level's last bit,
+    # so it runs once per string, but a run resumes after the bits that
+    # read only where tau agrees with the last run's string
     from wred.cli import TOY_BACKWARD, TOY_FORWARD
 
-    runs = {}
+    counts = {}
     for name in ("zero", "echo"):
-        psi, runs[name] = _counting(TOY_BACKWARD[name]())
+        psi, counts[name] = _counting(TOY_BACKWARD[name]())
         tree, log = qwwkl_cutter(TOY_FORWARD["identity"](), psi, Fraction(1, 2),
                                  Fraction(3, 4), stages=64)
         assert tree.measure() == Fraction(343, 512) and len(log.action_stages()) == 3
-    assert runs == {"zero": [3], "echo": [456]}
+    # a run through every position would step 8 * 3 + 56 * 6 + 392 * 9 = 3888 times
+    assert counts == {"zero": [3, 3 + 6 + 9], "echo": [456, 915]}
 
 
 def _cutter_running_every_tau(phi, psi, p, q, stages):
@@ -967,3 +974,35 @@ def test_cutter_vote_reuse_matches_a_run_per_string_on_a_value_dependent_backwar
     assert got_log == want_log and got_cuts == want_cuts
     assert "backward diverged" in got_log and len(want_cuts) == 3
     assert reused < every and (reused, every) == (36, 500)
+
+
+def test_string_tape_reads_as_the_indexed_prefix():
+    def read(tape, pos):
+        try:
+            return tape.bit(pos)
+        except Diverge as d:
+            return (d.reason, d.position)
+
+    for n in range(6):
+        for idx in range(2**n - 1, 2 ** (n + 1) - 1):
+            want, got = index_string(idx), _string_tape(idx + 1, n)
+            assert [read(got, p) for p in range(n + 2)] == [read(want, p) for p in range(n + 2)]
+
+
+def test_cutter_resumed_runs_match_a_run_per_string():
+    # after a 1 at position 0, position x reads x + 1 when x is odd, so the
+    # use grows through the run, and an odd last x reads past the level
+    def step(ctx, x):
+        return ctx.query(0, x + (x & 1)) if ctx.query(0, 0) else x & 1
+
+    from wred.cli import TOY_FORWARD
+
+    results = []
+    for cutter in (qwwkl_cutter, _cutter_running_every_tau):
+        psi, counts = _counting(pointwise(1, step, "odd-shift"))
+        tree, log = cutter(TOY_FORWARD["identity"](), psi, Fraction(1, 2), Fraction(3, 4), 64)
+        results.append((tree.constraints, log.to_csv(), counts))
+    (got_cuts, got_log, resumed), (want_cuts, want_log, every) = results
+    assert got_log == want_log and got_cuts == want_cuts
+    assert "backward diverged on a level-6 string at 5" in got_log and "acted" in got_log
+    assert (resumed, every) == ([297, 745], [537, 4374])
